@@ -14,16 +14,17 @@ test:
 chaos:
 	go test -run TestChaos -v -count=1 ./exp
 
-# Benchmarks, archived machine-readably: the raw go test output streams to
-# the terminal while cmd/benchjson writes the parsed results to $(BENCH_OUT)
-# for cross-PR comparison. Archive a new PR's baseline with
-# `make bench BENCH_OUT=BENCH_PR10.json`; diff two baselines with
-# `go run ./cmd/benchjson -compare BENCH_PR7.json BENCH_PR9.json`, adding
-# `-fail-over 20` to turn the comparison into a hard gate.
-BENCH_OUT ?= BENCH_PR9.json
+# Go micro-benchmarks, archived machine-readably: the raw go test output
+# streams to the terminal while cmd/benchjson writes the parsed results to
+# $(BENCH_OUT). There is no default, so a bare `make bench` cannot overwrite
+# a committed BENCH_PR*.json archive: name the file, e.g.
+# `make bench BENCH_OUT=/tmp/bench.json`. A single-sample archive proves no
+# speedup or regression; for end-to-end numbers run `bash bench/run.sh`, and
+# compare two revisions with `bench/abtest.sh OLD [NEW]` (interleaved runs).
 # -p 1 serializes the per-package test binaries: benchmark-bearing packages
 # must not run concurrently or they contend for cores and inflate ns/op.
 bench:
+	@test -n "$(BENCH_OUT)" || { echo "make bench: set BENCH_OUT=FILE (for comparisons use bash bench/run.sh or bench/abtest.sh)" >&2; exit 2; }
 	go test -p 1 -bench=. -benchmem -count=1 ./... | go run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Regenerate the committed metrics baseline that verify.sh gates against:

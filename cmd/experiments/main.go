@@ -30,8 +30,6 @@
 //	experiments -resume=false ...   # refresh the store, ignoring existing entries
 //	experiments -retries 2          # re-run transiently-faulted runs up to 2 extra times
 //	experiments -retry-backoff 5s   # sleep before the first retry, doubling per attempt
-//	experiments -listen :8099 -serve-jobs  # coordinator: job API + worker wire protocol
-//	experiments -worker http://host:8099   # worker: pull jobs from a coordinator
 //
 // All experiments of one invocation share a scheduler: a configuration
 // named by several experiments (every figure's BASIC baseline, Table 2's
@@ -47,15 +45,6 @@
 // watchdog renders as a FAULT cell in its tables while every other cell
 // prints normally; the fault diagnostics go to stderr and the exit status
 // is non-zero.
-//
-// Sweeps can also be distributed: -serve-jobs (with -listen) promotes the
-// ops server into a coordinator serving a job-submission API (POST/GET
-// /jobs) and a worker wire protocol, and -worker URL turns the same binary
-// into a stateless worker that leases jobs over HTTP, simulates them
-// locally, heartbeats, and delivers results back. Leases that stop
-// heartbeating expire and re-queue, so killing a worker mid-job loses no
-// runs, and the distributed sweep's stdout and -metrics output stay
-// byte-identical to a single-process run.
 //
 // Sweeps are also crash-safe and interruptible: -cache-dir persists every
 // completed run's Result to an atomic, checksummed on-disk store, so a
@@ -125,15 +114,13 @@ func run() int {
 	resume := flag.Bool("resume", true, "with -cache-dir, serve runs from existing store entries; -resume=false refreshes every entry")
 	retries := flag.Int("retries", 0, "re-run a transiently-faulted run (watchdog aborts, not panics) up to this many extra times")
 	retryBackoff := flag.Duration("retry-backoff", 0, "sleep this long before the first retry, doubling each attempt")
-	serveJobs := flag.Bool("serve-jobs", false, "with -listen, serve the job-submission API and worker wire protocol (POST /jobs, /worker/*): the sweep's runs become leasable by -worker processes")
-	leaseTTL := flag.Duration("lease-ttl", 30*time.Second, "with -serve-jobs, how long a worker lease survives without a heartbeat before its job re-queues")
-	workerURL := flag.String("worker", "", "run as a stateless worker pulling jobs from this coordinator URL (e.g. http://host:8099) instead of sweeping; exits when the coordinator goes away")
-	workerPoll := flag.Duration("worker-poll", 250*time.Millisecond, "with -worker, how long to sleep between lease polls when the queue is empty")
-	workerHold := flag.Duration("worker-hold", 0, "with -worker, sit on each lease this long before simulating (test hook for lease-expiry harnesses)")
-	workerName := flag.String("worker-name", "", "with -worker, the identity reported to the coordinator (default host-pid)")
 	flag.Parse()
 
 	logger := newLogger(*logJSON, *quiet)
+	if *pprofOn && *listen == "" {
+		logger.Error("-pprof requires -listen: the profiling endpoints mount on the ops server")
+		return 2
+	}
 
 	stop, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -141,18 +128,6 @@ func run() int {
 		return 1
 	}
 	defer stop()
-
-	if *workerURL != "" {
-		name := *workerName
-		if name == "" {
-			name = defaultWorkerName()
-		}
-		return runWorker(logger, *workerURL, name, *workerPoll, *workerHold, *retries, *retryBackoff)
-	}
-	if *serveJobs && *listen == "" {
-		logger.Error("-serve-jobs requires -listen: workers need an address to pull from")
-		return 2
-	}
 
 	sched := exp.NewScheduler(*jobs, *metrics)
 	sched.SetLogger(logger)
@@ -189,12 +164,6 @@ func run() int {
 	if *listen != "" {
 		srv := ops.NewServer(sched)
 		endpoints := "/metrics /status /sharing /dashboard"
-		if *serveJobs {
-			q := exp.NewJobQueue(sched, exp.JobQueueOptions{LeaseTTL: *leaseTTL})
-			defer q.Close()
-			srv.SetJobs(q)
-			endpoints += " /jobs /worker/*"
-		}
 		if *pprofOn {
 			srv.EnablePprof()
 			endpoints += " /debug/pprof/"

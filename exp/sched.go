@@ -55,12 +55,6 @@ type Scheduler struct {
 	// retry bounds re-execution of transiently-faulted runs (SetRetryPolicy).
 	retry RetryPolicy
 
-	// queue, when non-nil, is the distributed job queue (NewJobQueue):
-	// cacheable submissions are offered to it so remote workers can lease
-	// and execute them, with exec falling back to the local slot pool when
-	// no worker claims a job first.
-	queue *JobQueue
-
 	// stop closes on Interrupt: queued runs abandon instead of starting,
 	// and cancel — attached to every executing run — aborts in-flight
 	// simulations cleanly at their next event batch.
@@ -184,10 +178,6 @@ type SchedStats struct {
 	// Store snapshots the durable result cache's counters, nil when the
 	// scheduler runs without one (no -cache-dir).
 	Store *StoreStats
-
-	// Jobs snapshots the distributed job queue's counters and worker
-	// registry, nil when the scheduler runs without one (no -serve-jobs).
-	Jobs *JobStats
 }
 
 // StoreStats is the durable result store's state as the ops plane exports
@@ -375,10 +365,6 @@ func (s *Scheduler) Stats() SchedStats {
 		st.Engine = &eng
 	}
 	s.mu.Unlock()
-	if s.queue != nil {
-		js := s.queue.Stats()
-		st.Jobs = &js
-	}
 	if s.resStore != nil {
 		ss := s.resStore.Stats()
 		st.Store = &StoreStats{
@@ -448,9 +434,7 @@ func (s *Scheduler) Submit(cfg ccsim.Config) *Pending {
 		s.submitted++
 		s.queued++
 		s.mu.Unlock()
-		// Uncacheable runs carry side channels that cannot cross the wire;
-		// they always execute locally and are never offered to the queue.
-		go s.exec(p, cfg, key, false, submittedAt, nil)
+		go s.exec(p, cfg, key, false, submittedAt)
 		return p
 	}
 	s.mu.Lock()
@@ -463,17 +447,8 @@ func (s *Scheduler) Submit(cfg ccsim.Config) *Pending {
 	s.runs[key] = p
 	s.unique++
 	s.queued++
-	var j *job
-	if s.queue != nil {
-		// Offer the run to the distributed queue. Runs already present in
-		// the durable store stay unleasable: they resolve from disk in a
-		// stat + read, so shipping them to a worker would only re-simulate
-		// what resume already has.
-		leasable := !(s.resStore != nil && s.storeRead && s.resStore.Contains(key))
-		j = s.queue.offer(p, cfg, key, submittedAt, leasable)
-	}
 	s.mu.Unlock()
-	go s.exec(p, cfg, key, true, submittedAt, j)
+	go s.exec(p, cfg, key, true, submittedAt)
 	return p
 }
 
@@ -486,20 +461,15 @@ func (s *Scheduler) Failed() []FailedRun {
 	return append([]FailedRun(nil), s.failed...)
 }
 
-func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable bool, submittedAt time.Time, j *job) {
-	// abandonQueued records one run interrupted while it waited: never ran,
-	// and under graceful shutdown never will. The error routes through the
-	// Failed ledger so cmd/experiments can count abandoned runs and print
-	// the resume hint; a resumed sweep re-runs them from scratch (or from
-	// the store, for the ones that did complete). With a job queue attached
-	// the queue state arbitrates against a racing remote delivery: if the
-	// job is already done, the delivery's accounting wins and exec only
-	// waits it out.
-	abandonQueued := func() {
-		if j != nil && !s.queue.abandon(j) {
-			<-p.done
-			return
-		}
+func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable bool, submittedAt time.Time) {
+	select {
+	case s.slots <- struct{}{}:
+	case <-s.stop:
+		// Interrupted while queued: never ran, and under graceful shutdown
+		// never will. The error routes through the Failed ledger so
+		// cmd/experiments can count abandoned runs and print the resume
+		// hint; a resumed sweep re-runs them from scratch (or from the
+		// store, for the ones that did complete).
 		p.err = ErrInterrupted
 		s.mu.Lock()
 		s.queued--
@@ -507,46 +477,9 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
 		s.mu.Unlock()
 		close(p.done)
-	}
-	for {
-		select {
-		case s.slots <- struct{}{}:
-		case <-s.stop:
-			abandonQueued()
-			return
-		case <-p.done:
-			// A remote worker delivered this run's result while we waited
-			// for a local slot; deliverRemote did all the accounting.
-			return
-		}
-		if j == nil {
-			break
-		}
-		verdict, wake := s.queue.claimLocal(j)
-		if verdict == claimOK {
-			break
-		}
-		<-s.slots // the run is remote: release the local slot
-		if verdict == claimDone {
-			<-p.done
-			return
-		}
-		// Leased by a worker: wait for its delivery, its lease expiring
-		// (the job re-queues and we loop to claim it), or shutdown.
-		select {
-		case <-p.done:
-			return
-		case <-wake:
-			continue
-		case <-s.stop:
-			abandonQueued()
-			return
-		}
+		return
 	}
 	defer func() { <-s.slots }()
-	if j != nil {
-		defer s.queue.finishLocal(j)
-	}
 	s.observe(phaseQueueWait, s.clock().Sub(submittedAt))
 	// Read-through: a valid store entry for this exact key — same schema,
 	// same canonical configuration — serves the run without simulating.
@@ -733,49 +666,6 @@ func (s *Scheduler) retryInterrupted(last error) error {
 		Message: fmt.Sprintf(
 			"sweep interrupted during retry backoff (last transient fault: %s)", kind),
 	}
-}
-
-// deliverRemote completes one job from a worker's delivered result: the
-// same write-behind store put, metrics write and completion accounting the
-// local path performs, so a distributed sweep's store, metrics directory
-// and stdout are byte-identical to a single-process run. The caller (the
-// job queue) has already transitioned the job to done under its own lock,
-// so exactly one deliverRemote runs per job and exec's claim loop can only
-// observe the job as finished.
-func (s *Scheduler) deliverRemote(j *job, res *ccsim.Result, err error, elapsed time.Duration) {
-	p := j.p
-	p.res, p.err = res, err
-	s.observe(phaseSimulate, elapsed)
-	if p.err == nil && s.resStore != nil {
-		t0 := s.clock()
-		serr := s.storePut(j.key, p.res)
-		s.observe(phaseStorePut, s.clock().Sub(t0))
-		if serr != nil {
-			p.err = fmt.Errorf("store: %w", serr)
-		}
-	}
-	if p.err == nil && s.metricsDir != "" {
-		t1 := s.clock()
-		werr := writeMetrics(s.metricsDir, j.cfg, p.res)
-		s.observe(phaseMetricsWrite, s.clock().Sub(t1))
-		if werr != nil {
-			p.err = fmt.Errorf("metrics: %w", werr)
-		}
-	}
-	s.mu.Lock()
-	s.queued--
-	if p.err != nil {
-		s.failed = append(s.failed, FailedRun{Cfg: j.cfg, Err: p.err})
-	} else {
-		s.completed++
-		if p.res != nil {
-			s.droppedSpans += p.res.DroppedSpans
-			s.engine.Merge(p.res.Queue)
-			s.engineRuns++
-		}
-	}
-	s.mu.Unlock()
-	close(p.done)
 }
 
 // storeGet resolves key through the durable store: a valid entry decodes

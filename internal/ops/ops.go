@@ -25,21 +25,6 @@
 //     when EnablePprof was called (the CLI's -pprof flag), for continuous
 //     CPU/heap/goroutine profiling of live sweeps.
 //
-// When the server is wired to a job queue (SetJobs; the CLI's -serve-jobs
-// flag) it additionally becomes the sweep coordinator — the only
-// read-write surface of the ops plane:
-//
-//   - POST /jobs — submit one simulation Config as JSON; responds with the
-//     job's view (deduplicated by fingerprint: re-submitting a config
-//     returns the existing job).
-//   - GET /jobs, GET /jobs/{id} — job listing / one job's state and, once
-//     resolved, its Result.
-//   - POST /worker/lease, /worker/heartbeat, /worker/result — the worker
-//     wire protocol (`experiments -worker <url>`): pull a leased job,
-//     keep its lease alive, deliver its Result. Leases that stop
-//     heartbeating expire and the job re-queues, so a crashed worker
-//     loses no runs.
-//
 // Every read goes through lock-free Progress probes or the scheduler's
 // short-lived mutex; scraping never blocks a simulation.
 package ops
@@ -47,12 +32,10 @@ package ops
 import (
 	_ "embed"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -75,7 +58,6 @@ type Source interface {
 // Server serves the ops endpoints for one Source.
 type Server struct {
 	src     Source
-	jobs    *exp.JobQueue
 	ln      net.Listener
 	srv     *http.Server
 	pprofOn bool
@@ -86,11 +68,6 @@ type Server struct {
 func NewServer(src Source) *Server {
 	return &Server{src: src}
 }
-
-// SetJobs wires a job queue into the server, turning it into a sweep
-// coordinator: Handler additionally mounts the job-submission API and the
-// worker wire protocol. Call before Handler or Start.
-func (s *Server) SetJobs(q *exp.JobQueue) { s.jobs = q }
 
 // EnablePprof mounts the net/http/pprof handlers under /debug/pprof/ on
 // the handler built afterwards. Opt-in (the CLI's -pprof flag) because the
@@ -143,9 +120,8 @@ func (s *Server) Close() error {
 var dashboardHTML []byte
 
 // Handler returns the ops mux: /metrics, /status, /sharing, /dashboard,
-// a plain-text index at /, the job-submission API and worker wire
-// protocol when SetJobs was called, and — when EnablePprof was called —
-// the net/http/pprof handlers under /debug/pprof/.
+// a plain-text index at /, and — when EnablePprof was called — the
+// net/http/pprof handlers under /debug/pprof/.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.metrics)
@@ -155,14 +131,6 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		w.Write(dashboardHTML) //nolint:errcheck // client hangup is benign
 	})
-	if s.jobs != nil {
-		mux.HandleFunc("POST /jobs", s.submitJob)
-		mux.HandleFunc("GET /jobs", s.listJobs)
-		mux.HandleFunc("GET /jobs/{id}", s.getJob)
-		mux.HandleFunc("POST /worker/lease", s.workerLease)
-		mux.HandleFunc("POST /worker/heartbeat", s.workerHeartbeat)
-		mux.HandleFunc("POST /worker/result", s.workerResult)
-	}
 	if s.pprofOn {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -176,122 +144,11 @@ func (s *Server) Handler() http.Handler {
 			return
 		}
 		fmt.Fprint(w, "ccsim sweep ops plane\n/metrics    Prometheus text\n/status     JSON run table\n/sharing    JSON sharing-pattern aggregate\n/dashboard  live HTML sweep dashboard\n")
-		if s.jobs != nil {
-			fmt.Fprint(w, "/jobs       job-submission API (POST a Config; GET to list)\n/worker/*   worker wire protocol (lease, heartbeat, result)\n")
-		}
 		if s.pprofOn {
 			fmt.Fprint(w, "/debug/pprof/  live profiling (pprof)\n")
 		}
 	})
 	return mux
-}
-
-// submitJob is POST /jobs: decode one simulation Config, enqueue it (or
-// join the existing job for the same fingerprint), and return the job's
-// view.
-func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
-	var cfg ccsim.Config
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		http.Error(w, "bad config: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	v, err := s.jobs.SubmitJob(cfg)
-	if err != nil {
-		if errors.Is(err, exp.ErrUncacheable) {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, v)
-}
-
-// listJobs is GET /jobs: every job in submission order.
-func (s *Server) listJobs(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.jobs.Jobs())
-}
-
-// getJob is GET /jobs/{id}: one job's state and, once resolved, its
-// Result or error.
-func (s *Server) getJob(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-	if err != nil {
-		http.Error(w, "bad job id", http.StatusBadRequest)
-		return
-	}
-	v, ok := s.jobs.Job(id)
-	if !ok {
-		http.NotFound(w, r)
-		return
-	}
-	writeJSON(w, v)
-}
-
-// workerLease is POST /worker/lease: hand the longest-queued leasable job
-// to the calling worker. 204 when nothing is queued; 409 when the worker's
-// Result schema does not match this coordinator's.
-func (s *Server) workerLease(w http.ResponseWriter, r *http.Request) {
-	var req exp.LeaseRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lease request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	wj, err := s.jobs.Lease(req.Worker, req.Schema)
-	if err != nil {
-		if errors.Is(err, exp.ErrSchemaSkew) {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if wj == nil {
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	writeJSON(w, wj)
-}
-
-// workerHeartbeat is POST /worker/heartbeat: extend a lease. 410 means the
-// lease already expired or resolved — the worker must abandon the job.
-func (s *Server) workerHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req exp.HeartbeatRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad heartbeat: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.jobs.Heartbeat(req.ID, req.Lease, req.Worker) {
-		http.Error(w, "lease gone", http.StatusGone)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// workerResult is POST /worker/result: deliver a leased job's outcome.
-// 410 means the lease already expired or the job resolved elsewhere; the
-// delivery is discarded.
-func (s *Server) workerResult(w http.ResponseWriter, r *http.Request) {
-	var wr exp.WireResult
-	if err := json.NewDecoder(r.Body).Decode(&wr); err != nil {
-		http.Error(w, "bad result: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if !s.jobs.Complete(wr) {
-		http.Error(w, "lease gone", http.StatusGone)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// writeJSON writes v as an indented JSON response.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client hangup is benign
 }
 
 // RunStatus is one row of /status's run table.
@@ -421,35 +278,6 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ccsim_sched_interrupted_total", "Runs abandoned by graceful shutdown: before execution or mid-retry-backoff.", sch.Interrupted)
 	gauge("ccsim_sched_queued", "Runs waiting for a worker slot.", sch.Queued)
 	gauge("ccsim_sched_running", "Runs executing right now.", sch.Running)
-
-	if jq := sch.Jobs; jq != nil {
-		counter("ccsim_jobs_submitted_total", "Jobs entered into the coordinator's queue (one per unique cacheable run).", jq.Submitted)
-		counter("ccsim_jobs_api_submitted_total", "POST /jobs submissions accepted, including fingerprint duplicates joining existing jobs.", jq.APISubmitted)
-		gauge("ccsim_jobs_queued", "Jobs waiting to be claimed by a local slot or leased by a worker.", jq.Queued)
-		gauge("ccsim_jobs_leased", "Jobs currently leased to remote workers.", jq.Leased)
-		counter("ccsim_jobs_local_claimed_total", "Jobs claimed by the coordinator's own worker slots.", jq.LocalClaimed)
-		counter("ccsim_jobs_remote_completed_total", "Jobs whose Result a remote worker delivered.", jq.RemoteCompleted)
-		counter("ccsim_jobs_remote_failed_total", "Jobs whose remote worker delivered a fault instead of a Result.", jq.RemoteFailed)
-		counter("ccsim_jobs_lease_expired_total", "Worker leases that stopped heartbeating and re-queued their job.", jq.LeaseExpired)
-		counter("ccsim_jobs_rejected_total", "Worker requests refused: schema skew, stale leases, deliveries for resolved jobs.", jq.Rejected)
-		if len(jq.Workers) > 0 {
-			workerHdr := func(name, help, typ string) {
-				fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			}
-			workerHdr("ccsim_worker_leases", "Jobs a worker currently holds leases on.", "gauge")
-			for _, ws := range jq.Workers {
-				fmt.Fprintf(&b, "ccsim_worker_leases{worker=%s} %d\n", labelValue(ws.Name), ws.Leases)
-			}
-			workerHdr("ccsim_worker_jobs_total", "Jobs a worker has delivered results for.", "counter")
-			for _, ws := range jq.Workers {
-				fmt.Fprintf(&b, "ccsim_worker_jobs_total{worker=%s} %d\n", labelValue(ws.Name), ws.Jobs)
-			}
-			workerHdr("ccsim_worker_heartbeat_age_seconds", "Seconds since a worker last contacted the coordinator; ages past the lease TTL mean its leases are expiring.", "gauge")
-			for _, ws := range jq.Workers {
-				fmt.Fprintf(&b, "ccsim_worker_heartbeat_age_seconds{worker=%s} %g\n", labelValue(ws.Name), ws.HeartbeatAgeSeconds)
-			}
-		}
-	}
 
 	if sch.Store != nil {
 		counter("ccsim_store_hits_total", "Runs served from the durable result store without simulating.", sch.Store.Hits)

@@ -173,16 +173,6 @@ func (s *Store) Latencies() []OpLatency {
 	return out
 }
 
-// Contains reports whether a committed entry file exists for key, without
-// reading or validating it — a single stat, cheap enough for hot submit
-// paths deciding whether a run is worth distributing. A corrupt entry can
-// report true; the authoritative read (Get) still quarantines it and
-// misses, so Contains is a hint, never a promise.
-func (s *Store) Contains(key string) bool {
-	_, err := os.Stat(s.path(key))
-	return err == nil
-}
-
 // Get returns the payload stored under key, or ok=false on a miss. A file
 // that exists but fails validation — truncated payload, checksum or key
 // mismatch, unparseable header — is quarantined and reported as a miss,

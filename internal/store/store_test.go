@@ -245,40 +245,6 @@ func TestDropQuarantinesEntry(t *testing.T) {
 	}
 }
 
-// TestContainsIsAStatHint pins Contains' contract: true for committed
-// entries, false for absent and dropped ones, no hit/miss accounting, and
-// — crucially — true for a corrupt entry, because it never validates;
-// Get remains the authoritative read that quarantines.
-func TestContainsIsAStatHint(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
-	if s.Contains("key") {
-		t.Fatal("Contains true before any Put")
-	}
-	if err := s.Put("key", []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains("key") {
-		t.Fatal("Contains false for a committed entry")
-	}
-	if st := s.Stats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("Contains touched hit/miss counters: %+v", st)
-	}
-	// Corrupt the entry in place: Contains still says true (it is a stat,
-	// not a validation), and Get quarantines as usual.
-	if err := os.WriteFile(s.path("key"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Contains("key") {
-		t.Fatal("Contains false for a corrupt-but-present entry; it must not validate")
-	}
-	if _, ok := s.Get("key"); ok {
-		t.Fatal("corrupt entry served")
-	}
-	if s.Contains("key") {
-		t.Fatal("Contains true after Get quarantined the entry")
-	}
-}
-
 func TestPutRejectsNewlineKey(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	if err := s.Put("bad\nkey", []byte("x")); err == nil {

@@ -22,13 +22,6 @@ go test -race -count=1 -run 'TestEngine|TestEventOrder' ccsim/internal/sim
 # running scheduler plus the dashboard and gated pprof endpoints.
 go test -race -count=1 -run 'TestScrapeDuringSweep|TestDashboardServes|TestPprofGating' ccsim/internal/ops
 
-# Advisory engine-speed trend: print the ns/op delta table (with its
-# geomean summary row) between the two most recent archived baselines.
-# Informational only — benchmark noise must never fail the gate.
-if [ -f BENCH_PR7.json ] && [ -f BENCH_PR9.json ]; then
-    go run ./cmd/benchjson -compare BENCH_PR7.json BENCH_PR9.json || true
-fi
-
 # Watchdog smoke: a generous event ceiling must not disturb a clean run,
 # and a far-too-tight one must abort with a structured fault (non-zero
 # exit) instead of hanging or crashing.
@@ -169,66 +162,4 @@ printf '%s' "$MID" | grep -q ccsim_engine_cohort_size_events_bucket
 wait "$OPS_PID"
 rm -f /tmp/ccsim-ops-log.txt
 
-# Distributed-sweep smoke, part 1: a coordinator (-serve-jobs) plus one
-# worker pulling jobs over HTTP must produce stdout AND -metrics output
-# byte-identical to the same sweep in a single process, and the worker
-# must exit 0 once the coordinator goes away. -jobs 1 keeps the
-# coordinator's own slot busy so the queue genuinely feeds the worker.
-rm -rf /tmp/ccsim-dist-ref-metrics /tmp/ccsim-dist-metrics
-/tmp/experiments-verify -exp fig2 -scale 0.5 -procs 8 -q \
-    -metrics /tmp/ccsim-dist-ref-metrics > /tmp/ccsim-dist-ref.txt
-/tmp/experiments-verify -exp fig2 -scale 0.5 -procs 8 -jobs 1 \
-    -listen 127.0.0.1:0 -serve-jobs -metrics /tmp/ccsim-dist-metrics \
-    > /tmp/ccsim-dist-out.txt 2> /tmp/ccsim-dist-log.txt &
-COORD_PID=$!
-ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    ADDR=$(sed -n 's/.*ops server listening.*addr=\([0-9.]*:[0-9]*\).*/\1/p' /tmp/ccsim-dist-log.txt | head -1)
-    [ -n "$ADDR" ] && break
-    i=$((i + 1))
-    sleep 0.05
-done
-test -n "$ADDR"
-/tmp/experiments-verify -worker "http://$ADDR" -worker-poll 10ms \
-    2> /tmp/ccsim-dist-worker.txt &
-WORKER_PID=$!
-wait "$COORD_PID"
-cmp /tmp/ccsim-dist-ref.txt /tmp/ccsim-dist-out.txt
-/tmp/metricsdiff-verify /tmp/ccsim-dist-ref-metrics /tmp/ccsim-dist-metrics
-# The worker notices the coordinator is gone and exits cleanly (status 0),
-# having delivered at least one job.
-wait "$WORKER_PID"
-grep -q "job completed" /tmp/ccsim-dist-worker.txt
-
-# Distributed-sweep smoke, part 2: kill -9 a worker sitting on a lease.
-# Its heartbeats stop, the lease expires (1s TTL), the job re-queues and
-# the coordinator finishes it locally — same stdout, no lost runs.
-/tmp/experiments-verify -exp fig2 -scale 0.5 -procs 8 -jobs 1 \
-    -listen 127.0.0.1:0 -serve-jobs -lease-ttl 1s \
-    > /tmp/ccsim-dist-out2.txt 2> /tmp/ccsim-dist-log2.txt &
-COORD_PID=$!
-ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    ADDR=$(sed -n 's/.*ops server listening.*addr=\([0-9.]*:[0-9]*\).*/\1/p' /tmp/ccsim-dist-log2.txt | head -1)
-    [ -n "$ADDR" ] && break
-    i=$((i + 1))
-    sleep 0.05
-done
-test -n "$ADDR"
-# -worker-hold makes the worker sit on its lease without simulating, so
-# the kill below always lands mid-job.
-/tmp/experiments-verify -worker "http://$ADDR" -worker-poll 10ms \
-    -worker-hold 60s -worker-name crashy 2> /dev/null &
-WORKER_PID=$!
-sleep 0.7
-kill -9 "$WORKER_PID" 2> /dev/null || true
-wait "$WORKER_PID" 2> /dev/null || true
-wait "$COORD_PID"
-cmp /tmp/ccsim-dist-ref.txt /tmp/ccsim-dist-out2.txt
-grep -q "lease expired" /tmp/ccsim-dist-log2.txt
-rm -rf /tmp/ccsim-dist-ref-metrics /tmp/ccsim-dist-metrics \
-    /tmp/ccsim-dist-ref.txt /tmp/ccsim-dist-out.txt /tmp/ccsim-dist-out2.txt \
-    /tmp/ccsim-dist-log.txt /tmp/ccsim-dist-log2.txt /tmp/ccsim-dist-worker.txt
 rm -f /tmp/metricsdiff-verify /tmp/experiments-verify
