@@ -28,7 +28,9 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,7 +94,7 @@ func writeSide(logger *slog.Logger, what, path string, write func(io.Writer) err
 // path (os.Exit would skip it).
 func main() { os.Exit(run()) }
 
-func run() int {
+func run() (code int) {
 	workload := flag.String("workload", "mp3d", "kernel: "+strings.Join(ccsim.Workloads(), ", "))
 	ext := flag.String("ext", "BASIC", "protocol extensions: BASIC, P, M, CW, P+CW, P+M, CW+M, P+CW+M")
 	sc := flag.Bool("sc", false, "sequential consistency (default: release consistency)")
@@ -177,15 +179,26 @@ func run() int {
 	}
 
 	if *traceOut != "" {
-		w := os.Stderr
+		// stderr stays unbuffered so the trace interleaves with the logs; a
+		// trace file is buffered, and a write, flush or close failure fails
+		// the command, since a truncated trace is a lost result.
+		var w io.Writer = os.Stderr
 		if *traceOut != "-" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
 				logger.Error("trace file", "err", err)
 				return 1
 			}
-			defer f.Close()
-			w = f
+			bw := bufio.NewWriter(f)
+			defer func() {
+				if err := errors.Join(bw.Flush(), f.Close()); err != nil {
+					logger.Error("trace file", "err", err)
+					if code == 0 {
+						code = 1
+					}
+				}
+			}()
+			w = bw
 		}
 		cfg.TraceWriter = w
 		if *traceAddrs != "" {

@@ -57,3 +57,29 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceFile checks the buffered -trace file: it ends with the run's
+// last protocol event, and an unwritable destination fails the command
+// instead of silently losing the trace.
+func TestTraceFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.trace")
+	args := []string{"ccsim", "-workload", "mp3d", "-scale", "0.02", "-procs", "2", "-trace", path}
+	if code, _ := runCLI(t, args...); code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) < 100 || !strings.HasSuffix(string(body), "\n") || !strings.HasPrefix(lines[len(lines)-1], "T") {
+		t.Fatalf("trace has %d lines, last %q", len(lines), lines[len(lines)-1])
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a write error")
+	}
+	args[len(args)-1] = "/dev/full"
+	if code, _ := runCLI(t, args...); code != 1 {
+		t.Fatalf("trace to /dev/full: exit code %d, want 1", code)
+	}
+}

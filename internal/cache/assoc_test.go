@@ -13,8 +13,8 @@ func TestAssocAvoidsDirectMappedConflict(t *testing.T) {
 	// holds both).
 	c := NewSLCAssoc(4, 2)
 	c.Insert(1, Shared)
-	_, victim := c.Insert(5, Shared)
-	if victim != nil {
+	_, victim, evicted := c.Insert(5, Shared)
+	if evicted {
 		t.Fatalf("2-way cache evicted on second insert: %+v", victim)
 	}
 	if c.Lookup(1) == nil || c.Lookup(5) == nil {
@@ -31,8 +31,8 @@ func TestAssocLRUReplacement(t *testing.T) {
 	if c.Lookup(1) == nil {
 		t.Fatal("lookup failed")
 	}
-	_, victim := c.Insert(5, Shared)
-	if victim == nil || victim.Block != 3 {
+	_, victim, evicted := c.Insert(5, Shared)
+	if !evicted || victim.Block != 3 {
 		t.Fatalf("victim = %+v, want block 3 (LRU)", victim)
 	}
 	if c.Lookup(1) == nil || c.Lookup(5) == nil {
@@ -45,8 +45,8 @@ func TestAssocInvalidateFreesWay(t *testing.T) {
 	c.Insert(1, Shared)
 	c.Insert(3, Dirty)
 	c.Invalidate(1)
-	_, victim := c.Insert(5, Shared)
-	if victim != nil {
+	_, victim, evicted := c.Insert(5, Shared)
+	if evicted {
 		t.Fatalf("insert into invalidated way evicted %+v", victim)
 	}
 	if c.Lookup(3) == nil || c.Lookup(5) == nil {
@@ -56,11 +56,11 @@ func TestAssocInvalidateFreesWay(t *testing.T) {
 
 func TestAssocReinsertSameBlock(t *testing.T) {
 	c := NewSLCAssoc(4, 2)
-	l, _ := c.Insert(1, Shared)
+	l, _, _ := c.Insert(1, Shared)
 	l.PrefetchBit = true
-	l2, victim := c.Insert(1, Dirty)
-	if victim != nil || l2.PrefetchBit || l2.State != Dirty {
-		t.Fatalf("reinsert wrong: %+v victim=%v", l2, victim)
+	l2, _, evicted := c.Insert(1, Dirty)
+	if evicted || l2.PrefetchBit || l2.State != Dirty {
+		t.Fatalf("reinsert wrong: %+v evicted=%v", l2, evicted)
 	}
 	if c.Valid() != 1 {
 		t.Fatalf("Valid = %d", c.Valid())
@@ -96,7 +96,7 @@ func TestFullyAssociativeNoEvictionsProperty(t *testing.T) {
 		for _, r := range refs {
 			b := memsys.Block(r % frames)
 			if c.Lookup(b) == nil {
-				if _, victim := c.Insert(b, Shared); victim != nil {
+				if _, _, evicted := c.Insert(b, Shared); evicted {
 					return false
 				}
 			}

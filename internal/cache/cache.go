@@ -68,11 +68,23 @@ type SLC struct {
 	frames int
 	ways   int
 	nsets  int
-	inf    map[memsys.Block]*Line
 	array  []Line   // nsets * ways
 	age    []uint64 // LRU timestamps, parallel to array
 	tick   uint64
+
+	// Infinite mode keeps its lines in a slab of fixed-size chunks, so a
+	// slot never moves and a *Line stays valid while its block is cached;
+	// inf maps each cached block to its slot, and invalidated slots are
+	// reused before the slab grows.
+	inf   map[memsys.Block]int32
+	slab  [][]Line
+	slots int32 // slots handed out so far
+	free  []int32
 }
+
+// slabChunk is the infinite-mode slab's growth step, in lines. Small
+// chunks keep a short run's footprint near its working set.
+const slabChunk = 64
 
 // NewSLC returns a direct-mapped SLC with the given number of frames, or an
 // infinite one if frames == 0.
@@ -87,7 +99,7 @@ func NewSLCAssoc(frames, ways int) *SLC {
 	}
 	c := &SLC{frames: frames, ways: ways}
 	if frames == 0 {
-		c.inf = make(map[memsys.Block]*Line)
+		c.inf = make(map[memsys.Block]int32)
 		return c
 	}
 	if frames%ways != 0 {
@@ -111,11 +123,33 @@ func (c *SLC) set(b memsys.Block) (lo, hi int) {
 	return s * c.ways, (s + 1) * c.ways
 }
 
+// slot returns infinite-mode slab slot i.
+func (c *SLC) slot(i int32) *Line { return &c.slab[i/slabChunk][i%slabChunk] }
+
+// newSlot returns a free infinite-mode slot, growing the slab by a chunk
+// when every slot is in use.
+func (c *SLC) newSlot() int32 {
+	if n := len(c.free); n > 0 {
+		i := c.free[n-1]
+		c.free = c.free[:n-1]
+		return i
+	}
+	i := c.slots
+	if int(i/slabChunk) == len(c.slab) {
+		c.slab = append(c.slab, make([]Line, slabChunk))
+	}
+	c.slots++
+	return i
+}
+
 // Lookup returns the line holding block b, or nil if b is not present in a
 // valid state. A hit refreshes the line's LRU age.
 func (c *SLC) Lookup(b memsys.Block) *Line {
 	if c.frames == 0 {
-		return c.inf[b]
+		if i, ok := c.inf[b]; ok {
+			return c.slot(i)
+		}
+		return nil
 	}
 	lo, hi := c.set(b)
 	for i := lo; i < hi; i++ {
@@ -130,17 +164,23 @@ func (c *SLC) Lookup(b memsys.Block) *Line {
 }
 
 // Insert installs block b in state st and returns its line. If a valid line
-// holding a different block had to be displaced (the set's LRU way), a copy
-// of it is returned as victim. Inserting over an existing line for the same
-// block resets the extension bits (a fresh fill).
-func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim *Line) {
+// holding a different block had to be displaced (the set's LRU way), its
+// content is returned as victim with evicted set. Inserting over an
+// existing line for the same block resets the extension bits (a fresh
+// fill).
+func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Line, evicted bool) {
 	if st == Invalid {
 		panic("cache: inserting an invalid line")
 	}
 	if c.frames == 0 {
-		l := &Line{Block: b, State: st}
-		c.inf[b] = l
-		return l, nil
+		i, ok := c.inf[b]
+		if !ok {
+			i = c.newSlot()
+			c.inf[b] = i
+		}
+		l := c.slot(i)
+		*l = Line{Block: b, State: st}
+		return l, Line{}, false
 	}
 	lo, hi := c.set(b)
 	slot := -1
@@ -162,24 +202,26 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim *Line) {
 				slot = i
 			}
 		}
-		v := c.array[slot]
-		victim = &v
+		victim, evicted = c.array[slot], true
 	}
 	c.tick++
 	c.age[slot] = c.tick
 	c.array[slot] = Line{Block: b, State: st}
-	return &c.array[slot], victim
+	return &c.array[slot], victim, evicted
 }
 
 // Invalidate removes block b if present and returns the line content it had
-// (nil if it was not present).
-func (c *SLC) Invalidate(b memsys.Block) *Line {
+// (ok is false if it was not present). A *Line for b obtained earlier must
+// not be used afterwards: its slot may be refilled.
+func (c *SLC) Invalidate(b memsys.Block) (old Line, ok bool) {
 	if c.frames == 0 {
-		l := c.inf[b]
-		if l != nil {
-			delete(c.inf, b)
+		i, ok := c.inf[b]
+		if !ok {
+			return Line{}, false
 		}
-		return l
+		delete(c.inf, b)
+		c.free = append(c.free, i)
+		return *c.slot(i), true
 	}
 	lo, hi := c.set(b)
 	for i := lo; i < hi; i++ {
@@ -187,10 +229,10 @@ func (c *SLC) Invalidate(b memsys.Block) *Line {
 		if l.State != Invalid && l.Block == b {
 			v := *l
 			l.State = Invalid
-			return &v
+			return v, true
 		}
 	}
-	return nil
+	return Line{}, false
 }
 
 // Valid returns the number of valid lines (O(frames) for finite caches).
@@ -211,8 +253,8 @@ func (c *SLC) Valid() int {
 // infinite mode; fn must not insert or invalidate.
 func (c *SLC) ForEach(fn func(*Line)) {
 	if c.frames == 0 {
-		for _, l := range c.inf {
-			fn(l)
+		for _, i := range c.inf {
+			fn(c.slot(i))
 		}
 		return
 	}

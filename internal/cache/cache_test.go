@@ -10,7 +10,7 @@ import (
 func TestSLCInfiniteNeverEvicts(t *testing.T) {
 	c := NewSLC(0)
 	for b := memsys.Block(0); b < 1000; b++ {
-		if _, victim := c.Insert(b, Shared); victim != nil {
+		if _, _, evicted := c.Insert(b, Shared); evicted {
 			t.Fatalf("infinite cache evicted on insert of %d", b)
 		}
 	}
@@ -24,12 +24,39 @@ func TestSLCInfiniteNeverEvicts(t *testing.T) {
 	}
 }
 
+// TestSLCInfiniteSlotsStable checks the infinite slab: a line's pointer
+// survives the slab growing past many chunks, and an invalidated block's
+// slot is reused without disturbing the lines around it.
+func TestSLCInfiniteSlotsStable(t *testing.T) {
+	c := NewSLC(0)
+	first, _, _ := c.Insert(0, Dirty)
+	for b := memsys.Block(1); b < 10*slabChunk; b++ {
+		c.Insert(b, Shared)
+	}
+	first.CWCount = 5
+	if l := c.Lookup(0); l != first || l.CWCount != 5 || l.State != Dirty {
+		t.Fatalf("block 0 moved or changed as the slab grew: %+v", l)
+	}
+	old, ok := c.Invalidate(7)
+	if !ok || old.Block != 7 || c.Lookup(7) != nil {
+		t.Fatalf("Invalidate(7) = %+v, %v", old, ok)
+	}
+	grown := len(c.slab)
+	l, _, _ := c.Insert(100000, Shared)
+	if len(c.slab) != grown || l.Block != 100000 || l.CWCount != 0 {
+		t.Fatalf("freed slot not reused as a fresh line: slab %d -> %d chunks, line %+v", grown, len(c.slab), l)
+	}
+	if c.Valid() != 10*slabChunk || c.Lookup(6) == nil || c.Lookup(8) == nil {
+		t.Fatalf("neighbours disturbed: Valid = %d", c.Valid())
+	}
+}
+
 func TestSLCFiniteDirectMappedConflict(t *testing.T) {
 	c := NewSLC(4)
 	c.Insert(1, Shared)
 	// Block 5 maps to the same frame (5 % 4 == 1).
-	line, victim := c.Insert(5, Dirty)
-	if victim == nil || victim.Block != 1 {
+	line, victim, evicted := c.Insert(5, Dirty)
+	if !evicted || victim.Block != 1 {
 		t.Fatalf("expected victim block 1, got %v", victim)
 	}
 	if line.Block != 5 || line.State != Dirty {
@@ -42,10 +69,10 @@ func TestSLCFiniteDirectMappedConflict(t *testing.T) {
 
 func TestSLCInsertSameBlockNoVictim(t *testing.T) {
 	c := NewSLC(4)
-	l, _ := c.Insert(2, Shared)
+	l, _, _ := c.Insert(2, Shared)
 	l.PrefetchBit = true
-	l2, victim := c.Insert(2, Dirty)
-	if victim != nil {
+	l2, _, evicted := c.Insert(2, Dirty)
+	if evicted {
 		t.Fatal("reinsert of same block reported a victim")
 	}
 	if l2.PrefetchBit {
@@ -59,19 +86,19 @@ func TestSLCInsertSameBlockNoVictim(t *testing.T) {
 func TestSLCInvalidate(t *testing.T) {
 	c := NewSLC(8)
 	c.Insert(3, Dirty)
-	old := c.Invalidate(3)
-	if old == nil || old.State != Dirty {
-		t.Fatalf("Invalidate returned %v", old)
+	old, ok := c.Invalidate(3)
+	if !ok || old.State != Dirty {
+		t.Fatalf("Invalidate returned %+v, %v", old, ok)
 	}
 	if c.Lookup(3) != nil {
 		t.Fatal("block still present after invalidate")
 	}
-	if c.Invalidate(3) != nil {
+	if _, ok := c.Invalidate(3); ok {
 		t.Fatal("second invalidate returned a line")
 	}
 	// Invalidate of a conflicting (different) block must not touch the line.
 	c.Insert(3, Shared)
-	if c.Invalidate(11) != nil { // 11 % 8 == 3 % 8
+	if _, ok := c.Invalidate(11); ok { // 11 % 8 == 3 % 8
 		t.Fatal("invalidate of absent conflicting block removed the line")
 	}
 	if c.Lookup(3) == nil {
@@ -276,6 +303,56 @@ func TestFIFOOrderAndBounds(t *testing.T) {
 	}
 	if f.HighWater != 3 {
 		t.Fatalf("HighWater = %d, want 3", f.HighWater)
+	}
+}
+
+// TestFIFOWrapAround drives the ring across its boundary several times:
+// order holds, and Full, Empty, Len and HighWater track the occupancy, not
+// the ring position.
+func TestFIFOWrapAround(t *testing.T) {
+	f := NewFIFO[int](3)
+	next, expect := 0, 0
+	for round := 0; round < 5; round++ {
+		// Two in, two out: the head advances by two per round, so the
+		// items straddle the end of the ring on alternate rounds.
+		for i := 0; i < 2; i++ {
+			f.Push(next)
+			next++
+		}
+		if f.Full() || f.Empty() || f.Len() != 2 {
+			t.Fatalf("round %d: Len=%d Full=%v Empty=%v with 2 queued", round, f.Len(), f.Full(), f.Empty())
+		}
+		if v, _ := f.Peek(); v != expect {
+			t.Fatalf("round %d: Peek = %d, want %d", round, v, expect)
+		}
+		for i := 0; i < 2; i++ {
+			if v, ok := f.Pop(); !ok || v != expect {
+				t.Fatalf("round %d: Pop = %d,%v, want %d", round, v, ok, expect)
+			}
+			expect++
+		}
+		if !f.Empty() || f.Full() {
+			t.Fatalf("round %d: drained FIFO not empty", round)
+		}
+	}
+	if f.HighWater != 2 {
+		t.Fatalf("HighWater = %d after wrapping at depth 2, want 2", f.HighWater)
+	}
+	// Fill completely from a head in the middle of the ring.
+	for i := 0; i < 3; i++ {
+		f.Push(next)
+		next++
+	}
+	if !f.Full() || f.Len() != 3 || f.HighWater != 3 {
+		t.Fatalf("Full=%v Len=%d HighWater=%d after filling a wrapped ring", f.Full(), f.Len(), f.HighWater)
+	}
+	for ; expect < next; expect++ {
+		if v, _ := f.Pop(); v != expect {
+			t.Fatalf("Pop = %d, want %d", v, expect)
+		}
+	}
+	if _, ok := f.Pop(); ok || !f.Empty() {
+		t.Fatal("Pop from drained wrapped ring succeeded")
 	}
 }
 

@@ -3,30 +3,32 @@ package cache
 // FIFO is a bounded first-in-first-out buffer used for the first- and
 // second-level write buffers (FLWB/SLWB). The paper's buffers hold memory
 // requests in issue order; capacity limits are what make small-buffer
-// sensitivity studies (paper §5.4) meaningful.
+// sensitivity studies (paper §5.4) meaningful. It is a fixed ring, so a
+// warm buffer never allocates.
 type FIFO[T any] struct {
-	cap   int
-	items []T
+	buf  []T // len(buf) is the capacity
+	head int // index of the oldest item
+	n    int
 	// HighWater tracks the deepest occupancy reached, for reports.
 	HighWater int
 }
 
 // NewFIFO returns a buffer holding at most capacity items.
 func NewFIFO[T any](capacity int) *FIFO[T] {
-	return &FIFO[T]{cap: capacity}
+	return &FIFO[T]{buf: make([]T, capacity)}
 }
 
 // Cap returns the capacity.
-func (f *FIFO[T]) Cap() int { return f.cap }
+func (f *FIFO[T]) Cap() int { return len(f.buf) }
 
 // Len returns the current occupancy.
-func (f *FIFO[T]) Len() int { return len(f.items) }
+func (f *FIFO[T]) Len() int { return f.n }
 
 // Full reports whether no more items fit.
-func (f *FIFO[T]) Full() bool { return len(f.items) >= f.cap }
+func (f *FIFO[T]) Full() bool { return f.n >= len(f.buf) }
 
 // Empty reports whether the buffer holds nothing.
-func (f *FIFO[T]) Empty() bool { return len(f.items) == 0 }
+func (f *FIFO[T]) Empty() bool { return f.n == 0 }
 
 // Push appends v. It panics if the buffer is full; callers must check Full
 // first — overflowing a hardware queue is a controller bug.
@@ -34,30 +36,30 @@ func (f *FIFO[T]) Push(v T) {
 	if f.Full() {
 		panic("cache: push to full FIFO")
 	}
-	f.items = append(f.items, v)
-	if len(f.items) > f.HighWater {
-		f.HighWater = len(f.items)
+	f.buf[(f.head+f.n)%len(f.buf)] = v
+	f.n++
+	if f.n > f.HighWater {
+		f.HighWater = f.n
 	}
 }
 
 // Pop removes and returns the oldest item. ok is false when empty.
 func (f *FIFO[T]) Pop() (v T, ok bool) {
-	if len(f.items) == 0 {
+	if f.n == 0 {
 		return v, false
 	}
-	v = f.items[0]
-	f.items = f.items[1:]
+	v = f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) % len(f.buf)
+	f.n--
 	return v, true
 }
 
 // Peek returns the oldest item without removing it.
 func (f *FIFO[T]) Peek() (v T, ok bool) {
-	if len(f.items) == 0 {
+	if f.n == 0 {
 		return v, false
 	}
-	return f.items[0], true
+	return f.buf[f.head], true
 }
-
-// Items returns the buffered items oldest-first; the slice must not be
-// mutated.
-func (f *FIFO[T]) Items() []T { return f.items }

@@ -17,6 +17,7 @@ type WCEntry struct {
 // before they are issued (paper §3.3). The recommended size is four blocks.
 type WriteCache struct {
 	entries []WCEntry
+	drained []WCEntry // DrainAll's reused result
 	// Statistics.
 	writes    uint64
 	combined  uint64 // writes merged into an already-allocated entry
@@ -96,16 +97,17 @@ func (w *WriteCache) Remove(b memsys.Block) (WCEntry, bool) {
 }
 
 // DrainAll removes and returns every valid entry, in frame order. Used at
-// releases, when all combined writes must be propagated.
+// releases, when all combined writes must be propagated. The slice is
+// reused by the next call.
 func (w *WriteCache) DrainAll() []WCEntry {
-	var out []WCEntry
+	w.drained = w.drained[:0]
 	for i := range w.entries {
 		if w.entries[i].Valid {
-			out = append(out, w.entries[i])
+			w.drained = append(w.drained, w.entries[i])
 			w.entries[i].Valid = false
 		}
 	}
-	return out
+	return w.drained
 }
 
 // Occupancy returns the number of valid entries.

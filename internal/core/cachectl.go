@@ -24,7 +24,9 @@ const (
 // mshr is one lockup-free pending transaction. The SLC itself has no
 // transient states; everything in flight lives here (paper §2: "all pending
 // accesses are kept in the SLWB of the requesting node until they are
-// completed").
+// completed"). Retired records recycle through CacheCtl.mshrFree with their
+// slices' storage, so a record owns its slices: hand their contents to
+// another record by copying, never by sharing.
 type mshr struct {
 	kind         mshrKind
 	prefetchOnly bool // a prefetch no demand reference has merged with yet
@@ -33,11 +35,21 @@ type mshr struct {
 
 	readers   []readerWait    // demand readers to unblock at fill
 	performed []func()        // write-performed callbacks (sequential consistency)
-	after     []func()        // deferred actions to run at completion
+	after     []afterAction   // deferred actions to run at completion
 	nWrites   int             // writes merged into this entry
 	obs       []int           // write obligations this transaction performs
 	words     []int           // words written through this transaction (ownership)
 	mask      memsys.WordMask // words carried by a combined update
+}
+
+// afterAction is work waiting for a transaction on its block to complete:
+// a buffered write that found the block being fetched, or (flush set) a
+// write-cache entry's combined update that found a transaction in flight.
+type afterAction struct {
+	flush bool
+	w     flwbWrite     // !flush
+	e     cache.WCEntry // flush
+	obs   []int         // flush: the entry's write obligations
 }
 
 // readerWait is one processor read blocked on this transaction; the word
@@ -99,11 +111,16 @@ type CacheCtl struct {
 	slc    *cache.SLC
 	slcRes *sim.Resource
 
-	flwb       *cache.FIFO[flwbWrite]
-	flwbWaiter func()
-	draining   bool
+	flwb     *cache.FIFO[flwbWrite]
+	draining bool
+	// A processor write that found the FLWB full waits here until a slot
+	// frees; flwbAccepted (nil under SC) then unblocks the processor.
+	flwbBlocked  bool
+	flwbHeld     flwbWrite
+	flwbAccepted func()
 
 	mshrs     map[memsys.Block]*mshr
+	mshrFree  []*mshr
 	slwbUsed  int
 	wbPending map[memsys.Block]bool
 	wbRequeue map[memsys.Block]int // stamp of a follow-up writeback awaiting the first's ack
@@ -119,6 +136,7 @@ type CacheCtl struct {
 	nextOb  int
 	liveObs int
 	wcObs   map[memsys.Block][]int // obligations buffered per write-cache entry
+	obsFree [][]int                // emptied wcObs slices, for reuse
 
 	deferredWrites []flwbWrite
 
@@ -185,6 +203,34 @@ func (c *CacheCtl) Prefetcher() *Prefetcher { return c.pf }
 
 // WriteCache exposes the node's write cache (nil when CW is off).
 func (c *CacheCtl) WriteCache() *cache.WriteCache { return c.wc }
+
+// newMSHR returns a cleared transaction record of the given kind, reusing
+// a retired one when available.
+func (c *CacheCtl) newMSHR(kind mshrKind) *mshr {
+	if n := len(c.mshrFree); n > 0 {
+		ms := c.mshrFree[n-1]
+		c.mshrFree = c.mshrFree[:n-1]
+		ms.kind = kind
+		return ms
+	}
+	return &mshr{kind: kind}
+}
+
+// retireMSHR recycles a completed transaction's record. The caller must be
+// done with it: the next newMSHR may hand it out again.
+func (c *CacheCtl) retireMSHR(ms *mshr) {
+	clear(ms.readers)
+	clear(ms.performed)
+	clear(ms.after)
+	*ms = mshr{
+		readers:   ms.readers[:0],
+		performed: ms.performed[:0],
+		after:     ms.after[:0],
+		obs:       ms.obs[:0],
+		words:     ms.words[:0],
+	}
+	c.mshrFree = append(c.mshrFree, ms)
+}
 
 func (c *CacheCtl) idle() bool {
 	return len(c.mshrs) == 0 && len(c.wbPending) == 0 && len(c.wbRequeue) == 0 &&
@@ -394,7 +440,8 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 		}
 	}
 	c.missStart[b] = c.sys.Eng.Now()
-	ms := &mshr{kind: mshrRead, readers: []readerWait{{word, unblock}}}
+	ms := c.newMSHR(mshrRead)
+	ms.readers = append(ms.readers, readerWait{word, unblock})
 	ms.txn = c.beginSpan(b, telemetry.SpanRead)
 	c.mshrs[b] = ms
 	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
@@ -412,7 +459,8 @@ func (c *CacheCtl) issuePrefetches(b memsys.Block) {
 		if c.slwbUsed >= c.sys.P.SLWBEntries {
 			break
 		}
-		ms := &mshr{kind: mshrRead, prefetchOnly: true, countsSLWB: true}
+		ms := c.newMSHR(mshrRead)
+		ms.prefetchOnly, ms.countsSLWB = true, true
 		ms.txn = c.beginSpan(nb, telemetry.SpanPrefetch)
 		c.mshrs[nb] = ms
 		c.slwbUsed++
@@ -444,15 +492,10 @@ func (c *CacheCtl) Write(a memsys.Addr, accepted, performed func()) bool {
 	word := memsys.WordIndex(a)
 	w := flwbWrite{block: b, word: word, performed: performed}
 	if c.flwb.Full() {
-		if c.flwbWaiter != nil {
+		if c.flwbBlocked {
 			panic("core: two writes waiting for the FLWB")
 		}
-		c.flwbWaiter = func() {
-			c.pushWrite(w)
-			if accepted != nil {
-				accepted()
-			}
-		}
+		c.flwbBlocked, c.flwbHeld, c.flwbAccepted = true, w, accepted
 		return false
 	}
 	c.pushWrite(w)
@@ -490,10 +533,13 @@ func drainStep(a any) {
 	if c.processWrite(w) {
 		c.flwb.Pop()
 		c.draining = false
-		if c.flwbWaiter != nil {
-			f := c.flwbWaiter
-			c.flwbWaiter = nil
-			f()
+		if c.flwbBlocked {
+			w, accepted := c.flwbHeld, c.flwbAccepted
+			c.flwbBlocked, c.flwbHeld, c.flwbAccepted = false, flwbWrite{}, nil
+			c.pushWrite(w)
+			if accepted != nil {
+				accepted()
+			}
 		}
 		c.tryRelease()
 		c.drainFLWB()
@@ -511,7 +557,7 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 		switch ms.kind {
 		case mshrRead:
 			// The block is being fetched; apply the write after the fill.
-			ms.after = append(ms.after, func() { c.deferWrite(w) })
+			ms.after = append(ms.after, afterAction{w: w})
 			return true
 		case mshrOwn:
 			// Ownership already requested: merge.
@@ -545,7 +591,10 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	if c.slwbUsed >= c.sys.P.SLWBEntries {
 		return false
 	}
-	ms := &mshr{kind: mshrOwn, countsSLWB: true, nWrites: 1, obs: []int{w.ob}, words: []int{w.word}}
+	ms := c.newMSHR(mshrOwn)
+	ms.countsSLWB, ms.nWrites = true, 1
+	ms.obs = append(ms.obs, w.ob)
+	ms.words = append(ms.words, w.word)
 	ms.txn = c.beginSpan(b, telemetry.SpanOwnership)
 	if w.performed != nil {
 		ms.performed = append(ms.performed, w.performed)
@@ -584,7 +633,12 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 		mask, _ := c.wc.Lookup(b)
 		ck.OnWCWrite(c.id, b, w.word, mask)
 	}
-	c.wcObs[b] = append(c.wcObs[b], w.ob)
+	obs, ok := c.wcObs[b]
+	if n := len(c.obsFree); !ok && n > 0 {
+		obs = c.obsFree[n-1]
+		c.obsFree = c.obsFree[:n-1]
+	}
+	c.wcObs[b] = append(obs, w.ob)
 	if line != nil {
 		line.LocallyModified = true
 		line.CWCount = c.sys.P.CWThreshold
@@ -618,7 +672,8 @@ func (c *CacheCtl) deferWrite(w flwbWrite) {
 }
 
 // flushWC issues the combined update for one victimized or drained
-// write-cache entry, carrying the obligations its writes represent.
+// write-cache entry, carrying the obligations its writes represent. It
+// takes over obs, the entry's slice removed from wcObs.
 func (c *CacheCtl) flushWC(e cache.WCEntry, obs []int) {
 	c.doFlush(e, obs)
 }
@@ -627,12 +682,15 @@ func (c *CacheCtl) doFlush(e cache.WCEntry, obs []int) {
 	if ms := c.mshrs[e.Block]; ms != nil {
 		// A transaction is in flight for this block; issue the update when
 		// it completes.
-		ms.after = append(ms.after, func() { c.doFlush(e, obs) })
+		ms.after = append(ms.after, afterAction{flush: true, e: e, obs: obs})
 		return
 	}
 	// Release-time drains may transiently exceed the SLWB capacity; the
 	// processor is not waiting, so this only models a stalled drain.
-	ms := &mshr{kind: mshrUpdate, countsSLWB: true, obs: obs, mask: e.Mask}
+	ms := c.newMSHR(mshrUpdate)
+	ms.countsSLWB, ms.mask = true, e.Mask
+	ms.obs = append(ms.obs, obs...)
+	c.obsFree = append(c.obsFree, obs[:0])
 	ms.txn = c.beginSpan(e.Block, telemetry.SpanUpdate)
 	c.mshrs[e.Block] = ms
 	c.slwbUsed++
@@ -720,7 +778,7 @@ func (c *CacheCtl) tryRelease() {
 			return
 		}
 		r := c.relQueue[0]
-		c.relQueue = c.relQueue[1:]
+		c.relQueue = c.relQueue[:copy(c.relQueue, c.relQueue[1:])]
 		switch r.kind {
 		case relLock:
 			if r.ack != nil {
@@ -739,10 +797,12 @@ func (c *CacheCtl) tryRelease() {
 // message awaiting its SLC access (handler != nil) or a blocked processor
 // read (handler == nil). Jobs recycle through CacheCtl.jobFree, so the two
 // hottest cache-controller scheduling patterns allocate nothing once warm.
+// The job holds the message by value: the delivered *Msg is valid only
+// until Handle returns.
 type slcJob struct {
 	c       *CacheCtl
 	handler func(*CacheCtl, *Msg)
-	m       *Msg
+	m       Msg
 
 	block   memsys.Block
 	word    int
@@ -759,16 +819,17 @@ func (c *CacheCtl) getJob() *slcJob {
 }
 
 func (c *CacheCtl) putJob(j *slcJob) {
-	j.handler, j.m, j.unblock = nil, nil, nil
+	j.handler, j.unblock = nil, nil
 	c.jobFree = append(c.jobFree, j)
 }
 
-// runMsgJob completes a message's SLC access and runs its handler.
+// runMsgJob completes a message's SLC access and runs its handler. The job
+// is recycled only once the handler has returned: the handler reads the
+// message in place.
 func runMsgJob(a any) {
 	j := a.(*slcJob)
-	c, fn, m := j.c, j.handler, j.m
-	c.putJob(j)
-	fn(c, m)
+	j.handler(j.c, &j.m)
+	j.c.putJob(j)
 }
 
 // runReadJob completes a blocked read's SLC access.
@@ -782,7 +843,7 @@ func runReadJob(a any) {
 // slcHandle schedules handler(c, m) after the SLC's pipelined access.
 func (c *CacheCtl) slcHandle(m *Msg, handler func(*CacheCtl, *Msg)) {
 	j := c.getJob()
-	j.handler, j.m = handler, m
+	j.handler, j.m = handler, *m
 	t := c.sys.P.Timing
 	c.slcRes.UsePipelinedCall(t.SLCCycle, t.SLCAccess, runMsgJob, j)
 }
@@ -818,7 +879,9 @@ func (c *CacheCtl) Handle(m *Msg) {
 			panic(fmt.Sprintf("cache %d: release ack with no waiter", c.id))
 		}
 		w := c.relAckWaiters[0]
-		c.relAckWaiters = c.relAckWaiters[1:]
+		n := copy(c.relAckWaiters, c.relAckWaiters[1:])
+		c.relAckWaiters[n] = nil
+		c.relAckWaiters = c.relAckWaiters[:n]
 		w()
 	case MsgBarGo:
 		w := c.barWaiters[m.BarID]
@@ -833,11 +896,12 @@ func (c *CacheCtl) Handle(m *Msg) {
 }
 
 // removeLine invalidates block b for a coherence reason, maintaining FLC
-// inclusion, the miss classifier and prefetch accounting.
-func (c *CacheCtl) removeLine(b memsys.Block) *cache.Line {
-	line := c.slc.Invalidate(b)
-	if line == nil {
-		return nil
+// inclusion, the miss classifier and prefetch accounting. A *cache.Line for
+// b must not be used after it.
+func (c *CacheCtl) removeLine(b memsys.Block) {
+	line, ok := c.slc.Invalidate(b)
+	if !ok {
+		return
 	}
 	c.sys.traceNode(trace.CacheEvict, "inval", b, c.id, line.State.String())
 	c.ckDrop(b, "inval")
@@ -849,13 +913,12 @@ func (c *CacheCtl) removeLine(b memsys.Block) *cache.Line {
 	if line.PrefetchBit && c.pf != nil {
 		c.pf.OnDiscard()
 	}
-	return line
 }
 
 func (c *CacheCtl) install(b memsys.Block, st cache.LineState) *cache.Line {
 	c.sys.traceNode(trace.CacheFill, st.String(), b, c.id, "")
-	line, victim := c.slc.Insert(b, st)
-	if victim != nil {
+	line, victim, evicted := c.slc.Insert(b, st)
+	if evicted {
 		c.handleVictim(victim)
 	}
 	c.Cls.Fill(b)
@@ -863,7 +926,7 @@ func (c *CacheCtl) install(b memsys.Block, st cache.LineState) *cache.Line {
 	return line
 }
 
-func (c *CacheCtl) handleVictim(v *cache.Line) {
+func (c *CacheCtl) handleVictim(v cache.Line) {
 	c.sys.traceNode(trace.CacheEvict, "replace", v.Block, c.id, v.State.String())
 	c.ckDrop(v.Block, "replace")
 	c.flc.Invalidate(v.Block)
@@ -950,12 +1013,17 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 		}
 	}
 	c.runAfter(ms)
+	c.retireMSHR(ms)
 	c.pump()
 }
 
 func (c *CacheCtl) runAfter(ms *mshr) {
-	for _, f := range ms.after {
-		f()
+	for _, a := range ms.after {
+		if a.flush {
+			c.doFlush(a.e, a.obs)
+		} else {
+			c.deferWrite(a.w)
+		}
 	}
 }
 
@@ -1005,6 +1073,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 		}
 	}
 	c.runAfter(ms)
+	c.retireMSHR(ms)
 	c.pump()
 }
 
@@ -1047,13 +1116,22 @@ func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int) 
 	if len(ms.readers) > 0 {
 		// The readers' wait continues under a fresh span: the old
 		// transaction is over, this is a new fetch.
-		ms2 := &mshr{kind: mshrRead, readers: ms.readers}
-		ms2.txn = c.beginSpan(b, telemetry.SpanRead)
-		c.mshrs[b] = ms2
-		c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms2.txn})
+		c.refetch(b, ms.readers)
 	}
 	c.runAfter(ms)
+	c.retireMSHR(ms)
 	c.pump()
+}
+
+// refetch launches a new read transaction for block b on behalf of readers
+// whose transaction ended without leaving them a copy. The readers are
+// copied: their old record is about to be recycled.
+func (c *CacheCtl) refetch(b memsys.Block, readers []readerWait) {
+	ms := c.newMSHR(mshrRead)
+	ms.readers = append(ms.readers, readers...)
+	ms.txn = c.beginSpan(b, telemetry.SpanRead)
+	c.mshrs[b] = ms
+	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 }
 
 func (c *CacheCtl) onUpdateAck(m *Msg) {
@@ -1108,13 +1186,11 @@ func (c *CacheCtl) onUpdateAck(m *Msg) {
 		} else {
 			// The update completed without leaving us a copy; fetch one for
 			// the waiting readers.
-			ms2 := &mshr{kind: mshrRead, readers: ms.readers}
-			ms2.txn = c.beginSpan(b, telemetry.SpanRead)
-			c.mshrs[b] = ms2
-			c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms2.txn})
+			c.refetch(b, ms.readers)
 		}
 	}
 	c.runAfter(ms)
+	c.retireMSHR(ms)
 	c.pump()
 }
 
@@ -1140,15 +1216,17 @@ func (c *CacheCtl) onFwd(m *Msg) {
 	switch {
 	case m.Excl:
 		// Exclusive takeaway (write miss elsewhere, or update recall).
+		data := line.Data
 		c.removeLine(b)
-		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: line.Data, Txn: m.Txn})
+		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: data, Txn: m.Txn})
 	case m.Mig:
 		// Migratory read: hand the block over if we wrote it; otherwise
 		// report that the pattern stopped being migratory and keep a
 		// shared copy.
 		if line.Written {
+			data := line.Data
 			c.removeLine(b)
-			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: line.Data, Txn: m.Txn})
+			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: data, Txn: m.Txn})
 		} else {
 			line.State = cache.Shared
 			line.MigSupplied = false
@@ -1229,6 +1307,7 @@ func (c *CacheCtl) onPrefNack(m *Msg) {
 		c.pf.Stats.Nacked++
 	}
 	c.runAfter(ms)
+	c.retireMSHR(ms)
 	c.pump()
 }
 

@@ -42,6 +42,8 @@ type dirEntry struct {
 	presence uint64 // bit i set: node i may hold a copy
 	owner    int    // valid when state == dirModified
 
+	// deferred, parked and txnReq hold pooled request records (see
+	// HomeCtl.hold): a request outlives the handler that delivered it.
 	busy     bool
 	deferred []*Msg // requests awaiting the current transaction
 	parked   []*Msg // requests from the registered owner, awaiting its writeback
@@ -93,8 +95,10 @@ type HomeCtl struct {
 	ExclusiveSupplies                         uint64
 	StaleWritebacks                           uint64
 
-	// memFree recycles the pooled memory-access events; see memJob.
-	memFree []*memJob
+	// reqFree recycles request records (see hold) and jobFree the pooled
+	// memory-access events (see homeJob).
+	reqFree []*Msg
+	jobFree []*homeJob
 }
 
 func newHomeCtl(s *System, id int) *HomeCtl {
@@ -185,16 +189,31 @@ func (h *HomeCtl) idle() bool {
 	return true
 }
 
+// hold copies a delivered request into a pooled record: a request lives on
+// as deferred, parked or in-flight state after its handler returns, and
+// the delivered *Msg does not. finish releases the record.
+func (h *HomeCtl) hold(m *Msg) *Msg {
+	if n := len(h.reqFree); n > 0 {
+		r := h.reqFree[n-1]
+		h.reqFree = h.reqFree[:n-1]
+		*r = *m
+		return r
+	}
+	r := *m
+	return &r
+}
+
 // Handle processes one incoming message.
 func (h *HomeCtl) Handle(m *Msg) {
 	switch m.Type {
 	case MsgReadReq, MsgOwnReq, MsgUpdateReq, MsgWBReq:
 		e := h.entry(m.Block)
+		r := h.hold(m)
 		if e.busy {
-			e.deferred = append(e.deferred, m)
+			e.deferred = append(e.deferred, r)
 			return
 		}
-		h.process(m, e)
+		h.process(r, e)
 	case MsgInvAck:
 		h.onInvAck(m)
 	case MsgFwdReply:
@@ -230,36 +249,44 @@ func (h *HomeCtl) process(m *Msg, e *dirEntry) {
 	// The request's queueing behind a busy entry ends here; the memory
 	// access it now performs ends at memDone below.
 	h.sys.tmark(m.Txn, telemetry.PhaseDirWait)
-	j := h.getMemJob()
-	j.m, j.e = m, e
+	j := h.getJob()
+	j.e = e
 	h.sys.Eng.AfterCall(h.sys.P.Timing.MemAccess, memDone, j)
 }
 
-// memJob carries one request's memory access through the pooled event
-// path; jobs recycle through HomeCtl.memFree (every coherence request
-// schedules exactly one).
-type memJob struct {
+// homeJob carries one memory access through the pooled event path: a
+// request's directory lookup (memDone), a forward reply's write-back
+// (fwdWritten), or a lock or barrier operation (lockDone, barrierDone).
+// Jobs recycle through HomeCtl.jobFree. A job holds the message it serves
+// by value, since the delivered *Msg is valid only until Handle returns;
+// memDone needs none, its request being the entry's in-flight record.
+type homeJob struct {
 	h *HomeCtl
-	m *Msg
 	e *dirEntry
+	m Msg
 }
 
-func (h *HomeCtl) getMemJob() *memJob {
-	if n := len(h.memFree); n > 0 {
-		j := h.memFree[n-1]
-		h.memFree = h.memFree[:n-1]
+func (h *HomeCtl) getJob() *homeJob {
+	if n := len(h.jobFree); n > 0 {
+		j := h.jobFree[n-1]
+		h.jobFree = h.jobFree[:n-1]
 		return j
 	}
-	return &memJob{h: h}
+	return &homeJob{h: h}
+}
+
+func (h *HomeCtl) putJob(j *homeJob) {
+	j.e = nil
+	h.jobFree = append(h.jobFree, j)
 }
 
 // memDone completes a request's memory access and dispatches it to the
 // directory handler for its type.
 func memDone(a any) {
-	j := a.(*memJob)
-	h, m, e := j.h, j.m, j.e
-	j.m, j.e = nil, nil
-	h.memFree = append(h.memFree, j)
+	j := a.(*homeJob)
+	h, e := j.h, j.e
+	h.putJob(j)
+	m := e.txnReq
 	h.sys.tmark(m.Txn, telemetry.PhaseMemory)
 	switch m.Type {
 	case MsgReadReq:
@@ -274,6 +301,7 @@ func memDone(a any) {
 }
 
 func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
+	h.reqFree = append(h.reqFree, e.txnReq)
 	e.busy = false
 	e.txn = txNone
 	e.txnReq = nil
@@ -283,7 +311,9 @@ func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
 func (h *HomeCtl) drainDeferred(b memsys.Block, e *dirEntry) {
 	for !e.busy && len(e.deferred) > 0 {
 		m := e.deferred[0]
-		e.deferred = e.deferred[1:]
+		n := copy(e.deferred, e.deferred[1:])
+		e.deferred[n] = nil
+		e.deferred = e.deferred[:n]
 		h.process(m, e)
 	}
 }
@@ -345,7 +375,6 @@ func (h *HomeCtl) onFwdReply(m *Msg) {
 	if !e.busy || (e.txn != txFwd && e.txn != txRecall) {
 		panic(fmt.Sprintf("home %d: unexpected FwdReply for block %d", h.id, b))
 	}
-	req := e.txnReq
 	if m.Mask != 0 {
 		// Forward served from a writeback buffer: only the masked words are
 		// meaningful (a relinquished frame carries just its written words).
@@ -354,60 +383,71 @@ func (h *HomeCtl) onFwdReply(m *Msg) {
 		e.data = m.Payload
 	}
 	// Write the returned data back to memory.
-	h.sys.Eng.After(h.sys.P.Timing.MemAccess, func() {
-		h.sys.tmark(req.Txn, telemetry.PhaseMemory)
-		switch {
-		case e.txn == txRecall:
-			// Recalled to serve a competitive update: apply the update and
-			// hand the block to the updater exclusively.
-			e.state = dirModified
+	j := h.getJob()
+	j.e, j.m = e, *m
+	h.sys.Eng.AfterCall(h.sys.P.Timing.MemAccess, fwdWritten, j)
+}
+
+// fwdWritten completes a forward reply's memory write-back and finishes
+// the transaction that needed the owner's copy.
+func fwdWritten(a any) {
+	j := a.(*homeJob)
+	h, e, m := j.h, j.e, &j.m
+	req := e.txnReq
+	b := req.Block
+	h.sys.tmark(req.Txn, telemetry.PhaseMemory)
+	switch {
+	case e.txn == txRecall:
+		// Recalled to serve a competitive update: apply the update and
+		// hand the block to the updater exclusively.
+		e.state = dirModified
+		e.owner = req.Src
+		h.setPresence(e, bit(req.Src))
+		e.lastWriter = req.Src
+		e.grants++
+		h.applyUpdate(e, req)
+		h.ckDir(b, e, "recall-grant")
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+	case req.Type == MsgOwnReq:
+		// Write miss to a dirty block: exclusive handoff.
+		e.owner = req.Src
+		h.setPresence(e, bit(req.Src))
+		e.lastWriter = req.Src
+		e.grants++
+		h.ckDir(b, e, "fwd-grant")
+		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+	case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
+		if m.Wrote {
+			// Still migratory: pass the exclusive copy along.
+			h.ExclusiveSupplies++
 			e.owner = req.Src
 			h.setPresence(e, bit(req.Src))
 			e.lastWriter = req.Src
 			e.grants++
-			h.applyUpdate(e, req)
-			h.ckDir(b, e, "recall-grant")
-			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
-		case req.Type == MsgOwnReq:
-			// Write miss to a dirty block: exclusive handoff.
-			e.owner = req.Src
-			h.setPresence(e, bit(req.Src))
-			e.lastWriter = req.Src
-			e.grants++
-			h.ckDir(b, e, "fwd-grant")
-			h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
-		case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
-			if m.Wrote {
-				// Still migratory: pass the exclusive copy along.
-				h.ExclusiveSupplies++
-				e.owner = req.Src
-				h.setPresence(e, bit(req.Src))
-				e.lastWriter = req.Src
-				e.grants++
-				h.ckDir(b, e, "mig-pass")
-				h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
-			} else {
-				// The holder never wrote its exclusive copy: the pattern is
-				// no longer migratory. Revert to ordinary sharing (the
-				// extra-cache-state mechanism of paper §3.2).
-				h.MigratoryReverts++
-				h.sys.traceNode(trace.DirTransition, "revert", b, h.id, "")
-				e.migratory = false
-				e.state = dirClean
-				h.setPresence(e, bit(m.Src)|bit(req.Src))
-				h.ckDir(b, e, "revert")
-				h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
-			}
-		default:
-			// Ordinary read miss to a dirty block: owner downgraded to
-			// Shared, memory updated, requester added.
+			h.ckDir(b, e, "mig-pass")
+			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+		} else {
+			// The holder never wrote its exclusive copy: the pattern is
+			// no longer migratory. Revert to ordinary sharing (the
+			// extra-cache-state mechanism of paper §3.2).
+			h.MigratoryReverts++
+			h.sys.traceNode(trace.DirTransition, "revert", b, h.id, "")
+			e.migratory = false
 			e.state = dirClean
-			h.addSharer(e, req.Src)
-			h.ckDir(b, e, "fwd-downgrade")
+			h.setPresence(e, bit(m.Src)|bit(req.Src))
+			h.ckDir(b, e, "revert")
 			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
 		}
-		h.finish(b, e)
-	})
+	default:
+		// Ordinary read miss to a dirty block: owner downgraded to
+		// Shared, memory updated, requester added.
+		e.state = dirClean
+		h.addSharer(e, req.Src)
+		h.ckDir(b, e, "fwd-downgrade")
+		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
+	}
+	h.finish(b, e)
+	h.putJob(j)
 }
 
 // ---------- Ownership requests ----------
@@ -467,7 +507,11 @@ func (h *HomeCtl) onInvAck(m *Msg) {
 }
 
 func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
-	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, fmt.Sprintf("to=%d", to))
+	note := ""
+	if h.sys.Tracer != nil {
+		note = fmt.Sprintf("to=%d", to)
+	}
+	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, note)
 	e.state = dirModified
 	e.owner = to
 	h.setPresence(e, bit(to))
@@ -615,41 +659,56 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 // ---------- Locks and barriers ----------
 
 func (h *HomeCtl) onLock(m *Msg) {
-	l := h.locks[m.Block]
-	if l == nil {
-		l = &syncprim.Lock{}
-		h.locks[m.Block] = l
+	if h.locks[m.Block] == nil {
+		h.locks[m.Block] = &syncprim.Lock{}
 	}
-	h.sys.Eng.After(h.sys.P.Timing.MemAccess, func() {
-		switch m.Type {
-		case MsgLockReq:
-			if l.Acquire(m.Src) {
-				h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: m.Src})
-			}
-		case MsgLockRel:
-			if next, ok := l.Release(m.Src); ok {
-				h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: next})
-			}
-			if h.sys.P.SC {
-				h.send(&Msg{Type: MsgRelAck, Block: m.Block, Dst: m.Src})
-			}
+	j := h.getJob()
+	j.m = *m
+	h.sys.Eng.AfterCall(h.sys.P.Timing.MemAccess, lockDone, j)
+}
+
+// lockDone performs a lock request or release once the lock variable's
+// memory access completes.
+func lockDone(a any) {
+	j := a.(*homeJob)
+	h, m := j.h, &j.m
+	l := h.locks[m.Block]
+	switch m.Type {
+	case MsgLockReq:
+		if l.Acquire(m.Src) {
+			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: m.Src})
 		}
-	})
+	case MsgLockRel:
+		if next, ok := l.Release(m.Src); ok {
+			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: next})
+		}
+		if h.sys.P.SC {
+			h.send(&Msg{Type: MsgRelAck, Block: m.Block, Dst: m.Src})
+		}
+	}
+	h.putJob(j)
 }
 
 func (h *HomeCtl) onBarrier(m *Msg) {
-	bar := h.barriers[m.BarID]
-	if bar == nil {
-		bar = syncprim.NewBarrier(h.sys.P.Nodes)
-		h.barriers[m.BarID] = bar
+	if h.barriers[m.BarID] == nil {
+		h.barriers[m.BarID] = syncprim.NewBarrier(h.sys.P.Nodes)
 	}
-	h.sys.Eng.After(h.sys.P.Timing.MemAccess, func() {
-		if rel, done := bar.Arrive(m.Src); done {
-			for _, p := range rel {
-				h.send(&Msg{Type: MsgBarGo, BarID: m.BarID, Dst: p})
-			}
+	j := h.getJob()
+	j.m = *m
+	h.sys.Eng.AfterCall(h.sys.P.Timing.MemAccess, barrierDone, j)
+}
+
+// barrierDone records a barrier arrival once the barrier variable's memory
+// access completes, releasing every participant on the last one.
+func barrierDone(a any) {
+	j := a.(*homeJob)
+	h, m := j.h, &j.m
+	if rel, done := h.barriers[m.BarID].Arrive(m.Src); done {
+		for _, p := range rel {
+			h.send(&Msg{Type: MsgBarGo, BarID: m.BarID, Dst: p})
 		}
-	})
+	}
+	h.putJob(j)
 }
 
 // DirEntryInfo is a read-only snapshot of a directory entry for tests and

@@ -48,7 +48,7 @@ const (
 	MsgPrefNack
 )
 
-var msgNames = map[MsgType]string{
+var msgNames = [...]string{
 	MsgReadReq: "ReadReq", MsgOwnReq: "OwnReq", MsgUpdateReq: "UpdateReq",
 	MsgWBReq: "WBReq", MsgReadReply: "ReadReply", MsgOwnAck: "OwnAck",
 	MsgUpdateAck: "UpdateAck", MsgInv: "Inv", MsgFwd: "Fwd", MsgWBAck: "WBAck",
@@ -58,7 +58,12 @@ var msgNames = map[MsgType]string{
 	MsgBarGo: "BarGo", MsgPrefNack: "PrefNack",
 }
 
-func (t MsgType) String() string { return msgNames[t] }
+func (t MsgType) String() string {
+	if t < 0 || int(t) >= len(msgNames) {
+		return ""
+	}
+	return msgNames[t]
+}
 
 // Msg is one protocol message.
 type Msg struct {

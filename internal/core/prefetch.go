@@ -32,6 +32,8 @@ type Prefetcher struct {
 	prefCount   int // prefetched blocks received this window (mod 16)
 	usefulCount int // useful prefetches this window
 
+	cand []memsys.Block // Candidates' reused result
+
 	zeroBits   map[memsys.Block]bool // per-line zero bits
 	zeroCount  int                   // simulated prefetches this window (mod 16)
 	zeroUseful int
@@ -58,16 +60,17 @@ func (p *Prefetcher) Degree() int { return p.k }
 
 // Candidates returns the blocks to prefetch after a demand miss on b:
 // the K consecutive blocks directly following b. The controller filters
-// out blocks already present or pending.
+// out blocks already present or pending. The slice is reused by the next
+// call.
 func (p *Prefetcher) Candidates(b memsys.Block) []memsys.Block {
 	if p.k == 0 {
 		return nil
 	}
-	out := make([]memsys.Block, 0, p.k)
+	p.cand = p.cand[:0]
 	for i := 1; i <= p.k; i++ {
-		out = append(out, b.Next(i))
+		p.cand = append(p.cand, b.Next(i))
 	}
-	return out
+	return p.cand
 }
 
 // OnMiss records a demand read miss on block b. It drives the zero-degree

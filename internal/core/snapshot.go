@@ -144,7 +144,7 @@ func (s *System) BlockedSync() []string {
 		if len(c.relAckWaiters) > 0 {
 			out = append(out, fmt.Sprintf("proc %d awaiting release ack", c.id))
 		}
-		if c.flwbWaiter != nil {
+		if c.flwbBlocked {
 			out = append(out, fmt.Sprintf("proc %d blocked on full FLWB", c.id))
 		}
 	}

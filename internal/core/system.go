@@ -219,37 +219,41 @@ func (s *System) busTime(m *Msg) sim.Time {
 // hop carries one in-flight message across its source bus -> network ->
 // destination bus event chain. Hops are recycled through System.hopFree, so
 // the per-message event chain — the hottest scheduling pattern in the
-// simulator — allocates nothing once the free list is warm.
+// simulator — allocates nothing once the free list is warm. The hop holds
+// the message by value; the handler it is dispatched to reads it in place,
+// so a hop is recycled only after dispatch returns.
 type hop struct {
 	s  *System
-	m  *Msg
+	m  Msg
 	bt sim.Time
 }
 
 func (s *System) getHop(m *Msg, bt sim.Time) *hop {
+	var h *hop
 	if n := len(s.hopFree); n > 0 {
-		h := s.hopFree[n-1]
+		h = s.hopFree[n-1]
 		s.hopFree = s.hopFree[:n-1]
-		h.m, h.bt = m, bt
-		return h
+	} else {
+		h = &hop{s: s}
 	}
-	return &hop{s: s, m: m, bt: bt}
+	h.m, h.bt = *m, bt
+	return h
 }
 
-func (s *System) putHop(h *hop) {
-	h.m = nil
+// deliver dispatches the hop's message and recycles the hop.
+func (s *System) deliver(h *hop) {
+	s.dispatch(&h.m)
 	s.hopFree = append(s.hopFree, h)
 }
 
 // hopSrcBus runs when the message clears its source node's bus.
 func hopSrcBus(a any) {
 	h := a.(*hop)
-	s, m := h.s, h.m
+	s, m := h.s, &h.m
 	if m.Src == m.Dst {
 		// Local: one bus transaction carries the message to the memory
 		// module or cache; no network involvement.
-		s.putHop(h)
-		s.dispatch(m)
+		s.deliver(h)
 		return
 	}
 	if s.statsOn {
@@ -270,14 +274,14 @@ func hopArrive(a any) {
 // hopDstBus runs when the message clears the destination node's bus.
 func hopDstBus(a any) {
 	h := a.(*hop)
-	s, m := h.s, h.m
-	s.putHop(h)
-	s.dispatch(m)
+	h.s.deliver(h)
 }
 
 // Send transmits m from m.Src to m.Dst: across the source node's bus, then
 // the network (when the destination is remote), then the destination node's
-// bus, and finally dispatches it to the home or cache controller.
+// bus, and finally dispatches it to the home or cache controller. Send
+// copies m, so the caller may reuse it at once; a handler receiving the
+// delivered *Msg may use it only until the handler returns.
 func (s *System) Send(m *Msg) {
 	s.traceMsg(trace.MsgSend, m)
 	s.Rec.Record(int64(s.Eng.Now()), "send", m.Type.String(), uint64(m.Block), m.Src, m.Dst)

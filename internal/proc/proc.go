@@ -94,10 +94,19 @@ type Processor struct {
 	// a no-op sink).
 	Tele *telemetry.Collector
 
-	// stepFn is the step method value, bound once at construction: every
-	// operation schedules it, and rebinding per call would allocate a
-	// closure per simulated instruction.
-	stepFn func()
+	// stepFn and the continuations below are method values bound once at
+	// construction: every operation schedules one, and binding per call
+	// would allocate a closure per simulated reference. A blocked processor
+	// has at most one continuation pending, so blockStart, the blocked
+	// operation's issue time, is the only state they need.
+	stepFn         func()
+	readDoneFn     func()
+	writeAcceptFn  func()
+	writePerformFn func()
+	acquireDoneFn  func()
+	releaseDoneFn  func()
+	barrierDoneFn  func()
+	blockStart     sim.Time
 
 	done     bool
 	doneTime sim.Time
@@ -125,6 +134,12 @@ func New(eng *sim.Engine, mem Memory, stream Stream, cfg Config) *Processor {
 		flcFill:   cfg.FLCFill,
 	}
 	p.stepFn = p.step
+	p.readDoneFn = p.readDone
+	p.writeAcceptFn = p.writeAccepted
+	p.writePerformFn = p.writePerformed
+	p.acquireDoneFn = p.acquireDone
+	p.releaseDoneFn = p.releaseDone
+	p.barrierDoneFn = p.barrierDone
 	return p
 }
 
@@ -175,19 +190,8 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Reads++
 		}
-		start := p.eng.Now()
-		hit := p.mem.Read(op.Addr, func() {
-			// Data reached the FLC; the fill completes before the load
-			// retires. Everything beyond the 1-pclock access is read stall.
-			elapsed := p.eng.Now() - start + p.flcFill
-			p.busy(p.flcAccess)
-			if p.statsOn {
-				p.Stats.ReadStall += int64(elapsed - p.flcAccess)
-			}
-			p.stall("read", start)
-			p.eng.After(p.flcFill, p.stepFn)
-		})
-		if hit {
+		p.blockStart = p.eng.Now()
+		if p.mem.Read(op.Addr, p.readDoneFn) {
 			p.busy(p.flcAccess)
 			p.eng.After(p.flcAccess, p.stepFn)
 		}
@@ -196,30 +200,13 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Writes++
 		}
-		start := p.eng.Now()
+		p.blockStart = p.eng.Now()
 		if p.sc {
 			// Sequential consistency: stall until globally performed.
-			p.mem.Write(op.Addr, nil, func() {
-				elapsed := p.eng.Now() - start
-				p.busy(p.flcAccess)
-				if p.statsOn {
-					p.Stats.WriteStall += int64(elapsed)
-				}
-				p.stall("write", start)
-				p.eng.After(p.flcAccess, p.stepFn)
-			})
+			p.mem.Write(op.Addr, nil, p.writePerformFn)
 			return
 		}
-		accepted := p.mem.Write(op.Addr, func() {
-			// Buffered at last; the wait was write stall.
-			if p.statsOn {
-				p.Stats.WriteStall += int64(p.eng.Now() - start)
-			}
-			p.stall("write", start)
-			p.busy(p.flcAccess)
-			p.eng.After(p.flcAccess, p.stepFn)
-		}, nil)
-		if accepted {
+		if p.mem.Write(op.Addr, p.writeAcceptFn, nil) {
 			p.busy(p.flcAccess)
 			p.eng.After(p.flcAccess, p.stepFn)
 		}
@@ -228,28 +215,15 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Acquires++
 		}
-		start := p.eng.Now()
-		p.mem.Acquire(op.Addr, func() {
-			if p.statsOn {
-				p.Stats.AcquireStall += int64(p.eng.Now() - start)
-			}
-			p.stall("acquire", start)
-			p.eng.After(0, p.stepFn)
-		})
+		p.blockStart = p.eng.Now()
+		p.mem.Acquire(op.Addr, p.acquireDoneFn)
 
 	case OpRelease:
 		if p.statsOn {
 			p.Stats.Releases++
 		}
-		start := p.eng.Now()
-		proceed := p.mem.Release(op.Addr, func() {
-			if p.statsOn {
-				p.Stats.ReleaseStall += int64(p.eng.Now() - start)
-			}
-			p.stall("release", start)
-			p.eng.After(0, p.stepFn)
-		})
-		if proceed {
+		p.blockStart = p.eng.Now()
+		if p.mem.Release(op.Addr, p.releaseDoneFn) {
 			p.busy(p.flcAccess)
 			p.eng.After(p.flcAccess, p.stepFn)
 		}
@@ -258,14 +232,8 @@ func (p *Processor) step() {
 		if p.statsOn {
 			p.Stats.Barriers++
 		}
-		start := p.eng.Now()
-		p.mem.Barrier(op.Bar, func() {
-			if p.statsOn {
-				p.Stats.BarrierStall += int64(p.eng.Now() - start)
-			}
-			p.stall("barrier", start)
-			p.eng.After(0, p.stepFn)
-		})
+		p.blockStart = p.eng.Now()
+		p.mem.Barrier(op.Bar, p.barrierDoneFn)
 
 	case OpStatsOn:
 		if p.StatsOnHook != nil {
@@ -273,4 +241,54 @@ func (p *Processor) step() {
 		}
 		p.eng.After(0, p.stepFn)
 	}
+}
+
+// readDone runs when a missing block reaches the FLC; the fill completes
+// before the load retires. Everything beyond the 1-pclock access is read
+// stall.
+func (p *Processor) readDone() {
+	elapsed := p.eng.Now() - p.blockStart + p.flcFill
+	p.busy(p.flcAccess)
+	if p.statsOn {
+		p.Stats.ReadStall += int64(elapsed - p.flcAccess)
+	}
+	p.stall("read", p.blockStart)
+	p.eng.After(p.flcFill, p.stepFn)
+}
+
+// writeAccepted runs when a full FLWB finally takes a write (release
+// consistency); the wait was write stall.
+func (p *Processor) writeAccepted() {
+	if p.statsOn {
+		p.Stats.WriteStall += int64(p.eng.Now() - p.blockStart)
+	}
+	p.stall("write", p.blockStart)
+	p.busy(p.flcAccess)
+	p.eng.After(p.flcAccess, p.stepFn)
+}
+
+// writePerformed runs when a write is globally performed (sequential
+// consistency).
+func (p *Processor) writePerformed() {
+	elapsed := p.eng.Now() - p.blockStart
+	p.busy(p.flcAccess)
+	if p.statsOn {
+		p.Stats.WriteStall += int64(elapsed)
+	}
+	p.stall("write", p.blockStart)
+	p.eng.After(p.flcAccess, p.stepFn)
+}
+
+func (p *Processor) acquireDone() { p.syncDone(&p.Stats.AcquireStall, "acquire") }
+func (p *Processor) releaseDone() { p.syncDone(&p.Stats.ReleaseStall, "release") }
+func (p *Processor) barrierDone() { p.syncDone(&p.Stats.BarrierStall, "barrier") }
+
+// syncDone ends a synchronization stall of the given kind, charging it to
+// *stall, and retires the operation at once.
+func (p *Processor) syncDone(stall *int64, kind string) {
+	if p.statsOn {
+		*stall += int64(p.eng.Now() - p.blockStart)
+	}
+	p.stall(kind, p.blockStart)
+	p.eng.After(0, p.stepFn)
 }

@@ -221,3 +221,54 @@ func TestFuncStream(t *testing.T) {
 		t.Fatalf("total = %d", total)
 	}
 }
+
+// loopStream repeats ops forever without allocating.
+type loopStream struct {
+	ops []Op
+	i   int
+}
+
+func (s *loopStream) Next() (Op, bool) {
+	op := s.ops[s.i%len(s.ops)]
+	s.i++
+	return op, true
+}
+
+// TestProcessorZeroAllocs pins the processor's share of the hot path: once
+// the engine is warm, issuing and completing any operation — hit or miss,
+// buffered or stalled, under either consistency model — allocates nothing.
+func TestProcessorZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   bool
+		mem  fakeMem
+		op   Op
+	}{
+		{"read-hit", false, fakeMem{readHit: true}, Op{Kind: OpRead}},
+		{"read-miss", false, fakeMem{readDelay: 20}, Op{Kind: OpRead}},
+		{"write-buffered", false, fakeMem{writeAccept: true}, Op{Kind: OpWrite}},
+		{"write-flwb-full", false, fakeMem{writeDelay: 5}, Op{Kind: OpWrite}},
+		{"write-sc", true, fakeMem{writeDelay: 9}, Op{Kind: OpWrite}},
+		{"acquire", false, fakeMem{acqDelay: 7}, Op{Kind: OpAcquire}},
+		{"release-rc", false, fakeMem{relNow: true}, Op{Kind: OpRelease}},
+		{"release-sc", true, fakeMem{relDelay: 7}, Op{Kind: OpRelease}},
+		{"barrier", false, fakeMem{barDelay: 11}, Op{Kind: OpBarrier, Bar: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			mem := tc.mem
+			mem.eng = eng
+			p := New(eng, &mem, &loopStream{ops: []Op{tc.op, {Kind: OpBusy, Cycles: 2}}},
+				Config{SC: tc.sc, FLCAccess: 1, FLCFill: 3})
+			p.SetStatsEnabled(true)
+			p.Start()
+			eng.RunUntil(1000)
+			if n := testing.AllocsPerRun(100, func() { eng.RunUntil(eng.Now() + 200) }); n != 0 {
+				t.Fatalf("%v allocs per 200 pclocks, want 0", n)
+			}
+			if p.Stats.Busy == 0 {
+				t.Fatal("processor made no progress")
+			}
+		})
+	}
+}

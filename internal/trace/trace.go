@@ -10,8 +10,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 )
 
 // Kind classifies trace events.
@@ -59,17 +61,42 @@ type Event struct {
 }
 
 // String renders the event as one line.
-func (e Event) String() string {
-	peer := ""
+func (e Event) String() string { return string(e.appendTo(nil)) }
+
+// appendTo appends the event's line to b: the fields of the format
+// "T%-8d %-7s n%d%-4s %-10s blk%d%s" with the peer as "->N" and the note
+// after a space, built without fmt so a streaming tracer allocates nothing
+// per event.
+func (e Event) appendTo(b []byte) []byte {
+	b = append(b, 'T')
+	start := len(b)
+	b = pad(strconv.AppendInt(b, e.At, 10), start, 8)
+	b = append(b, ' ')
+	start = len(b)
+	b = pad(append(b, e.Kind.String()...), start, 7)
+	b = strconv.AppendInt(append(b, " n"...), int64(e.Node), 10)
+	start = len(b)
 	if e.Peer >= 0 {
-		peer = fmt.Sprintf("->%d", e.Peer)
+		b = strconv.AppendInt(append(b, "->"...), int64(e.Peer), 10)
 	}
-	note := ""
+	b = pad(b, start, 4)
+	b = append(b, ' ')
+	start = len(b)
+	b = pad(append(b, e.What...), start, 10)
+	b = strconv.AppendUint(append(b, " blk"...), e.Block, 10)
 	if e.Note != "" {
-		note = " " + e.Note
+		b = append(append(b, ' '), e.Note...)
 	}
-	return fmt.Sprintf("T%-8d %-7s n%d%-4s %-10s blk%d%s",
-		e.At, e.Kind, e.Node, peer, e.What, e.Block, note)
+	return b
+}
+
+// pad appends spaces until b[start:] is width runes wide, as fmt pads a
+// left-justified field.
+func pad(b []byte, start, width int) []byte {
+	for n := utf8.RuneCount(b[start:]); n < width; n++ {
+		b = append(b, ' ')
+	}
+	return b
 }
 
 // Filter selects which events a tracer records. The zero value records
@@ -127,6 +154,7 @@ type Tracer struct {
 	mu     sync.Mutex
 	filter Filter
 	out    io.Writer // nil: buffer only
+	line   []byte    // reused rendering buffer for out
 	events []Event
 	limit  int // 0 = unbounded
 	drops  uint64
@@ -150,7 +178,10 @@ func (t *Tracer) Record(e Event) {
 		return
 	}
 	if t.out != nil {
-		fmt.Fprintln(t.out, e.String())
+		// One Write per event. A failed write is the writer's to report:
+		// the CLI's buffered trace file returns it from Flush.
+		t.line = append(e.appendTo(t.line[:0]), '\n')
+		t.out.Write(t.line)
 	}
 	if t.limit > 0 && len(t.events) >= t.limit {
 		t.drops++

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -96,6 +98,63 @@ func TestEventString(t *testing.T) {
 	noPeer := ev(1, CacheFill, "S", 2, 0)
 	if strings.Contains(noPeer.String(), "->") {
 		t.Fatal("peerless event rendered a peer")
+	}
+}
+
+// fmtLine renders an event with fmt: the reference the allocation-free
+// renderer must match byte for byte.
+func fmtLine(e Event) string {
+	peer := ""
+	if e.Peer >= 0 {
+		peer = fmt.Sprintf("->%d", e.Peer)
+	}
+	note := ""
+	if e.Note != "" {
+		note = " " + e.Note
+	}
+	return fmt.Sprintf("T%-8d %-7s n%d%-4s %-10s blk%d%s\n",
+		e.At, e.Kind, e.Node, peer, e.What, e.Block, note)
+}
+
+func TestStreamMatchesFmt(t *testing.T) {
+	events := []Event{
+		{At: 42, Kind: MsgSend, What: "OwnReq", Block: 9, Node: 1, Peer: 3, Note: "excl"},
+		{At: 7, Kind: CacheFill, What: "S", Block: 2, Node: 0, Peer: -1},                                   // no peer, empty note
+		{At: 1, Kind: DirTransition, What: "migratory-revert", Block: 3, Node: 15, Peer: -1},               // What past its pad
+		{At: 5, Kind: Kind(99), What: "x", Block: 0, Node: 2, Peer: 0},                                     // unknown kind
+		{At: -5, Kind: Kind(-1), What: "", Block: 1, Node: -1, Peer: 12345},                                // negative fields, wide peer
+		{At: 1<<62 + 3, Kind: ProcStall, What: "read", Block: 1<<64 - 1, Node: 3, Peer: 10, Note: "to=10"}, // large At and Block
+		{At: 123456789, Kind: MsgDeliver, What: "héllo wörld", Block: 77, Node: 4, Peer: 5, Note: "ü"},     // multi-byte runes pad by rune
+	}
+	var buf bytes.Buffer
+	tr := New(&buf, Filter{})
+	var want strings.Builder
+	for _, e := range events {
+		tr.Record(e)
+		want.WriteString(fmtLine(e))
+		if got := e.String() + "\n"; got != fmtLine(e) {
+			t.Errorf("String() = %q, want %q", got, fmtLine(e))
+		}
+	}
+	if buf.String() != want.String() {
+		t.Fatalf("stream =\n%s\nwant\n%s", buf.String(), want.String())
+	}
+	prop := func(at int64, k int8, what string, blk uint64, node, peer int16, note string) bool {
+		e := Event{At: at, Kind: Kind(k), What: what, Block: blk, Node: int(node), Peer: int(peer), Note: note}
+		return e.String()+"\n" == fmtLine(e)
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestStreamRecordAllocatesNothing(t *testing.T) {
+	tr := New(io.Discard, Filter{})
+	tr.SetLimit(1)
+	e := Event{At: 1234, Kind: MsgSend, What: "ReadReq", Block: 99, Node: 3, Peer: 4, Note: "prefetch"}
+	tr.Record(e)
+	if n := testing.AllocsPerRun(100, func() { tr.Record(e) }); n != 0 {
+		t.Fatalf("streaming Record allocates %v times per event, want 0", n)
 	}
 }
 

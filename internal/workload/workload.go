@@ -31,23 +31,57 @@ func lockAddr(i int) memsys.Addr {
 	return lockBase + memsys.Addr(i)*memsys.BlockSize
 }
 
-// script builds one processor's operation stream.
+// script builds one processor's operation stream. The ops go into chunks
+// that double from firstChunk up to maxChunk ops, so building a stream
+// never copies what it already holds and wastes at most one chunk's tail.
 type script struct {
-	ops []proc.Op
+	chunks [][]proc.Op
 }
 
-func (s *script) statsOn()            { s.ops = append(s.ops, proc.Op{Kind: proc.OpStatsOn}) }
-func (s *script) read(a memsys.Addr)  { s.ops = append(s.ops, proc.Op{Kind: proc.OpRead, Addr: a}) }
-func (s *script) write(a memsys.Addr) { s.ops = append(s.ops, proc.Op{Kind: proc.OpWrite, Addr: a}) }
-func (s *script) busy(c int64)        { s.ops = append(s.ops, proc.Op{Kind: proc.OpBusy, Cycles: c}) }
-func (s *script) acquire(l int) {
-	s.ops = append(s.ops, proc.Op{Kind: proc.OpAcquire, Addr: lockAddr(l)})
+const (
+	firstChunk = 256
+	maxChunk   = 16 << 10
+)
+
+func (s *script) add(op proc.Op) {
+	n := len(s.chunks)
+	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
+		size := firstChunk
+		if n > 0 {
+			size = min(2*cap(s.chunks[n-1]), maxChunk)
+		}
+		s.chunks = append(s.chunks, make([]proc.Op, 0, size))
+		n++
+	}
+	s.chunks[n-1] = append(s.chunks[n-1], op)
 }
-func (s *script) release(l int) {
-	s.ops = append(s.ops, proc.Op{Kind: proc.OpRelease, Addr: lockAddr(l)})
+
+func (s *script) statsOn()            { s.add(proc.Op{Kind: proc.OpStatsOn}) }
+func (s *script) read(a memsys.Addr)  { s.add(proc.Op{Kind: proc.OpRead, Addr: a}) }
+func (s *script) write(a memsys.Addr) { s.add(proc.Op{Kind: proc.OpWrite, Addr: a}) }
+func (s *script) busy(c int64)        { s.add(proc.Op{Kind: proc.OpBusy, Cycles: c}) }
+func (s *script) acquire(l int)       { s.add(proc.Op{Kind: proc.OpAcquire, Addr: lockAddr(l)}) }
+func (s *script) release(l int)       { s.add(proc.Op{Kind: proc.OpRelease, Addr: lockAddr(l)}) }
+func (s *script) barrier(id int)      { s.add(proc.Op{Kind: proc.OpBarrier, Bar: id}) }
+func (s *script) stream() proc.Stream { return &chunkStream{chunks: s.chunks} }
+
+// chunkStream replays a script's chunks in order.
+type chunkStream struct {
+	chunks [][]proc.Op
+	c, i   int // current chunk and position in it
 }
-func (s *script) barrier(id int)      { s.ops = append(s.ops, proc.Op{Kind: proc.OpBarrier, Bar: id}) }
-func (s *script) stream() proc.Stream { return proc.NewSliceStream(s.ops...) }
+
+// Next implements proc.Stream.
+func (s *chunkStream) Next() (proc.Op, bool) {
+	for s.c < len(s.chunks) {
+		if ch := s.chunks[s.c]; s.i < len(ch) {
+			s.i++
+			return ch[s.i-1], true
+		}
+		s.c, s.i = s.c+1, 0
+	}
+	return proc.Op{}, false
+}
 
 // readBlock touches n words of the block at a (spatial locality within a
 // block appears as FLC hits after the first touch).

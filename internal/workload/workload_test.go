@@ -283,3 +283,28 @@ func TestCholeskyStreamsColumnsOnce(t *testing.T) {
 		t.Fatalf("%d of %d factor-read blocks read by several procs", multi, len(factorReaders))
 	}
 }
+
+// TestScriptChunksKeepOrder builds a stream across many chunk boundaries,
+// past the cap on chunk growth, and replays it in order.
+func TestScriptChunksKeepOrder(t *testing.T) {
+	const n = 3*maxChunk + 17
+	s := &script{}
+	for i := 0; i < n; i++ {
+		s.busy(int64(i))
+	}
+	for i, ch := range s.chunks {
+		if want := min(firstChunk<<i, maxChunk); cap(ch) != want {
+			t.Fatalf("chunk %d holds %d ops, want %d", i, cap(ch), want)
+		}
+	}
+	st := s.stream()
+	for i := 0; i < n; i++ {
+		op, ok := st.Next()
+		if !ok || op.Cycles != int64(i) {
+			t.Fatalf("op %d = %+v, %v", i, op, ok)
+		}
+	}
+	if _, ok := st.Next(); ok {
+		t.Fatal("stream did not end")
+	}
+}

@@ -43,15 +43,18 @@ cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 # are pure side channels too — a run with both attached (and the checker,
 # the heaviest combination) must pass and leave stdout byte-identical to a
 # plain run, with the reports landing in their side files. The disabled
-# path must stay free: the no-allocs tests pin the nil-hook cost to zero.
+# path must stay free: the no-allocs tests pin the nil-hook cost to zero,
+# the processor's operations to zero allocations, and a whole run under
+# its allocation ceiling.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -selfprofile /tmp/ccsim-selfprof.json \
     > /tmp/ccsim-analytics.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-selfprof.json
-go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs' ccsim
+go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling' ccsim
 go test -count=1 -run 'TestSelfProfilerDisabledAddsNoAllocs' ccsim/internal/sim
+go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-selfprof.json
 
@@ -60,6 +63,13 @@ rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
 # `go test ./...` above; this repeats the randomized walk subset alone so a
 # litmus regression is named directly in CI logs).
 go test -count=1 -run 'TestRandomWalkChecked' ccsim/internal/litmus
+
+# Benchmark correctness gate: bench/ is its own module, so the root
+# `go test ./...` skips it. Its tests run every benchmark workload at -quick
+# size and check every simulated statistic, and the sweep tables' hash,
+# against the pinned reference — any speed-up that changes a simulated
+# number fails here.
+(cd bench && go test ./...)
 
 # Tier-2 metrics regression gate: regenerate the golden grid (Table 2 at a
 # small fixed scale) and require every metric to match the committed
