@@ -37,13 +37,13 @@ type Line struct {
 	Block memsys.Block
 	State LineState
 
-	// P: set when the block arrived by prefetch and has not yet been
-	// referenced by the processor (one of P's two bits per line).
-	PrefetchBit bool
-
 	// CW: remaining competitive count; a foreign update when the counter is
 	// zero invalidates the copy. Preset on load and on every local access.
 	CWCount int
+
+	// P: set when the block arrived by prefetch and has not yet been
+	// referenced by the processor (one of P's two bits per line).
+	PrefetchBit bool
 
 	// CW+M: set when the processor has written the block since the last
 	// update left for home (the extra bit migratory detection needs).
@@ -55,6 +55,11 @@ type Line struct {
 	// decides whether the home reverts the block to ordinary sharing.
 	MigSupplied bool
 	Written     bool
+
+	// Grant is the home's grant generation of a Dirty line: a line only
+	// becomes Dirty by a grant, and its writeback carries this stamp so the
+	// home can tell a current writeback from a stale one.
+	Grant int
 
 	// Data carries the block's word versions when data verification is on.
 	Data memsys.BlockData
@@ -74,9 +79,9 @@ type SLC struct {
 
 	// Infinite mode keeps its lines in a slab of fixed-size chunks, so a
 	// slot never moves and a *Line stays valid while its block is cached;
-	// inf maps each cached block to its slot, and invalidated slots are
-	// reused before the slab grows.
-	inf   map[memsys.Block]int32
+	// inf holds each cached block's slot plus one (0: not cached), and
+	// invalidated slots are reused before the slab grows.
+	inf   memsys.Table[int32]
 	slab  [][]Line
 	slots int32 // slots handed out so far
 	free  []int32
@@ -99,7 +104,6 @@ func NewSLCAssoc(frames, ways int) *SLC {
 	}
 	c := &SLC{frames: frames, ways: ways}
 	if frames == 0 {
-		c.inf = make(map[memsys.Block]int32)
 		return c
 	}
 	if frames%ways != 0 {
@@ -146,8 +150,8 @@ func (c *SLC) newSlot() int32 {
 // valid state. A hit refreshes the line's LRU age.
 func (c *SLC) Lookup(b memsys.Block) *Line {
 	if c.frames == 0 {
-		if i, ok := c.inf[b]; ok {
-			return c.slot(i)
+		if p := c.inf.Get(b); p != nil && *p != 0 {
+			return c.slot(*p - 1)
 		}
 		return nil
 	}
@@ -173,12 +177,11 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Line, evi
 		panic("cache: inserting an invalid line")
 	}
 	if c.frames == 0 {
-		i, ok := c.inf[b]
-		if !ok {
-			i = c.newSlot()
-			c.inf[b] = i
+		p := c.inf.At(b)
+		if *p == 0 {
+			*p = c.newSlot() + 1
 		}
-		l := c.slot(i)
+		l := c.slot(*p - 1)
 		*l = Line{Block: b, State: st}
 		return l, Line{}, false
 	}
@@ -215,11 +218,12 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Line, evi
 // not be used afterwards: its slot may be refilled.
 func (c *SLC) Invalidate(b memsys.Block) (old Line, ok bool) {
 	if c.frames == 0 {
-		i, ok := c.inf[b]
-		if !ok {
+		p := c.inf.Get(b)
+		if p == nil || *p == 0 {
 			return Line{}, false
 		}
-		delete(c.inf, b)
+		i := *p - 1
+		*p = 0
 		c.free = append(c.free, i)
 		return *c.slot(i), true
 	}
@@ -238,7 +242,7 @@ func (c *SLC) Invalidate(b memsys.Block) (old Line, ok bool) {
 // Valid returns the number of valid lines (O(frames) for finite caches).
 func (c *SLC) Valid() int {
 	if c.frames == 0 {
-		return len(c.inf)
+		return int(c.slots) - len(c.free)
 	}
 	n := 0
 	for i := range c.array {
@@ -249,13 +253,15 @@ func (c *SLC) Valid() int {
 	return n
 }
 
-// ForEach calls fn for every valid line. Iteration order is unspecified in
-// infinite mode; fn must not insert or invalidate.
+// ForEach calls fn for every valid line: in ascending block order in
+// infinite mode, in frame order otherwise. fn must not insert or invalidate.
 func (c *SLC) ForEach(fn func(*Line)) {
 	if c.frames == 0 {
-		for _, i := range c.inf {
-			fn(c.slot(i))
-		}
+		c.inf.ForEach(func(_ memsys.Block, i *int32) {
+			if *i != 0 {
+				fn(c.slot(*i - 1))
+			}
+		})
 		return
 	}
 	for i := range c.array {

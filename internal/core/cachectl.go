@@ -28,10 +28,16 @@ const (
 // slices' storage, so a record owns its slices: hand their contents to
 // another record by copying, never by sharing.
 type mshr struct {
+	block        memsys.Block
 	kind         mshrKind
 	prefetchOnly bool // a prefetch no demand reference has merged with yet
 	countsSLWB   bool
 	txn          uint64 // telemetry span of this transaction (0 = untracked)
+
+	// timed marks a read opened by a demand miss at missStart; its fill
+	// records the miss latency.
+	timed     bool
+	missStart sim.Time
 
 	readers   []readerWait    // demand readers to unblock at fill
 	performed []func()        // write-performed callbacks (sequential consistency)
@@ -57,6 +63,20 @@ type afterAction struct {
 type readerWait struct {
 	word int
 	fn   func()
+}
+
+// wbEntry is one writeback-buffer record: a dirty block victimized or
+// relinquished by this cache whose writeback the home has not acknowledged
+// yet. It serves forwards that cross the writeback on the wire.
+type wbEntry struct {
+	block memsys.Block
+	data  memsys.BlockData // payload of the latest writeback
+	mask  memsys.WordMask
+
+	// requeued: a fresh writeback of grant generation stamp waits for the
+	// in-flight one's acknowledgment (ownership cycled back in between).
+	requeued bool
+	stamp    int
 }
 
 // flwbWrite is one first-level write-buffer entry. ob is the write's
@@ -119,12 +139,14 @@ type CacheCtl struct {
 	flwbHeld     flwbWrite
 	flwbAccepted func()
 
-	mshrs     map[memsys.Block]*mshr
-	mshrFree  []*mshr
-	slwbUsed  int
-	wbPending map[memsys.Block]bool
-	wbRequeue map[memsys.Block]int // stamp of a follow-up writeback awaiting the first's ack
-	lastGrant map[memsys.Block]int // grant generation of the dirty copy we hold (writeback tag)
+	// slwb holds every pending transaction, at most one per block, searched
+	// by block. Besides the SLWB's slwbUsed counted entries it holds the
+	// processor's one blocking demand read and the fence-time write-cache
+	// drains that may overfill it.
+	slwb     []*mshr
+	mshrFree []*mshr
+	slwbUsed int
+	wb       []wbEntry // the writeback buffer
 
 	wc *cache.WriteCache
 	pf *Prefetcher
@@ -145,19 +167,17 @@ type CacheCtl struct {
 	lockWaiters   map[memsys.Block]func()
 	barWaiters    map[int]func()
 
-	// Data-value verification bookkeeping.
-	lastSeen map[memsys.Block]*memsys.BlockData // versions this processor observed
-	wbData   map[memsys.Block]memsys.BlockData  // payloads of in-flight writebacks
-	wbMask   map[memsys.Block]memsys.WordMask
+	// Data-value verification bookkeeping: the versions this processor
+	// observed.
+	lastSeen memsys.Table[memsys.BlockData]
 
 	// jobFree recycles the pooled SLC-occupancy events; see slcJob.
 	jobFree []*slcJob
 
 	// Measurements.
-	Cls       *stats.Classifier
-	Misses    stats.Misses
-	CStats    CacheStats
-	missStart map[memsys.Block]sim.Time
+	Cls    *stats.Classifier
+	Misses stats.Misses
+	CStats CacheStats
 }
 
 func newSLC(p Params) *cache.SLC {
@@ -176,18 +196,10 @@ func newCacheCtl(s *System, id int) *CacheCtl {
 		slc:         newSLC(s.P),
 		slcRes:      sim.NewResource(s.Eng, fmt.Sprintf("slc%d", id)),
 		flwb:        cache.NewFIFO[flwbWrite](s.P.FLWBEntries),
-		mshrs:       make(map[memsys.Block]*mshr),
-		wbPending:   make(map[memsys.Block]bool),
-		wbRequeue:   make(map[memsys.Block]int),
-		lastGrant:   make(map[memsys.Block]int),
 		lockWaiters: make(map[memsys.Block]func()),
 		wcObs:       make(map[memsys.Block][]int),
-		lastSeen:    make(map[memsys.Block]*memsys.BlockData),
-		wbData:      make(map[memsys.Block]memsys.BlockData),
-		wbMask:      make(map[memsys.Block]memsys.WordMask),
 		barWaiters:  make(map[int]func()),
 		Cls:         stats.NewClassifier(),
-		missStart:   make(map[memsys.Block]sim.Time),
 	}
 	if s.P.CW {
 		c.wc = cache.NewWriteCache(s.P.WriteCacheBlocks)
@@ -204,19 +216,46 @@ func (c *CacheCtl) Prefetcher() *Prefetcher { return c.pf }
 // WriteCache exposes the node's write cache (nil when CW is off).
 func (c *CacheCtl) WriteCache() *cache.WriteCache { return c.wc }
 
-// newMSHR returns a cleared transaction record of the given kind, reusing
-// a retired one when available.
-func (c *CacheCtl) newMSHR(kind mshrKind) *mshr {
-	if n := len(c.mshrFree); n > 0 {
-		ms := c.mshrFree[n-1]
-		c.mshrFree = c.mshrFree[:n-1]
-		ms.kind = kind
-		return ms
+// pending returns block b's in-flight transaction, or nil.
+func (c *CacheCtl) pending(b memsys.Block) *mshr {
+	for _, ms := range c.slwb {
+		if ms.block == b {
+			return ms
+		}
 	}
-	return &mshr{kind: kind}
+	return nil
 }
 
-// retireMSHR recycles a completed transaction's record. The caller must be
+// newMSHR opens a cleared transaction record of the given kind for block b,
+// reusing a retired one when available.
+func (c *CacheCtl) newMSHR(b memsys.Block, kind mshrKind) *mshr {
+	var ms *mshr
+	if n := len(c.mshrFree); n > 0 {
+		ms = c.mshrFree[n-1]
+		c.mshrFree = c.mshrFree[:n-1]
+	} else {
+		ms = &mshr{}
+	}
+	ms.block, ms.kind = b, kind
+	c.slwb = append(c.slwb, ms)
+	return ms
+}
+
+// closeMSHR removes a completed transaction from the pending set; its
+// record stays valid until retireMSHR.
+func (c *CacheCtl) closeMSHR(ms *mshr) {
+	last := len(c.slwb) - 1
+	for i, x := range c.slwb {
+		if x == ms {
+			c.slwb[i] = c.slwb[last]
+			c.slwb[last] = nil
+			c.slwb = c.slwb[:last]
+			return
+		}
+	}
+}
+
+// retireMSHR recycles a closed transaction's record. The caller must be
 // done with it: the next newMSHR may hand it out again.
 func (c *CacheCtl) retireMSHR(ms *mshr) {
 	clear(ms.readers)
@@ -233,7 +272,7 @@ func (c *CacheCtl) retireMSHR(ms *mshr) {
 }
 
 func (c *CacheCtl) idle() bool {
-	return len(c.mshrs) == 0 && len(c.wbPending) == 0 && len(c.wbRequeue) == 0 &&
+	return len(c.slwb) == 0 && len(c.wb) == 0 &&
 		c.flwb.Empty() && len(c.deferredWrites) == 0 && len(c.relQueue) == 0 && !c.draining
 }
 
@@ -254,12 +293,6 @@ func (c *CacheCtl) completeObs(obs []int) {
 	c.tryRelease()
 }
 
-func (c *CacheCtl) forEachLine(fn func(b memsys.Block, state string, dirty bool)) {
-	c.slc.ForEach(func(l *cache.Line) {
-		fn(l.Block, l.State.String(), l.State == cache.Dirty)
-	})
-}
-
 func (c *CacheCtl) send(m *Msg) {
 	m.Src = c.id
 	c.sys.Send(m)
@@ -272,7 +305,7 @@ func (c *CacheCtl) SLCResource() *sim.Resource { return c.slcRes }
 
 // PendingTxns returns the number of outstanding coherence transactions
 // (occupied MSHR entries), an outstanding-miss gauge for the sampler.
-func (c *CacheCtl) PendingTxns() int { return len(c.mshrs) }
+func (c *CacheCtl) PendingTxns() int { return len(c.slwb) }
 
 // beginSpan opens a telemetry span for a transaction launched now. Spans are
 // gated like every other measurement: only the parallel section records.
@@ -299,11 +332,7 @@ func (c *CacheCtl) observe(b memsys.Block, w int, v int64) {
 	if ck := c.sys.Check; ck != nil {
 		ck.OnRead(c.id, b, w, v)
 	}
-	last := c.lastSeen[b]
-	if last == nil {
-		last = &memsys.BlockData{}
-		c.lastSeen[b] = last
-	}
+	last := c.lastSeen.At(b)
 	if v < last[w] {
 		c.sys.dataViolation(b, "node %d read block %d word %d version %d after seeing %d",
 			c.id, b, w, v, last[w])
@@ -379,7 +408,7 @@ func (c *CacheCtl) Read(a memsys.Addr, unblock func()) bool {
 }
 
 func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
-	if ms := c.mshrs[b]; ms != nil {
+	if ms := c.pending(b); ms != nil {
 		switch ms.kind {
 		case mshrRead:
 			if ms.prefetchOnly {
@@ -439,11 +468,10 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 			c.sys.Shr.OnMiss(c.id, uint64(b))
 		}
 	}
-	c.missStart[b] = c.sys.Eng.Now()
-	ms := c.newMSHR(mshrRead)
+	ms := c.newMSHR(b, mshrRead)
+	ms.timed, ms.missStart = true, c.sys.Eng.Now()
 	ms.readers = append(ms.readers, readerWait{word, unblock})
 	ms.txn = c.beginSpan(b, telemetry.SpanRead)
-	c.mshrs[b] = ms
 	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 	if c.pf != nil {
 		c.pf.OnMiss(b)
@@ -453,16 +481,15 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 
 func (c *CacheCtl) issuePrefetches(b memsys.Block) {
 	for _, nb := range c.pf.Candidates(b) {
-		if c.slc.Lookup(nb) != nil || c.mshrs[nb] != nil || c.wbPending[nb] {
+		if c.slc.Lookup(nb) != nil || c.pending(nb) != nil || c.wbFind(nb) >= 0 {
 			continue
 		}
 		if c.slwbUsed >= c.sys.P.SLWBEntries {
 			break
 		}
-		ms := c.newMSHR(mshrRead)
+		ms := c.newMSHR(nb, mshrRead)
 		ms.prefetchOnly, ms.countsSLWB = true, true
 		ms.txn = c.beginSpan(nb, telemetry.SpanPrefetch)
-		c.mshrs[nb] = ms
 		c.slwbUsed++
 		c.pf.OnIssue()
 		c.send(&Msg{Type: MsgReadReq, Block: nb, Dst: c.sys.HomeOf(nb), Prefetch: true, Txn: ms.txn})
@@ -553,7 +580,7 @@ func drainStep(a any) {
 // the write needs an SLWB slot and none is free.
 func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	b := w.block
-	if ms := c.mshrs[b]; ms != nil {
+	if ms := c.pending(b); ms != nil {
 		switch ms.kind {
 		case mshrRead:
 			// The block is being fetched; apply the write after the fill.
@@ -591,7 +618,7 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	if c.slwbUsed >= c.sys.P.SLWBEntries {
 		return false
 	}
-	ms := c.newMSHR(mshrOwn)
+	ms := c.newMSHR(b, mshrOwn)
 	ms.countsSLWB, ms.nWrites = true, 1
 	ms.obs = append(ms.obs, w.ob)
 	ms.words = append(ms.words, w.word)
@@ -599,7 +626,6 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	if w.performed != nil {
 		ms.performed = append(ms.performed, w.performed)
 	}
-	c.mshrs[b] = ms
 	c.slwbUsed++
 	c.send(&Msg{Type: MsgOwnReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 	return true
@@ -646,7 +672,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 	if evicted {
 		obs := c.wcObs[victim.Block]
 		delete(c.wcObs, victim.Block)
-		c.flushWC(victim, obs)
+		c.doFlush(victim, obs)
 	}
 	if w.performed != nil {
 		w.performed()
@@ -660,7 +686,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 			}
 			obs := c.wcObs[b]
 			delete(c.wcObs, b)
-			c.flushWC(e, obs)
+			c.doFlush(e, obs)
 		}
 	}
 	return true
@@ -671,15 +697,11 @@ func (c *CacheCtl) deferWrite(w flwbWrite) {
 	c.pump()
 }
 
-// flushWC issues the combined update for one victimized or drained
+// doFlush issues the combined update for one victimized or drained
 // write-cache entry, carrying the obligations its writes represent. It
 // takes over obs, the entry's slice removed from wcObs.
-func (c *CacheCtl) flushWC(e cache.WCEntry, obs []int) {
-	c.doFlush(e, obs)
-}
-
 func (c *CacheCtl) doFlush(e cache.WCEntry, obs []int) {
-	if ms := c.mshrs[e.Block]; ms != nil {
+	if ms := c.pending(e.Block); ms != nil {
 		// A transaction is in flight for this block; issue the update when
 		// it completes.
 		ms.after = append(ms.after, afterAction{flush: true, e: e, obs: obs})
@@ -687,12 +709,11 @@ func (c *CacheCtl) doFlush(e cache.WCEntry, obs []int) {
 	}
 	// Release-time drains may transiently exceed the SLWB capacity; the
 	// processor is not waiting, so this only models a stalled drain.
-	ms := c.newMSHR(mshrUpdate)
+	ms := c.newMSHR(e.Block, mshrUpdate)
 	ms.countsSLWB, ms.mask = true, e.Mask
 	ms.obs = append(ms.obs, obs...)
 	c.obsFree = append(c.obsFree, obs[:0])
 	ms.txn = c.beginSpan(e.Block, telemetry.SpanUpdate)
-	c.mshrs[e.Block] = ms
 	c.slwbUsed++
 	c.send(&Msg{Type: MsgUpdateReq, Block: e.Block, Dst: c.sys.HomeOf(e.Block), Mask: e.Mask, Txn: ms.txn})
 }
@@ -749,7 +770,7 @@ func (c *CacheCtl) enqueueFence(r relReq) {
 			}
 			obs := c.wcObs[e.Block]
 			delete(c.wcObs, e.Block)
-			c.flushWC(e, obs)
+			c.doFlush(e, obs)
 		}
 	}
 	r.mark = c.nextOb
@@ -935,28 +956,42 @@ func (c *CacheCtl) handleVictim(v cache.Line) {
 		c.pf.OnDiscard()
 	}
 	if v.State == cache.Dirty {
-		stamp := c.lastGrant[v.Block]
-		c.wbData[v.Block] = v.Data
-		c.wbMask[v.Block] = memsys.FullMask
-		if c.wbPending[v.Block] {
-			// The previous writeback of this block has not been
-			// acknowledged yet (ownership cycled back in between); queue a
-			// fresh one behind it.
-			c.wbRequeue[v.Block] = stamp
-		} else {
-			c.wbPending[v.Block] = true
-			c.send(&Msg{Type: MsgWBReq, Block: v.Block, Dst: c.sys.HomeOf(v.Block), Data: true, Stamp: stamp, Payload: v.Data, Mask: memsys.FullMask})
+		c.writeBack(v.Block, v.Grant, v.Data, memsys.FullMask)
+	}
+}
+
+// wbFind returns the index of block b's writeback-buffer record, or -1.
+func (c *CacheCtl) wbFind(b memsys.Block) int {
+	for i := range c.wb {
+		if c.wb[i].block == b {
+			return i
 		}
 	}
+	return -1
+}
+
+// writeBack returns the masked words of block b, held under grant
+// generation stamp, to its home through the writeback buffer.
+func (c *CacheCtl) writeBack(b memsys.Block, stamp int, data memsys.BlockData, mask memsys.WordMask) {
+	if i := c.wbFind(b); i >= 0 {
+		// The previous writeback of this block has not been acknowledged
+		// yet (ownership cycled back in between); queue a fresh one behind
+		// it.
+		w := &c.wb[i]
+		w.data, w.mask, w.requeued, w.stamp = data, mask, true, stamp
+		return
+	}
+	c.wb = append(c.wb, wbEntry{block: b, data: data, mask: mask})
+	c.send(&Msg{Type: MsgWBReq, Block: b, Dst: c.sys.HomeOf(b), Data: true, Stamp: stamp, Payload: data, Mask: mask})
 }
 
 func (c *CacheCtl) onReadReply(m *Msg) {
 	b := m.Block
-	ms := c.mshrs[b]
+	ms := c.pending(b)
 	if ms == nil || ms.kind != mshrRead {
 		panic(fmt.Sprintf("cache %d: read reply with no pending read for block %d", c.id, b))
 	}
-	delete(c.mshrs, b)
+	c.closeMSHR(ms)
 	if ms.countsSLWB {
 		c.slwbUsed--
 	}
@@ -964,12 +999,12 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 	st := cache.Shared
 	if m.Excl {
 		st = cache.Dirty
-		c.lastGrant[b] = m.Stamp
 	}
 	line := c.install(b, st)
 	line.Data = m.Payload
 	if m.Excl {
 		line.MigSupplied = true
+		line.Grant = m.Stamp
 	}
 	if c.wc != nil {
 		// A prefetch is not a processor access: an unreferenced prefetched
@@ -995,16 +1030,13 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 			c.pf.OnFill()
 		}
 		c.fillFLC(b)
-		if t0, ok := c.missStart[b]; ok {
-			delete(c.missStart, b)
-			if c.statsOn() {
-				lat := int64(c.sys.Eng.Now() - t0)
-				c.CStats.ReadMissLatency += lat
-				c.CStats.ReadMissCount++
-				c.CStats.LatencyHist.Add(lat)
-				if c.sys.Shr != nil {
-					c.sys.Shr.OnMissLatency(uint64(b), lat)
-				}
+		if ms.timed && c.statsOn() {
+			lat := int64(c.sys.Eng.Now() - ms.missStart)
+			c.CStats.ReadMissLatency += lat
+			c.CStats.ReadMissCount++
+			c.CStats.LatencyHist.Add(lat)
+			if c.sys.Shr != nil {
+				c.sys.Shr.OnMissLatency(uint64(b), lat)
 			}
 		}
 		for _, r := range ms.readers {
@@ -1029,15 +1061,14 @@ func (c *CacheCtl) runAfter(ms *mshr) {
 
 func (c *CacheCtl) onOwnAck(m *Msg) {
 	b := m.Block
-	ms := c.mshrs[b]
+	ms := c.pending(b)
 	if ms == nil || ms.kind != mshrOwn {
 		panic(fmt.Sprintf("cache %d: ownership ack with no pending request for block %d", c.id, b))
 	}
-	delete(c.mshrs, b)
+	c.closeMSHR(ms)
 	c.slwbUsed--
 	c.completeObs(ms.obs)
 	c.endSpan(ms.txn)
-	c.lastGrant[b] = m.Stamp
 	var line *cache.Line
 	if m.Data {
 		line = c.install(b, cache.Dirty)
@@ -1056,6 +1087,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 		line.State = cache.Dirty
 		c.ckLine(b, true, "own-upgrade")
 	}
+	line.Grant = m.Stamp
 	line.Written = true
 	if c.sys.verSeq != nil {
 		for _, w := range ms.words {
@@ -1102,17 +1134,8 @@ func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int) 
 	}
 	// If a writeback is already in flight (the grant crossed it on the
 	// wire), it is stale with respect to this grant — the home will drop
-	// it — so queue a fresh one behind its acknowledgment.
-	if c.wbPending[b] {
-		c.wbRequeue[b] = stamp
-		c.wbData[b] = payload
-		c.wbMask[b] = mask
-	} else {
-		c.wbPending[b] = true
-		c.wbData[b] = payload
-		c.wbMask[b] = mask
-		c.send(&Msg{Type: MsgWBReq, Block: b, Dst: c.sys.HomeOf(b), Data: true, Stamp: stamp, Payload: payload, Mask: mask})
-	}
+	// it — so writeBack queues a fresh one behind its acknowledgment.
+	c.writeBack(b, stamp, payload, mask)
 	if len(ms.readers) > 0 {
 		// The readers' wait continues under a fresh span: the old
 		// transaction is over, this is a new fetch.
@@ -1127,25 +1150,23 @@ func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int) 
 // whose transaction ended without leaving them a copy. The readers are
 // copied: their old record is about to be recycled.
 func (c *CacheCtl) refetch(b memsys.Block, readers []readerWait) {
-	ms := c.newMSHR(mshrRead)
+	ms := c.newMSHR(b, mshrRead)
 	ms.readers = append(ms.readers, readers...)
 	ms.txn = c.beginSpan(b, telemetry.SpanRead)
-	c.mshrs[b] = ms
 	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 }
 
 func (c *CacheCtl) onUpdateAck(m *Msg) {
 	b := m.Block
-	ms := c.mshrs[b]
+	ms := c.pending(b)
 	if ms == nil || ms.kind != mshrUpdate {
 		panic(fmt.Sprintf("cache %d: update ack with no pending update for block %d", c.id, b))
 	}
-	delete(c.mshrs, b)
+	c.closeMSHR(ms)
 	c.slwbUsed--
 	c.completeObs(ms.obs)
 	c.endSpan(ms.txn)
 	if m.Excl {
-		c.lastGrant[b] = m.Stamp
 		var line *cache.Line
 		if m.Data {
 			line = c.install(b, cache.Dirty)
@@ -1167,6 +1188,7 @@ func (c *CacheCtl) onUpdateAck(m *Msg) {
 			c.relinquishLostOwnership(b, ms, m.Stamp)
 			return
 		}
+		line.Grant = m.Stamp
 		line.Written = true
 		line.CWCount = c.sys.P.CWThreshold
 	} else if line := c.slc.Lookup(b); line != nil {
@@ -1204,11 +1226,11 @@ func (c *CacheCtl) onFwd(m *Msg) {
 	home := m.Src
 	line := c.slc.Lookup(b)
 	if line == nil {
-		if c.wbPending[b] {
+		if i := c.wbFind(b); i >= 0 {
 			// The line was victimized; serve the forward from the
 			// writeback buffer. The in-flight WBReq will be stale at home.
 			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true,
-				Payload: c.wbData[b], Mask: c.wbMask[b], Txn: m.Txn})
+				Payload: c.wb[i].data, Mask: c.wb[i].mask, Txn: m.Txn})
 			return
 		}
 		panic(fmt.Sprintf("cache %d: forward for absent block %d", c.id, b))
@@ -1287,7 +1309,7 @@ func (c *CacheCtl) onUpdCopy(m *Msg) {
 
 func (c *CacheCtl) onPrefNack(m *Msg) {
 	b := m.Block
-	ms := c.mshrs[b]
+	ms := c.pending(b)
 	if ms == nil || ms.kind != mshrRead {
 		panic(fmt.Sprintf("cache %d: prefetch nack with no pending read for block %d", c.id, b))
 	}
@@ -1298,7 +1320,7 @@ func (c *CacheCtl) onPrefNack(m *Msg) {
 		c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
 		return
 	}
-	delete(c.mshrs, b)
+	c.closeMSHR(ms)
 	if ms.countsSLWB {
 		c.slwbUsed--
 	}
@@ -1312,17 +1334,18 @@ func (c *CacheCtl) onPrefNack(m *Msg) {
 }
 
 func (c *CacheCtl) onWBAck(m *Msg) {
-	if !c.wbPending[m.Block] {
+	i := c.wbFind(m.Block)
+	if i < 0 {
 		panic(fmt.Sprintf("cache %d: writeback ack with no pending writeback for block %d", c.id, m.Block))
 	}
-	if stamp, ok := c.wbRequeue[m.Block]; ok {
-		delete(c.wbRequeue, m.Block)
-		c.send(&Msg{Type: MsgWBReq, Block: m.Block, Dst: c.sys.HomeOf(m.Block), Data: true, Stamp: stamp,
-			Payload: c.wbData[m.Block], Mask: c.wbMask[m.Block]})
+	if w := &c.wb[i]; w.requeued {
+		w.requeued = false
+		c.send(&Msg{Type: MsgWBReq, Block: m.Block, Dst: c.sys.HomeOf(m.Block), Data: true, Stamp: w.stamp,
+			Payload: w.data, Mask: w.mask})
 	} else {
-		delete(c.wbPending, m.Block)
-		delete(c.wbData, m.Block)
-		delete(c.wbMask, m.Block)
+		last := len(c.wb) - 1
+		c.wb[i] = c.wb[last]
+		c.wb = c.wb[:last]
 	}
 	c.pump()
 }

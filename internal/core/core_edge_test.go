@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -192,7 +193,7 @@ func TestWritebackStampRejectsStale(t *testing.T) {
 	}
 	// A forged stale writeback (stamp 0 < grants 1). Register the pending
 	// entry first so the acknowledgment has a receiver.
-	s.Nodes[1].Cache.wbPending[b] = true
+	s.Nodes[1].Cache.wb = append(s.Nodes[1].Cache.wb, wbEntry{block: b})
 	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 0})
 	eng.Run()
 	if home.StaleWritebacks != 1 {
@@ -220,7 +221,7 @@ func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
 	c.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.doFlush(e, nil)
 	}
 	eng.Run()
 	if l := lineOf(s, 0, a); l == nil || l.State != cache.Dirty {
@@ -236,7 +237,7 @@ func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
 		t.Fatal("conflicting read never completed")
 	}
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.doFlush(e, nil)
 	}
 	eng.Run()
 	if err := s.CheckInvariants(); err != nil {
@@ -300,7 +301,7 @@ func TestCWMUpdateRecallOfMigratoryBlock(t *testing.T) {
 	c2.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c2.WriteCache().DrainAll() {
-		c2.flushWC(e, nil)
+		c2.doFlush(e, nil)
 	}
 	eng.Run()
 	e, _ := s.Nodes[1].Home.Entry(b)
@@ -310,7 +311,7 @@ func TestCWMUpdateRecallOfMigratoryBlock(t *testing.T) {
 	// Now node 0's stale combined writes flush: recall from node 2, grant
 	// to node 0.
 	for _, we := range c0.WriteCache().DrainAll() {
-		c0.flushWC(we, nil)
+		c0.doFlush(we, nil)
 	}
 	eng.Run()
 	e, _ = s.Nodes[1].Home.Entry(b)
@@ -410,5 +411,45 @@ func TestStorageModel(t *testing.T) {
 	all.P, all.M, all.CW = true, true, true
 	if ComputeStorage(all, geomFrames, geomBlocks).ExtraBitsOver(basic) <= 0 {
 		t.Fatal("P+CW+M costs nothing")
+	}
+}
+
+// TestReqQueueOrder pins the home's linked request FIFOs: push/pop keep
+// arrival order, and a writeback's parked→deferred splice puts every
+// parked request, in order, ahead of the deferred ones.
+func TestReqQueueOrder(t *testing.T) {
+	req := func(src int) *heldReq { return &heldReq{Msg: Msg{Src: src}} }
+	drain := func(q *reqQueue) []int {
+		var out []int
+		for !q.empty() {
+			out = append(out, q.pop().Src)
+		}
+		return out
+	}
+	var deferred, parked reqQueue
+	deferred.prepend(&parked) // splicing an empty queue is a no-op
+	if !deferred.empty() {
+		t.Fatal("empty splice left requests behind")
+	}
+	deferred.push(req(3))
+	deferred.push(req(4))
+	parked.push(req(1))
+	parked.push(req(2))
+	if deferred.len() != 2 || parked.len() != 2 {
+		t.Fatalf("len = %d/%d, want 2/2", deferred.len(), parked.len())
+	}
+	deferred.prepend(&parked)
+	if !parked.empty() {
+		t.Fatal("splice left the parked queue non-empty")
+	}
+	deferred.push(req(5)) // the tail survives the splice
+	if got := drain(&deferred); !reflect.DeepEqual(got, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("order = %v, want [1 2 3 4 5]", got)
+	}
+	parked.push(req(6))
+	deferred.prepend(&parked) // onto an empty queue
+	deferred.push(req(7))
+	if got := drain(&deferred); !reflect.DeepEqual(got, []int{6, 7}) {
+		t.Fatalf("order = %v, want [6 7]", got)
 	}
 }

@@ -377,7 +377,7 @@ func TestCWUpdatePropagatesToSharersAndCounterInvalidates(t *testing.T) {
 		c.Write(a, nil, nil)
 		eng.Run() // let the write drain into the write cache
 		for _, e := range c.WriteCache().DrainAll() {
-			c.flushWC(e, nil)
+			c.doFlush(e, nil)
 		}
 		eng.Run()
 	}
@@ -414,7 +414,7 @@ func TestCWLocalAccessPresetsCounter(t *testing.T) {
 		c0.Write(a, nil, nil)
 		eng.Run()
 		for _, e := range c0.WriteCache().DrainAll() {
-			c0.flushWC(e, nil)
+			c0.doFlush(e, nil)
 		}
 		eng.Run()
 	}
@@ -449,7 +449,7 @@ func TestCWKeepsMemoryCleanSoMissesAreTwoHop(t *testing.T) {
 	c.Write(a, nil, nil)
 	eng.Run()
 	for _, e := range c.WriteCache().DrainAll() {
-		c.flushWC(e, nil)
+		c.doFlush(e, nil)
 	}
 	eng.Run()
 	e, _ := s.Nodes[1].Home.Entry(b)
@@ -477,7 +477,7 @@ func TestCWMMigratoryDetectionByProbe(t *testing.T) {
 	flush := func(n int) {
 		c := s.Nodes[n].Cache
 		for _, e := range c.WriteCache().DrainAll() {
-			c.flushWC(e, nil)
+			c.doFlush(e, nil)
 		}
 		eng.Run()
 	}
@@ -516,13 +516,13 @@ func TestCWMProbeKeepsUnmodifiedCopies(t *testing.T) {
 	write(t, eng, s, 0, a)
 	c0 := s.Nodes[0].Cache
 	for _, e := range c0.WriteCache().DrainAll() {
-		c0.flushWC(e, nil)
+		c0.doFlush(e, nil)
 	}
 	eng.Run()
 	write(t, eng, s, 3, a)
 	c3 := s.Nodes[3].Cache
 	for _, e := range c3.WriteCache().DrainAll() {
-		c3.flushWC(e, nil)
+		c3.doFlush(e, nil)
 	}
 	eng.Run() // differing updaters -> probe; node 2 unmodified -> keeps
 	e, _ := s.Nodes[1].Home.Entry(b)

@@ -36,8 +36,10 @@ const (
 // dirEntry is the directory state of one memory block: the full-map
 // presence vector and stable state of BASIC (paper §2), plus the migratory
 // bit, last-writer pointer and last-updater pointer the M and CW+M
-// extensions add (paper §3.2, §3.4).
+// extensions add (paper §3.2, §3.4). Entries live by value in the home's
+// block table; seen marks one the home has received a request for.
 type dirEntry struct {
+	seen     bool
 	state    dirState
 	presence uint64 // bit i set: node i may hold a copy
 	owner    int    // valid when state == dirModified
@@ -45,12 +47,12 @@ type dirEntry struct {
 	// deferred, parked and txnReq hold pooled request records (see
 	// HomeCtl.hold): a request outlives the handler that delivered it.
 	busy     bool
-	deferred []*Msg // requests awaiting the current transaction
-	parked   []*Msg // requests from the registered owner, awaiting its writeback
+	deferred reqQueue // requests awaiting the current transaction
+	parked   reqQueue // requests from the registered owner, awaiting its writeback
 
 	// Transaction context (valid while busy).
 	txn      txnKind
-	txnReq   *Msg
+	txnReq   *heldReq
 	acksLeft int
 	needData bool
 	gaveUp   bool // CW+M probe: all interrogated caches surrendered
@@ -75,6 +77,62 @@ type dirEntry struct {
 	data memsys.BlockData
 }
 
+// heldReq is a pooled request record: a delivered request copied to live on
+// as deferred, parked or in-flight state after its handler returns (see
+// HomeCtl.hold). next links it into one reqQueue, or the home's free list.
+type heldReq struct {
+	Msg
+	next *heldReq
+}
+
+// reqQueue is a FIFO of held requests linked through their records, so
+// queueing a request allocates nothing.
+type reqQueue struct{ head, tail *heldReq }
+
+func (q *reqQueue) empty() bool { return q.head == nil }
+
+func (q *reqQueue) push(r *heldReq) {
+	r.next = nil
+	if q.tail == nil {
+		q.head = r
+	} else {
+		q.tail.next = r
+	}
+	q.tail = r
+}
+
+func (q *reqQueue) pop() *heldReq {
+	r := q.head
+	q.head = r.next
+	if q.head == nil {
+		q.tail = nil
+	}
+	r.next = nil
+	return r
+}
+
+// prepend moves every request of p, in order, ahead of q's and empties p.
+func (q *reqQueue) prepend(p *reqQueue) {
+	if p.head == nil {
+		return
+	}
+	p.tail.next = q.head
+	if q.tail == nil {
+		q.tail = p.tail
+	}
+	q.head = p.head
+	*p = reqQueue{}
+}
+
+// len counts the queued requests (diagnostics only: it walks the queue).
+func (q *reqQueue) len() int {
+	n := 0
+	for r := q.head; r != nil; r = r.next {
+		n++
+	}
+	return n
+}
+
 // HomeCtl is the directory controller of one node, serving the memory
 // blocks homed there plus the queue-based locks and barriers stored in its
 // memory.
@@ -82,7 +140,7 @@ type HomeCtl struct {
 	sys *System
 	id  int
 
-	dir      map[memsys.Block]*dirEntry
+	dir      memsys.Table[dirEntry]
 	locks    map[memsys.Block]*syncprim.Lock
 	barriers map[int]*syncprim.Barrier
 
@@ -95,9 +153,9 @@ type HomeCtl struct {
 	ExclusiveSupplies                         uint64
 	StaleWritebacks                           uint64
 
-	// reqFree recycles request records (see hold) and jobFree the pooled
-	// memory-access events (see homeJob).
-	reqFree []*Msg
+	// reqFree recycles request records (see hold), linked through next, and
+	// jobFree the pooled memory-access events (see homeJob).
+	reqFree *heldReq
 	jobFree []*homeJob
 }
 
@@ -105,19 +163,28 @@ func newHomeCtl(s *System, id int) *HomeCtl {
 	return &HomeCtl{
 		sys:      s,
 		id:       id,
-		dir:      make(map[memsys.Block]*dirEntry),
 		locks:    make(map[memsys.Block]*syncprim.Lock),
 		barriers: make(map[int]*syncprim.Barrier),
 	}
 }
 
+// entry returns block b's directory entry, initializing it on first use.
 func (h *HomeCtl) entry(b memsys.Block) *dirEntry {
-	e := h.dir[b]
-	if e == nil {
-		e = &dirEntry{owner: -1, lastWriter: -1, lastUpdater: -1}
-		h.dir[b] = e
+	e := h.dir.At(b)
+	if !e.seen {
+		e.seen = true
+		e.owner, e.lastWriter, e.lastUpdater = -1, -1, -1
 	}
 	return e
+}
+
+// lookup returns block b's directory entry, or nil when the home has never
+// seen the block. It never allocates.
+func (h *HomeCtl) lookup(b memsys.Block) *dirEntry {
+	if e := h.dir.Get(b); e != nil && e.seen {
+		return e
+	}
+	return nil
 }
 
 func bit(n int) uint64 { return 1 << uint(n) }
@@ -179,28 +246,34 @@ func (h *HomeCtl) sharersFor(e *dirEntry, requester int) uint64 {
 	return e.presence &^ bit(requester)
 }
 
+// quiet reports whether no transaction is in flight or queued at e.
+func (e *dirEntry) quiet() bool {
+	return !e.busy && e.deferred.empty() && e.parked.empty()
+}
+
 // idle reports whether no transaction is in flight at this home.
 func (h *HomeCtl) idle() bool {
-	for _, e := range h.dir {
-		if e.busy || len(e.deferred) > 0 || len(e.parked) > 0 {
-			return false
+	idle := true
+	h.dir.ForEach(func(_ memsys.Block, e *dirEntry) {
+		if !e.quiet() {
+			idle = false
 		}
-	}
-	return true
+	})
+	return idle
 }
 
 // hold copies a delivered request into a pooled record: a request lives on
 // as deferred, parked or in-flight state after its handler returns, and
 // the delivered *Msg does not. finish releases the record.
-func (h *HomeCtl) hold(m *Msg) *Msg {
-	if n := len(h.reqFree); n > 0 {
-		r := h.reqFree[n-1]
-		h.reqFree = h.reqFree[:n-1]
-		*r = *m
-		return r
+func (h *HomeCtl) hold(m *Msg) *heldReq {
+	r := h.reqFree
+	if r == nil {
+		r = new(heldReq)
+	} else {
+		h.reqFree = r.next
 	}
-	r := *m
-	return &r
+	r.Msg, r.next = *m, nil
+	return r
 }
 
 // Handle processes one incoming message.
@@ -210,7 +283,7 @@ func (h *HomeCtl) Handle(m *Msg) {
 		e := h.entry(m.Block)
 		r := h.hold(m)
 		if e.busy {
-			e.deferred = append(e.deferred, r)
+			e.deferred.push(r)
 			return
 		}
 		h.process(r, e)
@@ -232,7 +305,7 @@ func (h *HomeCtl) Handle(m *Msg) {
 // process starts a transaction for a request at a non-busy entry. All
 // requests first access the (fully interleaved) memory, which holds both
 // the directory and the data.
-func (h *HomeCtl) process(m *Msg, e *dirEntry) {
+func (h *HomeCtl) process(m *heldReq, e *dirEntry) {
 	// A read or ownership request from the registered exclusive owner can
 	// only mean the owner's writeback is still in flight. Park it until the
 	// writeback arrives. (Updates from the owner are handled directly in
@@ -240,7 +313,7 @@ func (h *HomeCtl) process(m *Msg, e *dirEntry) {
 	// became exclusive.)
 	if e.state == dirModified && e.owner == m.Src &&
 		(m.Type == MsgReadReq || m.Type == MsgOwnReq) {
-		e.parked = append(e.parked, m)
+		e.parked.push(m)
 		return
 	}
 	e.busy = true
@@ -286,7 +359,7 @@ func memDone(a any) {
 	j := a.(*homeJob)
 	h, e := j.h, j.e
 	h.putJob(j)
-	m := e.txnReq
+	m := &e.txnReq.Msg
 	h.sys.tmark(m.Txn, telemetry.PhaseMemory)
 	switch m.Type {
 	case MsgReadReq:
@@ -301,7 +374,8 @@ func memDone(a any) {
 }
 
 func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
-	h.reqFree = append(h.reqFree, e.txnReq)
+	e.txnReq.next = h.reqFree
+	h.reqFree = e.txnReq
 	e.busy = false
 	e.txn = txNone
 	e.txnReq = nil
@@ -309,12 +383,8 @@ func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
 }
 
 func (h *HomeCtl) drainDeferred(b memsys.Block, e *dirEntry) {
-	for !e.busy && len(e.deferred) > 0 {
-		m := e.deferred[0]
-		n := copy(e.deferred, e.deferred[1:])
-		e.deferred[n] = nil
-		e.deferred = e.deferred[:n]
-		h.process(m, e)
+	for !e.busy && !e.deferred.empty() {
+		h.process(e.deferred.pop(), e)
 	}
 }
 
@@ -405,7 +475,7 @@ func fwdWritten(a any) {
 		h.setPresence(e, bit(req.Src))
 		e.lastWriter = req.Src
 		e.grants++
-		h.applyUpdate(e, req)
+		h.applyUpdate(e, &req.Msg)
 		h.ckDir(b, e, "recall-grant")
 		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
 	case req.Type == MsgOwnReq:
@@ -649,10 +719,7 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 	h.send(&Msg{Type: MsgWBAck, Block: b, Dst: m.Src})
 	// The owner's parked requests can proceed now that the writeback
 	// resolved.
-	if len(e.parked) > 0 {
-		e.deferred = append(e.parked, e.deferred...)
-		e.parked = nil
-	}
+	e.deferred.prepend(&e.parked)
 	h.finish(b, e)
 }
 
@@ -724,7 +791,7 @@ type DirEntryInfo struct {
 // Entry returns a snapshot of the directory entry for b, or ok=false when
 // the home has never seen the block.
 func (h *HomeCtl) Entry(b memsys.Block) (DirEntryInfo, bool) {
-	e := h.dir[b]
+	e := h.lookup(b)
 	if e == nil {
 		return DirEntryInfo{}, false
 	}

@@ -17,7 +17,7 @@ func TestInvariantUnknownDirState(t *testing.T) {
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatalf("clean run fails invariants: %v", err)
 	}
-	e := s.Nodes[0].Home.dir[memsys.BlockOf(a)]
+	e := s.Nodes[0].Home.lookup(memsys.BlockOf(a))
 	if e == nil {
 		t.Fatalf("no directory entry after read")
 	}
@@ -35,7 +35,7 @@ func TestInvariantUncachedWithCopies(t *testing.T) {
 	eng, s := testSystem(t, nil)
 	a := blockHomedAt(s, 0)
 	read(t, eng, s, 1, a)
-	s.Nodes[0].Home.dir[memsys.BlockOf(a)].presence = 0
+	s.Nodes[0].Home.lookup(memsys.BlockOf(a)).presence = 0
 	found := s.CheckInvariantsBestEffort(8)
 	joined := strings.Join(found, "\n")
 	if !strings.Contains(joined, "uncached at home") {
@@ -59,11 +59,11 @@ func TestBestEffortSkipsInflightBlocks(t *testing.T) {
 
 	// Corrupt block a's entry and mark it busy, as if a transaction were
 	// mid-flight when the machine stopped.
-	ea := s.Nodes[0].Home.dir[memsys.BlockOf(a)]
+	ea := s.Nodes[0].Home.lookup(memsys.BlockOf(a))
 	ea.state = 99
 	ea.busy = true
 	// Corrupt block b's entry with nothing in flight.
-	s.Nodes[1].Home.dir[memsys.BlockOf(b)].state = 77
+	s.Nodes[1].Home.lookup(memsys.BlockOf(b)).state = 77
 
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatalf("quiescent checker accepted a busy home entry")
@@ -86,7 +86,7 @@ func TestBestEffortFindingsSortedAndCapped(t *testing.T) {
 	for _, home := range addrs {
 		a := blockHomedAt(s, home)
 		read(t, eng, s, (home+1)%4, a)
-		s.Nodes[home].Home.dir[memsys.BlockOf(a)].state = 99
+		s.Nodes[home].Home.lookup(memsys.BlockOf(a)).state = 99
 	}
 	found := s.CheckInvariantsBestEffort(2)
 	if len(found) != 2 {

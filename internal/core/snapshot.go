@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccsim/internal/fault"
@@ -72,7 +74,7 @@ func (s *System) FaultSnapshot(block uint64, hasBlock bool) *fault.Snapshot {
 // home never allocated one).
 func (s *System) dirSnapshot(b memsys.Block) *fault.DirState {
 	home := s.HomeOf(b)
-	e := s.Nodes[home].Home.dir[b]
+	e := s.Nodes[home].Home.lookup(b)
 	if e == nil {
 		return nil
 	}
@@ -83,8 +85,8 @@ func (s *System) dirSnapshot(b memsys.Block) *fault.DirState {
 		Owner:    e.owner,
 		Presence: e.presence,
 		Busy:     e.busy,
-		Deferred: len(e.deferred),
-		Parked:   len(e.parked),
+		Deferred: e.deferred.len(),
+		Parked:   e.parked.len(),
 	}
 	if e.state == dirModified {
 		d.State = "MODIFIED"
@@ -99,11 +101,10 @@ func (s *System) dirSnapshot(b memsys.Block) *fault.DirState {
 // cache, block order.
 func (c *CacheCtl) describePending() []string {
 	var out []string
-	for _, b := range sortedBlocks(c.mshrs) {
-		ms := c.mshrs[b]
+	for _, ms := range c.pendingByBlock() {
 		kind := [...]string{"read", "ownership", "update"}[ms.kind]
 		line := fmt.Sprintf("block %d: %s in flight (%d readers, %d writes",
-			b, kind, len(ms.readers), ms.nWrites)
+			ms.block, kind, len(ms.readers), ms.nWrites)
 		if ms.prefetchOnly {
 			line += ", prefetch-only"
 		}
@@ -112,9 +113,21 @@ func (c *CacheCtl) describePending() []string {
 		}
 		out = append(out, line+")")
 	}
-	for _, b := range sortedBlocks(c.wbPending) {
+	wbs := make([]memsys.Block, len(c.wb))
+	for i, w := range c.wb {
+		wbs[i] = w.block
+	}
+	slices.Sort(wbs)
+	for _, b := range wbs {
 		out = append(out, fmt.Sprintf("block %d: writeback in flight", b))
 	}
+	return out
+}
+
+// pendingByBlock returns the in-flight transaction records in block order.
+func (c *CacheCtl) pendingByBlock() []*mshr {
+	out := slices.Clone(c.slwb)
+	slices.SortFunc(out, func(a, b *mshr) int { return cmp.Compare(a.block, b.block) })
 	return out
 }
 
@@ -126,13 +139,12 @@ func (s *System) BlockedSync() []string {
 	var out []string
 	for _, n := range s.Nodes {
 		c := n.Cache
-		for _, b := range sortedBlocks(c.mshrs) {
-			ms := c.mshrs[b]
+		for _, ms := range c.pendingByBlock() {
 			if len(ms.readers) > 0 {
-				out = append(out, fmt.Sprintf("proc %d blocked reading block %d", c.id, b))
+				out = append(out, fmt.Sprintf("proc %d blocked reading block %d", c.id, ms.block))
 			}
 			if len(ms.performed) > 0 {
-				out = append(out, fmt.Sprintf("proc %d awaiting write completion on block %d", c.id, b))
+				out = append(out, fmt.Sprintf("proc %d awaiting write completion on block %d", c.id, ms.block))
 			}
 		}
 		for _, b := range sortedBlocks(c.lockWaiters) {

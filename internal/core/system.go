@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"ccsim/internal/cache"
 	"ccsim/internal/check"
 	"ccsim/internal/fault"
 	"ccsim/internal/memsys"
@@ -71,10 +72,10 @@ type System struct {
 	lastToHome bool
 	lastValid  bool
 
-	// Data-value verification state (Params.VerifyData): a per-word version
-	// counter per block, advanced at each write's global serialization
-	// point, and the violations found.
-	verSeq         map[memsys.Block]*memsys.BlockData
+	// Data-value verification state (Params.VerifyData, else nil): a
+	// per-word version counter per block, advanced at each write's global
+	// serialization point, and the violations found.
+	verSeq         *memsys.Table[memsys.BlockData]
 	DataViolations []string
 
 	// hopFree recycles the per-message event-chain records Send schedules;
@@ -84,11 +85,7 @@ type System struct {
 
 // nextVersion serializes a write to (b, w) and returns its version.
 func (s *System) nextVersion(b memsys.Block, w int) int64 {
-	c := s.verSeq[b]
-	if c == nil {
-		c = &memsys.BlockData{}
-		s.verSeq[b] = c
-	}
+	c := s.verSeq.At(b)
 	c[w]++
 	return c[w]
 }
@@ -189,7 +186,7 @@ func NewSystem(eng *sim.Engine, net network.Net, params Params) (*System, error)
 	}
 	s := &System{Eng: eng, Net: net, P: params, statsOn: true}
 	if params.VerifyData {
-		s.verSeq = make(map[memsys.Block]*memsys.BlockData)
+		s.verSeq = new(memsys.Table[memsys.BlockData])
 	}
 	s.mutArmed = params.Mutate != ""
 	s.Nodes = make([]*Node, params.Nodes)
@@ -367,124 +364,128 @@ func (s *System) CheckInvariantsBestEffort(max int) []string {
 
 // invariantErrors is the shared invariant walker. In quiescent mode a
 // non-quiesced home entry is itself a violation; in best-effort mode any
-// block with in-flight state anywhere is excluded from every check. The
-// walk visits maps, so findings are sorted before truncating to max to
-// keep fault dumps deterministic.
+// block with in-flight state anywhere is excluded from every check.
+// Findings are sorted before truncating to max to keep fault dumps
+// deterministic.
 func (s *System) invariantErrors(quiescent bool, max int) []error {
 	var errs []error
-	report := func(format string, args ...any) bool {
+	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
-		return false
 	}
-	// Gather every cached copy, and (for best-effort mode) every block a
-	// cache controller still has a transaction or writeback in flight for.
+	// Gather every cached copy, sorted by (block, node), and (for
+	// best-effort mode) every block a cache controller still has a
+	// transaction or writeback in flight for.
 	type copyInfo struct {
+		block memsys.Block
 		node  int
-		state string
-		dirty bool
+		state cache.LineState
 	}
-	copies := make(map[memsys.Block][]copyInfo)
-	inflight := make(map[memsys.Block]bool)
+	ncopies := 0
 	for _, n := range s.Nodes {
-		n.Cache.forEachLine(func(b memsys.Block, st string, dirty bool) {
-			copies[b] = append(copies[b], copyInfo{n.ID, st, dirty})
+		ncopies += n.Cache.slc.Valid()
+	}
+	copies := make([]copyInfo, 0, ncopies)
+	var inflight map[memsys.Block]bool
+	if !quiescent {
+		inflight = make(map[memsys.Block]bool)
+	}
+	for _, n := range s.Nodes {
+		n.Cache.slc.ForEach(func(l *cache.Line) {
+			copies = append(copies, copyInfo{l.Block, n.ID, l.State})
 		})
 		if !quiescent {
-			for b := range n.Cache.mshrs {
-				inflight[b] = true
+			for _, ms := range n.Cache.slwb {
+				inflight[ms.block] = true
 			}
-			for b := range n.Cache.wbPending {
-				inflight[b] = true
+			for _, w := range n.Cache.wb {
+				inflight[w.block] = true
 			}
 		}
 	}
+	sort.Slice(copies, func(i, j int) bool {
+		if copies[i].block != copies[j].block {
+			return copies[i].block < copies[j].block
+		}
+		return copies[i].node < copies[j].node
+	})
+	// copiesOf returns block b's copies: a run of the sorted slice.
+	copiesOf := func(b memsys.Block) []copyInfo {
+		lo := sort.Search(len(copies), func(i int) bool { return copies[i].block >= b })
+		hi := lo
+		for hi < len(copies) && copies[hi].block == b {
+			hi++
+		}
+		return copies[lo:hi]
+	}
 	for _, n := range s.Nodes {
-		for b, e := range n.Home.dir {
-			if s.HomeOf(b) != n.ID {
-				if report("block %d: directory entry at node %d, home is %d", b, n.ID, s.HomeOf(b)) {
-					return errs
-				}
-				continue
+		n.Home.dir.ForEach(func(b memsys.Block, e *dirEntry) {
+			if !e.seen {
+				return
 			}
-			if e.busy || len(e.deferred) > 0 || len(e.parked) > 0 {
+			if s.HomeOf(b) != n.ID {
+				report("block %d: directory entry at node %d, home is %d", b, n.ID, s.HomeOf(b))
+				return
+			}
+			if !e.quiet() {
 				if !quiescent {
 					inflight[b] = true
-					continue
+					return
 				}
-				if report("block %d: home not quiesced", b) {
-					return errs
-				}
-				continue
+				report("block %d: home not quiesced", b)
+				return
 			}
 			if inflight[b] {
-				continue
+				return
 			}
+			cs := copiesOf(b)
 			dirties := 0
-			for _, c := range copies[b] {
-				if c.dirty {
+			for _, c := range cs {
+				if c.state == cache.Dirty {
 					dirties++
 				}
 			}
 			switch e.state {
 			case dirClean:
 				if dirties != 0 {
-					if report("block %d: CLEAN at home but %d dirty copies", b, dirties) {
-						return errs
-					}
+					report("block %d: CLEAN at home but %d dirty copies", b, dirties)
 				}
 				// An entry with an empty presence vector claims the block is
 				// uncached machine-wide: no copy of any kind may exist.
-				if e.presence == 0 && len(copies[b]) > 0 {
-					if report("block %d: uncached at home but %d cached copies", b, len(copies[b])) {
-						return errs
-					}
+				if e.presence == 0 && len(cs) > 0 {
+					report("block %d: uncached at home but %d cached copies", b, len(cs))
 				}
 				// Presence must be a superset of actual holders (silent
 				// replacement makes it a superset, not an exact set).
-				for _, c := range copies[b] {
+				for _, c := range cs {
 					if e.presence&(1<<uint(c.node)) == 0 {
-						if report("block %d: node %d holds a copy not in the presence vector", b, c.node) {
-							return errs
-						}
+						report("block %d: node %d holds a copy not in the presence vector", b, c.node)
 					}
 				}
 			case dirModified:
 				if dirties > 1 {
-					if report("block %d: %d dirty copies", b, dirties) {
-						return errs
-					}
+					report("block %d: %d dirty copies", b, dirties)
 				}
-				for _, c := range copies[b] {
+				for _, c := range cs {
 					if c.node != e.owner {
-						if report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, c.node, c.state) {
-							return errs
-						}
+						report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, c.node, c.state)
 					}
 				}
 			default:
 				// A directory entry outside the known states is corrupt
 				// whatever the copies look like.
-				if report("block %d: unknown directory state %d", b, e.state) {
-					return errs
-				}
+				report("block %d: unknown directory state %d", b, e.state)
 			}
-		}
+		})
 	}
 	// No cache may hold a dirty copy of a block its home believes clean —
 	// covered above — and every dirty copy must be the registered owner.
-	for b, cs := range copies {
-		if inflight[b] {
+	for _, c := range copies {
+		if c.state != cache.Dirty || inflight[c.block] {
 			continue
 		}
-		for _, c := range cs {
-			if c.dirty {
-				e := s.Nodes[s.HomeOf(b)].Home.dir[b]
-				if e == nil || e.state != dirModified || e.owner != c.node {
-					if report("block %d: dirty at node %d without matching directory state", b, c.node) {
-						return errs
-					}
-				}
-			}
+		e := s.Nodes[s.HomeOf(c.block)].Home.lookup(c.block)
+		if e == nil || e.state != dirModified || e.owner != c.node {
+			report("block %d: dirty at node %d without matching directory state", c.block, c.node)
 		}
 	}
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })

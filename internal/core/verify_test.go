@@ -20,7 +20,7 @@ func TestVerifyDataCleanRun(t *testing.T) {
 		t.Fatalf("violations on a coherent run: %v", s.DataViolations)
 	}
 	// The version counter advanced once per write.
-	if got := s.verSeq[memsys.BlockOf(a)][0]; got != 2 {
+	if got := s.verSeq.At(memsys.BlockOf(a))[0]; got != 2 {
 		t.Fatalf("version counter = %d, want 2", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestVerifyMigratoryHandoffCarriesData(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("violations in migratory chain: %v", s.DataViolations)
 	}
-	if got := s.verSeq[memsys.BlockOf(a)][0]; got != 6 {
+	if got := s.verSeq.At(memsys.BlockOf(a))[0]; got != 6 {
 		t.Fatalf("version counter = %d, want 6", got)
 	}
 }
@@ -107,7 +107,7 @@ func TestVerifyCWUpdatesCarryData(t *testing.T) {
 		c.Write(a, nil, nil)
 		eng.Run()
 		for _, e := range c.WriteCache().DrainAll() {
-			c.flushWC(e, nil)
+			c.doFlush(e, nil)
 		}
 		eng.Run()
 		// The sharer reads after every update; versions must increase.

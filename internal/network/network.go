@@ -21,14 +21,12 @@ import (
 // Net delivers messages between nodes. deliver runs at the destination when
 // the message's last byte arrives.
 type Net interface {
-	// Send transmits a message of the given size in bytes from src to dst
-	// and schedules deliver at arrival time. src == dst is legal and
-	// delivers on the next event with no latency (the local case is
-	// handled by the node's bus, not the network).
-	Send(src, dst, bytes int, deliver func())
-	// SendCall is Send with the engine's static-function event form:
-	// deliver(arg) runs at arrival. Callers that pool arg transmit without
-	// allocating a closure per message.
+	// SendCall transmits a message of the given size in bytes from src to
+	// dst and schedules deliver(arg) at arrival time, in the engine's
+	// static-function event form: callers that pool arg transmit without
+	// allocating a closure per message. src == dst is legal and delivers on
+	// the next event with no latency (the local case is handled by the
+	// node's bus, not the network).
 	SendCall(src, dst, bytes int, deliver func(any), arg any)
 	// Name identifies the network model for reports.
 	Name() string
@@ -43,15 +41,6 @@ type Uniform struct {
 // NewUniform returns a uniform network with the given one-way latency.
 func NewUniform(eng *sim.Engine, latency sim.Time) *Uniform {
 	return &Uniform{eng: eng, latency: latency}
-}
-
-// Send implements Net.
-func (u *Uniform) Send(src, dst, bytes int, deliver func()) {
-	if src == dst {
-		u.eng.After(0, deliver)
-		return
-	}
-	u.eng.After(u.latency, deliver)
 }
 
 // SendCall implements Net.
@@ -78,12 +67,15 @@ type Mesh struct {
 	width, height int
 	bytesPerFlit  int
 
-	// freeAt[l] is when directed link l is next free. Links are indexed by
-	// (from, to) pairs of adjacent nodes.
-	freeAt map[[2]int]sim.Time
+	// freeAt[l] is when directed link l is next free. Each router drives
+	// four output links, one per direction, so link l is output port l%4
+	// of node l/4 (see link).
+	freeAt []sim.Time
 
-	// routeBuf is transit's reusable route scratch space.
+	// routeBuf and links are transit's reusable scratch space: the route's
+	// nodes and the links between them.
 	routeBuf []int
+	links    []int
 
 	// Statistics.
 	msgs      uint64
@@ -102,7 +94,7 @@ func NewMesh(eng *sim.Engine, width, height, linkBits int) *Mesh {
 		width:        width,
 		height:       height,
 		bytesPerFlit: linkBits / 8,
-		freeAt:       make(map[[2]int]sim.Time),
+		freeAt:       make([]sim.Time, 4*width*height),
 	}
 }
 
@@ -113,6 +105,21 @@ func (m *Mesh) Name() string {
 
 func (m *Mesh) xy(n int) (x, y int) { return n % m.width, n / m.width }
 func (m *Mesh) node(x, y int) int   { return y*m.width + x }
+
+// link returns the index in freeAt of the directed link between adjacent
+// nodes from and to: from's output port toward to.
+func (m *Mesh) link(from, to int) int {
+	port := 0 // +x
+	switch to - from {
+	case -1:
+		port = 1
+	case m.width:
+		port = 2
+	case -m.width:
+		port = 3
+	}
+	return 4*from + port
+}
 
 // Route returns the dimension-order (X then Y) route from src to dst as a
 // node sequence including both endpoints.
@@ -152,15 +159,6 @@ func (m *Mesh) Flits(bytes int) int {
 	return f
 }
 
-// Send implements Net.
-func (m *Mesh) Send(src, dst, bytes int, deliver func()) {
-	if src == dst {
-		m.eng.After(0, deliver)
-		return
-	}
-	m.eng.At(m.transit(src, dst, bytes), deliver)
-}
-
 // SendCall implements Net.
 func (m *Mesh) SendCall(src, dst, bytes int, deliver func(any), arg any) {
 	if src == dst {
@@ -175,10 +173,12 @@ func (m *Mesh) SendCall(src, dst, bytes int, deliver func(any), arg any) {
 func (m *Mesh) transit(src, dst, bytes int) sim.Time {
 	flits := sim.Time(m.Flits(bytes))
 	m.routeBuf = m.routeAppend(m.routeBuf[:0], src, dst)
-	route := m.routeBuf
+	m.links = m.links[:0]
+	for i := 0; i+1 < len(m.routeBuf); i++ {
+		m.links = append(m.links, m.link(m.routeBuf[i], m.routeBuf[i+1]))
+	}
 	t := m.eng.Now()
-	for i := 0; i+1 < len(route); i++ {
-		link := [2]int{route[i], route[i+1]}
+	for i, link := range m.links {
 		start := t
 		if f := m.freeAt[link]; f > start {
 			m.waitTime += f - start
@@ -187,8 +187,7 @@ func (m *Mesh) transit(src, dst, bytes int) sim.Time {
 			// body keeps occupying every upstream link of its route — the
 			// tree saturation that makes wormhole meshes degrade sharply
 			// near their capacity.
-			for k := 0; k < i; k++ {
-				up := [2]int{route[k], route[k+1]}
+			for _, up := range m.links[:i] {
 				if hold := start + flits; m.freeAt[up] < hold {
 					m.freeAt[up] = hold
 				}

@@ -11,7 +11,7 @@ func TestUniformLatency(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewUniform(eng, 54)
 	var at sim.Time = -1
-	n.Send(0, 5, 40, func() { at = eng.Now() })
+	n.SendCall(0, 5, 40, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	if at != 54 {
 		t.Fatalf("delivered at %d, want 54", at)
@@ -22,7 +22,7 @@ func TestUniformLocalIsImmediate(t *testing.T) {
 	eng := sim.NewEngine()
 	n := NewUniform(eng, 54)
 	var at sim.Time = -1
-	n.Send(3, 3, 8, func() { at = eng.Now() })
+	n.SendCall(3, 3, 8, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	if at != 0 {
 		t.Fatalf("local delivery at %d, want 0", at)
@@ -34,12 +34,12 @@ func TestUniformNoContention(t *testing.T) {
 	n := NewUniform(eng, 54)
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		n.Send(0, 1, 40, func() {
+		n.SendCall(0, 1, 40, func(any) {
 			if eng.Now() != 54 {
 				t.Errorf("message delivered at %d, want 54", eng.Now())
 			}
 			delivered++
-		})
+		}, nil)
 	}
 	eng.Run()
 	if delivered != 100 {
@@ -90,7 +90,7 @@ func TestMeshUncontendedLatency(t *testing.T) {
 	m := NewMesh(eng, 4, 4, 64)
 	// 0 -> 3: 3 hops. 40 bytes @ 64-bit = 5 flits. Latency = 2*3 + 5 = 11.
 	var at sim.Time = -1
-	m.Send(0, 3, 40, func() { at = eng.Now() })
+	m.SendCall(0, 3, 40, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	if at != 11 {
 		t.Fatalf("delivered at %d, want 11", at)
@@ -102,7 +102,7 @@ func TestMeshNarrowLinksAreSlower(t *testing.T) {
 		eng := sim.NewEngine()
 		m := NewMesh(eng, 4, 4, bits)
 		var at sim.Time
-		m.Send(0, 15, 40, func() { at = eng.Now() })
+		m.SendCall(0, 15, 40, func(any) { at = eng.Now() }, nil)
 		eng.Run()
 		return at
 	}
@@ -119,8 +119,8 @@ func TestMeshLinkContention(t *testing.T) {
 	// flits. First arrives at 2+20=22; second waits for the link (free at
 	// 22) and arrives at 22+2+20=44.
 	var first, second sim.Time
-	m.Send(0, 1, 40, func() { first = eng.Now() })
-	m.Send(0, 1, 40, func() { second = eng.Now() })
+	m.SendCall(0, 1, 40, func(any) { first = eng.Now() }, nil)
+	m.SendCall(0, 1, 40, func(any) { second = eng.Now() }, nil)
 	eng.Run()
 	if first != 22 || second != 44 {
 		t.Fatalf("arrivals %d, %d; want 22, 44", first, second)
@@ -134,8 +134,8 @@ func TestMeshDisjointRoutesDoNotInterfere(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, 4, 4, 16)
 	var a, b sim.Time
-	m.Send(0, 1, 40, func() { a = eng.Now() })
-	m.Send(4, 5, 40, func() { b = eng.Now() })
+	m.SendCall(0, 1, 40, func(any) { a = eng.Now() }, nil)
+	m.SendCall(4, 5, 40, func(any) { b = eng.Now() }, nil)
 	eng.Run()
 	if a != 22 || b != 22 {
 		t.Fatalf("disjoint messages at %d, %d; want both 22", a, b)
@@ -197,11 +197,11 @@ func TestMeshLatencyLowerBoundProperty(t *testing.T) {
 			}
 			hops := len(m.Route(src, dst)) - 1
 			bound := sim.Time(2*hops + m.Flits(40))
-			m.Send(src, dst, 40, func() {
+			m.SendCall(src, dst, 40, func(any) {
 				if eng.Now() < bound {
 					ok = false
 				}
-			})
+			}, nil)
 		}
 		eng.Run()
 		return ok

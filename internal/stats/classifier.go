@@ -18,17 +18,23 @@ const (
 // Fill, Evict and Invalidate as lines come and go, and Classify on each
 // demand read miss.
 type Classifier struct {
-	hist map[memsys.Block]blockHist
+	hist memsys.Table[blockHist]
 }
 
 // NewClassifier returns an empty classifier.
-func NewClassifier() *Classifier {
-	return &Classifier{hist: make(map[memsys.Block]blockHist)}
+func NewClassifier() *Classifier { return &Classifier{} }
+
+// of returns block b's history without allocating.
+func (c *Classifier) of(b memsys.Block) blockHist {
+	if h := c.hist.Get(b); h != nil {
+		return *h
+	}
+	return neverCached
 }
 
 // Classify returns the kind of a demand miss to block b.
 func (c *Classifier) Classify(b memsys.Block) MissKind {
-	switch c.hist[b] {
+	switch c.of(b) {
 	case neverCached:
 		return Cold
 	case invalidated:
@@ -41,22 +47,22 @@ func (c *Classifier) Classify(b memsys.Block) MissKind {
 }
 
 // Fill records that block b is now cached.
-func (c *Classifier) Fill(b memsys.Block) { c.hist[b] = cached }
+func (c *Classifier) Fill(b memsys.Block) { *c.hist.At(b) = cached }
 
 // Evict records that block b was replaced to make room.
 func (c *Classifier) Evict(b memsys.Block) {
-	if c.hist[b] == cached {
-		c.hist[b] = evicted
+	if h := c.hist.Get(b); h != nil && *h == cached {
+		*h = evicted
 	}
 }
 
 // Invalidate records that block b was removed by a coherence action
 // (invalidation message, update-counter expiry, or migratory transfer).
 func (c *Classifier) Invalidate(b memsys.Block) {
-	if c.hist[b] == cached {
-		c.hist[b] = invalidated
+	if h := c.hist.Get(b); h != nil && *h == cached {
+		*h = invalidated
 	}
 }
 
 // Seen reports whether block b has ever been cached by this processor.
-func (c *Classifier) Seen(b memsys.Block) bool { return c.hist[b] != neverCached }
+func (c *Classifier) Seen(b memsys.Block) bool { return c.of(b) != neverCached }
