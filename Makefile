@@ -28,8 +28,11 @@ bench:
 	go test -p 1 -bench=. -benchmem -count=1 ./... | go run ./cmd/benchjson -o $(BENCH_OUT)
 
 # Regenerate the committed metrics baseline that verify.sh gates against:
-# the Table 2 grid (5 workloads x 4 protocols) at a small fixed scale. Run
-# this after an intentional metrics change and commit the result.
+# every run of the whole evaluation (all eight extension sets under RC and
+# SC, the uniform network and the 16/32/64-bit meshes, directory pointers,
+# associativity, buffer and cache sensitivity, 4-32 processors) at a tiny
+# fixed scale, 265 files. Run this after an intentional metrics change and
+# commit the result.
 golden:
 	rm -f golden/*.json
-	go run ./cmd/experiments -exp table2 -scale 0.05 -procs 4 -q -metrics golden > /dev/null
+	go run ./cmd/experiments -exp all -scale 0.02 -procs 16 -q -metrics golden > /dev/null

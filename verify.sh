@@ -82,15 +82,16 @@ go test -count=1 -run 'TestRandomWalkChecked' ccsim/internal/litmus
 # number fails here.
 (cd bench && go test ./...)
 
-# Tier-2 metrics regression gate: regenerate the golden grid (Table 2 at a
-# small fixed scale) and require every metric to match the committed
-# baseline exactly — the simulator is deterministic, so any drift is a
-# behavior change. `make golden` refreshes the baseline after an
-# intentional one.
+# Tier-2 metrics regression gate: regenerate the golden grid (every run of
+# the whole evaluation at a tiny fixed scale: all eight extension sets, RC
+# and SC, uniform and 16/32/64-bit meshes, every sensitivity axis) and
+# require every metric to match the committed baseline exactly — the
+# simulator is deterministic, so any drift is a behavior change.
+# `make golden` refreshes the baseline after an intentional one.
 go build -o /tmp/metricsdiff-verify ./cmd/metricsdiff
 go build -o /tmp/experiments-verify ./cmd/experiments
 rm -rf /tmp/ccsim-metrics-check
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q -metrics /tmp/ccsim-metrics-check > /dev/null
+/tmp/experiments-verify -exp all -scale 0.02 -procs 16 -q -metrics /tmp/ccsim-metrics-check > /dev/null
 /tmp/metricsdiff-verify golden /tmp/ccsim-metrics-check
 
 # Gate self-check: the baseline must pass against itself, and a perturbed
@@ -98,7 +99,7 @@ rm -rf /tmp/ccsim-metrics-check
 /tmp/metricsdiff-verify golden golden > /dev/null
 rm -rf /tmp/ccsim-metrics-perturbed
 cp -r golden /tmp/ccsim-metrics-perturbed
-sed -i 's/"ExecTime": [0-9]*/"ExecTime": 1/' /tmp/ccsim-metrics-perturbed/mp3d_BASIC_p4_x0.05.json
+sed -i 's/"ExecTime": [0-9]*/"ExecTime": 1/' /tmp/ccsim-metrics-perturbed/mp3d_BASIC_p16_x0.02.json
 if /tmp/metricsdiff-verify golden /tmp/ccsim-metrics-perturbed > /dev/null 2>&1; then
     echo "metricsdiff self-check: perturbed baseline was not rejected" >&2
     exit 1
