@@ -65,27 +65,21 @@ func parseExt(s string) (ccsim.Ext, error) {
 }
 
 // writeSide writes one side-channel artifact to path ("-" = stderr),
-// logging and returning false on failure.
+// logging and returning false on failure. A file is closed whether or not
+// the write succeeded.
 func writeSide(logger *slog.Logger, what, path string, write func(io.Writer) error) bool {
-	w := io.Writer(os.Stderr)
-	var f *os.File
-	if path != "-" {
-		var err error
-		if f, err = os.Create(path); err != nil {
-			logger.Error(what+" export failed", "err", err)
-			return false
+	var err error
+	if path == "-" {
+		err = write(os.Stderr)
+	} else {
+		var f *os.File
+		if f, err = os.Create(path); err == nil {
+			err = errors.Join(write(f), f.Close())
 		}
-		w = f
 	}
-	if err := write(w); err != nil {
+	if err != nil {
 		logger.Error(what+" export failed", "err", err)
 		return false
-	}
-	if f != nil {
-		if err := f.Close(); err != nil {
-			logger.Error(what+" export failed", "err", err)
-			return false
-		}
 	}
 	return true
 }
@@ -112,9 +106,8 @@ func run() (code int) {
 	traceOut := flag.String("trace", "", "stream a protocol trace to this file (\"-\" = stderr)")
 	traceAddrs := flag.String("traceaddrs", "", "comma-separated byte addresses restricting the trace")
 	jsonOut := flag.Bool("json", false, "print the full result as JSON instead of the text report")
-	timeline := flag.String("timeline", "", "write a Perfetto/Chrome trace-event timeline to this file")
+	timeline := flag.String("timeline", "", "write a Perfetto/Chrome trace-event timeline to this file (\"-\" = stderr)")
 	sharingOut := flag.String("sharing", "", "attach the sharing-pattern analyzer and write its per-class report to this file (\"-\" = stderr); also lands in -json output")
-	selfprofile := flag.String("selfprofile", "", "attach the engine self-profiler and write benchjson-compatible JSON to this file (\"-\" = stderr)")
 	maxEvents := flag.Uint64("max-events", 0, "abort after this many simulation events (0 = unlimited)")
 	deadline := flag.Int64("deadline", 0, "abort past this simulated time in pclocks (0 = unlimited)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -136,7 +129,14 @@ func run() (code int) {
 		logger.Error("profiling setup failed", "err", err)
 		return 1
 	}
-	defer stopProf()
+	defer func() {
+		if err := stopProf(); err != nil {
+			logger.Error("profile write failed", "err", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	cfg := ccsim.DefaultConfig()
 	cfg.Workload = *workload
@@ -173,9 +173,6 @@ func run() (code int) {
 	}
 	if *sharingOut != "" {
 		cfg.Sharing = ccsim.NewSharingAnalytics()
-	}
-	if *selfprofile != "" {
-		cfg.SelfProfile = ccsim.NewSelfProfiler()
 	}
 
 	if *traceOut != "" {
@@ -318,37 +315,14 @@ func run() (code int) {
 			"dropped_spans", n, "kept_spans", len(cfg.Telemetry.Spans()))
 	}
 
-	if *timeline != "" {
-		f, ferr := os.Create(*timeline)
-		if ferr != nil {
-			logger.Error("timeline export failed", "err", ferr)
-			return 1
-		}
-		if werr := cfg.Telemetry.WriteTimeline(f); werr != nil {
-			logger.Error("timeline export failed", "err", werr)
-			return 1
-		}
-		if cerr := f.Close(); cerr != nil {
-			logger.Error("timeline export failed", "err", cerr)
-			return 1
-		}
+	// The timeline and the sharing report go to their own files (or
+	// stderr), never stdout: a run with them on stays byte-identical on
+	// stdout to one without.
+	if *timeline != "" && !writeSide(logger, "timeline", *timeline, cfg.Telemetry.WriteTimeline) {
+		return 1
 	}
-
-	// The sharing report and self-profile go to their own files (or
-	// stderr), never stdout: a run with analytics on stays byte-identical
-	// on stdout to one without.
-	if *sharingOut != "" {
-		if !writeSide(logger, "sharing report", *sharingOut, func(w io.Writer) error {
-			cfg.Sharing.Report().Fprint(w)
-			return nil
-		}) {
-			return 1
-		}
-	}
-	if *selfprofile != "" {
-		if !writeSide(logger, "self-profile", *selfprofile, cfg.SelfProfile.WriteJSON) {
-			return 1
-		}
+	if *sharingOut != "" && !writeSide(logger, "sharing report", *sharingOut, cfg.Sharing.Report().Fprint) {
+		return 1
 	}
 
 	if *jsonOut {

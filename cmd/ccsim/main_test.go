@@ -35,16 +35,27 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 	return code, string(body)
 }
 
+// tiny is the argument list of a small, fast simulation.
+var tiny = []string{"ccsim", "-workload", "mp3d", "-scale", "0.02", "-procs", "2"}
+
+// requireDevFull skips the test when there is no /dev/full to provoke a
+// write error with.
+func requireDevFull(t *testing.T) {
+	t.Helper()
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a write error")
+	}
+}
+
 // TestProfileFlagsRoundTrip runs a tiny simulation with both profiling
 // flags and checks the CLI leaves parseable pprof files behind — the
-// user-facing contract of -cpuprofile/-memprofile.
+// user-facing contract of -cpuprofile/-memprofile — and that a profile
+// that cannot be written fails the command instead of vanishing.
 func TestProfileFlagsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
-	code, out := runCLI(t, "ccsim",
-		"-workload", "mp3d", "-scale", "0.02", "-procs", "2",
-		"-cpuprofile", cpu, "-memprofile", mem)
+	code, out := runCLI(t, append(tiny, "-cpuprofile", cpu, "-memprofile", mem)...)
 	if code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
@@ -56,15 +67,21 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 			t.Errorf("profile invalid: %v", err)
 		}
 	}
+	requireDevFull(t)
+	for _, f := range []string{"-cpuprofile", "-memprofile"} {
+		if code, _ := runCLI(t, append(tiny, f, "/dev/full")...); code != 1 {
+			t.Errorf("%s /dev/full: exit code %d, want 1", f, code)
+		}
+	}
 }
 
-// TestTraceFile checks the buffered -trace file: it ends with the run's
-// last protocol event, and an unwritable destination fails the command
-// instead of silently losing the trace.
+// TestTraceFile checks the buffered -trace file, which ends with the run's
+// last protocol event, and that every side file (-trace, -sharing,
+// -timeline) fails the command when its destination cannot be written,
+// instead of silently losing the artifact.
 func TestTraceFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace")
-	args := []string{"ccsim", "-workload", "mp3d", "-scale", "0.02", "-procs", "2", "-trace", path}
-	if code, _ := runCLI(t, args...); code != 0 {
+	if code, _ := runCLI(t, append(tiny, "-trace", path)...); code != 0 {
 		t.Fatalf("exit code %d", code)
 	}
 	body, err := os.ReadFile(path)
@@ -75,11 +92,10 @@ func TestTraceFile(t *testing.T) {
 	if len(lines) < 100 || !strings.HasSuffix(string(body), "\n") || !strings.HasPrefix(lines[len(lines)-1], "T") {
 		t.Fatalf("trace has %d lines, last %q", len(lines), lines[len(lines)-1])
 	}
-	if _, err := os.Stat("/dev/full"); err != nil {
-		t.Skip("no /dev/full to provoke a write error")
-	}
-	args[len(args)-1] = "/dev/full"
-	if code, _ := runCLI(t, args...); code != 1 {
-		t.Fatalf("trace to /dev/full: exit code %d, want 1", code)
+	requireDevFull(t)
+	for _, f := range []string{"-trace", "-sharing", "-timeline"} {
+		if code, _ := runCLI(t, append(tiny, f, "/dev/full")...); code != 1 {
+			t.Errorf("%s /dev/full: exit code %d, want 1", f, code)
+		}
 	}
 }

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments -exp all            # everything (minutes at scale 1.0)
+//	experiments -exp all            # everything (about 14 s at scale 1.0 on 2 cores)
 //	experiments -exp fig2           # Figure 2: relative exec times under RC
 //	experiments -exp table2         # Table 2: cold/coherence miss rates
 //	experiments -exp fig3           # Figure 3: sequential consistency
@@ -25,7 +25,6 @@
 //	experiments -max-events 5000000000  # watchdog: bound every run's events
 //	experiments -inject-fault mp3d/P+CW  # crash one run, prove containment
 //	experiments -sharing ...        # sharing-pattern analytics per run, sweep aggregate at exit
-//	experiments -selfprofile sp.json  # engine self-profile aggregated across the sweep
 //	experiments -cache-dir cache/   # durable result store: crash, re-run, resume
 //	experiments -resume=false ...   # refresh the store, ignoring existing entries
 //	experiments -retries 2          # re-run transiently-faulted runs up to 2 extra times
@@ -92,7 +91,7 @@ func newLogger(jsonOut, quiet bool) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, opts))
 }
 
-func run() int {
+func run() (code int) {
 	which := flag.String("exp", "all", "experiment: all, table1, fig2, table2, fig3, table3, fig4, sens-buffers, sens-cache, dir, assoc, scaling, cost")
 	scale := flag.Float64("scale", 1.0, "workload problem-size multiplier")
 	procs := flag.Int("procs", 16, "processor count")
@@ -109,7 +108,6 @@ func run() int {
 	maxEvents := flag.Uint64("max-events", 0, "abort any single run after this many events (0 = unlimited)")
 	deadline := flag.Int64("deadline", 0, "abort any single run past this simulated time in pclocks (0 = unlimited)")
 	sharing := flag.Bool("sharing", false, "attach the sharing-pattern analyzer to every run; the sweep-wide aggregate prints to stderr at the end and serves live at /sharing (disables run dedup)")
-	selfprofile := flag.String("selfprofile", "", "attach one engine self-profiler across every run and write benchjson-compatible JSON to this file (disables run dedup)")
 	cacheDir := flag.String("cache-dir", "", "persist every completed run's result into this durable store; an interrupted sweep resumes by re-running with the same directory")
 	resume := flag.Bool("resume", true, "with -cache-dir, serve runs from existing store entries; -resume=false refreshes every entry")
 	retries := flag.Int("retries", 0, "re-run a transiently-faulted run (watchdog aborts, not panics) up to this many extra times")
@@ -122,12 +120,19 @@ func run() int {
 		return 2
 	}
 
-	stop, err := prof.Start(*cpuprofile, *memprofile)
+	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		logger.Error("profiling setup failed", "err", err)
 		return 1
 	}
-	defer stop()
+	defer func() {
+		if err := stopProf(); err != nil {
+			logger.Error("profile write failed", "err", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 
 	sched := exp.NewScheduler(*jobs, *metrics)
 	sched.SetLogger(logger)
@@ -180,31 +185,13 @@ func run() int {
 		InjectFault: *injectFault, MaxEvents: *maxEvents, Deadline: *deadline,
 		Check: *liveCheck, Sharing: *sharing,
 	}
-	if *selfprofile != "" {
-		o.SelfProfile = ccsim.NewSelfProfiler()
-	}
-	// finish emits the end-of-sweep observability artifacts on every exit
-	// path: the sharing aggregate to stderr, the self-profile to its file.
+	// finish emits the end-of-sweep artifacts on every exit path: the
+	// sharing aggregate to stderr and the interruption summary.
 	finish := func(code int) int {
 		if *sharing {
 			if rep := sched.SharingReport(); rep != nil {
 				fmt.Fprintln(os.Stderr, "sweep-wide sharing-pattern aggregate:")
 				rep.Fprint(os.Stderr)
-			}
-		}
-		if *selfprofile != "" {
-			f, err := os.Create(*selfprofile)
-			if err == nil {
-				err = o.SelfProfile.WriteJSON(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				logger.Error("self-profile export failed", "err", err)
-				if code == 0 {
-					code = 1
-				}
 			}
 		}
 		if sched.Interrupted() {
@@ -331,7 +318,6 @@ func run() int {
 
 	order := []string{"table1", "fig2", "table2", "fig3", "table3", "fig4", "sens-buffers", "sens-cache", "dir", "assoc", "scaling", "cost"}
 	if *which == "all" {
-		code := 0
 		for _, name := range order {
 			// A failed experiment doesn't stop the sweep: faulted runs render
 			// as FAULT cells and the rest of the tables still print.
@@ -355,7 +341,6 @@ func run() int {
 			"have", strings.Join(append(order, "all"), " "))
 		return 2
 	}
-	code := 0
 	if runExp(*which, fn) != nil {
 		code = 1
 	}

@@ -36,7 +36,9 @@ func runCLI(t *testing.T, args ...string) (int, string) {
 }
 
 // TestProfileFlagsRoundTrip runs the cheapest experiment with both
-// profiling flags and checks the CLI leaves parseable pprof files behind.
+// profiling flags and checks the CLI leaves parseable pprof files behind,
+// and that a profile that cannot be written fails the command instead of
+// vanishing.
 func TestProfileFlagsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pprof")
@@ -53,6 +55,14 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 	for _, p := range []string{cpu, mem} {
 		if err := prof.ValidateProfile(p); err != nil {
 			t.Errorf("profile invalid: %v", err)
+		}
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a write error")
+	}
+	for _, f := range []string{"-cpuprofile", "-memprofile"} {
+		if code, _ := runCLI(t, "experiments", "-exp", "table1", "-q", f, "/dev/full"); code != 1 {
+			t.Errorf("%s /dev/full: exit code %d, want 1", f, code)
 		}
 	}
 }

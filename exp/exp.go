@@ -111,11 +111,6 @@ type Options struct {
 	// scheduler's aggregate (Scheduler.SharingReport, the ops plane's
 	// /sharing endpoint). Analyzed runs bypass the dedup cache.
 	Sharing bool
-
-	// SelfProfile, when non-nil, attaches this engine self-profiler to
-	// every run, aggregating sampled wall-clock attribution across the
-	// whole sweep. Profiled runs bypass the dedup cache.
-	SelfProfile *ccsim.SelfProfiler
 }
 
 // DefaultOptions returns the paper's configuration.
@@ -135,7 +130,6 @@ func (o Options) config(wl string) ccsim.Config {
 	if o.Sharing {
 		cfg.Sharing = ccsim.NewSharingAnalytics()
 	}
-	cfg.SelfProfile = o.SelfProfile
 	return cfg
 }
 

@@ -203,11 +203,12 @@ func TestRunID(t *testing.T) {
 	if !regexp.MustCompile(`^mp3d/[A-Z+]+(-SC)?/[0-9a-f]{8}$`).MatchString(id) {
 		t.Fatalf("RunID = %q, want workload/PROTOCOL/8-hex", id)
 	}
-	withProbe := cfg
-	withProbe.Progress = &ccsim.Progress{}
-	withProbe.Check = ccsim.NewChecker()
-	if got := RunID(withProbe); got != id {
-		t.Errorf("RunID changed with side channels attached: %q vs %q", got, id)
+	for _, sc := range sideChannels {
+		with := cfg
+		sc.attach(&with)
+		if got := RunID(with); got != id {
+			t.Errorf("RunID changed with %s attached: %q vs %q", sc.name, got, id)
+		}
 	}
 	other := cfg
 	other.Procs = 8

@@ -19,13 +19,7 @@ import (
 // name the same id.
 func RunID(cfg ccsim.Config) string {
 	bare := cfg
-	bare.TraceWriter = nil
-	bare.Telemetry = nil
-	bare.Progress = nil
-	bare.Check = nil
-	bare.Sharing = nil
-	bare.SelfProfile = nil
-	bare.Cancel = nil
+	detachSideChannels(&bare)
 	key, _ := Fingerprint(bare)
 	sum := sha256.Sum256([]byte(key))
 	return cfg.Workload + "/" + cfg.ProtocolName() + "/" + hex.EncodeToString(sum[:4])

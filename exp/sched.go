@@ -719,20 +719,42 @@ func (p *Pending) Cell() *ccsim.Result {
 	return r
 }
 
+// detachSideChannels clears every side channel from cfg and reports whether
+// it carried any. A side channel is an attachment whose effects reach
+// beyond the Result: Fingerprint refuses to cache a run that carries one,
+// and RunID leaves them out of a run's identity. This is the one list of
+// them, so the two can never disagree. It does not allocate: every Submit
+// goes through it.
+func detachSideChannels(cfg *ccsim.Config) bool {
+	var had bool
+	detach(&had, &cfg.TraceWriter)
+	detach(&had, &cfg.Telemetry)
+	detach(&had, &cfg.Progress)
+	detach(&had, &cfg.Check)
+	detach(&had, &cfg.Sharing)
+	detach(&had, &cfg.Cancel)
+	return had
+}
+
+// detach zeroes *field, recording in *had whether it was set.
+func detach[T comparable](had *bool, field *T) {
+	var zero T
+	if *field != zero {
+		*had = true
+		*field = zero
+	}
+}
+
 // Fingerprint canonicalizes cfg into the scheduler's cache key. The second
-// return is false when the configuration cannot be cached (it carries a
-// trace, telemetry, progress, cancel, live-checker, sharing-analytics or
-// self-profiler side channel, so running it has observable effects beyond
-// the Result).
+// return is false when the configuration cannot be cached because it
+// carries a side channel (see detachSideChannels).
 //
 // The key is prefixed with ResultSchemaVersion(), so durable-store entries
 // written by a build with a different Result JSON shape land in different
 // slots and read as misses — stale on-disk results from older builds can
 // never deserialize into the wrong struct.
 func Fingerprint(cfg ccsim.Config) (string, bool) {
-	if cfg.TraceWriter != nil || cfg.Telemetry != nil || cfg.Progress != nil ||
-		cfg.Check != nil || cfg.Sharing != nil || cfg.SelfProfile != nil ||
-		cfg.Cancel != nil {
+	if detachSideChannels(&cfg) {
 		return "", false
 	}
 	scale := cfg.Scale

@@ -125,21 +125,25 @@ func TestSchedulerSharedAcrossExperiments(t *testing.T) {
 // TestSchedulerUncacheable checks that configurations with side channels
 // run once per submission instead of hitting the cache.
 func TestSchedulerUncacheable(t *testing.T) {
+	all := tiny().config("mp3d")
+	for _, sc := range sideChannels {
+		cfg := tiny().config("mp3d")
+		sc.attach(&cfg)
+		if _, ok := Fingerprint(cfg); ok {
+			t.Errorf("config with %s fingerprinted as cacheable", sc.name)
+		}
+		sc.attach(&all)
+	}
+	// Every Submit fingerprints its configuration: the side-channel list
+	// must cost no allocation.
+	if n := testing.AllocsPerRun(100, func() {
+		bare := all
+		detachSideChannels(&bare)
+	}); n != 0 {
+		t.Errorf("detachSideChannels allocates %v times per call, want 0", n)
+	}
 	cfg := tiny().config("mp3d")
 	cfg.TraceWriter = discard{}
-	if _, ok := Fingerprint(cfg); ok {
-		t.Fatal("config with TraceWriter fingerprinted as cacheable")
-	}
-	probed := tiny().config("mp3d")
-	probed.Progress = &ccsim.Progress{}
-	if _, ok := Fingerprint(probed); ok {
-		t.Fatal("config with Progress probe fingerprinted as cacheable")
-	}
-	checked := tiny().config("mp3d")
-	checked.Check = ccsim.NewChecker()
-	if _, ok := Fingerprint(checked); ok {
-		t.Fatal("config with live checker fingerprinted as cacheable")
-	}
 	s := NewScheduler(2, "")
 	if s.Submit(cfg) == s.Submit(cfg) {
 		t.Fatal("uncacheable submissions shared a run")
@@ -152,6 +156,20 @@ func TestSchedulerUncacheable(t *testing.T) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// sideChannels attaches each of ccsim.Config's side channels: the
+// attachments whose effects reach beyond the Result.
+var sideChannels = []struct {
+	name   string
+	attach func(*ccsim.Config)
+}{
+	{"TraceWriter", func(c *ccsim.Config) { c.TraceWriter = discard{} }},
+	{"Telemetry", func(c *ccsim.Config) { c.Telemetry = ccsim.NewTelemetry() }},
+	{"Progress", func(c *ccsim.Config) { c.Progress = &ccsim.Progress{} }},
+	{"Check", func(c *ccsim.Config) { c.Check = ccsim.NewChecker() }},
+	{"Sharing", func(c *ccsim.Config) { c.Sharing = ccsim.NewSharingAnalytics() }},
+	{"Cancel", func(c *ccsim.Config) { c.Cancel = &ccsim.Cancel{} }},
+}
 
 // TestFingerprintCoversConfig guards the fingerprint against new Config
 // fields silently aliasing distinct runs: every field that changes a

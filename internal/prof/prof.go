@@ -4,6 +4,7 @@ package prof
 
 import (
 	"compress/gzip"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -11,46 +12,64 @@ import (
 	"runtime/pprof"
 )
 
+// errWriter passes writes through to f and keeps the first error:
+// runtime/pprof discards its writer's errors, so a profile lost to a full
+// disk would otherwise go unnoticed.
+type errWriter struct {
+	f   *os.File
+	err error
+}
+
+func (w *errWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	if w.err == nil {
+		w.err = err
+	}
+	return n, err
+}
+
 // Start begins CPU profiling into cpuPath (no-op when empty) and returns a
 // stop function that ends the CPU profile and writes a heap profile to
-// memPath (no-op when empty). Callers must run stop on every exit path —
-// typically via defer from a run function that returns an exit code rather
-// than calling os.Exit directly.
-func Start(cpuPath, memPath string) (stop func(), err error) {
-	var cpuFile *os.File
+// memPath (no-op when empty). stop returns every error met creating,
+// writing or closing either file. Callers must run stop on every exit
+// path — typically via defer from a run function that returns an exit code
+// rather than calling os.Exit directly.
+func Start(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *errWriter
 	if cpuPath != "" {
 		f, err := os.Create(cpuPath)
 		if err != nil {
 			return nil, err
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		cpu = &errWriter{f: f}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
 			f.Close()
 			return nil, err
 		}
-		cpuFile = f
 	}
-	return func() {
-		if cpuFile != nil {
+	return func() error {
+		var err error
+		if cpu != nil {
 			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
+			err = errors.Join(cpu.err, cpu.f.Close())
 		}
 		if memPath != "" {
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			runtime.GC() // publish up-to-date allocation stats
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
+			err = errors.Join(err, writeHeap(memPath))
 		}
+		return err
 	}, nil
+}
+
+// writeHeap writes a heap profile to path.
+func writeHeap(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // publish up-to-date allocation stats
+	w := &errWriter{f: f}
+	err = pprof.WriteHeapProfile(w)
+	return errors.Join(err, w.err, f.Close())
 }
 
 // ValidateProfile checks that path holds a well-formed runtime/pprof

@@ -11,7 +11,9 @@ func TestStartNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop() // must be safe with both profiles disabled
+	if err := stop(); err != nil { // must be safe with both profiles disabled
+		t.Fatal(err)
+	}
 }
 
 func TestStartWritesProfiles(t *testing.T) {
@@ -28,7 +30,9 @@ func TestStartWritesProfiles(t *testing.T) {
 		n += i
 	}
 	_ = n
-	stop()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []string{cpu, mem} {
 		fi, err := os.Stat(p)
 		if err != nil {

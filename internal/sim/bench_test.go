@@ -6,8 +6,9 @@ import "testing"
 // function + pooled argument (AtCall/AfterCall/UseCall) — are benchmarked
 // side by side. The closure form allocates once per event; the call form
 // amortizes to zero, which is what the simulator's hot paths (message hops,
-// SLC accesses, processor steps) rely on. BENCH_PR2.json records both so
-// regressions show up as allocs/op.
+// SLC accesses, processor steps) rely on, so a regression shows up as
+// allocs/op. These are single-process micro-benchmarks; a speed claim for
+// the simulator as a whole comes from bench/abtest.sh's interleaved runs.
 
 // BenchmarkEngineClosureEvents schedules and drains events carrying a
 // capturing closure, the allocation-heavy form.

@@ -100,12 +100,6 @@ type Engine struct {
 	// position updates through (see SetProgress).
 	progress *Progress
 
-	// prof, when non-nil, is the engine self-profiler; dispatch samples one
-	// event in selfProfStride through it (see SetSelfProfiler). profLast is
-	// the wall-clock nanosecond of the previous sample.
-	prof     *SelfProfiler
-	profLast int64
-
 	// qstats holds the always-on queue introspection counters (see
 	// QueueStats); wheelLive tracks the current wheel-resident event count
 	// so schedule/migrate can maintain the occupancy high-water mark.
@@ -308,9 +302,6 @@ func (e *Engine) runCohort(budget uint64) uint64 {
 		e.pending--
 		e.nsteps++
 		ran++
-		if e.prof != nil && e.nsteps&(selfProfStride-1) == 0 {
-			e.profSample(&ev)
-		}
 		if ev.call != nil {
 			ev.call(ev.arg)
 		} else {

@@ -146,12 +146,12 @@ func TestQueueStatsZeroAllocs(t *testing.T) {
 
 // TestBenchGuardEngineCallEvents is the in-suite regression guard for the
 // hot dispatch path: BenchmarkEngineCallEvents must stay allocation-free
-// and within noise of the BENCH_PR7 archive's 23.7 ns/op now that the
-// queue-stats counters ride it. The ceiling is deliberately loose (shared
-// CI machines) — it catches an accidental O(1)→O(log n) or allocation
-// regression, not a nanosecond drift; the archived benchjson compares
-// track those. Skipped under -short and under the race detector, whose
-// per-access instrumentation swamps the budget.
+// and near the 23.7 ns/op the calendar queue measured when it landed, now
+// that the queue-stats counters ride it. The ceiling is deliberately loose
+// (shared CI machines) — it catches an accidental O(1)→O(log n) or
+// allocation regression, not a nanosecond drift; bench/abtest.sh's
+// interleaved A/B runs judge those. Skipped under -short and under the
+// race detector, whose per-access instrumentation swamps the budget.
 func TestBenchGuardEngineCallEvents(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark guard skipped in -short mode")
@@ -165,6 +165,6 @@ func TestBenchGuardEngineCallEvents(t *testing.T) {
 	}
 	const ceilingNs = 120
 	if ns := res.NsPerOp(); ns > ceilingNs {
-		t.Fatalf("engine call-event dispatch = %d ns/op, want <= %d (BENCH_PR7 baseline 23.7)", ns, ceilingNs)
+		t.Fatalf("engine call-event dispatch = %d ns/op, want <= %d (23.7 when the calendar queue landed)", ns, ceilingNs)
 	}
 }

@@ -471,10 +471,11 @@ func (s *Sharing) Report() *SharingReport {
 
 // Fprint renders the report as an aligned text table (nil receiver prints
 // nothing), sorted by block count within the fixed class order already in
-// Classes — callers route this to stderr or a file, never stdout.
-func (r *SharingReport) Fprint(w io.Writer) {
+// Classes — callers route this to stderr or a file, never stdout. It
+// returns the error, if any, from writing the table to w.
+func (r *SharingReport) Fprint(w io.Writer) error {
 	if r == nil {
-		return
+		return nil
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "sharing patterns (%d blocks)\n", r.Blocks)
@@ -488,5 +489,5 @@ func (r *SharingReport) Fprint(w io.Writer) {
 			c.Updates, c.CtlBytes, c.DataBytes, c.UpdateBytes,
 			c.MissLatencyP50, c.MissLatencyP95, c.MissLatencyMax)
 	}
-	tw.Flush()
+	return tw.Flush()
 }

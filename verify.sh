@@ -48,26 +48,27 @@ fi
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 > /tmp/ccsim-unchecked.txt
 cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 
-# Analytics smoke: sharing-pattern analytics and the engine self-profiler
-# are pure side channels too — a run with both attached (and the checker,
-# the heaviest combination) must pass and leave stdout byte-identical to a
-# plain run, with the reports landing in their side files. The disabled
-# path must stay free: the no-allocs tests pin the nil-hook cost to zero,
-# the processor's operations to zero allocations, and a whole run under
-# its allocation ceiling. The address-shift test pins the sparse per-block
-# tables: a run with every address moved above 2^40 or 2^58 bytes must
-# match the unshifted run exactly.
+# Side-channel smoke: sharing-pattern analytics and the protocol trace are
+# pure side channels too — a run with both attached (and the checker, the
+# heaviest combination) must pass and leave stdout byte-identical to a
+# plain run, with the report and the trace landing in their side files.
+# (-timeline is left out: the telemetry sampler's tick events move the
+# "event queue" line's counts.) The disabled path must stay free: the
+# no-allocs tests pin the nil-hook cost to zero, the processor's
+# operations to zero allocations, and a whole run under its allocation
+# ceiling. The address-shift test pins the sparse per-block tables: a run
+# with every address moved above 2^40 or 2^58 bytes must match the
+# unshifted run exactly.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
-    -sharing /tmp/ccsim-sharing.txt -selfprofile /tmp/ccsim-selfprof.json \
+    -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
-test -s /tmp/ccsim-selfprof.json
+test -s /tmp/ccsim-trace.txt
 go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestAddressShiftInvariance' ccsim
-go test -count=1 -run 'TestSelfProfilerDisabledAddsNoAllocs' ccsim/internal/sim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
-    /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-selfprof.json
+    /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
 
 # Bounded checked-random-walk litmus pass: seeded micro-programs across the
 # protocol grid under the live checker (the corpus itself runs in
