@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	experiments -exp all            # everything (about 14 s at scale 1.0 on 2 cores)
+//	experiments -exp all            # everything (14-22 s at scale 1.0 on 2 cores)
 //	experiments -exp fig2           # Figure 2: relative exec times under RC
 //	experiments -exp table2         # Table 2: cold/coherence miss rates
 //	experiments -exp fig3           # Figure 3: sequential consistency
