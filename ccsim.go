@@ -268,7 +268,6 @@ func (c Config) machineConfig() machine.Config {
 			f.Blocks = append(f.Blocks, a/32)
 		}
 		mc.Tracer = trace.New(c.TraceWriter, f)
-		mc.Tracer.SetLimit(1) // stream-only: keep the buffer trivial
 	}
 	return mc
 }

@@ -173,6 +173,27 @@ func TestMeshConfig(t *testing.T) {
 	}
 }
 
+// TestMeshRejectsBadLinkWidth: a mesh link width that is not a positive
+// multiple of 8 bits is a configuration error Run returns, not a panic out
+// of the library.
+func TestMeshRejectsBadLinkWidth(t *testing.T) {
+	for _, bits := range []int{0, 12, -16} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("LinkBits %d: Run panicked: %v", bits, p)
+				}
+			}()
+			cfg := tinyCfg("ocean")
+			cfg.Net = ccsim.Mesh
+			cfg.LinkBits = bits
+			if _, err := ccsim.Run(cfg); err == nil || !strings.Contains(err.Error(), "link width") {
+				t.Errorf("LinkBits %d: err = %v, want a link-width error", bits, err)
+			}
+		}()
+	}
+}
+
 func TestNarrowLinksSlowDown(t *testing.T) {
 	exec := func(bits int) int64 {
 		cfg := tinyCfg("mp3d")

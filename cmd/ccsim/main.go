@@ -123,6 +123,10 @@ func run() (code int) {
 		handler = slog.NewJSONHandler(os.Stderr, hopts)
 	}
 	logger := slog.New(handler)
+	if *traceAddrs != "" && *traceOut == "" {
+		logger.Error("-traceaddrs requires -trace: it restricts the protocol trace to the given addresses")
+		return 2
+	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {

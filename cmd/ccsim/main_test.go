@@ -99,3 +99,15 @@ func TestTraceFile(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceAddrsRequiresTrace: a trace filter with no trace to filter is a
+// usage error, caught before any simulation starts.
+func TestTraceAddrsRequiresTrace(t *testing.T) {
+	code, out := runCLI(t, append(tiny, "-traceaddrs", "0")...)
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2 (usage error)", code)
+	}
+	if out != "" {
+		t.Fatalf("simulation ran despite the usage error:\n%s", out)
+	}
+}

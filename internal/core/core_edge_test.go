@@ -15,6 +15,7 @@ func TestParamsValidate(t *testing.T) {
 		errHas string
 	}{
 		{func(p *Params) { p.Nodes = 0 }, "Nodes"},
+		{func(p *Params) { p.Nodes = 65 }, "64-bit presence vector"},
 		{func(p *Params) { p.FLCSets = 0 }, "FLCSets"},
 		{func(p *Params) { p.SLCSets = -1 }, "SLCSets"},
 		{func(p *Params) { p.FLWBEntries = 0 }, "write buffers"},

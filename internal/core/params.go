@@ -126,6 +126,8 @@ func (p *Params) Validate() error {
 	switch {
 	case p.Nodes < 1:
 		return fmt.Errorf("core: Nodes = %d, need >= 1", p.Nodes)
+	case p.Nodes > 64:
+		return fmt.Errorf("core: Nodes = %d, need <= 64 (one bit per node in the directory's 64-bit presence vector)", p.Nodes)
 	case p.FLCSets < 1:
 		return fmt.Errorf("core: FLCSets = %d, need >= 1", p.FLCSets)
 	case p.SLCSets < 0:

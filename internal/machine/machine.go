@@ -143,6 +143,9 @@ func New(cfg Config, streams []proc.Stream) (*Machine, error) {
 	case NetUniform:
 		net = network.NewUniform(eng, cfg.Core.Timing.NetLatency)
 	case NetMesh:
+		if cfg.LinkBits <= 0 || cfg.LinkBits%8 != 0 {
+			return nil, fmt.Errorf("machine: mesh link width %d bits, need a positive multiple of 8", cfg.LinkBits)
+		}
 		side := meshSide(cfg.Core.Nodes)
 		net = network.NewMesh(eng, side, side, cfg.LinkBits)
 	default:
@@ -226,6 +229,10 @@ func (m *Machine) onStatsOn() {
 	}
 }
 
+// injectPanic is the event Config.InjectPanic schedules: a deliberate
+// panic inside the simulation, for exercising the fault path.
+func injectPanic(any) { panic("machine: deliberate fault injection") }
+
 // Run executes the simulation to completion (all streams exhausted and all
 // protocol activity drained) under the watchdog, verifies the coherence
 // invariants, and returns the collected results. A watchdog abort —
@@ -242,7 +249,7 @@ func (m *Machine) Run() (*Result, error) {
 		m.Cfg.Tele.StartSampler(m.Eng)
 	}
 	if m.Cfg.InjectPanic {
-		m.Eng.After(1000, func() { panic("machine: deliberate fault injection") })
+		m.Eng.AfterCall(1000, injectPanic, nil)
 	}
 	np := m.Cfg.NoProgressEvents
 	if np == 0 {

@@ -57,15 +57,15 @@ func driveProbe(t *testing.T, p *ccsim.Progress) {
 	e := sim.NewEngine()
 	e.SetProgress(p)
 	n := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		n++
 		e.Progress()
 		if n < 20000 {
-			e.After(3, tick)
+			e.AfterCall(3, tick, nil)
 		}
 	}
-	e.After(1, tick)
+	e.AfterCall(1, tick, nil)
 	if f := e.RunWatched(&sim.Watchdog{}); f != nil {
 		t.Fatalf("probe drive faulted: %v", f)
 	}

@@ -94,12 +94,12 @@ type Processor struct {
 	// a no-op sink).
 	Tele *telemetry.Collector
 
-	// stepFn and the continuations below are method values bound once at
-	// construction: every operation schedules one, and binding per call
-	// would allocate a closure per simulated reference. A blocked processor
-	// has at most one continuation pending, so blockStart, the blocked
-	// operation's issue time, is the only state they need.
-	stepFn         func()
+	// The continuations below are method values bound once at
+	// construction: the memory system invokes one when a blocked operation
+	// completes, and binding per call would allocate a closure per
+	// simulated reference. A blocked processor has at most one continuation
+	// pending, so blockStart, the blocked operation's issue time, is the
+	// only state they need.
 	readDoneFn     func()
 	writeAcceptFn  func()
 	writePerformFn func()
@@ -133,7 +133,6 @@ func New(eng *sim.Engine, mem Memory, stream Stream, cfg Config) *Processor {
 		flcAccess: cfg.FLCAccess,
 		flcFill:   cfg.FLCFill,
 	}
-	p.stepFn = p.step
 	p.readDoneFn = p.readDone
 	p.writeAcceptFn = p.writeAccepted
 	p.writePerformFn = p.writePerformed
@@ -144,7 +143,11 @@ func New(eng *sim.Engine, mem Memory, stream Stream, cfg Config) *Processor {
 }
 
 // Start schedules the processor's first operation at the current time.
-func (p *Processor) Start() { p.eng.After(0, p.stepFn) }
+func (p *Processor) Start() { p.eng.AfterCall(0, procStep, p) }
+
+// procStep is the engine event that issues a processor's next operation;
+// its argument is the *Processor, so scheduling it allocates nothing.
+func procStep(a any) { a.(*Processor).step() }
 
 // Done reports whether the stream is exhausted.
 func (p *Processor) Done() bool { return p.done }
@@ -184,7 +187,7 @@ func (p *Processor) step() {
 	switch op.Kind {
 	case OpBusy:
 		p.busy(sim.Time(op.Cycles))
-		p.eng.After(sim.Time(op.Cycles), p.stepFn)
+		p.eng.AfterCall(sim.Time(op.Cycles), procStep, p)
 
 	case OpRead:
 		if p.statsOn {
@@ -193,7 +196,7 @@ func (p *Processor) step() {
 		p.blockStart = p.eng.Now()
 		if p.mem.Read(op.Addr, p.readDoneFn) {
 			p.busy(p.flcAccess)
-			p.eng.After(p.flcAccess, p.stepFn)
+			p.eng.AfterCall(p.flcAccess, procStep, p)
 		}
 
 	case OpWrite:
@@ -208,7 +211,7 @@ func (p *Processor) step() {
 		}
 		if p.mem.Write(op.Addr, p.writeAcceptFn, nil) {
 			p.busy(p.flcAccess)
-			p.eng.After(p.flcAccess, p.stepFn)
+			p.eng.AfterCall(p.flcAccess, procStep, p)
 		}
 
 	case OpAcquire:
@@ -225,7 +228,7 @@ func (p *Processor) step() {
 		p.blockStart = p.eng.Now()
 		if p.mem.Release(op.Addr, p.releaseDoneFn) {
 			p.busy(p.flcAccess)
-			p.eng.After(p.flcAccess, p.stepFn)
+			p.eng.AfterCall(p.flcAccess, procStep, p)
 		}
 
 	case OpBarrier:
@@ -239,7 +242,7 @@ func (p *Processor) step() {
 		if p.StatsOnHook != nil {
 			p.StatsOnHook()
 		}
-		p.eng.After(0, p.stepFn)
+		p.eng.AfterCall(0, procStep, p)
 	}
 }
 
@@ -253,7 +256,7 @@ func (p *Processor) readDone() {
 		p.Stats.ReadStall += int64(elapsed - p.flcAccess)
 	}
 	p.stall("read", p.blockStart)
-	p.eng.After(p.flcFill, p.stepFn)
+	p.eng.AfterCall(p.flcFill, procStep, p)
 }
 
 // writeAccepted runs when a full FLWB finally takes a write (release
@@ -264,7 +267,7 @@ func (p *Processor) writeAccepted() {
 	}
 	p.stall("write", p.blockStart)
 	p.busy(p.flcAccess)
-	p.eng.After(p.flcAccess, p.stepFn)
+	p.eng.AfterCall(p.flcAccess, procStep, p)
 }
 
 // writePerformed runs when a write is globally performed (sequential
@@ -276,7 +279,7 @@ func (p *Processor) writePerformed() {
 		p.Stats.WriteStall += int64(elapsed)
 	}
 	p.stall("write", p.blockStart)
-	p.eng.After(p.flcAccess, p.stepFn)
+	p.eng.AfterCall(p.flcAccess, procStep, p)
 }
 
 func (p *Processor) acquireDone() { p.syncDone(&p.Stats.AcquireStall, "acquire") }
@@ -290,5 +293,5 @@ func (p *Processor) syncDone(stall *int64, kind string) {
 		*stall += int64(p.eng.Now() - p.blockStart)
 	}
 	p.stall(kind, p.blockStart)
-	p.eng.After(0, p.stepFn)
+	p.eng.AfterCall(0, procStep, p)
 }

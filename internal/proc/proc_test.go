@@ -23,38 +23,45 @@ type fakeMem struct {
 	barDelay sim.Time
 }
 
+// resume is the event that runs a processor continuation the fake memory
+// holds; passing the continuation as the argument keeps scheduling it
+// allocation-free.
+func resume(a any) { a.(func())() }
+
 func (f *fakeMem) Read(a memsys.Addr, unblock func()) bool {
 	if f.readHit {
 		return true
 	}
-	f.eng.After(f.readDelay, unblock)
+	f.eng.AfterCall(f.readDelay, resume, unblock)
 	return false
 }
 
 func (f *fakeMem) Write(a memsys.Addr, accepted, performed func()) bool {
 	if performed != nil {
-		f.eng.After(f.writeDelay, performed)
+		f.eng.AfterCall(f.writeDelay, resume, performed)
 	}
 	if f.writeAccept {
 		return true
 	}
 	if accepted != nil {
-		f.eng.After(f.writeDelay, accepted)
+		f.eng.AfterCall(f.writeDelay, resume, accepted)
 	}
 	return false
 }
 
-func (f *fakeMem) Acquire(a memsys.Addr, unblock func()) { f.eng.After(f.acqDelay, unblock) }
+func (f *fakeMem) Acquire(a memsys.Addr, unblock func()) {
+	f.eng.AfterCall(f.acqDelay, resume, unblock)
+}
 
 func (f *fakeMem) Release(a memsys.Addr, unblock func()) bool {
 	if f.relNow {
 		return true
 	}
-	f.eng.After(f.relDelay, unblock)
+	f.eng.AfterCall(f.relDelay, resume, unblock)
 	return false
 }
 
-func (f *fakeMem) Barrier(id int, unblock func()) { f.eng.After(f.barDelay, unblock) }
+func (f *fakeMem) Barrier(id int, unblock func()) { f.eng.AfterCall(f.barDelay, resume, unblock) }
 
 func runProc(t *testing.T, sc bool, mem *fakeMem, ops ...Op) *Processor {
 	t.Helper()

@@ -2,32 +2,12 @@ package sim
 
 import "testing"
 
-// The engine's two event forms — closure (At/After/Use) and static
-// function + pooled argument (AtCall/AfterCall/UseCall) — are benchmarked
-// side by side. The closure form allocates once per event; the call form
-// amortizes to zero, which is what the simulator's hot paths (message hops,
-// SLC accesses, processor steps) rely on, so a regression shows up as
+// Micro-benchmarks of the engine's event form — a static function plus a
+// pooled argument (AtCall/AfterCall/UseCall) — which amortizes to zero
+// allocations per event; the simulator's hot paths (message hops, SLC
+// accesses, processor steps) rely on that, so a regression shows up as
 // allocs/op. These are single-process micro-benchmarks; a speed claim for
 // the simulator as a whole comes from bench/abtest.sh's interleaved runs.
-
-// BenchmarkEngineClosureEvents schedules and drains events carrying a
-// capturing closure, the allocation-heavy form.
-func BenchmarkEngineClosureEvents(b *testing.B) {
-	eng := NewEngine()
-	n := 0
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d := Time(i % 7)
-		eng.After(d, func() { n += int(d) })
-		if eng.Pending() >= 1024 {
-			eng.Run()
-		}
-	}
-	eng.Run()
-	if n < 0 {
-		b.Fatal("unreachable")
-	}
-}
 
 type benchArg struct{ n int }
 
@@ -113,27 +93,8 @@ func TestEngineDispatchShapesNoAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkResourceUseClosure drives a contended resource with a closure
-// completion per reservation.
-func BenchmarkResourceUseClosure(b *testing.B) {
-	eng := NewEngine()
-	r := NewResource(eng, "bench")
-	n := 0
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Use(3, func() { n++ })
-		if eng.Pending() >= 1024 {
-			eng.Run()
-		}
-	}
-	eng.Run()
-	if n != b.N {
-		b.Fatalf("ran %d of %d completions", n, b.N)
-	}
-}
-
-// BenchmarkResourceUseCall drives the same pattern through UseCall with a
-// reused argument.
+// BenchmarkResourceUseCall drives a contended resource through UseCall with
+// a reused argument.
 func BenchmarkResourceUseCall(b *testing.B) {
 	eng := NewEngine()
 	r := NewResource(eng, "bench")

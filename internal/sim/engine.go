@@ -13,16 +13,15 @@ import (
 // Time is a point in simulated time, in pclocks.
 type Time int64
 
-// Event is a callback scheduled to run at a given simulated time. Two
-// representations coexist: a plain closure (fn), and a static function plus
-// argument (call, arg). The second is the allocation-free form the hot
-// paths use — a package-level func(any) is a constant, and boxing a pointer
-// argument in an interface allocates nothing, so components can pool their
-// argument structs and schedule events without any per-event garbage.
+// event is a callback scheduled to run at a given simulated time: a static
+// function and its argument, run as call(arg). It is the engine's only event
+// form, and it is allocation-free — a package-level func(any) is a constant,
+// and boxing a pointer argument in an interface allocates nothing, so
+// components can pool their argument structs and schedule events without
+// any per-event garbage.
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
 	call func(any)
 	arg  any
 }
@@ -142,22 +141,10 @@ func (e *Engine) PeekTime() (t Time, ok bool) {
 // it. Calling it costs one store.
 func (e *Engine) Progress() { e.progressAt = e.nsteps }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
+// AtCall schedules call(arg) to run at absolute time t. Callers pass a
+// static function and keep arg on a free list (or pass a long-lived
+// pointer), so scheduling allocates nothing. Scheduling in the past panics:
 // it always indicates a bug in a component's timing arithmetic.
-func (e *Engine) At(t Time, fn func()) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d, before now %d", t, e.now))
-	}
-	e.seq++
-	e.schedule(event{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run d pclocks from now. d must be >= 0.
-func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// AtCall schedules call(arg) to run at absolute time t. Unlike At it takes
-// a static function and an explicit argument, so callers that keep arg on a
-// free list schedule events without allocating a closure.
 func (e *Engine) AtCall(t Time, call func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d, before now %d", t, e.now))
@@ -302,11 +289,7 @@ func (e *Engine) runCohort(budget uint64) uint64 {
 		e.pending--
 		e.nsteps++
 		ran++
-		if ev.call != nil {
-			ev.call(ev.arg)
-		} else {
-			ev.fn()
-		}
+		ev.call(ev.arg)
 	}
 	if ran > 0 {
 		e.wheelLive -= int(ran)
@@ -357,13 +340,6 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
-// RunWhile executes events until the queue drains or cond returns false.
-// cond is checked before each event.
-func (e *Engine) RunWhile(cond func() bool) {
-	for cond() && e.runCohort(1) > 0 {
-	}
-}
-
 // overflowPush and overflowPop maintain the (at, seq) min-heap of events
 // beyond the wheel window.
 func overflowLess(a, b event) bool {
@@ -390,7 +366,7 @@ func (e *Engine) overflowPop() event {
 	top := e.overflow[0]
 	last := len(e.overflow) - 1
 	e.overflow[0] = e.overflow[last]
-	e.overflow[last] = event{} // drop fn/arg references
+	e.overflow[last] = event{} // drop call/arg references
 	e.overflow = e.overflow[:last]
 	i := 0
 	for {

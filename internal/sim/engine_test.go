@@ -5,14 +5,28 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestEventRecordSize pins the event record at its four words (at, seq,
+// call, arg) and the arena slot at the record plus its link: every
+// scheduled event is copied into the arena, so a field added back to the
+// record makes that copy larger on every schedule.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 40 {
+		t.Errorf("event is %d bytes, want 40", n)
+	}
+	if n := unsafe.Sizeof(qnode{}); n != 48 {
+		t.Errorf("qnode is %d bytes, want 48", n)
+	}
+}
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var got []Time
 	for _, d := range []Time{30, 10, 20, 10, 5} {
 		d := d
-		e.After(d, func() { got = append(got, e.Now()) })
+		e.AfterCall(d, func(any) { got = append(got, e.Now()) }, nil)
 	}
 	e.Run()
 	want := []Time{5, 10, 10, 20, 30}
@@ -31,7 +45,7 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(7, func() { order = append(order, i) })
+		e.AtCall(7, func(any) { order = append(order, i) }, nil)
 	}
 	e.Run()
 	for i, v := range order {
@@ -43,27 +57,27 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(10, func() {
+	e.AtCall(10, func(any) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.AtCall(5, func(any) {}, nil)
+	}, nil)
 	e.Run()
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []Time
-	e.At(1, func() {
+	e.AtCall(1, func(any) {
 		trace = append(trace, e.Now())
-		e.After(2, func() {
+		e.AfterCall(2, func(any) {
 			trace = append(trace, e.Now())
-			e.After(0, func() { trace = append(trace, e.Now()) })
-		})
-	})
+			e.AfterCall(0, func(any) { trace = append(trace, e.Now()) }, nil)
+		}, nil)
+	}, nil)
 	e.Run()
 	want := []Time{1, 3, 3}
 	for i := range want {
@@ -76,9 +90,9 @@ func TestEngineNestedScheduling(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.At(5, func() { ran++ })
-	e.At(10, func() { ran++ })
-	e.At(15, func() { ran++ })
+	e.AtCall(5, func(any) { ran++ }, nil)
+	e.AtCall(10, func(any) { ran++ }, nil)
+	e.AtCall(15, func(any) { ran++ }, nil)
 	e.RunUntil(10)
 	if ran != 2 {
 		t.Fatalf("ran %d events by t=10, want 2", ran)
@@ -95,18 +109,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-func TestEngineRunWhile(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	for i := 1; i <= 100; i++ {
-		e.At(Time(i), func() { ran++ })
-	}
-	e.RunWhile(func() bool { return ran < 10 })
-	if ran != 10 {
-		t.Fatalf("RunWhile stopped after %d events, want 10", ran)
-	}
-}
-
 // TestEnginePeekTime pins the queue-agnostic peek accessor the watchdog
 // and RunUntil are built on: it reports the earliest pending timestamp —
 // wherever that event lives, wheel or overflow — without advancing the
@@ -116,8 +118,8 @@ func TestEnginePeekTime(t *testing.T) {
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime on an empty queue reported an event")
 	}
-	e.At(50, func() {})
-	e.At(7, func() {})
+	e.AtCall(50, func(any) {}, nil)
+	e.AtCall(7, func(any) {}, nil)
 	if at, ok := e.PeekTime(); !ok || at != 7 {
 		t.Fatalf("PeekTime = %d, %v; want 7, true", at, ok)
 	}
@@ -132,7 +134,7 @@ func TestEnginePeekTime(t *testing.T) {
 	// An event far beyond the wheel window peeks from the overflow heap,
 	// still without moving the clock.
 	far := NewEngine()
-	far.At(3*wheelSize+5, func() {})
+	far.AtCall(3*wheelSize+5, func(any) {}, nil)
 	if at, ok := far.PeekTime(); !ok || at != 3*wheelSize+5 {
 		t.Fatalf("far-future PeekTime = %d, %v; want %d, true", at, ok, 3*wheelSize+5)
 	}
@@ -161,7 +163,7 @@ func TestEngineOrderingProperty(t *testing.T) {
 		e := NewEngine()
 		var times []Time
 		for _, d := range delays {
-			e.After(Time(d), func() { times = append(times, e.Now()) })
+			e.AfterCall(Time(d), func(any) { times = append(times, e.Now()) }, nil)
 		}
 		e.Run()
 		if len(times) != len(delays) {
@@ -197,12 +199,12 @@ func TestEngineDeterminism(t *testing.T) {
 			trace = append(trace, e.Now())
 			if depth < 3 {
 				for i := 0; i < 2; i++ {
-					e.After(Time(rng.Intn(20)), func() { spawn(depth + 1) })
+					e.AfterCall(Time(rng.Intn(20)), func(any) { spawn(depth + 1) }, nil)
 				}
 			}
 		}
 		for i := 0; i < 8; i++ {
-			e.After(Time(rng.Intn(50)), func() { spawn(0) })
+			e.AfterCall(Time(rng.Intn(50)), func(any) { spawn(0) }, nil)
 		}
 		e.Run()
 		return trace
@@ -225,7 +227,7 @@ func TestResourceFIFOQueueing(t *testing.T) {
 	// Three back-to-back requests of 10 pclocks each, all issued at t=0:
 	// they must complete at 10, 20, 30.
 	for i := 0; i < 3; i++ {
-		r.Use(10, func() { done = append(done, e.Now()) })
+		r.UseCall(10, func(any) { done = append(done, e.Now()) }, nil)
 	}
 	e.Run()
 	want := []Time{10, 20, 30}
@@ -246,13 +248,13 @@ func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "mem")
 	var done []Time
-	r.Use(5, func() { done = append(done, e.Now()) })
-	e.At(100, func() {
-		start := r.Use(5, func() { done = append(done, e.Now()) })
+	r.UseCall(5, func(any) { done = append(done, e.Now()) }, nil)
+	e.AtCall(100, func(any) {
+		start := r.UseCall(5, func(any) { done = append(done, e.Now()) }, nil)
 		if start != 100 {
 			t.Errorf("request to idle resource started at %d, want 100", start)
 		}
-	})
+	}, nil)
 	e.Run()
 	if done[0] != 5 || done[1] != 105 {
 		t.Fatalf("completions = %v, want [5 105]", done)
@@ -266,7 +268,7 @@ func TestResourceZeroDuration(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "r")
 	fired := false
-	r.Use(0, func() { fired = true })
+	r.UseCall(0, func(any) { fired = true }, nil)
 	e.Run()
 	if !fired {
 		t.Fatal("zero-duration use never completed")
@@ -283,10 +285,10 @@ func TestResourceNoOverlapProperty(t *testing.T) {
 		var spans []span
 		for _, q := range reqs {
 			q := q
-			e.At(Time(q.At), func() {
-				start := r.Use(Time(q.Dur), nil)
+			e.AtCall(Time(q.At), func(any) {
+				start := r.reserve(Time(q.Dur))
 				spans = append(spans, span{start, start + Time(q.Dur)})
-			})
+			}, nil)
 		}
 		e.Run()
 		sort.Slice(spans, func(i, j int) bool { return spans[i].start < spans[j].start })
@@ -309,7 +311,7 @@ func TestResourcePipelined(t *testing.T) {
 	// Occupancy 3, latency 6: back-to-back requests complete at 6, 9, 12
 	// (pipelined), not 6, 12, 18.
 	for i := 0; i < 3; i++ {
-		r.UsePipelined(3, 6, func() { done = append(done, e.Now()) })
+		r.UsePipelinedCall(3, 6, func(any) { done = append(done, e.Now()) }, nil)
 	}
 	e.Run()
 	want := []Time{6, 9, 12}
@@ -330,7 +332,7 @@ func TestResourcePipelinedBadLatencyPanics(t *testing.T) {
 		}
 	}()
 	e := NewEngine()
-	NewResource(e, "x").UsePipelined(6, 3, nil)
+	NewResource(e, "x").UsePipelinedCall(6, 3, func(any) {}, nil)
 }
 
 func TestResourceQueueDepth(t *testing.T) {
@@ -342,29 +344,29 @@ func TestResourceQueueDepth(t *testing.T) {
 	// Three back-to-back requests at t=0: depth peaks at 3 (one in service,
 	// two queued).
 	for i := 0; i < 3; i++ {
-		r.Use(10, nil)
+		r.reserve(10)
 	}
 	if r.QueueDepth() != 3 {
 		t.Fatalf("QueueDepth = %d at t=0, want 3", r.QueueDepth())
 	}
-	e.At(15, func() {
+	e.AtCall(15, func(any) {
 		if r.QueueDepth() != 2 {
 			t.Errorf("QueueDepth = %d at t=15, want 2", r.QueueDepth())
 		}
-	})
-	e.At(29, func() {
+	}, nil)
+	e.AtCall(29, func(any) {
 		if r.QueueDepth() != 1 {
 			t.Errorf("QueueDepth = %d at t=29, want 1", r.QueueDepth())
 		}
-	})
-	e.At(30, func() {
+	}, nil)
+	e.AtCall(30, func(any) {
 		if r.QueueDepth() != 0 {
 			t.Errorf("QueueDepth = %d at t=30, want 0", r.QueueDepth())
 		}
-	})
+	}, nil)
 	// An uncontended request after the burst must not raise the max.
-	e.At(50, func() { r.Use(5, nil) })
-	e.At(60, func() {}) // advance the clock past the last reservation
+	e.AtCall(50, func(any) { r.reserve(5) }, nil)
+	e.AtCall(60, func(any) {}, nil) // advance the clock past the last reservation
 	e.Run()
 	if r.MaxQueueDepth() != 3 {
 		t.Fatalf("MaxQueueDepth = %d, want 3", r.MaxQueueDepth())
@@ -380,15 +382,15 @@ func TestResourceQueueDepthPipelined(t *testing.T) {
 	// Pipelined occupancy 3: reservations end at 3, 6, 9, so at t=0 all
 	// three are pending.
 	for i := 0; i < 3; i++ {
-		r.UsePipelined(3, 6, nil)
+		r.reserve(3)
 	}
 	if r.MaxQueueDepth() != 3 {
 		t.Fatalf("MaxQueueDepth = %d, want 3", r.MaxQueueDepth())
 	}
-	e.At(7, func() {
+	e.AtCall(7, func(any) {
 		if r.QueueDepth() != 1 {
 			t.Errorf("QueueDepth = %d at t=7, want 1", r.QueueDepth())
 		}
-	})
+	}, nil)
 	e.Run()
 }

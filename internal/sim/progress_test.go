@@ -15,16 +15,16 @@ func TestProgressPublishes(t *testing.T) {
 	e.SetProgress(p)
 
 	const n = 3 * progressStride
-	var tick func()
+	var tick func(any)
 	i := 0
-	tick = func() {
+	tick = func(any) {
 		i++
 		e.Progress()
 		if i < n {
-			e.After(1, tick)
+			e.AfterCall(1, tick, nil)
 		}
 	}
-	e.After(1, tick)
+	e.AfterCall(1, tick, nil)
 	if f := e.RunWatched(&Watchdog{}); f != nil {
 		t.Fatalf("clean run faulted: %v", f)
 	}
@@ -60,16 +60,16 @@ func TestProgressConcurrentSnapshots(t *testing.T) {
 	e.SetProgress(p)
 
 	const n = 20 * progressStride
-	var tick func()
+	var tick func(any)
 	i := 0
-	tick = func() {
+	tick = func(any) {
 		i++
 		e.Progress()
 		if i < n {
-			e.After(1, tick)
+			e.AfterCall(1, tick, nil)
 		}
 	}
-	e.After(1, tick)
+	e.AfterCall(1, tick, nil)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -114,7 +114,7 @@ func TestProgressNil(t *testing.T) {
 		t.Fatalf("nil probe snapshot = %+v", s)
 	}
 	e := NewEngine()
-	e.After(1, func() { e.Progress() })
+	e.AfterCall(1, func(any) { e.Progress() }, nil)
 	if f := e.RunWatched(&Watchdog{}); f != nil {
 		t.Fatalf("probe-less run faulted: %v", f)
 	}

@@ -20,7 +20,6 @@ import (
 type queueAPI interface {
 	Now() Time
 	Pending() int
-	At(Time, func())
 	AtCall(Time, func(any), any)
 	Run()
 	RunUntil(Time)
@@ -36,14 +35,6 @@ type naiveQueue struct {
 
 func (n *naiveQueue) Now() Time    { return n.now }
 func (n *naiveQueue) Pending() int { return len(n.evs) }
-
-func (n *naiveQueue) At(t Time, fn func()) {
-	if t < n.now {
-		panic(fmt.Sprintf("sim: scheduling event at %d, before now %d", t, n.now))
-	}
-	n.seq++
-	n.evs = append(n.evs, event{at: t, seq: n.seq, fn: fn})
-}
 
 func (n *naiveQueue) AtCall(t Time, call func(any), arg any) {
 	if t < n.now {
@@ -67,11 +58,7 @@ func (n *naiveQueue) step() bool {
 	ev := n.evs[best]
 	n.evs = append(n.evs[:best], n.evs[best+1:]...)
 	n.now = ev.at
-	if ev.call != nil {
-		ev.call(ev.arg)
-	} else {
-		ev.fn()
-	}
+	ev.call(ev.arg)
 	return true
 }
 
@@ -126,16 +113,16 @@ func scriptFire(a any) { sa := a.(*scriptArg); sa.s.fire(sa.id) }
 // spawner returns a callback that fires and, while depth remains, schedules
 // two children: one at the current instant (appending to the cohort being
 // drained) and one d pclocks out.
-func (s *scriptRun) spawner(id, depth int, d Time) func() {
-	return func() {
+func (s *scriptRun) spawner(id, depth int, d Time) func(any) {
+	return func(any) {
 		s.fire(id)
 		if depth > 0 {
 			cid := s.nextID
 			s.nextID++
-			s.q.At(s.q.Now(), s.spawner(cid, depth-1, d))
+			s.q.AtCall(s.q.Now(), s.spawner(cid, depth-1, d), nil)
 			cid = s.nextID
 			s.nextID++
-			s.q.At(s.q.Now()+d, s.spawner(cid, depth-1, d))
+			s.q.AtCall(s.q.Now()+d, s.spawner(cid, depth-1, d), nil)
 		}
 	}
 }
@@ -149,21 +136,21 @@ func interpret(q queueAPI, data []byte) *scriptRun {
 		id := s.nextID
 		s.nextID++
 		switch op {
-		case 0: // dense short delay, closure form
+		case 0: // dense short delay, capturing callback
 			id := id
-			s.q.At(s.q.Now()+val%64, func() { s.fire(id) })
-		case 1: // mid-range delay, static-call form
+			s.q.AtCall(s.q.Now()+val%64, func(any) { s.fire(id) }, nil)
+		case 1: // mid-range delay, static callback with its argument
 			s.q.AtCall(s.q.Now()+val, scriptFire, &scriptArg{s: s, id: id})
 		case 2: // far beyond the wheel window: overflow heap + migration
-			s.q.At(s.q.Now()+wheelSize+val*37, s.spawner(id, 0, 0))
+			s.q.AtCall(s.q.Now()+wheelSize+val*37, s.spawner(id, 0, 0), nil)
 		case 3: // same-timestamp collision
 			id := id
-			s.q.At(s.q.Now(), func() { s.fire(id) })
+			s.q.AtCall(s.q.Now(), func(any) { s.fire(id) }, nil)
 		case 4: // partial drain between cohorts
 			s.nextID-- // no event consumed the id
 			s.q.RunUntil(s.q.Now() + val*16)
 		case 5: // nested spawning, including same-instant children
-			s.q.At(s.q.Now()+val%128, s.spawner(id, 2, 1+val%70))
+			s.q.AtCall(s.q.Now()+val%128, s.spawner(id, 2, 1+val%70), nil)
 		}
 	}
 	s.q.Run()
@@ -238,19 +225,13 @@ func TestEventOrderDifferential(t *testing.T) {
 func TestEventOrderPastTimePanics(t *testing.T) {
 	for _, q := range []queueAPI{NewEngine(), &naiveQueue{}} {
 		q.RunUntil(3 * wheelSize)
-		for _, form := range []string{"closure", "call"} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%T: past-time %s schedule did not panic", q, form)
-					}
-				}()
-				if form == "closure" {
-					q.At(q.Now()-1, func() {})
-				} else {
-					q.AtCall(q.Now()-1, scriptFire, nil)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: past-time schedule did not panic", q)
 				}
 			}()
-		}
+			q.AtCall(q.Now()-1, scriptFire, nil)
+		}()
 	}
 }

@@ -10,11 +10,11 @@ func TestQueueStatsCounting(t *testing.T) {
 	eng := NewEngine()
 	ran := 0
 	for i := 0; i < 3; i++ {
-		eng.After(Time(i*5), func() { ran++ })
+		eng.AfterCall(Time(i*5), func(any) { ran++ }, nil)
 	}
 	// Far beyond the wheel window: overflow heap, then migration.
-	eng.After(100_000, func() { ran++ })
-	eng.After(100_001, func() { ran++ })
+	eng.AfterCall(100_000, func(any) { ran++ }, nil)
+	eng.AfterCall(100_001, func(any) { ran++ }, nil)
 	eng.Run()
 
 	q := eng.QueueStats()
@@ -65,7 +65,7 @@ func TestQueueStatsCappedBatches(t *testing.T) {
 	eng := NewEngine()
 	n := 0
 	for i := 0; i < 3; i++ {
-		eng.After(10, func() { n++ })
+		eng.AfterCall(10, func(any) { n++ }, nil)
 	}
 	if !eng.Step() {
 		t.Fatal("Step ran nothing")

@@ -7,7 +7,7 @@ package sim
 // of the paper's "contention is accurately modelled in each node".
 //
 // Resources stay queue-agnostic: completions go through the engine's
-// ordinary At/AtCall scheduling. They are also why the calendar wheel's
+// ordinary AtCall scheduling. They are also why the calendar wheel's
 // window is sized in the thousands of pclocks — under heavy contention a
 // completion lands at freeAt + dur, which stacks queue-depth × occupancy
 // into the future (see wheelBits in engine.go).
@@ -71,42 +71,20 @@ func (r *Resource) expire(now Time) {
 	}
 }
 
-// Use reserves the resource for dur pclocks starting at the earliest instant
-// >= now at which it is free, and schedules done to run when service
-// completes. It returns the time at which service will begin.
-func (r *Resource) Use(dur Time, done func()) Time {
-	start := r.reserve(dur)
-	if done != nil {
-		r.eng.At(start+dur, done)
-	}
-	return start
-}
-
-// UsePipelined reserves the resource for occupy pclocks (its cycle time)
-// but schedules done only after latency pclocks from service start — the
-// behavior of a pipelined SRAM whose cycle time is shorter than its access
-// latency. latency must be >= occupy.
-func (r *Resource) UsePipelined(occupy, latency Time, done func()) Time {
-	if latency < occupy {
-		panic("sim: pipelined latency shorter than occupancy")
-	}
-	start := r.reserve(occupy)
-	if done != nil {
-		r.eng.At(start+latency, done)
-	}
-	return start
-}
-
-// UseCall is Use with the engine's static-function event form: done(arg)
-// runs at service completion. Callers that pool arg schedule the event with
-// zero allocations.
+// UseCall reserves the resource for dur pclocks starting at the earliest
+// instant >= now at which it is free, and schedules done(arg) to run when
+// service completes. It returns the time at which service will begin.
+// Callers that pool arg schedule the completion with zero allocations.
 func (r *Resource) UseCall(dur Time, done func(any), arg any) Time {
 	start := r.reserve(dur)
 	r.eng.AtCall(start+dur, done, arg)
 	return start
 }
 
-// UsePipelinedCall is UsePipelined with the static-function event form.
+// UsePipelinedCall reserves the resource for occupy pclocks (its cycle
+// time) but schedules done(arg) only latency pclocks after service start —
+// the behavior of a pipelined SRAM whose cycle time is shorter than its
+// access latency. latency must be >= occupy.
 func (r *Resource) UsePipelinedCall(occupy, latency Time, done func(any), arg any) Time {
 	if latency < occupy {
 		panic("sim: pipelined latency shorter than occupancy")

@@ -12,9 +12,9 @@ import (
 // event ceiling and checks the fault blames it.
 func TestWatchdogMaxEvents(t *testing.T) {
 	e := NewEngine()
-	var tick func()
-	tick = func() { e.After(1, tick) }
-	e.After(0, tick)
+	var tick func(any)
+	tick = func(any) { e.AfterCall(1, tick, nil) }
+	e.AfterCall(0, tick, nil)
 	f := e.RunWatched(&Watchdog{MaxEvents: 100})
 	if f == nil {
 		t.Fatal("runaway event chain completed under a 100-event ceiling")
@@ -38,8 +38,8 @@ func TestWatchdogDeadlock(t *testing.T) {
 	// engine's view: activity, then an empty queue with both agents blocked.
 	holder := map[int]string{}
 	waiting := map[string]int{}
-	grab := func(who string, res int) func() {
-		return func() {
+	grab := func(who string, res int) func(any) {
+		return func(any) {
 			if _, held := holder[res]; held {
 				waiting[who] = res // parked forever: no release event exists
 				return
@@ -47,10 +47,10 @@ func TestWatchdogDeadlock(t *testing.T) {
 			holder[res] = who
 		}
 	}
-	e.After(0, grab("A", 1))
-	e.After(0, grab("B", 2))
-	e.After(1, grab("A", 2))
-	e.After(1, grab("B", 1))
+	e.AfterCall(0, grab("A", 1), nil)
+	e.AfterCall(0, grab("B", 2), nil)
+	e.AfterCall(1, grab("A", 2), nil)
+	e.AfterCall(1, grab("B", 1), nil)
 	f := e.RunWatched(&Watchdog{
 		Quiesced: func() bool { return len(waiting) == 0 },
 		Blocked: func() []string {
@@ -77,10 +77,10 @@ func TestWatchdogDeadlock(t *testing.T) {
 // checks the no-progress detector fires.
 func TestWatchdogLivelock(t *testing.T) {
 	e := NewEngine()
-	var a, b func()
-	a = func() { e.After(1, b) }
-	b = func() { e.After(1, a) }
-	e.After(0, a)
+	var a, b func(any)
+	a = func(any) { e.AfterCall(1, b, nil) }
+	b = func(any) { e.AfterCall(1, a, nil) }
+	e.AfterCall(0, a, nil)
 	f := e.RunWatched(&Watchdog{
 		NoProgressEvents: 50,
 		Blocked:          func() []string { return []string{"proc 7 spinning on block 3"} },
@@ -98,14 +98,14 @@ func TestWatchdogLivelock(t *testing.T) {
 func TestWatchdogProgressDefersLivelock(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	var a func()
-	a = func() {
+	var a func(any)
+	a = func(any) {
 		e.Progress()
 		if n++; n < 500 {
-			e.After(1, a)
+			e.AfterCall(1, a, nil)
 		}
 	}
-	e.After(0, a)
+	e.AfterCall(0, a, nil)
 	if f := e.RunWatched(&Watchdog{NoProgressEvents: 50}); f != nil {
 		t.Fatalf("progressing run tripped the livelock detector: %v", f)
 	}
@@ -116,8 +116,8 @@ func TestWatchdogProgressDefersLivelock(t *testing.T) {
 func TestWatchdogDeadline(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	e.After(10, func() {})
-	e.After(1000, func() { ran = true })
+	e.AfterCall(10, func(any) {}, nil)
+	e.AfterCall(1000, func(any) { ran = true }, nil)
 	f := e.RunWatched(&Watchdog{Deadline: 500})
 	if f == nil || f.Kind != fault.KindDeadline {
 		t.Fatalf("fault = %v, want kind %q", f, fault.KindDeadline)
@@ -137,9 +137,9 @@ func TestWatchdogDeadline(t *testing.T) {
 // overflow heap without executing or migrating anything visible.
 func TestWatchdogDeadlinePeeksOverflow(t *testing.T) {
 	e := NewEngine()
-	e.After(10, func() {})
+	e.AfterCall(10, func(any) {}, nil)
 	next := Time(2*wheelSize + 77)
-	e.After(next, func() { t.Error("event beyond the deadline executed") })
+	e.AfterCall(next, func(any) { t.Error("event beyond the deadline executed") }, nil)
 	f := e.RunWatched(&Watchdog{Deadline: 500})
 	if f == nil || f.Kind != fault.KindDeadline {
 		t.Fatalf("fault = %v, want kind %q", f, fault.KindDeadline)
@@ -158,14 +158,14 @@ func TestWatchdogDeadlinePeeksOverflow(t *testing.T) {
 func TestWatchdogCleanRun(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	var step func()
-	step = func() {
+	var step func(any)
+	step = func(any) {
 		e.Progress()
 		if ran++; ran < 20 {
-			e.After(5, step)
+			e.AfterCall(5, step, nil)
 		}
 	}
-	e.After(0, step)
+	e.AfterCall(0, step, nil)
 	done := false
 	f := e.RunWatched(&Watchdog{
 		MaxEvents:        25,  // 20 needed
@@ -185,7 +185,7 @@ func TestWatchdogCleanRun(t *testing.T) {
 // aborts it before any event executes.
 func TestWatchdogCancelPreFired(t *testing.T) {
 	e := NewEngine()
-	e.After(0, func() { t.Error("event executed after cancellation") })
+	e.AfterCall(0, func(any) { t.Error("event executed after cancellation") }, nil)
 	c := &Cancel{}
 	c.Cancel()
 	f := e.RunWatched(&Watchdog{Cancel: c})
@@ -204,14 +204,14 @@ func TestWatchdogCancelMidRun(t *testing.T) {
 	e := NewEngine()
 	c := &Cancel{}
 	ran := 0
-	var tick func()
-	tick = func() {
+	var tick func(any)
+	tick = func(any) {
 		if ran++; ran == 5 {
 			c.Cancel()
 		}
-		e.After(1, tick) // self-perpetuating: only the cancel can stop it
+		e.AfterCall(1, tick, nil) // self-perpetuating: only the cancel can stop it
 	}
-	e.After(0, tick)
+	e.AfterCall(0, tick, nil)
 	f := e.RunWatched(&Watchdog{Cancel: c, MaxEvents: 1_000_000})
 	if f == nil || f.Kind != fault.KindCanceled {
 		t.Fatalf("fault = %v, want kind %q", f, fault.KindCanceled)

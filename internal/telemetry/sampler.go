@@ -69,16 +69,19 @@ func (c *Collector) StartSampler(eng *sim.Engine) {
 	if eng.Pending() == 0 {
 		return
 	}
+	c.eng = eng
 	c.lastAt = eng.Now()
-	every := c.opts.SampleEvery
-	var tick func()
-	tick = func() {
-		c.sample(eng.Now())
-		if eng.Pending() > 0 && len(c.samples) < c.opts.MaxSamples {
-			eng.After(every, tick)
-		}
+	eng.AfterCall(c.opts.SampleEvery, sampleTick, c)
+}
+
+// sampleTick is the sampler's event: it snapshots the *Collector it is
+// given and reschedules itself while the engine has other work.
+func sampleTick(a any) {
+	c := a.(*Collector)
+	c.sample(c.eng.Now())
+	if c.eng.Pending() > 0 && len(c.samples) < c.opts.MaxSamples {
+		c.eng.AfterCall(c.opts.SampleEvery, sampleTick, c)
 	}
-	eng.After(every, tick)
 }
 
 func (c *Collector) sample(now sim.Time) {

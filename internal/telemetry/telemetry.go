@@ -208,6 +208,7 @@ type Collector struct {
 	watches []*resourceWatch
 	gauges  []gaugeWatch
 	samples []Sample
+	eng     *sim.Engine // the engine the sampler ticks on, set by StartSampler
 	lastAt  sim.Time
 }
 

@@ -126,8 +126,8 @@ func TestSamplerTerminatesAndMeasures(t *testing.T) {
 	c.WatchGauge("outstanding", -1, func() int64 { return gauge })
 
 	// Occupy the bus fully for [0,20), then leave it idle until t=40.
-	r.Use(20, nil)
-	eng.At(40, func() {})
+	r.UseCall(20, func(any) {}, nil)
+	eng.AtCall(40, func(any) {}, nil)
 	c.StartSampler(eng)
 	eng.Run()
 
@@ -162,7 +162,7 @@ func TestSamplerCap(t *testing.T) {
 	r := sim.NewResource(eng, "bus")
 	c := New(Options{SampleEvery: 1, MaxSamples: 3})
 	c.WatchResource("bus", 0, r)
-	eng.At(100, func() {})
+	eng.AtCall(100, func(any) {}, nil)
 	c.StartSampler(eng)
 	eng.Run()
 	if len(c.Samples()) != 3 {
@@ -290,7 +290,7 @@ func TestSamplerRestartOnEngineReuse(t *testing.T) {
 
 	// Run 1: bus busy [0,10), with a completion event keeping the engine
 	// populated through the interval.
-	r.Use(10, func() {})
+	r.UseCall(10, func(any) {}, nil)
 	c.StartSampler(eng)
 	eng.Run()
 	if n := len(c.Samples()); n != 1 {
@@ -302,7 +302,7 @@ func TestSamplerRestartOnEngineReuse(t *testing.T) {
 
 	// Idle gap: the engine sits at t=10 with no events. Run 2 starts the
 	// sampler again with the bus idle for its whole interval.
-	eng.At(eng.Now()+20, func() {})
+	eng.AtCall(eng.Now()+20, func(any) {}, nil)
 	c.StartSampler(eng)
 	eng.Run()
 	samples := c.Samples()

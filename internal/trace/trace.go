@@ -1,18 +1,14 @@
 // Package trace provides structured event tracing for the coherence
-// protocol: every message send and delivery, directory transitions, and
-// processor stalls can be captured, filtered and rendered. Traces are the
-// primary debugging tool for protocol work — the ABA races fixed during
-// this reproduction were all found by reading them — and they feed the
-// cmd/ccsim -trace flag.
+// protocol: every message send and delivery, directory transition, cache
+// fill and eviction can be filtered by block and streamed as one text line
+// per event. Traces are the primary debugging tool for protocol work — the
+// ABA races fixed during this reproduction were all found by reading them —
+// and they feed the cmd/ccsim -trace flag.
 package trace
 
 import (
-	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -30,13 +26,11 @@ const (
 	CacheFill
 	// CacheEvict: a line left an SLC (replacement or invalidation).
 	CacheEvict
-	// ProcStall: a processor began waiting on the memory system.
-	ProcStall
 	nKinds
 )
 
 var kindNames = [nKinds]string{
-	"send", "deliver", "dir", "fill", "evict", "stall",
+	"send", "deliver", "dir", "fill", "evict",
 }
 
 func (k Kind) String() string {
@@ -102,153 +96,42 @@ func pad(b []byte, start, width int) []byte {
 // Filter selects which events a tracer records. The zero value records
 // everything.
 type Filter struct {
-	Kinds  []Kind   // empty = all kinds
 	Blocks []uint64 // empty = all blocks
-	Nodes  []int    // empty = all nodes
 }
 
 func (f *Filter) match(e Event) bool {
-	if len(f.Kinds) > 0 && !containsKind(f.Kinds, e.Kind) {
-		return false
+	if len(f.Blocks) == 0 {
+		return true
 	}
-	if len(f.Blocks) > 0 && !containsU64(f.Blocks, e.Block) {
-		return false
-	}
-	if len(f.Nodes) > 0 && !containsInt(f.Nodes, e.Node) {
-		return false
-	}
-	return true
-}
-
-func containsKind(s []Kind, v Kind) bool {
-	for _, x := range s {
-		if x == v {
+	for _, b := range f.Blocks {
+		if b == e.Block {
 			return true
 		}
 	}
 	return false
 }
 
-func containsU64(s []uint64, v uint64) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-// Tracer collects events. It is safe for use from a single simulation
-// goroutine; the mutex only guards concurrent readers (e.g. a test
-// inspecting while the simulation runs).
+// Tracer streams matching events to a writer as they happen. It is used
+// from the single simulation goroutine.
 type Tracer struct {
-	mu     sync.Mutex
 	filter Filter
-	out    io.Writer // nil: buffer only
-	line   []byte    // reused rendering buffer for out
-	events []Event
-	limit  int // 0 = unbounded
-	drops  uint64
+	out    io.Writer
+	line   []byte // reused rendering buffer
 }
 
-// New returns a tracer that buffers matching events and, if out is
-// non-nil, streams them there as they happen.
+// New returns a tracer that writes every event passing filter to out, one
+// line per event.
 func New(out io.Writer, filter Filter) *Tracer {
 	return &Tracer{out: out, filter: filter}
 }
 
-// SetLimit bounds the in-memory buffer; once full, older events are kept
-// and newer ones counted as drops (the stream output is unaffected).
-func (t *Tracer) SetLimit(n int) { t.limit = n }
-
-// Record adds an event if it passes the filter.
+// Record writes e to the stream if it passes the filter. It allocates
+// nothing once the line buffer has grown. A failed write is the writer's
+// to report: the CLI's buffered trace file returns it from Flush.
 func (t *Tracer) Record(e Event) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !t.filter.match(e) {
 		return
 	}
-	if t.out != nil {
-		// One Write per event. A failed write is the writer's to report:
-		// the CLI's buffered trace file returns it from Flush.
-		t.line = append(e.appendTo(t.line[:0]), '\n')
-		t.out.Write(t.line)
-	}
-	if t.limit > 0 && len(t.events) >= t.limit {
-		t.drops++
-		return
-	}
-	t.events = append(t.events, e)
-}
-
-// Events returns a copy of the buffered events.
-func (t *Tracer) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
-// Drops returns how many events the buffer limit discarded.
-func (t *Tracer) Drops() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.drops
-}
-
-// Len returns the number of buffered events.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Summary aggregates the buffered events into per-What counts, rendered
-// most-frequent first. Handy for a quick view of protocol activity.
-func (t *Tracer) Summary() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	counts := map[string]int{}
-	for _, e := range t.events {
-		counts[e.Kind.String()+"/"+e.What]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if counts[keys[i]] != counts[keys[j]] {
-			return counts[keys[i]] > counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%8d  %s\n", counts[k], k)
-	}
-	return b.String()
-}
-
-// BlockHistory returns the buffered events for one block, in order — the
-// view protocol debugging wants.
-func (t *Tracer) BlockHistory(block uint64) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var out []Event
-	for _, e := range t.events {
-		if e.Block == block {
-			out = append(out, e)
-		}
-	}
-	return out
+	t.line = append(e.appendTo(t.line[:0]), '\n')
+	t.out.Write(t.line)
 }

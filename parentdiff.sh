@@ -1,0 +1,117 @@
+#!/usr/bin/env bash
+# Differential check of two revisions: the same random ccsim configurations
+# must give byte-identical results on both.
+#
+#   bash parentdiff.sh OLD [NEW]
+#   SEED=7 bash parentdiff.sh HEAD~1
+#
+# OLD and NEW are git revisions; NEW defaults to the working tree. Each side
+# is exported into a temporary directory, as bench/abtest.sh does, and
+# cmd/ccsim is built there. A seeded generator (SEED, default 1) then draws
+# 400 configurations over the workloads, the eight extension sets, RC and
+# SC (never SC with CW), the uniform network and 16/32/64-bit meshes, 4-16
+# processors, scales 0.02-0.1, SLC sizes and small write buffers. One third
+# of them also run the live checker (-check) and another third write a
+# protocol trace (-trace FILE). Each configuration runs on both sides with
+# -json; the exit code, stdout and trace file must match byte for byte.
+# The first difference prints its command line and exits 1; otherwise the
+# script prints the count and exits 0.
+set -euo pipefail
+
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+    echo "usage: bash parentdiff.sh OLD [NEW]" >&2
+    exit 2
+fi
+count=400
+seed=${SEED:-1}
+
+repo=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
+work=$(mktemp -d "${TMPDIR:-/tmp}/ccsim-parentdiff.XXXXXX")
+trap 'rm -rf "$work"' EXIT
+
+# side NAME REV: export REV (or the working tree when REV is empty) and
+# build its ccsim.
+side() {
+    local dir="$work/$1"
+    mkdir -p "$dir"
+    if [ -n "$2" ]; then
+        git -C "$repo" archive "$2" | tar -x -C "$dir"
+    else
+        (cd "$repo" && git ls-files -co --exclude-standard -z | xargs -0 cp --parents -t "$dir")
+    fi
+    (cd "$dir" && go build -o "$work/$1.ccsim" ./cmd/ccsim)
+    echo "$1: ${2:-working tree} built" >&2
+}
+side old "$1"
+side new "${2:-}"
+run=$work/run
+mkdir "$run"
+
+# rand N sets r to a pseudo-random integer in [0, N): a 64-bit LCG in shell
+# arithmetic, so a SEED draws the same configurations on any bash.
+state=$seed
+rand() {
+    state=$((state * 6364136223846793005 + 1442695040888963407))
+    r=$((((state >> 33) & 0x7fffffff) % $1))
+}
+pick() {
+    rand $#
+    shift "$r"
+    v=$1
+}
+
+ok=0
+for i in $(seq 1 "$count"); do
+    pick mp3d cholesky water lu ocean
+    args=(-workload "$v")
+    pick BASIC P M CW P+CW P+M CW+M P+CW+M
+    args+=(-ext "$v")
+    case $v in
+    *CW*) ;;
+    *)
+        rand 3
+        if [ "$r" -eq 0 ]; then args+=(-sc); fi
+        ;;
+    esac
+    pick uniform 16 32 64
+    if [ "$v" = uniform ]; then
+        args+=(-net uniform)
+    else
+        args+=(-net mesh -link "$v")
+    fi
+    pick 4 8 16
+    args+=(-procs "$v")
+    rand 9
+    args+=(-scale "0.$(printf %02d $((r + 2)))")
+    pick 0 16 64 256 512
+    args+=(-slc "$v")
+    pick 0 1 2 4
+    args+=(-flwb "$v")
+    pick 0 1 2 4
+    args+=(-slwb "$v")
+    case $((i % 3)) in
+    1) args+=(-check) ;;
+    2) args+=(-trace TRACE) ;;
+    esac
+
+    for s in old new; do
+        (
+            cd "$run"
+            set +e
+            "$work/$s.ccsim" "${args[@]/#TRACE/$s.trace}" -json > "$s.out" 2> /dev/null
+            echo $? > "$s.code"
+        ) &
+    done
+    wait
+    for f in code out trace; do
+        if [ -e "$run/old.$f" ] || [ -e "$run/new.$f" ]; then
+            if ! cmp -s "$run/old.$f" "$run/new.$f"; then
+                echo "parentdiff: configuration $i differs ($f): ccsim ${args[*]/#TRACE/FILE} -json" >&2
+                exit 1
+            fi
+        fi
+    done
+    if [ "$(cat "$run/new.code")" -eq 0 ]; then ok=$((ok + 1)); fi
+    rm -f "$run"/*
+done
+echo "parentdiff: $count configurations identical, $ok of them ran to completion (SEED=$seed)"
