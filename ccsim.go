@@ -315,7 +315,7 @@ func WorkloadOps(name string, procs int, scale float64) ([][]Op, error) {
 				break
 			}
 			out[p] = append(out[p], Op{
-				Kind:   kindUnmap[op.Kind],
+				Kind:   OpKind(op.Kind),
 				Addr:   uint64(op.Addr),
 				Cycles: op.Cycles,
 				Bar:    op.Bar,
@@ -355,10 +355,13 @@ func ComputeStorage(cfg Config, slcFrames, memBlocks int) StorageBits {
 
 // RunStreams simulates custom operation streams, one per processor, against
 // the configured machine. Each stream must begin with a StatsOn operation.
+// An operation of unknown kind, with negative busy cycles or with a
+// negative barrier id ends the run with an error naming its processor and
+// its index in that processor's stream.
 func RunStreams(cfg Config, streams []Stream) (*Result, error) {
 	adapted := make([]proc.Stream, len(streams))
 	for i, s := range streams {
-		adapted[i] = &streamAdapter{s: s}
+		adapted[i] = &streamAdapter{s: s, proc: i}
 	}
 	return runStreams(cfg, adapted)
 }
@@ -371,8 +374,14 @@ func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
 	// Contain protocol assertions: the simulator's internal invariants stay
 	// panics (DESIGN.md), but none escapes Run — a crash surfaces as a
 	// structured *SimFault with the dispatch context and machine snapshot.
+	// An invalid custom operation is the caller's error, not a fault, and
+	// returns as the plain error it is.
 	defer func() {
 		if v := recover(); v != nil {
+			if oe, ok := v.(*opError); ok {
+				res, err = nil, oe
+				return
+			}
 			res, err = nil, m.Recovered(v, debug.Stack())
 		}
 	}()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ccsim"
+	"ccsim/internal/proc"
 )
 
 func tinyCfg(wl string) ccsim.Config {
@@ -119,6 +120,71 @@ func TestRunStreamsCustomWorkload(t *testing.T) {
 	// cold miss for the reader.
 	if r.ColdMisses != 1 {
 		t.Fatalf("cold misses = %d", r.ColdMisses)
+	}
+}
+
+// TestRunStreamsRejectsInvalidOps runs two processors, the second of
+// which issues an operation the machine cannot run as its third op. The
+// run must return an error naming the processor, the operation's index and
+// the bad field, not run the op as something else or crash into a
+// simulator fault.
+func TestRunStreamsRejectsInvalidOps(t *testing.T) {
+	for _, c := range []struct {
+		op   ccsim.Op
+		want string
+	}{
+		{ccsim.Op{Kind: 42, Cycles: 7}, "unknown kind 42"},
+		{ccsim.Op{Kind: -1}, "unknown kind -1"},
+		{ccsim.Op{Kind: ccsim.Busy, Cycles: -5}, "busy cycles -5"},
+		{ccsim.Op{Kind: ccsim.Barrier, Bar: -1}, "barrier id -1"},
+	} {
+		cfg := ccsim.DefaultConfig()
+		cfg.Procs = 2
+		streams := []ccsim.Stream{
+			ccsim.Ops(
+				ccsim.Op{Kind: ccsim.StatsOn},
+				ccsim.Op{Kind: ccsim.Busy, Cycles: 10},
+			),
+			ccsim.Ops(
+				ccsim.Op{Kind: ccsim.StatsOn},
+				ccsim.Op{Kind: ccsim.Read, Addr: 0},
+				c.op,
+			),
+		}
+		_, err := ccsim.RunStreams(cfg, streams)
+		if err == nil {
+			t.Errorf("%+v: ran without error", c.op)
+			continue
+		}
+		if f, ok := ccsim.AsFault(err); ok {
+			t.Errorf("%+v: simulator fault %q, want an invalid-operation error: %v", c.op, f.Kind, err)
+			continue
+		}
+		if want := "processor 1, operation 2: " + c.want; !strings.Contains(err.Error(), want) {
+			t.Errorf("%+v: error %q does not contain %q", c.op, err, want)
+		}
+	}
+}
+
+// TestOpKindsMatchInternal pins each public operation kind to the
+// processor's kind of the same value: RunStreams and WorkloadOps convert
+// between the two by value.
+func TestOpKindsMatchInternal(t *testing.T) {
+	for _, k := range []struct {
+		pub ccsim.OpKind
+		in  proc.OpKind
+	}{
+		{ccsim.Busy, proc.OpBusy},
+		{ccsim.Read, proc.OpRead},
+		{ccsim.Write, proc.OpWrite},
+		{ccsim.Acquire, proc.OpAcquire},
+		{ccsim.Release, proc.OpRelease},
+		{ccsim.Barrier, proc.OpBarrier},
+		{ccsim.StatsOn, proc.OpStatsOn},
+	} {
+		if int(k.pub) != int(k.in) {
+			t.Errorf("public kind %d, internal kind %d", k.pub, k.in)
+		}
 	}
 }
 

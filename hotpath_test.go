@@ -3,6 +3,7 @@ package ccsim_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"runtime"
 	"testing"
 
 	"ccsim"
@@ -56,5 +57,35 @@ func TestRunAllocationCeiling(t *testing.T) {
 	t.Logf("%v allocs per run", n)
 	if n > ceiling {
 		t.Fatalf("%v allocs per run, ceiling %d", n, ceiling)
+	}
+}
+
+// TestRunHeapBytesCeiling pins the heap bytes one run allocates, after a
+// warm-up run. Each processor's workload stream is generated one loop
+// iteration at a time into one reused op buffer, so a run holds one
+// segment per processor instead of every processor's whole stream:
+// 3,246,872 bytes for this run, measured when the ceiling was set, against
+// 11,377,192 when streams were built whole before the first event. The
+// ceiling is about 1.25x the measured value.
+func TestRunHeapBytesCeiling(t *testing.T) {
+	const ceiling = 4_060_000
+	cfg := ccsim.DefaultConfig()
+	cfg.Workload = "lu"
+	cfg.Procs = 16
+	cfg.Scale = 0.5
+	if _, err := ccsim.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ccsim.Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d heap bytes per run", n)
+	if n > ceiling {
+		t.Fatalf("%d heap bytes per run, ceiling %d", n, ceiling)
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ccsim/internal/cache"
@@ -402,11 +404,11 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 			}
 		}
 	}
-	sort.Slice(copies, func(i, j int) bool {
-		if copies[i].block != copies[j].block {
-			return copies[i].block < copies[j].block
+	slices.SortFunc(copies, func(a, b copyInfo) int {
+		if c := cmp.Compare(a.block, b.block); c != 0 {
+			return c
 		}
-		return copies[i].node < copies[j].node
+		return cmp.Compare(a.node, b.node)
 	})
 	// copiesOf returns block b's copies: a run of the sorted slice.
 	copiesOf := func(b memsys.Block) []copyInfo {

@@ -30,20 +30,24 @@ func Cholesky(procs int, scale float64) []proc.Stream {
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
 		r := rng("cholesky", p)
-		s := &script{}
-		s.statsOn()
 		// Tasks are dequeued in batches of four columns; the generator
 		// assigns them round-robin (the queue traffic — a migratory
-		// counter under a lock — is modeled faithfully either way).
-		taskno := 0
-		for j := p; j < cols; j += procs {
-			if taskno%4 == 0 {
+		// counter under a lock — is modeled faithfully either way). One
+		// segment per task t, column j = p + t*procs, then one for the
+		// closing barrier.
+		tasks := (cols - p + procs - 1) / procs
+		streams[p] = newScript(tasks+1, func(s *script, t int) {
+			if t == tasks {
+				s.barrier(0)
+				return
+			}
+			j := p + t*procs
+			if t%4 == 0 {
 				s.acquire(0)
 				s.read(qhead)
 				s.write(qhead)
 				s.release(0)
 			}
-			taskno++
 			// Factor column j: stream through its blocks once.
 			for b := 0; b < blocksPerCol; b++ {
 				s.readBlock(colBlock(j, b), 2)
@@ -65,9 +69,7 @@ func Cholesky(procs int, scale float64) []proc.Stream {
 				s.release(1 + k%destLocks)
 				s.busy(40)
 			}
-		}
-		s.barrier(0)
-		streams[p] = s.stream()
+		})
 	}
 	return streams
 }

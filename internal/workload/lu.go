@@ -23,11 +23,10 @@ func LU(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(j*blocksPerCol+b)*memsys.BlockSize
 	}
 
+	// One segment per elimination step k.
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
-		s := &script{}
-		s.statsOn()
-		for k := 0; k < n; k++ {
+		streams[p] = newScript(n, func(s *script, k int) {
 			if k%procs == p {
 				// Factorize the pivot column.
 				for b := 0; b < blocksPerCol; b++ {
@@ -53,8 +52,7 @@ func LU(procs int, scale float64) []proc.Stream {
 				}
 			}
 			s.barrier(2*k + 1)
-		}
-		streams[p] = s.stream()
+		})
 	}
 	return streams
 }

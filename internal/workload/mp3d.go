@@ -40,37 +40,40 @@ func MP3D(procs int, scale float64) []proc.Stream {
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
 		r := rng("mp3d", p)
-		s := &script{}
-		s.statsOn()
 		lo, hi := p*particles/procs, (p+1)*particles/procs
 		clo, chi := p*cells/procs, (p+1)*cells/procs
-		for step := 0; step < steps; step++ {
-			for i := lo; i < hi; i++ {
-				pos, vel := blockAddr(2*i), blockAddr(2*i+1)
-				// Move the particle: read position and velocity, advance,
-				// write position back.
-				s.readBlock(pos, 3)
-				s.readBlock(vel, 3)
-				s.busy(12)
-				s.write(pos)
-				s.write(pos + 4)
-				// Collision bookkeeping in the particle's cell: an
-				// unsynchronized read-modify-write on a shared block.
-				var cell int
-				if r.Intn(100) < overlapPct {
-					cell = r.Intn(cells)
-				} else {
-					cell = clo + r.Intn(chi-clo)
-				}
-				ca := blockAddr(cellBase + cell)
-				s.read(ca)
-				s.busy(4)
-				s.write(ca)
-				s.busy(8)
+		// Each step is one segment per owned particle, then one for the
+		// step's barrier.
+		per := hi - lo + 1
+		streams[p] = newScript(steps*per, func(s *script, seg int) {
+			step, k := seg/per, seg%per
+			if k == hi-lo {
+				s.barrier(step)
+				return
 			}
-			s.barrier(step)
-		}
-		streams[p] = s.stream()
+			i := lo + k
+			pos, vel := blockAddr(2*i), blockAddr(2*i+1)
+			// Move the particle: read position and velocity, advance,
+			// write position back.
+			s.readBlock(pos, 3)
+			s.readBlock(vel, 3)
+			s.busy(12)
+			s.write(pos)
+			s.write(pos + 4)
+			// Collision bookkeeping in the particle's cell: an
+			// unsynchronized read-modify-write on a shared block.
+			var cell int
+			if r.Intn(100) < overlapPct {
+				cell = r.Intn(cells)
+			} else {
+				cell = clo + r.Intn(chi-clo)
+			}
+			ca := blockAddr(cellBase + cell)
+			s.read(ca)
+			s.busy(4)
+			s.write(ca)
+			s.busy(8)
+		})
 	}
 	return streams
 }

@@ -27,12 +27,11 @@ func Ocean(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(r*blocksPerRow+b)*memsys.BlockSize
 	}
 
+	// One segment per iteration.
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
-		s := &script{}
-		s.statsOn()
 		lo, hi := p*g/procs, (p+1)*g/procs
-		for it := 0; it < iters; it++ {
+		streams[p] = newScript(iters, func(s *script, it int) {
 			for r := lo; r < hi; r++ {
 				for b := 0; b < blocksPerRow; b++ {
 					if r > 0 {
@@ -47,8 +46,7 @@ func Ocean(procs int, scale float64) []proc.Stream {
 				}
 			}
 			s.barrier(it)
-		}
-		streams[p] = s.stream()
+		})
 	}
 	return streams
 }

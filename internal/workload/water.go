@@ -38,16 +38,21 @@ func Water(procs int, scale float64) []proc.Stream {
 
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
-		s := &script{}
-		s.statsOn()
-		bar := 0
-		for step := 0; step < steps; step++ {
-			// Force phase: pairs (i, j), i < j, dealt round-robin. The
-			// pairwise interaction itself reads both positions (hits after
-			// the first touch per step) and computes privately.
-			pair := 0
-			touched := make([]bool, mols)
-			for i := 0; i < mols; i++ {
+		// Each step is one segment per force-phase row i, then one for
+		// the commit and update phases. The pair counter carries from row
+		// to row; both it and touched restart with each step's row 0.
+		pair := 0
+		touched := make([]bool, mols)
+		streams[p] = newScript(steps*(mols+1), func(s *script, seg int) {
+			step, i := seg/(mols+1), seg%(mols+1)
+			if i == 0 {
+				pair = 0
+				clear(touched)
+			}
+			if i < mols {
+				// Force phase: pairs (i, j), i < j, dealt round-robin. The
+				// pairwise interaction itself reads both positions (hits
+				// after the first touch per step) and computes privately.
 				for j := i + 1; j < mols; j++ {
 					if pair%procs == p {
 						// Distance check reads both positions; only pairs
@@ -65,6 +70,7 @@ func Water(procs int, scale float64) []proc.Stream {
 					}
 					pair++
 				}
+				return
 			}
 			// Commit accumulated contributions: one lock-protected
 			// read-modify-write per touched molecule (the classic
@@ -83,8 +89,7 @@ func Water(procs int, scale float64) []proc.Stream {
 				s.release(i)
 				s.busy(15)
 			}
-			s.barrier(bar)
-			bar++
+			s.barrier(2 * step)
 			// Update phase: integrate owned molecules; positions written
 			// here are the ones everyone reads next step.
 			for i := p; i < mols; i += procs {
@@ -95,10 +100,8 @@ func Water(procs int, scale float64) []proc.Stream {
 				s.write(posBlock(i) + 4)
 				s.busy(40)
 			}
-			s.barrier(bar)
-			bar++
-		}
-		streams[p] = s.stream()
+			s.barrier(2*step + 1)
+		})
 	}
 	return streams
 }

@@ -31,31 +31,48 @@ func lockAddr(i int) memsys.Addr {
 	return lockBase + memsys.Addr(i)*memsys.BlockSize
 }
 
-// script builds one processor's operation stream. The ops go into chunks
-// that double from firstChunk up to maxChunk ops, so building a stream
-// never copies what it already holds and wastes at most one chunk's tail.
+// script is one processor's operation stream, generated on demand one
+// segment at a time: a segment is one iteration of the kernel's loop, and
+// fill(s, i) appends segment i to the stream's op buffer. Next calls fill
+// only once the processor has drained the buffer, so a stream holds one
+// segment instead of its whole history and the kernel's state advances
+// only as the simulated processor completes operations. Segments are
+// generated in order, so a kernel may keep state (a random source, a
+// running counter) from one segment to the next. A segment may be empty.
 type script struct {
-	chunks [][]proc.Op
+	ops       []proc.Op
+	pos       int // next op of ops to return
+	seg, segs int // next segment to fill and the segment count
+	fill      func(s *script, i int)
 }
 
-const (
-	firstChunk = 256
-	maxChunk   = 16 << 10
-)
+// startOps is the op buffer's starting capacity. A larger segment grows
+// the buffer, and later segments reuse what it grew to.
+const startOps = 256
 
-func (s *script) add(op proc.Op) {
-	n := len(s.chunks)
-	if n == 0 || len(s.chunks[n-1]) == cap(s.chunks[n-1]) {
-		size := firstChunk
-		if n > 0 {
-			size = min(2*cap(s.chunks[n-1]), maxChunk)
+// newScript returns a stream that emits StatsOn and then segments
+// 0..segs-1 of fill.
+func newScript(segs int, fill func(s *script, i int)) *script {
+	s := &script{ops: make([]proc.Op, 0, startOps), segs: segs, fill: fill}
+	s.statsOn()
+	return s
+}
+
+// Next implements proc.Stream.
+func (s *script) Next() (proc.Op, bool) {
+	for s.pos == len(s.ops) {
+		if s.seg == s.segs {
+			return proc.Op{}, false
 		}
-		s.chunks = append(s.chunks, make([]proc.Op, 0, size))
-		n++
+		s.ops, s.pos = s.ops[:0], 0
+		s.fill(s, s.seg)
+		s.seg++
 	}
-	s.chunks[n-1] = append(s.chunks[n-1], op)
+	s.pos++
+	return s.ops[s.pos-1], true
 }
 
+func (s *script) add(op proc.Op)      { s.ops = append(s.ops, op) }
 func (s *script) statsOn()            { s.add(proc.Op{Kind: proc.OpStatsOn}) }
 func (s *script) read(a memsys.Addr)  { s.add(proc.Op{Kind: proc.OpRead, Addr: a}) }
 func (s *script) write(a memsys.Addr) { s.add(proc.Op{Kind: proc.OpWrite, Addr: a}) }
@@ -63,25 +80,6 @@ func (s *script) busy(c int64)        { s.add(proc.Op{Kind: proc.OpBusy, Cycles:
 func (s *script) acquire(l int)       { s.add(proc.Op{Kind: proc.OpAcquire, Addr: lockAddr(l)}) }
 func (s *script) release(l int)       { s.add(proc.Op{Kind: proc.OpRelease, Addr: lockAddr(l)}) }
 func (s *script) barrier(id int)      { s.add(proc.Op{Kind: proc.OpBarrier, Bar: id}) }
-func (s *script) stream() proc.Stream { return &chunkStream{chunks: s.chunks} }
-
-// chunkStream replays a script's chunks in order.
-type chunkStream struct {
-	chunks [][]proc.Op
-	c, i   int // current chunk and position in it
-}
-
-// Next implements proc.Stream.
-func (s *chunkStream) Next() (proc.Op, bool) {
-	for s.c < len(s.chunks) {
-		if ch := s.chunks[s.c]; s.i < len(ch) {
-			s.i++
-			return ch[s.i-1], true
-		}
-		s.c, s.i = s.c+1, 0
-	}
-	return proc.Op{}, false
-}
 
 // readBlock touches n words of the block at a (spatial locality within a
 // block appears as FLC hits after the first touch).

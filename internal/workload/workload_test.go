@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"ccsim/internal/memsys"
@@ -284,27 +287,98 @@ func TestCholeskyStreamsColumnsOnce(t *testing.T) {
 	}
 }
 
-// TestScriptChunksKeepOrder builds a stream across many chunk boundaries,
-// past the cap on chunk growth, and replays it in order.
-func TestScriptChunksKeepOrder(t *testing.T) {
-	const n = 3*maxChunk + 17
-	s := &script{}
-	for i := 0; i < n; i++ {
-		s.busy(int64(i))
+// TestScriptSegmentsReplayInOrder generates streams whose segments are
+// empty, larger than the op buffer's starting capacity, or absent, and
+// replays each in order: StatsOn, then every segment's ops, then the end.
+func TestScriptSegmentsReplayInOrder(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		sizes []int // ops in each segment
+	}{
+		{"no segments", nil},
+		{"empty segments", []int{0, 3, 0, 0, 2, 0}},
+		{"segment past starting capacity", []int{5, 3*startOps + 7, 1, 0, startOps}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			next := 0 // ops generated so far, in order
+			st := newScript(len(c.sizes), func(s *script, i int) {
+				for n := 0; n < c.sizes[i]; n++ {
+					s.busy(int64(next))
+					next++
+				}
+			})
+			if op, ok := st.Next(); !ok || op.Kind != proc.OpStatsOn {
+				t.Fatalf("first op = %+v, %v; want StatsOn", op, ok)
+			}
+			total := 0
+			for _, n := range c.sizes {
+				total += n
+			}
+			for i := 0; i < total; i++ {
+				op, ok := st.Next()
+				if !ok || op.Kind != proc.OpBusy || op.Cycles != int64(i) {
+					t.Fatalf("op %d = %+v, %v", i, op, ok)
+				}
+			}
+			for range 2 {
+				if op, ok := st.Next(); ok {
+					t.Fatalf("stream did not end: %+v", op)
+				}
+			}
+		})
 	}
-	for i, ch := range s.chunks {
-		if want := min(firstChunk<<i, maxChunk); cap(ch) != want {
-			t.Fatalf("chunk %d holds %d ops, want %d", i, cap(ch), want)
+}
+
+// TestKernelStreamHashes pins every kernel's whole operation stream, all
+// processors in order, by sha256. A generator edit that reorders,
+// drops or adds an op names its kernel here instead of surfacing only as
+// a metrics diff.
+func TestKernelStreamHashes(t *testing.T) {
+	for _, c := range []struct {
+		kernel string
+		procs  int
+		scale  float64
+		want   string
+	}{
+		{"mp3d", 16, 0.25, "6200cc2f73d6c58934d0367546fccc6b0c47af7db1c71a35e8d2b455171dce5e"},
+		{"cholesky", 16, 0.25, "4eb003bd5448e00fb50dcde1b54f650eee6fea91d6eabf30505172fb92b861bc"},
+		{"water", 16, 0.25, "38862cbf81a64bbb3a677ae760a25330bf41ef1d1556a8eb86c45334da6dfe1f"},
+		{"lu", 16, 0.25, "ad01ba9267d77de0cc46eceaaa7fc6e8e0e8492c207ef5681e4f348e298e3a0d"},
+		{"ocean", 16, 0.25, "72010d5299f066b2e6960f4002f159512a29e0c798ffad299218c80b1127fbd9"},
+		{"mp3d", 4, 0.13, "6e3febd33dbf84d17fc2b59b55bd0d395ee4fd8509644b2776ecb88db37049c0"},
+		{"cholesky", 4, 0.13, "580707c3266a16eb8e63bdc3813cd70c3b644f0bc82b11d20ec83a8de5e87e83"},
+		{"water", 4, 0.13, "371d6e86d303379389476c0fd30b60fc1ca9bffbfcbe87e5f86a89b188f92ba7"},
+		{"lu", 4, 0.13, "c4d09674783580eb9f039c06a4d74761f5fad0ff1a0e6466f03e33231d511a87"},
+		{"ocean", 4, 0.13, "1324da72224c7d43fd941e2a471fdd86770bb4304894457b236d73f111dd9fd9"},
+	} {
+		streams, err := Streams(c.kernel, c.procs, c.scale)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := s.stream()
-	for i := 0; i < n; i++ {
-		op, ok := st.Next()
-		if !ok || op.Cycles != int64(i) {
-			t.Fatalf("op %d = %+v, %v", i, op, ok)
+		// Each op is four little-endian uint64s (kind, addr, cycles,
+		// bar); each stream ends with its op count.
+		h := sha256.New()
+		var rec [32]byte
+		for _, s := range streams {
+			n := uint64(0)
+			for {
+				op, ok := s.Next()
+				if !ok {
+					break
+				}
+				binary.LittleEndian.PutUint64(rec[0:], uint64(op.Kind))
+				binary.LittleEndian.PutUint64(rec[8:], uint64(op.Addr))
+				binary.LittleEndian.PutUint64(rec[16:], uint64(op.Cycles))
+				binary.LittleEndian.PutUint64(rec[24:], uint64(op.Bar))
+				h.Write(rec[:])
+				n++
+			}
+			binary.LittleEndian.PutUint64(rec[:8], n)
+			h.Write(rec[:8])
 		}
-	}
-	if _, ok := st.Next(); ok {
-		t.Fatal("stream did not end")
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s at %d procs, scale %g: stream sha256 = %s, want %s",
+				c.kernel, c.procs, c.scale, got, c.want)
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package ccsim
 
 import (
+	"fmt"
+
 	"ccsim/internal/proc"
 )
 
@@ -62,30 +64,56 @@ func (s *sliceStream) Next() (Op, bool) {
 	return op, true
 }
 
-var kindMap = map[OpKind]proc.OpKind{
-	Busy: proc.OpBusy, Read: proc.OpRead, Write: proc.OpWrite,
-	Acquire: proc.OpAcquire, Release: proc.OpRelease,
-	Barrier: proc.OpBarrier, StatsOn: proc.OpStatsOn,
+// toProc converts op to the internal operation after checking the fields
+// its kind uses: the kind itself, busy cycles (>= 0) and the barrier id
+// (>= 0), the same checks ParseTrace makes on a trace file. The public and
+// internal kinds have the same values, so a valid kind converts as is.
+func (op Op) toProc() (proc.Op, error) {
+	switch {
+	case op.Kind < Busy || op.Kind > StatsOn:
+		return proc.Op{}, fmt.Errorf("unknown kind %d", op.Kind)
+	case op.Kind == Busy && op.Cycles < 0:
+		return proc.Op{}, fmt.Errorf("busy cycles %d < 0", op.Cycles)
+	case op.Kind == Barrier && op.Bar < 0:
+		return proc.Op{}, fmt.Errorf("barrier id %d < 0", op.Bar)
+	}
+	return proc.Op{
+		Kind:   proc.OpKind(op.Kind),
+		Addr:   memAddr(op.Addr),
+		Cycles: op.Cycles,
+		Bar:    op.Bar,
+	}, nil
 }
 
-var kindUnmap = map[proc.OpKind]OpKind{
-	proc.OpBusy: Busy, proc.OpRead: Read, proc.OpWrite: Write,
-	proc.OpAcquire: Acquire, proc.OpRelease: Release,
-	proc.OpBarrier: Barrier, proc.OpStatsOn: StatsOn,
+// opError is a custom stream's operation that the machine cannot run. The
+// stream adapter panics with it, which ends the simulation at once, and
+// runStreams returns it as the run's error.
+type opError struct {
+	proc, index int // the processor and the operation's index in its stream
+	err         error
 }
 
-// streamAdapter converts the public Stream to the internal one.
-type streamAdapter struct{ s Stream }
+func (e *opError) Error() string {
+	return fmt.Sprintf("ccsim: processor %d, operation %d: %v", e.proc, e.index, e.err)
+}
+
+// streamAdapter converts processor proc's public Stream to the internal
+// one.
+type streamAdapter struct {
+	s    Stream
+	proc int
+	n    int // operations read so far
+}
 
 func (a *streamAdapter) Next() (proc.Op, bool) {
 	op, ok := a.s.Next()
 	if !ok {
 		return proc.Op{}, false
 	}
-	return proc.Op{
-		Kind:   kindMap[op.Kind],
-		Addr:   memAddr(op.Addr),
-		Cycles: op.Cycles,
-		Bar:    op.Bar,
-	}, true
+	pop, err := op.toProc()
+	if err != nil {
+		panic(&opError{proc: a.proc, index: a.n, err: err})
+	}
+	a.n++
+	return pop, true
 }

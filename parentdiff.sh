@@ -14,8 +14,11 @@
 # of them also run the live checker (-check) and another third write a
 # protocol trace (-trace FILE). Each configuration runs on both sides with
 # -json; the exit code, stdout and trace file must match byte for byte.
-# The first difference prints its command line and exits 1; otherwise the
-# script prints the count and exits 0.
+# The random scales stop at 0.1, so the script then exports every kernel's
+# operation streams with ccsim -dump at 16 processors and scale 1.0 (the
+# paper-size default), 4 at 0.13 and 32 at 0.02, and compares the files
+# byte for byte. The first difference prints its command line and exits 1;
+# otherwise the script prints the counts and exits 0.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -115,3 +118,24 @@ for i in $(seq 1 "$count"); do
     rm -f "$run"/*
 done
 echo "parentdiff: $count configurations identical, $ok of them ran to completion (SEED=$seed)"
+
+dumps=0
+for size in "16 1.0" "4 0.13" "32 0.02"; do
+    read -r procs scale <<< "$size"
+    for k in mp3d cholesky water lu ocean; do
+        args=(-workload "$k" -procs "$procs" -scale "$scale")
+        for s in old new; do
+            if ! "$work/$s.ccsim" "${args[@]}" -dump "$run/$s.dump" > /dev/null 2>&1; then
+                echo "parentdiff: $s side failed: ccsim ${args[*]} -dump FILE" >&2
+                exit 1
+            fi
+        done
+        if ! cmp -s "$run/old.dump" "$run/new.dump"; then
+            echo "parentdiff: dump differs: ccsim ${args[*]} -dump FILE" >&2
+            exit 1
+        fi
+        dumps=$((dumps + 1))
+        rm -f "$run"/*
+    done
+done
+echo "parentdiff: $dumps kernel dumps identical"

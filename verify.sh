@@ -56,7 +56,8 @@ cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 # "event queue" line's counts.) The disabled path must stay free: the
 # no-allocs tests pin the nil-hook cost to zero, the processor's
 # operations to zero allocations, and a whole run under its allocation
-# ceiling. The address-shift test pins the sparse per-block tables: a run
+# and heap-byte ceilings (the second holds workload streams to one loop
+# iteration per processor). The address-shift test pins the sparse per-block tables: a run
 # with every address moved above 2^40 or 2^58 bytes must match the
 # unshifted run exactly.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
@@ -65,7 +66,7 @@ cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
-go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestAddressShiftInvariance' ccsim
+go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
