@@ -378,8 +378,8 @@ func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
 	// returns as the plain error it is.
 	defer func() {
 		if v := recover(); v != nil {
-			if oe, ok := v.(*opError); ok {
-				res, err = nil, oe
+			if oe, ok := v.(opError); ok {
+				res, err = nil, oe.err
 				return
 			}
 			res, err = nil, m.Recovered(v, debug.Stack())

@@ -113,9 +113,11 @@ func namesSorted() []string {
 	return out
 }
 
-// Streams builds the streams for the named kernel. scale multiplies the
-// problem size: 1.0 is the default size (seconds of host time per run),
-// smaller values shrink it proportionally for tests and quick sweeps.
+// Streams returns the streams for the named kernel. Each generates its
+// operations on demand, one loop iteration at a time, as they are read.
+// scale multiplies the problem size: 1.0 is the default size (seconds of
+// host time per run), smaller values shrink it proportionally for tests
+// and quick sweeps.
 func Streams(name string, procs int, scale float64) ([]proc.Stream, error) {
 	g, ok := registry[name]
 	if !ok {

@@ -85,17 +85,10 @@ func (op Op) toProc() (proc.Op, error) {
 	}, nil
 }
 
-// opError is a custom stream's operation that the machine cannot run. The
-// stream adapter panics with it, which ends the simulation at once, and
-// runStreams returns it as the run's error.
-type opError struct {
-	proc, index int // the processor and the operation's index in its stream
-	err         error
-}
-
-func (e *opError) Error() string {
-	return fmt.Sprintf("ccsim: processor %d, operation %d: %v", e.proc, e.index, e.err)
-}
+// opError carries the error of a custom operation the machine cannot run
+// out of the simulation: the stream adapter panics with it, which ends the
+// run at once, and runStreams recovers it and returns the error.
+type opError struct{ err error }
 
 // streamAdapter converts processor proc's public Stream to the internal
 // one.
@@ -112,7 +105,7 @@ func (a *streamAdapter) Next() (proc.Op, bool) {
 	}
 	pop, err := op.toProc()
 	if err != nil {
-		panic(&opError{proc: a.proc, index: a.n, err: err})
+		panic(opError{fmt.Errorf("ccsim: processor %d, operation %d: %w", a.proc, a.n, err)})
 	}
 	a.n++
 	return pop, true
