@@ -15,8 +15,11 @@ import (
 // and SLC sets and its write-cache frame; only the block numbers change.
 // Per-block protocol state is indexed by block number in sparse page
 // tables, and no built-in kernel reaches these addresses, so this is what
-// covers them. A one-page shift moves every block to another home and must
-// change the result, which proves the comparison can fail.
+// covers them. Every run also attaches a fresh live checker and sharing
+// analyzer, whose shadow state lives in block tables of its own: the
+// checker asserts at those far block numbers, and Result.Sharing is part
+// of the comparison. A one-page shift moves every block to another home
+// and must change the result, which proves the comparison can fail.
 func TestAddressShiftInvariance(t *testing.T) {
 	const procs = 16
 	ops, err := ccsim.WorkloadOps("mp3d", procs, 0.25)
@@ -37,9 +40,14 @@ func TestAddressShiftInvariance(t *testing.T) {
 			}
 			streams[p] = ccsim.Ops(moved...)
 		}
+		cfg.Check = ccsim.NewChecker()
+		cfg.Sharing = ccsim.NewSharingAnalytics()
 		res, err := ccsim.RunStreams(cfg, streams)
 		if err != nil {
 			t.Fatalf("shift %#x: %v", shift, err)
+		}
+		if cfg.Check.Checks() == 0 || res.Sharing == nil {
+			t.Fatalf("shift %#x: checker made %d checks, sharing report %v", shift, cfg.Check.Checks(), res.Sharing)
 		}
 		return res
 	}

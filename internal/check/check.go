@@ -36,6 +36,7 @@ package check
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ccsim/internal/fault"
 	"ccsim/internal/memsys"
@@ -60,16 +61,29 @@ type dirShadow struct {
 	presence uint64
 }
 
+// lineShadow mirrors which nodes' SLCs hold one block: bit n of held is set
+// while node n holds a copy, and bit n of dirty while that copy is dirty
+// (dirty is always a subset of held). Runs have at most 64 nodes.
+type lineShadow struct {
+	held, dirty uint64
+}
+
+// wcShadow mirrors one node's write-cache entry for one block.
+type wcShadow struct {
+	held bool
+	mask memsys.WordMask
+}
+
 // Oracle is the live checker's shadow state for one run. Attach one oracle
 // to one run only: Reset rebinds it, but a run mutates it freely from the
-// simulation goroutine.
+// simulation goroutine. Every shadow is a block table, indexed by block
+// number the way the protocol's own per-block state is.
 type Oracle struct {
 	nodes int
-	dir   map[memsys.Block]dirShadow
-	// lines[n][b] is true when node n's shadow copy of b is dirty.
-	lines []map[memsys.Block]bool
-	wc    []map[memsys.Block]memsys.WordMask
-	hwm   map[memsys.Block]*memsys.BlockData
+	dir   memsys.Table[dirShadow]
+	lines memsys.Table[lineShadow]
+	wc    []memsys.Table[wcShadow] // one table per node
+	hwm   memsys.Table[memsys.BlockData]
 
 	// Dispatch context: the protocol message whose handling triggered the
 	// current hooks; a violation is attributed to it.
@@ -96,14 +110,10 @@ func New() *Oracle { return &Oracle{} }
 // discarding all shadow state.
 func (o *Oracle) Reset(nodes int) {
 	o.nodes = nodes
-	o.dir = make(map[memsys.Block]dirShadow)
-	o.lines = make([]map[memsys.Block]bool, nodes)
-	o.wc = make([]map[memsys.Block]memsys.WordMask, nodes)
-	for i := 0; i < nodes; i++ {
-		o.lines[i] = make(map[memsys.Block]bool)
-		o.wc[i] = make(map[memsys.Block]memsys.WordMask)
-	}
-	o.hwm = make(map[memsys.Block]*memsys.BlockData)
+	o.dir = memsys.Table[dirShadow]{}
+	o.lines = memsys.Table[lineShadow]{}
+	o.wc = make([]memsys.Table[wcShadow], nodes)
+	o.hwm = memsys.Table[memsys.BlockData]{}
 	o.ctxValid = false
 	o.checks = 0
 	o.obs = make([][]Obs, nodes)
@@ -158,15 +168,20 @@ func (o *Oracle) Failf(component string, b memsys.Block, format string, args ...
 // state.
 func (o *Oracle) OnLine(node int, b memsys.Block, dirty bool, event string) {
 	o.checks++
-	o.lines[node][b] = dirty
-	d := o.dir[b]
+	l := o.lines.At(b)
+	bit := uint64(1) << uint(node)
+	l.held |= bit
+	if dirty {
+		l.dirty |= bit
+	} else {
+		l.dirty &^= bit
+	}
+	d := load(&o.dir, b)
 	if dirty {
 		// SWMR: no other node may hold a dirty copy at any instant.
-		for n := 0; n < o.nodes; n++ {
-			if n != node && o.lines[n][b] {
-				o.violate("", b, "%s: node %d turned block %d dirty while node %d already holds it dirty (SWMR)",
-					event, node, b, n)
-			}
+		if others := l.dirty &^ bit; others != 0 {
+			o.violate("", b, "%s: node %d turned block %d dirty while node %d already holds it dirty (SWMR)",
+				event, node, b, lowest(others))
 		}
 		// A dirty copy exists only at the registered owner of a MODIFIED
 		// entry — the home always registers the grant before the ack can
@@ -191,7 +206,25 @@ func (o *Oracle) OnLine(node int, b memsys.Block, dirty bool, event string) {
 // replacement).
 func (o *Oracle) OnLineDrop(node int, b memsys.Block, event string) {
 	o.checks++
-	delete(o.lines[node], b)
+	if l := o.lines.Get(b); l != nil {
+		bit := uint64(1) << uint(node)
+		l.held &^= bit
+		l.dirty &^= bit
+	}
+}
+
+// lowest returns the lowest-numbered node in a nonempty node set: the node
+// a per-node scan from 0 meets first.
+func lowest(set uint64) int { return bits.TrailingZeros64(set) }
+
+// load returns block b's entry of t, or the zero entry when no block of b's
+// page was ever touched. It never allocates.
+func load[T any](t *memsys.Table[T], b memsys.Block) T {
+	if p := t.Get(b); p != nil {
+		return *p
+	}
+	var zero T
+	return zero
 }
 
 func (d dirShadow) describe() string {
@@ -213,7 +246,8 @@ func (o *Oracle) OnDirState(home int, b memsys.Block, modified bool, owner int, 
 		o.violate("", b, "%s: directory entry for block %d mutated at node %d, home is %d",
 			event, b, home, h)
 	}
-	o.dir[b] = dirShadow{known: true, modified: modified, owner: owner, presence: presence}
+	*o.dir.At(b) = dirShadow{known: true, modified: modified, owner: owner, presence: presence}
+	l := load(&o.lines, b)
 	if modified {
 		if owner < 0 || owner >= o.nodes {
 			o.violate("", b, "%s: block %d MODIFIED with owner %d out of range", event, b, owner)
@@ -224,29 +258,22 @@ func (o *Oracle) OnDirState(home int, b memsys.Block, modified bool, owner int, 
 			o.violate("", b, "%s: block %d MODIFIED owner %d but presence %#x tracks other nodes",
 				event, b, owner, presence)
 		}
-		for n := 0; n < o.nodes; n++ {
-			if n != owner {
-				if _, held := o.lines[n][b]; held {
-					o.violate("", b, "%s: block %d granted MODIFIED to %d while node %d still holds a copy",
-						event, b, owner, n)
-				}
-			}
+		if stray := l.held &^ (1 << uint(owner)); stray != 0 {
+			o.violate("", b, "%s: block %d granted MODIFIED to %d while node %d still holds a copy",
+				event, b, owner, lowest(stray))
 		}
 		return
 	}
 	// CLEAN: no dirty copy anywhere, and presence a superset of holders.
-	for n := 0; n < o.nodes; n++ {
-		dirty, held := o.lines[n][b]
-		if !held {
-			continue
-		}
-		if dirty {
+	// The lowest offending holder is named, with its dirty copy reported
+	// before its missing presence bit.
+	if bad := l.dirty | l.held&^presence; bad != 0 {
+		n := lowest(bad)
+		if l.dirty&(1<<uint(n)) != 0 {
 			o.violate("", b, "%s: block %d CLEAN at home while node %d holds it dirty", event, b, n)
 		}
-		if presence&(1<<uint(n)) == 0 {
-			o.violate("", b, "%s: block %d presence %#x dropped node %d which still holds a copy",
-				event, b, presence, n)
-		}
+		o.violate("", b, "%s: block %d presence %#x dropped node %d which still holds a copy",
+			event, b, presence, n)
 	}
 }
 
@@ -254,8 +281,9 @@ func (o *Oracle) OnDirState(home int, b memsys.Block, modified bool, owner int, 
 // and asserts the real per-word dirty mask matches the shadow.
 func (o *Oracle) OnWCWrite(node int, b memsys.Block, w int, got memsys.WordMask) {
 	o.checks++
-	want := o.wc[node][b].Set(w)
-	o.wc[node][b] = want
+	e := o.wc[node].At(b)
+	want := e.mask.Set(w)
+	*e = wcShadow{held: true, mask: want}
 	if got != want {
 		o.violate("", b, "write cache: node %d block %d word %d: dirty mask %s, shadow %s",
 			node, b, w, got, want)
@@ -268,8 +296,12 @@ func (o *Oracle) OnWCWrite(node int, b memsys.Block, w int, got memsys.WordMask)
 // words that were written.
 func (o *Oracle) OnWCFlush(node int, b memsys.Block, got memsys.WordMask, event string) {
 	o.checks++
-	want, held := o.wc[node][b]
-	delete(o.wc[node], b)
+	var want memsys.WordMask
+	held := false
+	if e := o.wc[node].Get(b); e != nil {
+		want, held = e.mask, e.held
+		*e = wcShadow{}
+	}
 	if !held {
 		o.violate("", b, "%s: node %d flushed write-cache block %d the shadow never saw written", event, node, b)
 	}
@@ -284,11 +316,7 @@ func (o *Oracle) OnWCFlush(node int, b memsys.Block, got memsys.WordMask, event 
 // versions advance exactly one at a time.
 func (o *Oracle) OnWrite(node int, b memsys.Block, w int, ver int64) {
 	o.checks++
-	c := o.hwm[b]
-	if c == nil {
-		c = &memsys.BlockData{}
-		o.hwm[b] = c
-	}
+	c := o.hwm.At(b)
 	if ver != c[w]+1 {
 		o.violate("", b, "write by node %d to block %d word %d serialized as version %d after %d",
 			node, b, w, ver, c[w])
@@ -304,11 +332,8 @@ func (o *Oracle) OnWrite(node int, b memsys.Block, w int, ver int64) {
 // the future means a data path fabricated or double-applied a write.
 func (o *Oracle) OnRead(node int, b memsys.Block, w int, ver int64) {
 	o.checks++
-	if c := o.hwm[b]; ver > 0 && (c == nil || ver > c[w]) {
-		hw := int64(0)
-		if c != nil {
-			hw = c[w]
-		}
+	// A block never written reads as version 0.
+	if hw := load(&o.hwm, b)[w]; ver > 0 && ver > hw {
 		o.violate("", b, "node %d read block %d word %d version %d beyond serialization high-water %d",
 			node, b, w, ver, hw)
 	}

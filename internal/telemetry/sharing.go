@@ -69,8 +69,10 @@ const (
 
 // blockShare is the per-block classifier state: node sets, per-word writer
 // sets, and the handoff detector. Nodes beyond 63 clamp into bit 63 — the
-// classifier only needs "one node or several", not exact identity.
+// classifier only needs "one node or several", not exact identity. The
+// zero value is a block never observed (seen is false).
 type blockShare struct {
+	seen  bool
 	class SharingClass
 
 	reads, writes uint64
@@ -205,23 +207,21 @@ func (t *SharingTotals) Merge(o *SharingTotals) {
 // Hooks fire only inside the measured section (statsOn), matching the
 // SPLASH methodology everywhere else in the simulator. Not safe for
 // concurrent use within one run (the engine is single-threaded); sweeps
-// attach a fresh analyzer per run and Merge the totals.
+// attach a fresh analyzer per run and Merge the totals. Per-block state
+// lives in a block table, by value.
 type Sharing struct {
-	blocks map[uint64]*blockShare
+	blocks memsys.Table[blockShare]
 	tot    SharingTotals
 }
 
 // NewSharing returns an empty analyzer ready to attach to a run.
-func NewSharing() *Sharing {
-	return &Sharing{blocks: make(map[uint64]*blockShare)}
-}
+func NewSharing() *Sharing { return &Sharing{} }
 
 func (s *Sharing) get(b uint64) *blockShare {
-	bs := s.blocks[b]
-	if bs == nil {
-		bs = &blockShare{class: ShareReadOnly, lastWriter: -1, lastTouchNode: -1}
+	bs := s.blocks.At(memsys.Block(b))
+	if !bs.seen {
+		*bs = blockShare{seen: true, class: ShareReadOnly, lastWriter: -1, lastTouchNode: -1}
 		s.tot.Classes[ShareReadOnly].Blocks++
-		s.blocks[b] = bs
 	}
 	return bs
 }
@@ -358,8 +358,8 @@ func (s *Sharing) ClassOf(b uint64) (SharingClass, bool) {
 	if s == nil {
 		return 0, false
 	}
-	bs := s.blocks[b]
-	if bs == nil {
+	bs := s.blocks.Get(memsys.Block(b))
+	if bs == nil || !bs.seen {
 		return 0, false
 	}
 	return bs.class, true

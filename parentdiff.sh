@@ -11,9 +11,11 @@
 # 400 configurations over the workloads, the eight extension sets, RC and
 # SC (never SC with CW), the uniform network and 16/32/64-bit meshes, 4-16
 # processors, scales 0.02-0.1, SLC sizes and small write buffers. One third
-# of them also run the live checker (-check) and another third write a
-# protocol trace (-trace FILE). Each configuration runs on both sides with
-# -json; the exit code, stdout and trace file must match byte for byte.
+# of them also run the live checker (-check), another third write a
+# protocol trace (-trace FILE), and the last third write the sharing report
+# and the telemetry timeline (-sharing FILE -timeline FILE). Each
+# configuration runs on both sides with -json; the exit code, stdout and
+# every side file must match byte for byte.
 # The random scales stop at 0.1, so the script then exports every kernel's
 # operation streams with ccsim -dump at 16 processors and scale 1.0 (the
 # paper-size default), 4 at 0.13 and 32 at 0.02, and compares the files
@@ -33,14 +35,18 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/ccsim-parentdiff.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
 # side NAME REV: export REV (or the working tree when REV is empty) and
-# build its ccsim.
+# build its ccsim. A tracked file deleted from the working tree is still
+# listed by git ls-files, so only paths that exist are copied.
 side() {
     local dir="$work/$1"
     mkdir -p "$dir"
     if [ -n "$2" ]; then
         git -C "$repo" archive "$2" | tar -x -C "$dir"
     else
-        (cd "$repo" && git ls-files -co --exclude-standard -z | xargs -0 cp --parents -t "$dir")
+        (cd "$repo" && git ls-files -co --exclude-standard -z |
+            while IFS= read -r -d '' f; do
+                if [ -e "$f" ]; then printf '%s\0' "$f"; fi
+            done | xargs -0 cp --parents -t "$dir")
     fi
     (cd "$dir" && go build -o "$work/$1.ccsim" ./cmd/ccsim)
     echo "$1: ${2:-working tree} built" >&2
@@ -64,6 +70,7 @@ pick() {
 }
 
 ok=0
+files=0
 for i in $(seq 1 "$count"); do
     pick mp3d cholesky water lu ocean
     args=(-workload "$v")
@@ -92,32 +99,36 @@ for i in $(seq 1 "$count"); do
     args+=(-flwb "$v")
     pick 0 1 2 4
     args+=(-slwb "$v")
+    # A side file is named @.KIND here; each side runs with @ replaced
+    # by its own name.
     case $((i % 3)) in
     1) args+=(-check) ;;
-    2) args+=(-trace TRACE) ;;
+    2) args+=(-trace @.trace) ;;
+    0) args+=(-sharing @.sharing -timeline @.timeline) ;;
     esac
 
     for s in old new; do
         (
             cd "$run"
             set +e
-            "$work/$s.ccsim" "${args[@]/#TRACE/$s.trace}" -json > "$s.out" 2> /dev/null
+            "$work/$s.ccsim" "${args[@]/#@/$s}" -json > "$s.out" 2> /dev/null
             echo $? > "$s.code"
         ) &
     done
     wait
-    for f in code out trace; do
+    for f in code out trace sharing timeline; do
         if [ -e "$run/old.$f" ] || [ -e "$run/new.$f" ]; then
             if ! cmp -s "$run/old.$f" "$run/new.$f"; then
-                echo "parentdiff: configuration $i differs ($f): ccsim ${args[*]/#TRACE/FILE} -json" >&2
+                echo "parentdiff: configuration $i differs ($f): ccsim ${args[*]/#@/FILE} -json" >&2
                 exit 1
             fi
+            case $f in trace | sharing | timeline) files=$((files + 1)) ;; esac
         fi
     done
     if [ "$(cat "$run/new.code")" -eq 0 ]; then ok=$((ok + 1)); fi
     rm -f "$run"/*
 done
-echo "parentdiff: $count configurations identical, $ok of them ran to completion (SEED=$seed)"
+echo "parentdiff: $count configurations identical, $ok of them ran to completion, $files side files compared (SEED=$seed)"
 
 dumps=0
 for size in "16 1.0" "4 0.13" "32 0.02"; do

@@ -57,16 +57,19 @@ cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 # no-allocs tests pin the nil-hook cost to zero, the processor's
 # operations to zero allocations, and a whole run under its allocation
 # and heap-byte ceilings (the second holds workload streams to one loop
-# iteration per processor). The address-shift test pins the sparse per-block tables: a run
-# with every address moved above 2^40 or 2^58 bytes must match the
-# unshifted run exactly.
+# iteration per processor). The observed-run ceiling does the same for a
+# run with the checker, sharing analyzer, telemetry and trace attached
+# (it fails if their per-block or per-span state goes back to maps and
+# one heap object each). The address-shift test pins the sparse per-block
+# tables, the side channels' included: a run with every address moved
+# above 2^40 or 2^58 bytes must match the unshifted run exactly.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
-go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
+go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
