@@ -63,12 +63,14 @@ type dirShadow struct {
 
 // lineShadow mirrors which nodes' SLCs hold one block: bit n of held is set
 // while node n holds a copy, and bit n of dirty while that copy is dirty
-// (dirty is always a subset of held). Runs have at most 64 nodes.
+// (dirty is always a subset of held). Runs have at most 64 nodes
+// (core.Params.Validate rejects more).
 type lineShadow struct {
 	held, dirty uint64
 }
 
-// wcShadow mirrors one node's write-cache entry for one block.
+// wcShadow mirrors one node's write-cache entry for one block: held from
+// the entry's first combining write until its flush.
 type wcShadow struct {
 	held bool
 	mask memsys.WordMask
