@@ -339,7 +339,7 @@ func TestSamplerRestartOnEngineReuse(t *testing.T) {
 }
 
 // TestSpanIDsIgnoredWhenNotOpen marks and ends IDs that are zero, were
-// never issued, or belong to a span that already ended: each must leave
+// never handed out, or belong to a span that already ended: each must leave
 // every span untouched.
 func TestSpanIDsIgnoredWhenNotOpen(t *testing.T) {
 	c := New(Options{})
