@@ -26,6 +26,7 @@
 package ccsim
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"runtime/debug"
@@ -34,6 +35,7 @@ import (
 	"ccsim/internal/check"
 	"ccsim/internal/core"
 	"ccsim/internal/machine"
+	"ccsim/internal/memsys"
 	"ccsim/internal/proc"
 	"ccsim/internal/sim"
 	"ccsim/internal/trace"
@@ -111,7 +113,12 @@ type Config struct {
 
 	// TraceWriter, when non-nil, streams a protocol trace there: every
 	// message send and delivery, directory transition, cache fill and
-	// eviction, one line per event.
+	// eviction, one line per event. The lines are rendered off the
+	// simulation goroutine and arrive a batch of events at a time, one
+	// Write call per batch. Write is called from one goroutine of the run,
+	// never concurrently, and every call has returned before Run returns,
+	// a faulting run's included; that trace ends at the fault. A Write
+	// that panics fails the run with an error.
 	TraceWriter io.Writer
 	// TraceBlocks restricts the trace to the blocks containing these byte
 	// addresses (empty = all blocks).
@@ -262,13 +269,6 @@ func (c Config) machineConfig() machine.Config {
 	if c.Net == Mesh {
 		mc.Net = machine.NetMesh
 	}
-	if c.TraceWriter != nil {
-		var f trace.Filter
-		for _, a := range c.TraceBlocks {
-			f.Blocks = append(f.Blocks, a/32)
-		}
-		mc.Tracer = trace.New(c.TraceWriter, f)
-	}
 	return mc
 }
 
@@ -367,7 +367,22 @@ func RunStreams(cfg Config, streams []Stream) (*Result, error) {
 }
 
 func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
-	m, merr := machine.New(cfg.machineConfig(), streams)
+	mc := cfg.machineConfig()
+	if cfg.TraceWriter != nil {
+		var f trace.Filter
+		for _, a := range cfg.TraceBlocks {
+			f.Blocks = append(f.Blocks, uint64(memsys.BlockOf(memsys.Addr(a))))
+		}
+		mc.Tracer = trace.New(cfg.TraceWriter, f)
+		// Deferred first so it runs last, after a panic has become a fault:
+		// every path writes the whole trace before the run returns.
+		defer func() {
+			if cerr := mc.Tracer.Close(); cerr != nil {
+				res, err = nil, errors.Join(err, cerr)
+			}
+		}()
+	}
+	m, merr := machine.New(mc, streams)
 	if merr != nil {
 		return nil, merr
 	}

@@ -180,9 +180,12 @@ func run() (code int) {
 	}
 
 	if *traceOut != "" {
-		// stderr stays unbuffered so the trace interleaves with the logs; a
-		// trace file is buffered, and a write, flush or close failure fails
-		// the command, since a truncated trace is a lost result.
+		// The run renders the trace on its own goroutine and writes it a
+		// batch of events at a time, every batch before Run returns, so
+		// stderr needs no buffer: its lines arrive a batch at a time,
+		// between any log records. A trace file is buffered, and a write,
+		// flush or close failure fails the command, since a truncated trace
+		// is a lost result.
 		var w io.Writer = os.Stderr
 		if *traceOut != "-" {
 			f, err := os.Create(*traceOut)

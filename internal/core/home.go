@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
 
 	"ccsim/internal/memsys"
 	"ccsim/internal/syncprim"
@@ -576,12 +577,17 @@ func (h *HomeCtl) onInvAck(m *Msg) {
 	}
 }
 
-func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
-	note := ""
-	if h.sys.Tracer != nil {
-		note = fmt.Sprintf("to=%d", to)
+// grantNotes holds the trace note of a grant to each node Params.Validate
+// allows, so a traced grant allocates nothing.
+var grantNotes = func() (n [64]string) {
+	for i := range n {
+		n[i] = "to=" + strconv.Itoa(i)
 	}
-	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, note)
+	return n
+}()
+
+func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
+	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, grantNotes[to])
 	e.state = dirModified
 	e.owner = to
 	h.setPresence(e, bit(to))

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func ev(at int64, k Kind, what string, blk uint64, node int) Event {
@@ -26,6 +27,9 @@ func TestTracerBuffersAndStreams(t *testing.T) {
 	tr := New(&buf, Filter{})
 	tr.Record(ev(10, MsgSend, "ReadReq", 5, 0))
 	tr.Record(ev(20, MsgDeliver, "ReadReq", 5, 1))
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 	lines := streamed(&buf)
 	if len(lines) != 2 {
 		t.Fatalf("streamed %d lines, want 2:\n%s", len(lines), buf.String())
@@ -44,6 +48,9 @@ func TestTracerBlockAndNodeFilter(t *testing.T) {
 	tr.Record(ev(1, MsgSend, "a", 7, 2)) // match
 	tr.Record(ev(2, MsgSend, "b", 7, 3)) // match: any node
 	tr.Record(ev(3, MsgSend, "c", 8, 2)) // wrong block
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 	lines := streamed(&buf)
 	if len(lines) != 2 || !strings.Contains(lines[0], " a ") || !strings.Contains(lines[1], " b ") {
 		t.Fatalf("filter failed:\n%s", buf.String())
@@ -99,6 +106,9 @@ func TestStreamMatchesFmt(t *testing.T) {
 			t.Errorf("String() = %q, want %q", got, fmtLine(e))
 		}
 	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if buf.String() != want.String() {
 		t.Fatalf("stream =\n%s\nwant\n%s", buf.String(), want.String())
 	}
@@ -113,10 +123,78 @@ func TestStreamMatchesFmt(t *testing.T) {
 
 func TestStreamRecordAllocatesNothing(t *testing.T) {
 	tr := New(io.Discard, Filter{})
+	defer tr.Close()
 	e := Event{At: 1234, Kind: MsgSend, What: "ReadReq", Block: 99, Node: 3, Peer: 4, Note: "prefetch"}
 	tr.Record(e)
-	if n := testing.AllocsPerRun(100, func() { tr.Record(e) }); n != 0 {
+	// Several batches, so the hand-overs to the renderer are counted too.
+	if n := testing.AllocsPerRun(3*batchLen, func() { tr.Record(e) }); n != 0 {
 		t.Fatalf("streaming Record allocates %v times per event, want 0", n)
+	}
+}
+
+// batchWriter records the lines of each Write. A delay makes it a slow
+// writer, which Record must wait for instead of dropping events.
+type batchWriter struct {
+	delay  time.Duration
+	writes [][]string
+	panic  int // panic on this Write, counting from 1; 0 = never
+}
+
+func (w *batchWriter) Write(p []byte) (int, error) {
+	time.Sleep(w.delay)
+	w.writes = append(w.writes, strings.Split(strings.TrimSuffix(string(p), "\n"), "\n"))
+	if len(w.writes) == w.panic {
+		panic("disk on fire")
+	}
+	return len(p), nil
+}
+
+// TestTracerWritesOneBatchPerWrite: a slow writer gets every line in
+// order, one full batch per Write and the partial batch from Close, and no
+// empty Write when the events fill whole batches.
+func TestTracerWritesOneBatchPerWrite(t *testing.T) {
+	for _, n := range []int{0, 1, batchLen, 3*batchLen + 7} {
+		w := &batchWriter{delay: time.Millisecond}
+		tr := New(w, Filter{})
+		for i := 0; i < n; i++ {
+			tr.Record(ev(int64(i), MsgSend, "ReadReq", 1, 0))
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		for i, lines := range w.writes {
+			if want := min(batchLen, n-next); len(lines) != want {
+				t.Fatalf("%d events: write %d has %d lines, want %d", n, i, len(lines), want)
+			}
+			for _, l := range lines {
+				if want := fmt.Sprintf("T%-8d ", next); !strings.HasPrefix(l, want) {
+					t.Fatalf("%d events: line %q, want prefix %q", n, l, want)
+				}
+				next++
+			}
+		}
+		if next != n || len(w.writes) != (n+batchLen-1)/batchLen {
+			t.Fatalf("%d events: %d lines in %d writes", n, next, len(w.writes))
+		}
+	}
+}
+
+// TestTracerWriterPanic: a writer that panics ends neither the renderer
+// nor the recording goroutine. Record keeps taking events, the writer is
+// not called again, and Close returns the panic as an error.
+func TestTracerWriterPanic(t *testing.T) {
+	w := &batchWriter{panic: 2}
+	tr := New(w, Filter{})
+	for i := 0; i < 5*batchLen; i++ {
+		tr.Record(ev(int64(i), MsgSend, "ReadReq", 1, 0))
+	}
+	err := tr.Close()
+	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+		t.Fatalf("Close = %v, want the writer's panic", err)
+	}
+	if len(w.writes) != 2 {
+		t.Fatalf("writer called %d times, want 2: none after its panic", len(w.writes))
 	}
 }
 
@@ -132,7 +210,7 @@ func TestZeroFilterMatchesAll(t *testing.T) {
 		var buf bytes.Buffer
 		tr := New(&buf, Filter{})
 		tr.Record(Event{At: at, Kind: Kind(int(k) % int(nKinds)), Block: blk, Node: int(node), Peer: -1})
-		return len(streamed(&buf)) == 1
+		return tr.Close() == nil && len(streamed(&buf)) == 1
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Tier-1 verification: everything must build, vet clean, and pass the full
 # test suite; the event engine, telemetry collector, ops plane, coherence
-# checker, litmus harness, and the parallel experiment scheduler
-# additionally run under the race detector (the scheduler fans ccsim.Run
-# calls across goroutines and the ops server scrapes them live, so exp and
-# ops are the race-sensitive surface; checked runs ride those same
-# goroutines). CI and `make verify` both run this.
+# checker, litmus harness, protocol tracer and the parallel experiment
+# scheduler additionally run under the race detector (the scheduler fans
+# ccsim.Run calls across goroutines and the ops server scrapes them live,
+# so exp and ops are the race-sensitive surface; checked runs ride those
+# same goroutines; the tracer renders on a goroutine of its own). CI and
+# `make verify` both run this.
 set -eux
 
 go build ./...
@@ -20,7 +21,12 @@ if [ -n "$unformatted" ]; then
 fi
 
 go test ./...
-go test -race -short ccsim/internal/sim ccsim/internal/telemetry ccsim/internal/fault ccsim/internal/ops ccsim/internal/check ccsim/internal/litmus ccsim/internal/store ccsim/exp
+go test -race -short ccsim/internal/sim ccsim/internal/telemetry ccsim/internal/fault ccsim/internal/ops ccsim/internal/check ccsim/internal/litmus ccsim/internal/store ccsim/internal/trace ccsim/exp
+
+# Trace-renderer race pass, named directly in CI logs: traced runs that end
+# cleanly, at a fault, through a slow writer and through a panicking one,
+# each handing batches between the simulation goroutine and the renderer.
+go test -race -count=1 -run 'Trace|Fault' ccsim
 
 # Queue-focused race pass, named directly in CI logs: TestEngine* plus the
 # differential event-order tests cover every calendar-queue path (wheel
@@ -60,16 +66,18 @@ cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 # iteration per processor). The observed-run ceiling does the same for a
 # run with the checker, sharing analyzer, telemetry and trace attached
 # (it fails if their per-block or per-span state goes back to maps and
-# one heap object each). The address-shift test pins the sparse per-block
-# tables, the side channels' included: a run with every address moved
-# above 2^40 or 2^58 bytes must match the unshifted run exactly.
+# one heap object each). A traced run may allocate only a constant more
+# than the same run untraced, so no trace line allocates. The
+# address-shift test pins the sparse per-block tables, the side channels'
+# included: a run with every address moved above 2^40 or 2^58 bytes must
+# match the unshifted run exactly.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
-go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
+go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
