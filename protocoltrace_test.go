@@ -75,9 +75,10 @@ func TestTraceSlowWriterGetsEveryLine(t *testing.T) {
 // TestFaultingRunTraceGolden pins the whole trace of three faulting runs,
 // one per way a run ends early: a panic, a checker finding and a watchdog
 // abort. Each trace ends at the fault and is complete when Run returns,
-// even through a slow writer. The hashes were taken before rendering moved
-// off the simulation goroutine; the watchdog run's 8,499 lines span many
-// full batches and a partial one.
+// even through a slow writer; the watchdog run's 8,499 lines span many
+// full batches and a partial one. A change to the trace format, to the
+// order of protocol events or to where a faulting run's trace stops
+// changes a hash.
 func TestFaultingRunTraceGolden(t *testing.T) {
 	inject := tinyCfg("mp3d")
 	inject.FaultInject = "mp3d/BASIC"
