@@ -1,4 +1,4 @@
-.PHONY: verify test chaos golden
+.PHONY: verify test chaos golden size
 
 # Tier-1 gate: build + vet + full tests + race passes (sim, telemetry, ops,
 # exp) + the metrics regression gate against golden/.
@@ -23,3 +23,13 @@ chaos:
 golden:
 	rm -f golden/*.json
 	go run ./cmd/experiments -exp all -scale 0.02 -procs 16 -q -metrics golden > /dev/null
+
+# Print the repository's size as four numbers: production and test Go
+# lines outside bench/ (every line of every file `git ls-files` lists,
+# blank and comment lines included, so stage new files first), and the
+# flags `ccsim -h` and `experiments -h` list (usage lines starting "  -").
+size:
+	@printf 'production Go lines (outside bench/): %s\n' "$$(git ls-files -z '*.go' ':!:*_test.go' ':!:bench' | xargs -0 cat | wc -l)"
+	@printf 'test Go lines (outside bench/):       %s\n' "$$(git ls-files -z '*_test.go' ':!:bench' | xargs -0 cat | wc -l)"
+	@printf 'ccsim -h flags:                       %s\n' "$$(go run ./cmd/ccsim -h 2>&1 | grep -c '^  -')"
+	@printf 'experiments -h flags:                 %s\n' "$$(go run ./cmd/experiments -h 2>&1 | grep -c '^  -')"

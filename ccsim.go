@@ -154,10 +154,6 @@ type Config struct {
 	// this many consecutive events without any processor retiring an
 	// operation. 0 selects the machine default (2M events).
 	NoProgressEvents uint64
-	// FlightRecorder sets the fault flight recorder's depth in protocol
-	// messages (0 = default 64, negative = disabled). The recorder's tail
-	// appears in every SimFault dump.
-	FlightRecorder int
 
 	// FaultInject, when it equals this run's "workload/protocol" identity
 	// (e.g. "mp3d/P+CW"), makes the simulation panic deliberately shortly
@@ -250,7 +246,6 @@ func (c Config) machineConfig() machine.Config {
 		MaxEvents:        c.MaxEvents,
 		MaxTime:          sim.Time(c.Deadline),
 		NoProgressEvents: c.NoProgressEvents,
-		FlightRecorder:   c.FlightRecorder,
 		Progress:         c.Progress,
 		Cancel:           c.Cancel,
 		Check:            c.Check,

@@ -27,8 +27,6 @@
 //	experiments -sharing ...        # sharing-pattern analytics per run, sweep aggregate at exit
 //	experiments -cache-dir cache/   # durable result store: crash, re-run, resume
 //	experiments -resume=false ...   # refresh the store, ignoring existing entries
-//	experiments -retries 2          # re-run transiently-faulted runs up to 2 extra times
-//	experiments -retry-backoff 5s   # sleep before the first retry, doubling per attempt
 //
 // All experiments of one invocation share a scheduler: a configuration
 // named by several experiments (every figure's BASIC baseline, Table 2's
@@ -110,8 +108,6 @@ func run() (code int) {
 	sharing := flag.Bool("sharing", false, "attach the sharing-pattern analyzer to every run; the sweep-wide aggregate prints to stderr at the end and serves live at /sharing (disables run dedup)")
 	cacheDir := flag.String("cache-dir", "", "persist every completed run's result into this durable store; an interrupted sweep resumes by re-running with the same directory")
 	resume := flag.Bool("resume", true, "with -cache-dir, serve runs from existing store entries; -resume=false refreshes every entry")
-	retries := flag.Int("retries", 0, "re-run a transiently-faulted run (watchdog aborts, not panics) up to this many extra times")
-	retryBackoff := flag.Duration("retry-backoff", 0, "sleep this long before the first retry, doubling each attempt")
 	flag.Parse()
 
 	logger := newLogger(*logJSON, *quiet)
@@ -144,9 +140,6 @@ func run() (code int) {
 		}
 		sched.UseStore(st, *resume)
 		logger.Info("result store open", "dir", st.Root(), "resume", *resume)
-	}
-	if *retries > 0 {
-		sched.SetRetryPolicy(exp.RetryPolicy{MaxAttempts: *retries + 1, Backoff: *retryBackoff})
 	}
 	// Graceful shutdown: the first SIGINT/SIGTERM drains the sweep (queued
 	// runs abandon, in-flight runs abort at their next event batch, results

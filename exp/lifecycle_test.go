@@ -3,13 +3,17 @@ package exp
 import (
 	"bytes"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ccsim"
+	"ccsim/internal/store"
 )
 
 // tickClock is a deterministic clock: every read advances it by step, so
@@ -77,9 +81,9 @@ func TestSchedulerLifecycleStats(t *testing.T) {
 			t.Errorf("%s has zero durations under the ticking clock: %+v", phase, d)
 		}
 	}
-	for _, phase := range []string{"retry_wait", "store_put", "metrics_write"} {
+	for _, phase := range []string{"store_put", "metrics_write"} {
 		if d := byPhase[phase]; d.Count != 0 {
-			t.Errorf("%s count = %d, want 0 (no retries, store or metrics dir)", phase, d.Count)
+			t.Errorf("%s count = %d, want 0 (no store or metrics dir)", phase, d.Count)
 		}
 	}
 	if st.Engine == nil {
@@ -94,102 +98,6 @@ func TestSchedulerLifecycleStats(t *testing.T) {
 	}
 	if st.Engine.CohortSizeLog2[1] != 40*runs {
 		t.Errorf("Engine histogram bucket 1 = %d, want %d", st.Engine.CohortSizeLog2[1], 40*runs)
-	}
-}
-
-// TestRetryBackoffPhaseAccounting pins the retry-phase bugfix with the
-// injected clock: a run that fails transiently twice before succeeding
-// must contribute one simulate sample PER ATTEMPT — each of exactly one
-// clock step, proving backoff sleep is not folded in — and one retry_wait
-// sample per backoff sleep. Before the fix, exec timed the whole
-// runWithRetry call as a single simulate sample, so the simulate histogram
-// inflated with deliberate sleep time.
-func TestRetryBackoffPhaseAccounting(t *testing.T) {
-	calls := 0
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		calls++
-		if calls <= 2 {
-			return nil, &ccsim.SimFault{Kind: ccsim.FaultMaxEvents}
-		}
-		return &ccsim.Result{Workload: cfg.Workload, Protocol: cfg.ProtocolName(), ExecTime: 1}, nil
-	})
-	s := NewScheduler(1, "")
-	clk := &tickClock{now: time.Unix(0, 0), step: time.Millisecond}
-	s.SetClock(clk.Now)
-	// A real (tiny) backoff: the tick clock advances one step per read, so
-	// however long the sleep really lasts, each observed phase is exactly
-	// one step and the assertion is deterministic.
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond})
-	cfg := tiny().config("mp3d")
-	cfg.Procs = 4
-	if _, err := s.Submit(cfg).Wait(); err != nil {
-		t.Fatal(err)
-	}
-	byPhase := map[string]DurationStats{}
-	for _, d := range s.Stats().Lifecycle {
-		byPhase[d.Phase] = d
-	}
-	step := time.Millisecond.Seconds()
-	sim := byPhase["simulate"]
-	if sim.Count != 3 {
-		t.Fatalf("simulate count = %d, want 3 (one sample per attempt)", sim.Count)
-	}
-	if sim.MaxSeconds != step {
-		t.Errorf("simulate max = %gs, want exactly one clock step (%gs): backoff leaked into the simulate phase",
-			sim.MaxSeconds, step)
-	}
-	rw := byPhase["retry_wait"]
-	if rw.Count != 2 {
-		t.Fatalf("retry_wait count = %d, want 2 (one per backoff sleep)", rw.Count)
-	}
-	if rw.MaxSeconds != step || rw.SumSeconds != 2*step {
-		t.Errorf("retry_wait = %+v, want two one-step samples", rw)
-	}
-}
-
-// TestInterruptDuringRetryBackoffClassifiedCanceled pins the second retry
-// bugfix: a run interrupted while sleeping between retry attempts must
-// resolve as a canceled SimFault and count as interrupted — not surface
-// the previous attempt's stale transient fault as if the run had
-// legitimately failed with it.
-func TestInterruptDuringRetryBackoffClassifiedCanceled(t *testing.T) {
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		return nil, &ccsim.SimFault{Kind: ccsim.FaultDeadline}
-	})
-	s := NewScheduler(1, "")
-	// A backoff far longer than the test: the run parks in the retry sleep
-	// until Interrupt fires.
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Hour})
-	cfg := tiny().config("mp3d")
-	cfg.Procs = 4
-	p := s.Submit(cfg)
-	// Wait until the first attempt failed and the run entered backoff.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.Stats().Retries == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("run never reached its first retry")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.Interrupt()
-	_, err := p.Wait()
-	f, ok := ccsim.AsFault(err)
-	if !ok || f.Kind != ccsim.FaultCanceled {
-		t.Fatalf("err = %v, want a canceled SimFault, not the stale transient fault", err)
-	}
-	if !strings.Contains(f.Message, ccsim.FaultDeadline) {
-		t.Errorf("canceled fault does not name the last transient fault: %q", f.Message)
-	}
-	st := s.Stats()
-	if st.Interrupted != 1 {
-		t.Errorf("Interrupted = %d, want 1 (mid-retry cancellation counts)", st.Interrupted)
-	}
-	failed := s.Failed()
-	if len(failed) != 1 {
-		t.Fatalf("ledger = %+v, want the one canceled run", failed)
-	}
-	if lf, ok := ccsim.AsFault(failed[0].Err); !ok || lf.Kind != ccsim.FaultCanceled {
-		t.Errorf("ledger entry = %v, want kind canceled", failed[0].Err)
 	}
 }
 
@@ -217,32 +125,95 @@ func TestRunID(t *testing.T) {
 	}
 }
 
-// TestSchedulerRetryLogsRunID checks the satellite's logging contract: a
-// retried run emits a warn record carrying the run_id field.
-func TestSchedulerRetryLogsRunID(t *testing.T) {
-	calls := 0
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		calls++
-		if calls == 1 {
-			return nil, &ccsim.SimFault{Kind: ccsim.FaultMaxEvents}
-		}
-		return &ccsim.Result{Workload: cfg.Workload, Protocol: cfg.ProtocolName()}, nil
-	})
-	var buf bytes.Buffer
-	s := NewScheduler(1, "")
-	s.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
-	cfg := tiny().config("mp3d")
-	cfg.Procs = 4
-	if _, err := s.Submit(cfg).Wait(); err != nil {
+// TestSchedulerStoreHitSkipsRunBookkeeping pins what a store hit leaves
+// out: it simulates nothing, gets no live-table entry (so no probe, no
+// RunID), adds no simulate sample and feeds nothing into the engine
+// aggregate, yet completes like a run and writes its metrics file.
+func TestSchedulerStoreHitSkipsRunBookkeeping(t *testing.T) {
+	dir := t.TempDir()
+	var calls atomic.Int64
+	countingRun(t, &calls)
+	warm := NewScheduler(1, "")
+	warm.UseStore(openStore(t, dir), false)
+	if _, err := warm.Submit(cfgN(0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	want := RunID(cfg)
-	log := buf.String()
-	if !strings.Contains(log, "run_id="+want) {
-		t.Fatalf("retry log missing run_id=%s:\n%s", want, log)
+
+	calls.Store(0)
+	s := NewScheduler(1, t.TempDir())
+	s.UseStore(openStore(t, dir), true)
+	if _, err := s.Submit(cfgN(0)).Wait(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(log, "retrying run") {
-		t.Fatalf("retry log missing message:\n%s", log)
+	if calls.Load() != 0 {
+		t.Fatalf("store hit simulated (%d calls)", calls.Load())
 	}
+	if s.nextID != 0 {
+		t.Errorf("store hit took live-table id %d", s.nextID)
+	}
+	st := s.Stats()
+	if st.Engine != nil {
+		t.Errorf("store hit merged engine stats: %+v", st.Engine)
+	}
+	if st.Completed != 1 || st.Failed != 0 || st.Queued != 0 || st.Running != 0 {
+		t.Errorf("stats = %+v, want one completion and an idle scheduler", st)
+	}
+	want := map[string]uint64{"queue_wait": 1, "simulate": 0, "store_put": 0, "metrics_write": 1}
+	for _, d := range st.Lifecycle {
+		if d.Count != want[d.Phase] {
+			t.Errorf("%s count = %d, want %d", d.Phase, d.Count, want[d.Phase])
+		}
+	}
+}
+
+// TestSchedulerStoreWarningsLogRunID checks the logging contract: both
+// store warnings, a quarantined corrupt entry and a dropped undecodable
+// one, are records tagged with the run's run_id.
+func TestSchedulerStoreWarningsLogRunID(t *testing.T) {
+	var calls atomic.Int64
+	countingRun(t, &calls)
+	cfg := cfgN(0)
+	want := "run_id=" + RunID(cfg)
+	logged := func(st *store.Store) string {
+		var buf bytes.Buffer
+		s := NewScheduler(1, "")
+		s.SetLogger(slog.New(slog.NewTextHandler(&buf, nil)))
+		s.UseStore(st, true)
+		if _, err := s.Submit(cfg).Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	check := func(log, msg string) {
+		t.Helper()
+		for _, line := range strings.Split(log, "\n") {
+			if strings.Contains(line, msg) {
+				if !strings.Contains(line, want) {
+					t.Errorf("%q record missing %s:\n%s", msg, want, line)
+				}
+				return
+			}
+		}
+		t.Errorf("no %q record:\n%s", msg, log)
+	}
+
+	// A truncated entry: the kill -9 shape.
+	dir := t.TempDir()
+	logged(openStore(t, dir))
+	ents, err := filepath.Glob(filepath.Join(dir, "*.res"))
+	if err != nil || len(ents) != 1 {
+		t.Fatalf("entries = %v, %v", ents, err)
+	}
+	if err := os.Truncate(ents[0], 10); err != nil {
+		t.Fatal(err)
+	}
+	check(logged(openStore(t, dir)), "corrupt store entry quarantined")
+
+	// An entry that verifies but is not Result JSON.
+	st := openStore(t, t.TempDir())
+	key, _ := Fingerprint(cfg)
+	if err := st.Put(key, []byte("certainly not json")); err != nil {
+		t.Fatal(err)
+	}
+	check(logged(st), "undecodable store entry dropped")
 }

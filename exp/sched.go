@@ -52,9 +52,6 @@ type Scheduler struct {
 	resStore  *store.Store
 	storeRead bool
 
-	// retry bounds re-execution of transiently-faulted runs (SetRetryPolicy).
-	retry RetryPolicy
-
 	// stop closes on Interrupt: queued runs abandon instead of starting,
 	// and cancel — attached to every executing run — aborts in-flight
 	// simulations cleanly at their next event batch.
@@ -70,7 +67,6 @@ type Scheduler struct {
 	dedupHits   uint64
 	queued      int
 	completed   uint64
-	retries     uint64
 	interrupted uint64
 	nextID      uint64
 	live        map[uint64]LiveRun
@@ -98,8 +94,8 @@ type Scheduler struct {
 	engine     ccsim.QueueStats
 	engineRuns uint64
 
-	// logger, when non-nil, receives retry and store-quarantine records
-	// tagged with the run's run_id (SetLogger). Nil stays silent.
+	// logger, when non-nil, receives store-quarantine records tagged with
+	// the run's run_id (SetLogger). Nil stays silent.
 	logger *slog.Logger
 }
 
@@ -107,8 +103,7 @@ type Scheduler struct {
 // Stats() snapshots and Prometheus labels.
 const (
 	phaseQueueWait    = iota // Submit to worker-slot acquisition
-	phaseSimulate            // one simulation attempt (each retry is its own sample)
-	phaseRetryWait           // backoff sleeps between retry attempts
+	phaseSimulate            // the simulation itself (store hits have none)
 	phaseStorePut            // persisting the Result to the durable store
 	phaseMetricsWrite        // writing the per-run metrics JSON file
 	numPhases
@@ -117,7 +112,6 @@ const (
 var phaseNames = [numPhases]string{
 	phaseQueueWait:    "queue_wait",
 	phaseSimulate:     "simulate",
-	phaseRetryWait:    "retry_wait",
 	phaseStorePut:     "store_put",
 	phaseMetricsWrite: "metrics_write",
 }
@@ -152,10 +146,9 @@ type SchedStats struct {
 	DroppedSpans uint64
 
 	// Lifecycle decomposes completed runs' wall-clock into the scheduler's
-	// five phases (queue_wait, simulate, retry_wait, store_put,
-	// metrics_write), one entry per phase in that fixed order. Each
-	// simulation attempt is one simulate sample; retry backoff sleeps land
-	// in retry_wait, never in simulate.
+	// four phases (queue_wait, simulate, store_put, metrics_write), one
+	// entry per phase in that fixed order. Each simulated run is one
+	// simulate sample; a store hit contributes none.
 	Lifecycle []DurationStats
 
 	// Engine aggregates the event engine's queue-internals counters over
@@ -164,15 +157,10 @@ type SchedStats struct {
 	// simulated run completes.
 	Engine *ccsim.QueueStats
 
-	// Retries counts re-executions of transiently-faulted runs under the
-	// retry policy (each retry is one increment; the final outcome lands in
-	// Completed or Failed as usual).
-	Retries uint64
-
-	// Interrupted counts runs abandoned by graceful shutdown: runs that
-	// never started (they sit in the Failed ledger with ErrInterrupted)
-	// plus runs cut off mid-retry, which land there with a canceled
-	// SimFault instead of their stale transient fault.
+	// Interrupted counts runs abandoned by graceful shutdown before they
+	// started; they sit in the Failed ledger with ErrInterrupted. A run
+	// already executing aborts with a canceled SimFault and counts as
+	// Failed only.
 	Interrupted uint64
 
 	// Store snapshots the durable result cache's counters, nil when the
@@ -247,9 +235,9 @@ func NewScheduler(jobs int, metricsDir string) *Scheduler {
 func (s *Scheduler) SetClock(now func() time.Time) { s.clock = now }
 
 // SetLogger installs the logger for the scheduler's operational records —
-// retries and store quarantines, each tagged with the run's run_id so logs
-// and the dashboard cross-reference the same identifier. Call before
-// submitting; nil (the default) disables the records.
+// store quarantines, each tagged with the run's run_id so logs and the
+// dashboard cross-reference the same identifier. Call before submitting;
+// nil (the default) disables the records.
 func (s *Scheduler) SetLogger(l *slog.Logger) { s.logger = l }
 
 // observe records one lifecycle phase duration.
@@ -273,22 +261,6 @@ func durationStats(name string, h *stats.Hist) DurationStats {
 		MaxSeconds: float64(h.Max()) / 1e6,
 	}
 }
-
-// RetryPolicy bounds re-execution of transiently-faulted runs: a run whose
-// error is a watchdog SimFault (max-events, deadline, deadlock, livelock —
-// the kinds that can be load- or environment-dependent) is retried up to
-// MaxAttempts total executions, sleeping Backoff before the first retry
-// and doubling it each time. Terminal faults — contained panics, checker
-// invariant violations, cancellations — never retry; they land in the
-// Failed ledger immediately.
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts per run; <= 1 disables retry
-	Backoff     time.Duration // sleep before the first retry, doubled per attempt
-}
-
-// SetRetryPolicy installs the scheduler's retry policy. Call before
-// submitting; the zero policy (the default) runs everything exactly once.
-func (s *Scheduler) SetRetryPolicy(rp RetryPolicy) { s.retry = rp }
 
 // UseStore attaches a durable result store: every completed cacheable run
 // persists its Result there (write-behind), and — when readBack is true —
@@ -325,22 +297,6 @@ func (s *Scheduler) Interrupted() bool {
 	}
 }
 
-// Retryable reports whether err is a transient fault under the retry
-// policy: a watchdog SimFault (event ceiling, deadline, deadlock,
-// livelock). Panics, invariant violations, cancellations and
-// non-simulation errors are terminal.
-func Retryable(err error) bool {
-	f, ok := ccsim.AsFault(err)
-	if !ok {
-		return false
-	}
-	switch f.Kind {
-	case ccsim.FaultMaxEvents, ccsim.FaultDeadline, ccsim.FaultDeadlock, ccsim.FaultLivelock:
-		return true
-	}
-	return false
-}
-
 // Stats snapshots the scheduler's counters.
 func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
@@ -353,7 +309,6 @@ func (s *Scheduler) Stats() SchedStats {
 		Completed:    s.completed,
 		Failed:       uint64(len(s.failed)),
 		DroppedSpans: s.droppedSpans,
-		Retries:      s.retries,
 		Interrupted:  s.interrupted,
 	}
 	st.Lifecycle = make([]DurationStats, numPhases)
@@ -461,6 +416,9 @@ func (s *Scheduler) Failed() []FailedRun {
 	return append([]FailedRun(nil), s.failed...)
 }
 
+// exec runs one submitted configuration once it holds a worker slot: from
+// the durable store when that holds the run, by simulating it otherwise.
+// Both ways end in the same metrics write and the same ledger bookkeeping.
 func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable bool, submittedAt time.Time) {
 	select {
 	case s.slots <- struct{}{}:
@@ -480,67 +438,9 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		return
 	}
 	defer func() { <-s.slots }()
-	s.observe(phaseQueueWait, s.clock().Sub(submittedAt))
-	// Read-through: a valid store entry for this exact key — same schema,
-	// same canonical configuration — serves the run without simulating.
-	// That is the whole resume path: an interrupted sweep's completed runs
-	// hit here, only the missing ones execute. Metrics files are still
-	// written so a resumed `-metrics` sweep produces the full directory.
-	if s.resStore != nil && s.storeRead && cacheable {
-		if res, ok := s.storeGet(key, cfg); ok {
-			p.res = res
-			if s.metricsDir != "" {
-				t0 := s.clock()
-				werr := writeMetrics(s.metricsDir, cfg, res)
-				s.observe(phaseMetricsWrite, s.clock().Sub(t0))
-				if werr != nil {
-					p.err = fmt.Errorf("metrics: %w", werr)
-				}
-			}
-			s.mu.Lock()
-			s.queued--
-			if p.err != nil {
-				s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
-			} else {
-				s.completed++
-			}
-			s.mu.Unlock()
-			close(p.done)
-			return
-		}
-	}
-	// Register in the live table once a worker slot is held: the run is
-	// about to execute, so its probe starts advancing. A caller-supplied
-	// probe is reused (the submitter is watching); otherwise the scheduler
-	// attaches its own so the ops plane sees every run.
-	prog := cfg.Progress
-	if prog == nil {
-		prog = &ccsim.Progress{Label: cfg.Workload + "/" + cfg.ProtocolName()}
-		cfg.Progress = prog
-	}
-	if cfg.Cancel == nil {
-		// The scheduler's shared flag: Interrupt stops this run at its next
-		// event batch. Attached after fingerprinting, like the probe, so it
-		// never affects cacheability.
-		cfg.Cancel = s.cancel
-	}
-	if cfg.Check != nil {
-		// A checker holds per-run shadow state; sweeps copy one base config
-		// across many concurrent cells, so each run gets its own oracle.
-		cfg.Check = ccsim.NewChecker()
-	}
-	if cfg.Sharing != nil {
-		// Same per-run-state rule as the checker; totals merge into the
-		// sweep aggregate on completion.
-		cfg.Sharing = ccsim.NewSharingAnalytics()
-	}
-	s.mu.Lock()
-	s.queued--
-	s.nextID++
-	id := s.nextID
-	s.live[id] = LiveRun{ID: id, RunID: RunID(cfg), Workload: cfg.Workload,
-		Protocol: cfg.ProtocolName(), Progress: prog}
-	s.mu.Unlock()
+	// id is the run's entry in the live table, 0 until it has one; a store
+	// hit never gets one.
+	var id uint64
 	// done closes on every path — a panicking run must never leave Wait()
 	// callers hanging. Deferred before the recover handler so the handler
 	// has set p.err by the time done closes (LIFO order).
@@ -551,12 +451,18 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 			p.err = fmt.Errorf("run panicked outside the simulation: %v\n%s", v, debug.Stack())
 		}
 		s.mu.Lock()
-		delete(s.live, id)
+		if id == 0 {
+			s.queued-- // never entered the live table: leaves the queue here
+		} else {
+			delete(s.live, id)
+		}
 		if p.err != nil {
 			s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
 		} else {
 			s.completed++
-			if p.res != nil {
+			// Only simulated runs feed the engine aggregate: a store hit
+			// carries the numbers of the sweep that produced it.
+			if id != 0 && p.res != nil {
 				s.droppedSpans += p.res.DroppedSpans
 				s.engine.Merge(p.res.Queue)
 				s.engineRuns++
@@ -567,19 +473,66 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		}
 		s.mu.Unlock()
 	}()
-	p.res, p.err = s.runWithRetry(cfg)
-	if p.err == nil && s.resStore != nil && cacheable {
-		// Write-behind: persist before the metrics write so a crash between
-		// the two still resumes (the store is the source of truth; metrics
-		// files regenerate from it on the resumed run).
-		t1 := s.clock()
-		serr := s.storePut(key, p.res)
-		s.observe(phaseStorePut, s.clock().Sub(t1))
-		if serr != nil {
-			// The simulation itself succeeded: keep the Result for
-			// in-process waiters and surface the persistence failure as this
-			// run's error, same contract as a metrics-write failure.
-			p.err = fmt.Errorf("store: %w", serr)
+	s.observe(phaseQueueWait, s.clock().Sub(submittedAt))
+	// Read-through: a valid store entry for this exact key — same schema,
+	// same canonical configuration — serves the run without simulating.
+	// That is the whole resume path: an interrupted sweep's completed runs
+	// hit here, only the missing ones execute. Metrics files are still
+	// written so a resumed `-metrics` sweep produces the full directory.
+	hit := false
+	if s.resStore != nil && s.storeRead && cacheable {
+		p.res, hit = s.storeGet(key, cfg)
+	}
+	if !hit {
+		// Register in the live table once a worker slot is held: the run is
+		// about to execute, so its probe starts advancing. A caller-supplied
+		// probe is reused (the submitter is watching); otherwise the
+		// scheduler attaches its own so the ops plane sees every run.
+		prog := cfg.Progress
+		if prog == nil {
+			prog = &ccsim.Progress{Label: cfg.Workload + "/" + cfg.ProtocolName()}
+			cfg.Progress = prog
+		}
+		if cfg.Cancel == nil {
+			// The scheduler's shared flag: Interrupt stops this run at its
+			// next event batch. Attached after fingerprinting, like the
+			// probe, so it never affects cacheability.
+			cfg.Cancel = s.cancel
+		}
+		if cfg.Check != nil {
+			// A checker holds per-run shadow state; sweeps copy one base
+			// config across many concurrent cells, so each run gets its own
+			// oracle.
+			cfg.Check = ccsim.NewChecker()
+		}
+		if cfg.Sharing != nil {
+			// Same per-run-state rule as the checker; totals merge into the
+			// sweep aggregate on completion.
+			cfg.Sharing = ccsim.NewSharingAnalytics()
+		}
+		s.mu.Lock()
+		s.queued--
+		s.nextID++
+		id = s.nextID
+		s.live[id] = LiveRun{ID: id, RunID: RunID(cfg), Workload: cfg.Workload,
+			Protocol: cfg.ProtocolName(), Progress: prog}
+		s.mu.Unlock()
+		t0 := s.clock()
+		p.res, p.err = runSim(cfg)
+		s.observe(phaseSimulate, s.clock().Sub(t0))
+		if p.err == nil && s.resStore != nil && cacheable {
+			// Write-behind: persist before the metrics write so a crash
+			// between the two still resumes (the store is the source of
+			// truth; metrics files regenerate from it on the resumed run).
+			t1 := s.clock()
+			serr := s.storePut(key, p.res)
+			s.observe(phaseStorePut, s.clock().Sub(t1))
+			if serr != nil {
+				// The simulation itself succeeded: keep the Result for
+				// in-process waiters and surface the persistence failure as
+				// this run's error, same contract as a metrics-write failure.
+				p.err = fmt.Errorf("store: %w", serr)
+			}
 		}
 	}
 	if p.err == nil && s.metricsDir != "" {
@@ -587,84 +540,10 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		werr := writeMetrics(s.metricsDir, cfg, p.res)
 		s.observe(phaseMetricsWrite, s.clock().Sub(t2))
 		if werr != nil {
-			// The simulation itself succeeded: keep the Result for
-			// in-process waiters and report the metrics failure as this
-			// run's error.
+			// The run itself succeeded: keep the Result for in-process
+			// waiters and report the metrics failure as this run's error.
 			p.err = fmt.Errorf("metrics: %w", werr)
 		}
-	}
-}
-
-// runWithRetry executes one simulation under the retry policy: transient
-// watchdog faults re-run with doubling backoff up to the attempt cap;
-// terminal faults, success, or an interrupted sweep return immediately.
-// Each attempt contributes its own simulate lifecycle sample and backoff
-// sleeps land in retry_wait, so the simulate histogram never inflates with
-// time spent deliberately asleep.
-func (s *Scheduler) runWithRetry(cfg ccsim.Config) (*ccsim.Result, error) {
-	attempts := s.retry.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	backoff := s.retry.Backoff
-	for attempt := 1; ; attempt++ {
-		t0 := s.clock()
-		res, err := runSim(cfg)
-		s.observe(phaseSimulate, s.clock().Sub(t0))
-		if err == nil || attempt >= attempts || !Retryable(err) {
-			return res, err
-		}
-		if s.Interrupted() {
-			// The run would retry, but the sweep is shutting down: its last
-			// transient fault is stale state of an abandoned retry loop, not
-			// this run's outcome. Classify it as canceled so the ledger, the
-			// shutdown condensation and the interrupted counter all agree.
-			return nil, s.retryInterrupted(err)
-		}
-		s.mu.Lock()
-		s.retries++
-		s.mu.Unlock()
-		if s.logger != nil {
-			kind := ""
-			if f, ok := ccsim.AsFault(err); ok {
-				kind = f.Kind
-			}
-			s.logger.Warn("transient fault; retrying run",
-				"run_id", RunID(cfg), "attempt", attempt, "max_attempts", attempts,
-				"kind", kind, "backoff", backoff.String())
-		}
-		if backoff > 0 {
-			t1 := s.clock()
-			interrupted := false
-			select {
-			case <-time.After(backoff):
-			case <-s.stop:
-				interrupted = true
-			}
-			s.observe(phaseRetryWait, s.clock().Sub(t1))
-			if interrupted {
-				return nil, s.retryInterrupted(err)
-			}
-			backoff *= 2
-		}
-	}
-}
-
-// retryInterrupted classifies a retry loop cut off by graceful shutdown:
-// the stale transient fault of the last attempt is replaced by a canceled
-// SimFault naming it, and the run counts as interrupted.
-func (s *Scheduler) retryInterrupted(last error) error {
-	kind := "unknown"
-	if f, ok := ccsim.AsFault(last); ok {
-		kind = f.Kind
-	}
-	s.mu.Lock()
-	s.interrupted++
-	s.mu.Unlock()
-	return &ccsim.SimFault{
-		Kind: ccsim.FaultCanceled,
-		Message: fmt.Sprintf(
-			"sweep interrupted during retry backoff (last transient fault: %s)", kind),
 	}
 }
 

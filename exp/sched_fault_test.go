@@ -61,29 +61,64 @@ func TestSchedulerWorkerPanicUnblocksWaiters(t *testing.T) {
 	}
 }
 
-// TestSchedulerSimFaultInLedger checks a contained simulation fault (not a
-// raw panic) lands in the ledger and nils only its own cell.
+// TestSchedulerSimFaultInLedger checks contained simulation faults (not
+// raw panics) land in the ledger and nil only their own cells. A faulted
+// run executes exactly once: an injected panic and a watchdog abort are
+// both final.
 func TestSchedulerSimFaultInLedger(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
+		mu.Lock()
+		calls[RunID(cfg)]++
+		mu.Unlock()
+		return ccsim.Run(cfg)
+	})
 	s := NewScheduler(4, "")
 	bad := tiny().config("mp3d")
 	bad.FaultInject = "mp3d/BASIC" // matches: this cell faults
 	good := tiny().config("mp3d")
 	good.Extensions = ccsim.Ext{P: true} // mp3d/P: untouched
-	pBad, pGood := s.Submit(bad), s.Submit(good)
+	limited := good
+	limited.MaxEvents = 2_000 // far too few: the watchdog aborts this cell
+	pBad, pGood, pLimited := s.Submit(bad), s.Submit(good), s.Submit(limited)
 	if r := pBad.Cell(); r != nil {
 		t.Errorf("faulted run yielded a result: %+v", r)
 	}
 	if r := pGood.Cell(); r == nil {
 		t.Error("clean run's cell is nil")
 	}
+	if r := pLimited.Cell(); r != nil {
+		t.Errorf("aborted run yielded a result: %+v", r)
+	}
 	_, err := pBad.Wait()
 	f, ok := ccsim.AsFault(err)
 	if !ok || f.Kind != ccsim.FaultPanic {
 		t.Fatalf("faulted cell's error = %v, want a contained panic SimFault", err)
 	}
-	failed := s.Failed()
-	if len(failed) != 1 || failed[0].Cfg.FaultInject == "" {
-		t.Errorf("fault ledger = %+v, want exactly the injected run", failed)
+	_, err = pLimited.Wait()
+	if f, ok := ccsim.AsFault(err); !ok || f.Kind != ccsim.FaultMaxEvents {
+		t.Fatalf("aborted cell's error = %v, want a max-events SimFault", err)
+	}
+	var injected, aborted int
+	for _, fr := range s.Failed() {
+		if fr.Cfg.FaultInject != "" {
+			injected++
+		}
+		if fr.Cfg.MaxEvents == limited.MaxEvents {
+			aborted++
+		}
+	}
+	if len(s.Failed()) != 2 || injected != 1 || aborted != 1 {
+		t.Errorf("fault ledger = %+v, want exactly the injected and the aborted run", s.Failed())
+	}
+	if st := s.Stats(); st.Completed != 1 || st.Failed != 2 {
+		t.Errorf("stats = %+v, want 1 completed / 2 failed", st)
+	}
+	for _, cfg := range []ccsim.Config{bad, good, limited} {
+		if n := calls[RunID(cfg)]; n != 1 {
+			t.Errorf("%s executed %d times, want once", RunID(cfg), n)
+		}
 	}
 }
 

@@ -239,84 +239,6 @@ func TestSchedulerStoreNoReadBack(t *testing.T) {
 	}
 }
 
-// TestSchedulerRetryTransientSucceeds: a run that faults with a watchdog
-// kind on its first attempts and then succeeds must end up Completed, with
-// the retries counted and nothing in the ledger.
-func TestSchedulerRetryTransientSucceeds(t *testing.T) {
-	var calls atomic.Int64
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		if calls.Add(1) < 3 {
-			return nil, &ccsim.SimFault{Kind: ccsim.FaultDeadlock, Message: "transient"}
-		}
-		return &ccsim.Result{Workload: cfg.Workload, ExecTime: 42}, nil
-	})
-	s := NewScheduler(1, "")
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	r, err := s.Submit(cfgN(0)).Wait()
-	if err != nil || r == nil || r.ExecTime != 42 {
-		t.Fatalf("retried run: %+v, %v", r, err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("%d attempts, want 3", calls.Load())
-	}
-	st := s.Stats()
-	if st.Retries != 2 || st.Failed != 0 || st.Completed != 1 {
-		t.Fatalf("stats = %+v, want 2 retries and a clean completion", st)
-	}
-}
-
-// TestSchedulerRetryTerminalNotRetried: panics, invariant violations and
-// cancellations run exactly once regardless of the policy.
-func TestSchedulerRetryTerminalNotRetried(t *testing.T) {
-	for _, kind := range []string{ccsim.FaultPanic, ccsim.FaultInvariant, ccsim.FaultCanceled} {
-		t.Run(kind, func(t *testing.T) {
-			var calls atomic.Int64
-			withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-				calls.Add(1)
-				return nil, &ccsim.SimFault{Kind: kind, Message: "terminal"}
-			})
-			s := NewScheduler(1, "")
-			s.SetRetryPolicy(RetryPolicy{MaxAttempts: 5})
-			if _, err := s.Submit(cfgN(0)).Wait(); err == nil {
-				t.Fatal("terminal fault reported success")
-			}
-			if calls.Load() != 1 {
-				t.Fatalf("terminal %s fault ran %d times, want 1", kind, calls.Load())
-			}
-			if st := s.Stats(); st.Retries != 0 || st.Failed != 1 {
-				t.Fatalf("stats = %+v", st)
-			}
-		})
-	}
-}
-
-// TestSchedulerRetryExhausted: a persistently-faulting run stops at the
-// attempt cap and lands in the ledger with the final fault.
-func TestSchedulerRetryExhausted(t *testing.T) {
-	var calls atomic.Int64
-	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
-		calls.Add(1)
-		return nil, &ccsim.SimFault{Kind: ccsim.FaultLivelock, Message: "permanent"}
-	})
-	s := NewScheduler(1, "")
-	s.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, Backoff: time.Millisecond})
-	_, err := s.Submit(cfgN(0)).Wait()
-	f, ok := ccsim.AsFault(err)
-	if !ok || f.Kind != ccsim.FaultLivelock {
-		t.Fatalf("err = %v, want the livelock fault", err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("%d attempts, want the cap of 3", calls.Load())
-	}
-	st := s.Stats()
-	if st.Retries != 2 || st.Failed != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if failed := s.Failed(); len(failed) != 1 {
-		t.Fatalf("ledger = %+v", failed)
-	}
-}
-
 // TestSchedulerInterruptAbandonsQueued: with one worker slot held by a
 // blocking run, Interrupt must fail every queued run with ErrInterrupted —
 // promptly, without waiting for the in-flight run — and count them.

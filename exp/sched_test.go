@@ -197,8 +197,7 @@ func TestFingerprintCoversConfig(t *testing.T) {
 		func(c *ccsim.Config) { c.DirPointers = 4 },
 		func(c *ccsim.Config) { c.VerifyData = true },
 		// Watchdog limits and fault injection change whether a run
-		// completes, so they must key the cache. (FlightRecorder is
-		// deliberately absent: recorder depth never changes a Result.)
+		// completes, so they must key the cache.
 		func(c *ccsim.Config) { c.MaxEvents = 1000 },
 		func(c *ccsim.Config) { c.Deadline = 1000 },
 		func(c *ccsim.Config) { c.NoProgressEvents = 1000 },

@@ -2,6 +2,7 @@ package ccsim_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"ccsim"
@@ -55,11 +56,9 @@ func TestFaultInjectMatchesIdentity(t *testing.T) {
 	}
 }
 
-// TestDeadlockAborts runs the classic ABBA lock cycle: processor 0 takes
-// lock A then wants B, processor 1 takes B then wants A. The watchdog must
-// abort with a deadlock SimFault naming both stuck processors instead of
-// hanging (or running into its event ceiling).
-func TestDeadlockAborts(t *testing.T) {
+// runABBA runs the classic ABBA lock cycle: processor 0 takes lock A then
+// wants B, processor 1 takes B then wants A.
+func runABBA() error {
 	const lockA, lockB = 0, 4096
 	cfg := ccsim.DefaultConfig()
 	cfg.Procs = 2
@@ -79,6 +78,14 @@ func TestDeadlockAborts(t *testing.T) {
 		),
 	}
 	_, err := ccsim.RunStreams(cfg, streams)
+	return err
+}
+
+// TestDeadlockAborts runs the ABBA lock cycle. The watchdog must abort
+// with a deadlock SimFault naming both stuck processors instead of hanging
+// (or running into its event ceiling).
+func TestDeadlockAborts(t *testing.T) {
+	err := runABBA()
 	if err == nil {
 		t.Fatal("ABBA deadlock completed successfully")
 	}
@@ -126,5 +133,99 @@ func TestDeadlineAborts(t *testing.T) {
 	f, ok := ccsim.AsFault(err)
 	if !ok || f.Kind != ccsim.FaultDeadline {
 		t.Fatalf("err = %v, want a %s fault", err, ccsim.FaultDeadline)
+	}
+}
+
+// TestWatchdogFaultsRepeat pins what makes a watchdog fault final: it is a
+// function of the configuration, so running the configuration again ends
+// the same way. Every kernel under BASIC and P+CW runs with an event
+// ceiling at half its clean run's events, with a deadline at half its
+// simulated time, and with a livelock threshold of 40 events; the ABBA
+// lock pair deadlocks. Each configuration runs five times, three of them
+// concurrently, and every run must produce the same fault dump to the
+// byte, snapshot and flight recorder included.
+func TestWatchdogFaultsRepeat(t *testing.T) {
+	type trial struct {
+		name string
+		want string // the only fault kind the run may end with
+		run  func() error
+	}
+	var trials []trial
+	for _, wl := range ccsim.Workloads() {
+		for _, ext := range []ccsim.Ext{{}, {P: true, CW: true}} {
+			cfg := ccsim.DefaultConfig()
+			cfg.Workload, cfg.Scale, cfg.Procs, cfg.Extensions = wl, 0.05, 4, ext
+			clean, err := ccsim.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s clean run: %v", wl, cfg.ProtocolName(), err)
+			}
+			limits := []struct {
+				kind string
+				set  func(*ccsim.Config)
+			}{
+				{ccsim.FaultMaxEvents, func(c *ccsim.Config) { c.MaxEvents = clean.Queue.Dispatched / 2 }},
+				{ccsim.FaultDeadline, func(c *ccsim.Config) { c.Deadline = clean.TotalPclocks / 2 }},
+				{ccsim.FaultLivelock, func(c *ccsim.Config) { c.NoProgressEvents = 40 }},
+			}
+			for _, l := range limits {
+				c := cfg
+				l.set(&c)
+				trials = append(trials, trial{
+					name: wl + "/" + c.ProtocolName() + "/" + l.kind,
+					want: l.kind,
+					run:  func() error { _, err := ccsim.Run(c); return err },
+				})
+			}
+		}
+	}
+	trials = append(trials, trial{name: "abba", want: ccsim.FaultDeadlock, run: runABBA})
+
+	// dump renders a run's outcome: its fault kind and full dump, or ""
+	// for a run that completed.
+	dump := func(err error) (kind, text string) {
+		if err == nil {
+			return "", ""
+		}
+		f, ok := ccsim.AsFault(err)
+		if !ok {
+			return "error", err.Error()
+		}
+		var b strings.Builder
+		f.Dump(&b)
+		return f.Kind, b.String()
+	}
+	const runs, concurrent = 5, 3
+	seen := map[string]int{}
+	for _, tr := range trials {
+		kinds, texts := make([]string, runs), make([]string, runs)
+		for i := 0; i < runs-concurrent; i++ {
+			kinds[i], texts[i] = dump(tr.run())
+		}
+		var wg sync.WaitGroup
+		for i := runs - concurrent; i < runs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				kinds[i], texts[i] = dump(tr.run())
+			}(i)
+		}
+		wg.Wait()
+		// Only the livelock threshold may let a run finish: a kernel that
+		// retires an operation every 40 events never trips it.
+		if kinds[0] != tr.want && (kinds[0] != "" || tr.want != ccsim.FaultLivelock) {
+			t.Errorf("%s: ended with %q, want a %s fault:\n%s", tr.name, kinds[0], tr.want, texts[0])
+			continue
+		}
+		seen[kinds[0]]++
+		for i := 1; i < runs; i++ {
+			if kinds[i] != kinds[0] || texts[i] != texts[0] {
+				t.Errorf("%s: run %d ended differently from run 0:\n%s\n--- vs ---\n%s", tr.name, i, texts[i], texts[0])
+			}
+		}
+	}
+	for _, kind := range []string{ccsim.FaultMaxEvents, ccsim.FaultDeadline, ccsim.FaultLivelock, ccsim.FaultDeadlock} {
+		if seen[kind] == 0 {
+			t.Errorf("no configuration faulted with %s", kind)
+		}
 	}
 }

@@ -48,10 +48,6 @@ type Config struct {
 	// representable — use MaxEvents to bound a run outright.
 	NoProgressEvents uint64
 
-	// FlightRecorder is the fault flight recorder's depth in protocol
-	// messages. 0 selects DefaultFlightRecorder; negative disables it.
-	FlightRecorder int
-
 	// InjectPanic deliberately panics inside the simulation shortly after
 	// it starts — the chaos hook behind cmd/experiments -inject-fault,
 	// exercising the whole fault-containment path on demand.
@@ -100,9 +96,9 @@ func DefaultConfig() Config {
 // window at the paper's machine sizes.
 const DefaultNoProgressEvents = 2_000_000
 
-// DefaultFlightRecorder is the flight recorder's depth when the config
-// leaves it zero: enough history to see the message pattern around a
-// fault without bloating dumps.
+// DefaultFlightRecorder is the flight recorder's depth in protocol
+// messages: enough history to see the message pattern around a fault
+// without bloating dumps.
 const DefaultFlightRecorder = 64
 
 // Machine is an assembled simulation.
@@ -162,12 +158,7 @@ func New(cfg Config, streams []proc.Stream) (*Machine, error) {
 		cfg.Check.Reset(cfg.Core.Nodes)
 		sys.Check = cfg.Check
 	}
-	if depth := cfg.FlightRecorder; depth >= 0 {
-		if depth == 0 {
-			depth = DefaultFlightRecorder
-		}
-		sys.Rec = fault.NewRecorder(depth)
-	}
+	sys.Rec = fault.NewRecorder(DefaultFlightRecorder)
 	m := &Machine{Cfg: cfg, Eng: eng, Sys: sys, Net: net}
 	// Measurement starts at the workloads' StatsOn marker.
 	sys.SetStatsEnabled(false)

@@ -88,18 +88,8 @@ func (s *Server) Start(addr string) error {
 	return nil
 }
 
-// Serve starts an ops server on addr and serves in a background goroutine
-// until Close — NewServer plus Start for callers that need no options.
-func Serve(addr string, src Source) (*Server, error) {
-	s := NewServer(src)
-	if err := s.Start(addr); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Addr returns the bound listen address ("127.0.0.1:8099"), or "" before
-// Serve.
+// Start.
 func (s *Server) Addr() string {
 	if s.ln == nil {
 		return ""
@@ -274,8 +264,7 @@ func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ccsim_sched_completed_total", "Runs finished without error.", sch.Completed)
 	counter("ccsim_sched_faults_total", "Runs finished with an error: contained panics, watchdog aborts, metrics-write failures.", sch.Failed)
 	counter("ccsim_dropped_spans_total", "Telemetry spans discarded by span-buffer overflow across completed runs; nonzero means timelines undercount.", sch.DroppedSpans)
-	counter("ccsim_sched_retries_total", "Re-executions of transiently-faulted runs under the retry policy.", sch.Retries)
-	counter("ccsim_sched_interrupted_total", "Runs abandoned by graceful shutdown: before execution or mid-retry-backoff.", sch.Interrupted)
+	counter("ccsim_sched_interrupted_total", "Runs abandoned by graceful shutdown before they started.", sch.Interrupted)
 	gauge("ccsim_sched_queued", "Runs waiting for a worker slot.", sch.Queued)
 	gauge("ccsim_sched_running", "Runs executing right now.", sch.Running)
 

@@ -94,11 +94,10 @@ func testSource(t *testing.T) *fakeSource {
 		stats: exp.SchedStats{
 			Submitted: 275, Unique: 200, DedupHits: 75,
 			Queued: 10, Running: 2, Completed: 180, Failed: 8,
-			DroppedSpans: 3, Retries: 5, Interrupted: 4,
+			DroppedSpans: 3, Interrupted: 4,
 			Engine: &engine,
 			Lifecycle: []exp.DurationStats{
 				dur("queue_wait", 180), dur("simulate", 185),
-				dur("retry_wait", 5),
 				dur("store_put", 140), dur("metrics_write", 180),
 			},
 			Store: &exp.StoreStats{
@@ -166,7 +165,6 @@ func TestMetricsParses(t *testing.T) {
 		`ccsim_run_events_per_second{run="1"`,
 		`ccsim_run_heartbeat_age_seconds{run="2",workload="ocean",protocol="BASIC-SC"} 0`,
 		"ccsim_dropped_spans_total 3",
-		"ccsim_sched_retries_total 5",
 		"ccsim_sched_interrupted_total 4",
 		"ccsim_store_hits_total 60",
 		"ccsim_store_misses_total 140",
@@ -193,9 +191,7 @@ func TestMetricsParses(t *testing.T) {
 		"ccsim_engine_cohort_size_events_count 9000",
 		`ccsim_sched_duration_seconds{phase="queue_wait",quantile="0.5"} 0.001`,
 		`ccsim_sched_duration_seconds{phase="simulate",quantile="max"} 0.005`,
-		`ccsim_sched_duration_seconds{phase="retry_wait",quantile="0.95"} 0.003`,
 		`ccsim_sched_duration_seconds_sum{phase="simulate"} 0.37`,
-		`ccsim_sched_duration_seconds_count{phase="retry_wait"} 5`,
 		`ccsim_sched_duration_seconds_count{phase="store_put"} 140`,
 		`ccsim_store_duration_seconds{op="write",quantile="0.99"} 0.004`,
 		`ccsim_store_duration_seconds_sum{op="read"} 0.12`,
@@ -358,11 +354,11 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
-// TestServeEndToEnd exercises the real listener path: Serve on :0, scrape
-// both endpoints over TCP, Close.
+// TestServeEndToEnd exercises the real listener path the CLI takes:
+// NewServer, Start on :0, scrape every endpoint over TCP, Close.
 func TestServeEndToEnd(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", testSource(t))
-	if err != nil {
+	srv := NewServer(testSource(t))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
