@@ -1,6 +1,7 @@
 package ccsim_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -340,6 +341,9 @@ func TestWorkloadsDataVerifiedUnderSC(t *testing.T) {
 	}
 }
 
+// TestWorkloadsDataVerifiedFiniteAssociative also requires each verified
+// run to equal the same run unverified: reading a line's words must not
+// touch the LRU ages, or a verifying run would replace other lines.
 func TestWorkloadsDataVerifiedFiniteAssociative(t *testing.T) {
 	for _, wl := range ccsim.Workloads() {
 		cfg := tinyCfg(wl)
@@ -347,9 +351,18 @@ func TestWorkloadsDataVerifiedFiniteAssociative(t *testing.T) {
 		cfg.SLCWays = 2
 		cfg.DirPointers = 2
 		cfg.Extensions = ccsim.Ext{P: true, CW: true}
-		cfg.VerifyData = true
-		if _, err := ccsim.Run(cfg); err != nil {
+		plain, err := ccsim.Run(cfg)
+		if err != nil {
 			t.Fatalf("%s: %v", wl, err)
+		}
+		cfg.VerifyData = true
+		verified, err := ccsim.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", wl, err)
+		}
+		if !reflect.DeepEqual(verified, plain) {
+			t.Errorf("%s: verified run differs from the unverified one: exec %d vs %d pclocks",
+				wl, verified.ExecTime, plain.ExecTime)
 		}
 	}
 }

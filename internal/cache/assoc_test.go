@@ -11,7 +11,7 @@ func TestAssocAvoidsDirectMappedConflict(t *testing.T) {
 	// Blocks 1 and 5 conflict in a 4-frame direct-mapped cache but coexist
 	// in a 2-way one (4 frames = 2 sets of 2; 1 % 2 == 5 % 2 but the set
 	// holds both).
-	c := NewSLCAssoc(4, 2)
+	c := NewSLCAssoc(4, 2, false)
 	c.Insert(1, Shared)
 	_, victim, evicted := c.Insert(5, Shared)
 	if evicted {
@@ -23,7 +23,7 @@ func TestAssocAvoidsDirectMappedConflict(t *testing.T) {
 }
 
 func TestAssocLRUReplacement(t *testing.T) {
-	c := NewSLCAssoc(4, 2) // 2 sets x 2 ways
+	c := NewSLCAssoc(4, 2, false) // 2 sets x 2 ways
 	// Fill set 1 (odd blocks).
 	c.Insert(1, Shared)
 	c.Insert(3, Shared)
@@ -41,7 +41,7 @@ func TestAssocLRUReplacement(t *testing.T) {
 }
 
 func TestAssocInvalidateFreesWay(t *testing.T) {
-	c := NewSLCAssoc(4, 2)
+	c := NewSLCAssoc(4, 2, false)
 	c.Insert(1, Shared)
 	c.Insert(3, Dirty)
 	c.Invalidate(1)
@@ -55,7 +55,7 @@ func TestAssocInvalidateFreesWay(t *testing.T) {
 }
 
 func TestAssocReinsertSameBlock(t *testing.T) {
-	c := NewSLCAssoc(4, 2)
+	c := NewSLCAssoc(4, 2, false)
 	l, _, _ := c.Insert(1, Shared)
 	l.PrefetchBit = true
 	l2, _, evicted := c.Insert(1, Dirty)
@@ -69,8 +69,8 @@ func TestAssocReinsertSameBlock(t *testing.T) {
 
 func TestAssocConstructionPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewSLCAssoc(4, 0) },
-		func() { NewSLCAssoc(5, 2) },
+		func() { NewSLCAssoc(4, 0, false) },
+		func() { NewSLCAssoc(5, 2, false) },
 	} {
 		func() {
 			defer func() {
@@ -82,7 +82,7 @@ func TestAssocConstructionPanics(t *testing.T) {
 		}()
 	}
 	// Infinite cache ignores associativity gracefully.
-	if c := NewSLCAssoc(0, 4); c.Sets() != 0 || c.Ways() != 4 {
+	if c := NewSLCAssoc(0, 4, false); c.Sets() != 0 || c.Ways() != 4 {
 		t.Fatal("infinite associative construction wrong")
 	}
 }
@@ -92,7 +92,7 @@ func TestAssocConstructionPanics(t *testing.T) {
 func TestFullyAssociativeNoEvictionsProperty(t *testing.T) {
 	f := func(refs []uint8) bool {
 		const frames = 8
-		c := NewSLCAssoc(frames, frames) // one set: fully associative
+		c := NewSLCAssoc(frames, frames, false) // one set: fully associative
 		for _, r := range refs {
 			b := memsys.Block(r % frames)
 			if c.Lookup(b) == nil {
@@ -120,7 +120,7 @@ func TestAssocMatchesReferenceModelProperty(t *testing.T) {
 	}) bool {
 		const frames, ways = 8, 2
 		nsets := frames / ways
-		c := NewSLCAssoc(frames, ways)
+		c := NewSLCAssoc(frames, ways, false)
 		model := make(map[int][]memsys.Block, nsets) // set -> MRU-last list
 		find := func(l []memsys.Block, b memsys.Block) int {
 			for i, x := range l {

@@ -60,15 +60,23 @@ type Line struct {
 	// becomes Dirty by a grant, and its writeback carries this stamp so the
 	// home can tell a current writeback from a stale one.
 	Grant int
+}
 
-	// Data carries the block's word versions when data verification is on.
-	Data memsys.BlockData
+// Victim is a line Insert displaced, with its verification words (zero when
+// the cache keeps none).
+type Victim struct {
+	Line
+	Words memsys.BlockData
 }
 
 // SLC is the second-level cache. frames == 0 selects the paper's default
 // infinite cache (every block has its own frame); otherwise the cache has
 // that many one-block frames arranged in ways-associative sets with LRU
 // replacement (ways == 1 is the paper's direct-mapped organization).
+//
+// A cache built to keep words holds each line's verification words (see
+// memsys.BlockData) beside the line, outside Line itself, so a run that
+// does not verify data carries none.
 type SLC struct {
 	frames int
 	ways   int
@@ -77,12 +85,15 @@ type SLC struct {
 	age    []uint64 // LRU timestamps, parallel to array
 	tick   uint64
 
+	keepWords bool
+	words     []memsys.BlockData // finite mode: parallel to array, when keepWords
+
 	// Infinite mode keeps its lines in a slab of fixed-size chunks, so a
 	// slot never moves and a *Line stays valid while its block is cached;
 	// inf holds each cached block's slot plus one (0: not cached), and
 	// invalidated slots are reused before the slab grows.
 	inf   memsys.Table[int32]
-	slab  [][]Line
+	slab  []chunk
 	slots int32 // slots handed out so far
 	free  []int32
 }
@@ -91,18 +102,25 @@ type SLC struct {
 // chunks keep a short run's footprint near its working set.
 const slabChunk = 64
 
-// NewSLC returns a direct-mapped SLC with the given number of frames, or an
-// infinite one if frames == 0.
-func NewSLC(frames int) *SLC { return NewSLCAssoc(frames, 1) }
+// chunk is one infinite-mode slab step: its lines and, when the cache keeps
+// words, their words, which come from the same allocation.
+type chunk struct {
+	lines []Line
+	words []memsys.BlockData
+}
+
+// NewSLC returns a direct-mapped SLC that keeps no words, with the given
+// number of frames, or an infinite one if frames == 0.
+func NewSLC(frames int) *SLC { return NewSLCAssoc(frames, 1, false) }
 
 // NewSLCAssoc returns a ways-associative SLC with the given total frame
 // count (frames must be a multiple of ways), or an infinite one if
-// frames == 0.
-func NewSLCAssoc(frames, ways int) *SLC {
+// frames == 0. keepWords gives every line verification words (see Words).
+func NewSLCAssoc(frames, ways int, keepWords bool) *SLC {
 	if ways < 1 {
 		panic("cache: SLC needs at least one way")
 	}
-	c := &SLC{frames: frames, ways: ways}
+	c := &SLC{frames: frames, ways: ways, keepWords: keepWords}
 	if frames == 0 {
 		return c
 	}
@@ -112,6 +130,9 @@ func NewSLCAssoc(frames, ways int) *SLC {
 	c.nsets = frames / ways
 	c.array = make([]Line, frames)
 	c.age = make([]uint64, frames)
+	if keepWords {
+		c.words = make([]memsys.BlockData, frames)
+	}
 	return c
 }
 
@@ -128,7 +149,7 @@ func (c *SLC) set(b memsys.Block) (lo, hi int) {
 }
 
 // slot returns infinite-mode slab slot i.
-func (c *SLC) slot(i int32) *Line { return &c.slab[i/slabChunk][i%slabChunk] }
+func (c *SLC) slot(i int32) *Line { return &c.slab[i/slabChunk].lines[i%slabChunk] }
 
 // newSlot returns a free infinite-mode slot, growing the slab by a chunk
 // when every slot is in use.
@@ -140,7 +161,15 @@ func (c *SLC) newSlot() int32 {
 	}
 	i := c.slots
 	if int(i/slabChunk) == len(c.slab) {
-		c.slab = append(c.slab, make([]Line, slabChunk))
+		if c.keepWords {
+			lw := new(struct {
+				lines [slabChunk]Line
+				words [slabChunk]memsys.BlockData
+			})
+			c.slab = append(c.slab, chunk{lw.lines[:], lw.words[:]})
+		} else {
+			c.slab = append(c.slab, chunk{lines: make([]Line, slabChunk)})
+		}
 	}
 	c.slots++
 	return i
@@ -169,10 +198,10 @@ func (c *SLC) Lookup(b memsys.Block) *Line {
 
 // Insert installs block b in state st and returns its line. If a valid line
 // holding a different block had to be displaced (the set's LRU way), its
-// content is returned as victim with evicted set. Inserting over an
-// existing line for the same block resets the extension bits (a fresh
-// fill).
-func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Line, evicted bool) {
+// content and words are returned as victim with evicted set. Inserting over
+// an existing line for the same block resets the extension bits (a fresh
+// fill). Either way the line's words start at zero.
+func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Victim, evicted bool) {
 	if st == Invalid {
 		panic("cache: inserting an invalid line")
 	}
@@ -181,9 +210,13 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Line, evi
 		if *p == 0 {
 			*p = c.newSlot() + 1
 		}
-		l := c.slot(*p - 1)
+		i := *p - 1
+		l := c.slot(i)
 		*l = Line{Block: b, State: st}
-		return l, Line{}, false
+		if c.keepWords {
+			c.slab[i/slabChunk].words[i%slabChunk] = memsys.BlockData{}
+		}
+		return l, Victim{}, false
 	}
 	lo, hi := c.set(b)
 	slot := -1
@@ -205,12 +238,42 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Line, evi
 				slot = i
 			}
 		}
-		victim, evicted = c.array[slot], true
+		victim.Line, evicted = c.array[slot], true
+		if c.keepWords {
+			victim.Words = c.words[slot]
+		}
 	}
 	c.tick++
 	c.age[slot] = c.tick
 	c.array[slot] = Line{Block: b, State: st}
+	if c.keepWords {
+		c.words[slot] = memsys.BlockData{}
+	}
 	return &c.array[slot], victim, evicted
+}
+
+// Words returns the verification words of block b's line, or nil when b is
+// not cached or the cache keeps no words. Unlike Lookup it leaves the LRU
+// ages alone, so a run that reads words replaces exactly the lines a run
+// that does not would.
+func (c *SLC) Words(b memsys.Block) *memsys.BlockData {
+	if !c.keepWords {
+		return nil
+	}
+	if c.frames == 0 {
+		if p := c.inf.Get(b); p != nil && *p != 0 {
+			i := *p - 1
+			return &c.slab[i/slabChunk].words[i%slabChunk]
+		}
+		return nil
+	}
+	lo, hi := c.set(b)
+	for i := lo; i < hi; i++ {
+		if l := &c.array[i]; l.State != Invalid && l.Block == b {
+			return &c.words[i]
+		}
+	}
+	return nil
 }
 
 // Invalidate removes block b if present and returns the line content it had

@@ -3,9 +3,19 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ccsim/internal/memsys"
 )
+
+// TestLineSize pins an SLC line at its state and extension bits: a run
+// holds one Line per cached block, so a field added back to it (the
+// data-verification words, say) grows every run's SLC.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 40 {
+		t.Errorf("Line is %d bytes, want 40", n)
+	}
+}
 
 func TestSLCInfiniteNeverEvicts(t *testing.T) {
 	c := NewSLC(0)
@@ -103,6 +113,85 @@ func TestSLCInvalidate(t *testing.T) {
 	}
 	if c.Lookup(3) == nil {
 		t.Fatal("line lost by invalidate of a different block")
+	}
+}
+
+// wordCaches returns an infinite and a 2-way finite SLC (2 sets: blocks
+// 1, 3 and 5 share set 1) that keep words.
+func wordCaches() map[string]*SLC {
+	return map[string]*SLC{"infinite": NewSLCAssoc(0, 1, true), "2-way": NewSLCAssoc(4, 2, true)}
+}
+
+// TestSLCWordsStartZero checks that a line's words read zero after every
+// Insert: into a slot an invalidated block left, and over the same block.
+func TestSLCWordsStartZero(t *testing.T) {
+	for name, c := range wordCaches() {
+		c.Insert(1, Dirty)
+		d := c.Words(1)
+		if d == nil || *d != (memsys.BlockData{}) {
+			t.Fatalf("%s: fresh line's words = %v", name, d)
+		}
+		d[3] = 7
+		if c.Words(1)[3] != 7 {
+			t.Fatalf("%s: a word written through Words did not stick", name)
+		}
+		c.Invalidate(1)
+		c.Insert(3, Shared) // reuses block 1's slot (its way, or its free slab slot)
+		if d := c.Words(3); d == nil || *d != (memsys.BlockData{}) {
+			t.Fatalf("%s: reused slot's words = %v, want zero", name, d)
+		}
+		c.Words(3)[0] = 9
+		c.Insert(3, Dirty)
+		if d := c.Words(3); *d != (memsys.BlockData{}) {
+			t.Fatalf("%s: reinserted line's words = %v, want zero", name, *d)
+		}
+	}
+}
+
+// TestSLCWordsAbsent checks that Words returns nil for a block the cache
+// does not hold, and for every block of a cache that keeps no words.
+func TestSLCWordsAbsent(t *testing.T) {
+	for name, c := range wordCaches() {
+		c.Insert(1, Shared)
+		if c.Words(3) != nil {
+			t.Fatalf("%s: words for an absent block", name)
+		}
+		c.Invalidate(1)
+		if c.Words(1) != nil {
+			t.Fatalf("%s: words for an invalidated block", name)
+		}
+	}
+	for _, c := range []*SLC{NewSLC(0), NewSLCAssoc(4, 2, false)} {
+		c.Insert(1, Dirty)
+		if c.Words(1) != nil {
+			t.Fatalf("%d-frame cache without words returned some", c.Sets())
+		}
+	}
+}
+
+// TestSLCVictimWords checks that an eviction hands the victim's words to
+// the caller, and that reading words, unlike Lookup, leaves the LRU
+// choice of victim alone.
+func TestSLCVictimWords(t *testing.T) {
+	c := NewSLCAssoc(4, 2, true)
+	c.Insert(1, Dirty)
+	c.Words(1)[0] = 11
+	c.Insert(3, Dirty)
+	c.Words(3)[0] = 33
+	c.Words(1) // block 1 stays the LRU way
+	_, v, evicted := c.Insert(5, Shared)
+	if !evicted || v.Block != 1 || v.State != Dirty || v.Words[0] != 11 {
+		t.Fatalf("victim = %+v, evicted %v; want block 1 with word 0 = 11", v, evicted)
+	}
+	if d := c.Words(5); *d != (memsys.BlockData{}) || c.Words(3)[0] != 33 {
+		t.Fatalf("new line's words %v, neighbour's word 0 %d", *d, c.Words(3)[0])
+	}
+
+	n := NewSLCAssoc(4, 2, false)
+	n.Insert(1, Dirty)
+	n.Insert(3, Dirty)
+	if _, v, evicted := n.Insert(5, Shared); !evicted || v.Block != 1 || v.Words != (memsys.BlockData{}) {
+		t.Fatalf("victim without words = %+v, evicted %v", v, evicted)
 	}
 }
 

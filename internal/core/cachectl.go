@@ -185,7 +185,7 @@ func newSLC(p Params) *cache.SLC {
 	if ways == 0 {
 		ways = 1
 	}
-	return cache.NewSLCAssoc(p.SLCSets, ways)
+	return cache.NewSLCAssoc(p.SLCSets, ways, p.VerifyData)
 }
 
 func newCacheCtl(s *System, id int) *CacheCtl {
@@ -340,12 +340,34 @@ func (c *CacheCtl) observe(b memsys.Block, w int, v int64) {
 	last[w] = v
 }
 
-// performLocal serializes a write into an exclusive line.
-func (c *CacheCtl) performLocal(line *cache.Line, b memsys.Block, w int) {
-	if c.sys.verSeq == nil {
-		return
+// observeCached checks a read of word w of block b served by its SLC line.
+func (c *CacheCtl) observeCached(b memsys.Block, w int) {
+	if d := c.slc.Words(b); d != nil {
+		c.observe(b, w, d[w])
 	}
-	line.Data[w] = c.sys.serialize(c.id, b, w)
+}
+
+// setWords gives block b's SLC line the words d, when the SLC keeps words.
+func (c *CacheCtl) setWords(b memsys.Block, d *memsys.BlockData) {
+	if p := c.slc.Words(b); p != nil {
+		*p = *d
+	}
+}
+
+// lineWords returns the words of block b's SLC line: zero when the SLC
+// keeps none.
+func (c *CacheCtl) lineWords(b memsys.Block) memsys.BlockData {
+	if p := c.slc.Words(b); p != nil {
+		return *p
+	}
+	return memsys.BlockData{}
+}
+
+// performLocal serializes a write into block b's exclusive line.
+func (c *CacheCtl) performLocal(b memsys.Block, w int) {
+	if d := c.slc.Words(b); d != nil {
+		d[w] = c.sys.serialize(c.id, b, w)
+	}
 }
 
 // ckLine reports an SLC state transition (install, upgrade, downgrade) for
@@ -390,8 +412,8 @@ func (c *CacheCtl) Read(a memsys.Addr, unblock func()) bool {
 		if c.sys.verSeq != nil {
 			// Inclusion guarantees the SLC holds the block too; observe the
 			// version the processor sees.
-			if line := c.slc.Lookup(b); line != nil {
-				c.observe(b, memsys.WordIndex(a), line.Data[memsys.WordIndex(a)])
+			if d := c.slc.Words(b); d != nil {
+				c.observe(b, memsys.WordIndex(a), d[memsys.WordIndex(a)])
 			} else {
 				c.sys.dataViolation(b, "node %d: FLC hit on block %d without SLC inclusion", c.id, b)
 			}
@@ -430,7 +452,7 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 				if c.statsOn() {
 					c.CStats.SLCHits++
 				}
-				c.observe(b, word, line.Data[word])
+				c.observeCached(b, word)
 				unblock()
 				return
 			}
@@ -444,7 +466,7 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 		if c.statsOn() {
 			c.CStats.SLCHits++
 		}
-		c.observe(b, word, line.Data[word])
+		c.observeCached(b, word)
 		unblock()
 		return
 	}
@@ -606,7 +628,7 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 	if line != nil && line.State == cache.Dirty {
 		// Writing an exclusive copy is globally performed on the spot.
 		line.Written = true
-		c.performLocal(line, b, w.word)
+		c.performLocal(b, w.word)
 		if w.performed != nil {
 			w.performed()
 		}
@@ -639,7 +661,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 	if line != nil && line.State == cache.Dirty {
 		line.Written = true
 		line.CWCount = c.sys.P.CWThreshold
-		c.performLocal(line, b, w.word)
+		c.performLocal(b, w.word)
 		if w.performed != nil {
 			w.performed()
 		}
@@ -936,6 +958,8 @@ func (c *CacheCtl) removeLine(b memsys.Block) {
 	}
 }
 
+// install fills block b in state st, handling any victim, and returns its
+// line, whose words start at zero.
 func (c *CacheCtl) install(b memsys.Block, st cache.LineState) *cache.Line {
 	c.sys.traceNode(trace.CacheFill, st.String(), b, c.id, "")
 	line, victim, evicted := c.slc.Insert(b, st)
@@ -947,7 +971,7 @@ func (c *CacheCtl) install(b memsys.Block, st cache.LineState) *cache.Line {
 	return line
 }
 
-func (c *CacheCtl) handleVictim(v cache.Line) {
+func (c *CacheCtl) handleVictim(v cache.Victim) {
 	c.sys.traceNode(trace.CacheEvict, "replace", v.Block, c.id, v.State.String())
 	c.ckDrop(v.Block, "replace")
 	c.flc.Invalidate(v.Block)
@@ -956,7 +980,7 @@ func (c *CacheCtl) handleVictim(v cache.Line) {
 		c.pf.OnDiscard()
 	}
 	if v.State == cache.Dirty {
-		c.writeBack(v.Block, v.Grant, v.Data, memsys.FullMask)
+		c.writeBack(v.Block, v.Grant, v.Words, memsys.FullMask)
 	}
 }
 
@@ -1001,7 +1025,7 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 		st = cache.Dirty
 	}
 	line := c.install(b, st)
-	line.Data = m.Payload
+	c.setWords(b, &m.Payload)
 	if m.Excl {
 		line.MigSupplied = true
 		line.Grant = m.Stamp
@@ -1040,7 +1064,7 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 			}
 		}
 		for _, r := range ms.readers {
-			c.observe(b, r.word, line.Data[r.word])
+			c.observeCached(b, r.word)
 			r.fn()
 		}
 	}
@@ -1072,7 +1096,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 	var line *cache.Line
 	if m.Data {
 		line = c.install(b, cache.Dirty)
-		line.Data = m.Payload
+		c.setWords(b, &m.Payload)
 	} else {
 		line = c.slc.Lookup(b)
 		if line == nil {
@@ -1089,9 +1113,9 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 	}
 	line.Grant = m.Stamp
 	line.Written = true
-	if c.sys.verSeq != nil {
+	if d := c.slc.Words(b); d != nil {
 		for _, w := range ms.words {
-			line.Data[w] = c.sys.serialize(c.id, b, w)
+			d[w] = c.sys.serialize(c.id, b, w)
 		}
 	}
 	for _, p := range ms.performed {
@@ -1100,7 +1124,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 	if len(ms.readers) > 0 {
 		c.fillFLC(b)
 		for _, r := range ms.readers {
-			c.observe(b, r.word, line.Data[r.word])
+			c.observeCached(b, r.word)
 			r.fn()
 		}
 	}
@@ -1170,15 +1194,15 @@ func (c *CacheCtl) onUpdateAck(m *Msg) {
 		var line *cache.Line
 		if m.Data {
 			line = c.install(b, cache.Dirty)
-			line.Data = m.Payload
+			c.setWords(b, &m.Payload)
 		} else if line = c.slc.Lookup(b); line != nil {
 			line.State = cache.Dirty
 			c.ckLine(b, true, "update-upgrade")
-			if c.sys.verSeq != nil {
+			if d := c.slc.Words(b); d != nil {
 				// The owner's combined writes serialize here.
 				for w := 0; w < memsys.WordsPerBlock; w++ {
 					if ms.mask.Has(w) {
-						line.Data[w] = c.sys.serialize(c.id, b, w)
+						d[w] = c.sys.serialize(c.id, b, w)
 					}
 				}
 			}
@@ -1196,13 +1220,13 @@ func (c *CacheCtl) onUpdateAck(m *Msg) {
 		// post-update memory image (it now carries our own writes'
 		// serialized versions). The FLC copy already holds those writes
 		// (write-through), so it stays.
-		line.Data = m.Payload
+		c.setWords(b, &m.Payload)
 	}
 	if len(ms.readers) > 0 {
 		if line := c.slc.Lookup(b); line != nil {
 			c.fillFLC(b)
 			for _, r := range ms.readers {
-				c.observe(b, r.word, line.Data[r.word])
+				c.observeCached(b, r.word)
 				r.fn()
 			}
 		} else {
@@ -1238,7 +1262,7 @@ func (c *CacheCtl) onFwd(m *Msg) {
 	switch {
 	case m.Excl:
 		// Exclusive takeaway (write miss elsewhere, or update recall).
-		data := line.Data
+		data := c.lineWords(b)
 		c.removeLine(b)
 		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: data, Txn: m.Txn})
 	case m.Mig:
@@ -1246,21 +1270,21 @@ func (c *CacheCtl) onFwd(m *Msg) {
 		// report that the pattern stopped being migratory and keep a
 		// shared copy.
 		if line.Written {
-			data := line.Data
+			data := c.lineWords(b)
 			c.removeLine(b)
 			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: data, Txn: m.Txn})
 		} else {
 			line.State = cache.Shared
 			line.MigSupplied = false
 			c.ckLine(b, false, "mig-keep")
-			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: false, Payload: line.Data, Txn: m.Txn})
+			c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: false, Payload: c.lineWords(b), Txn: m.Txn})
 		}
 	default:
 		// Ordinary read miss: downgrade to Shared.
 		line.State = cache.Shared
 		line.Written = false
 		c.ckLine(b, false, "downgrade")
-		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: line.Data, Txn: m.Txn})
+		c.send(&Msg{Type: MsgFwdReply, Block: b, Dst: home, Data: true, Wrote: true, Payload: c.lineWords(b), Txn: m.Txn})
 	}
 }
 
@@ -1301,7 +1325,7 @@ func (c *CacheCtl) onUpdCopy(m *Msg) {
 			// next access reaches the SLC (and presets the counter).
 			c.flc.Invalidate(b)
 			line.LocallyModified = false
-			line.Data = m.Payload
+			c.setWords(b, &m.Payload)
 		}
 	}
 	c.send(reply)

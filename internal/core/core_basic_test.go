@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"ccsim/internal/cache"
 	"ccsim/internal/memsys"
@@ -65,6 +66,16 @@ func blockHomedAt(s *System, node int) memsys.Addr {
 
 func lineOf(s *System, n int, a memsys.Addr) *cache.Line {
 	return s.Nodes[n].Cache.slc.Lookup(memsys.BlockOf(a))
+}
+
+// TestDirEntrySize pins a directory entry at the protocol state BASIC and
+// the extensions need: a home's block table holds one per block of every
+// page it serves, so a field added back to it (the data-verification
+// words, say) grows every run's directory pages.
+func TestDirEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n != 136 {
+		t.Errorf("dirEntry is %d bytes, want 136", n)
+	}
 }
 
 func TestLocalReadMissLatencyIs30(t *testing.T) {

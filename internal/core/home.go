@@ -73,9 +73,6 @@ type dirEntry struct {
 	migratory   bool
 	lastWriter  int
 	lastUpdater int
-
-	// data holds the block's word versions when data verification is on.
-	data memsys.BlockData
 }
 
 // heldReq is a pooled request record: a delivered request copied to live on
@@ -212,14 +209,15 @@ func (h *HomeCtl) addSharer(e *dirEntry, n int) {
 // applyUpdate serializes a combined update's writes into memory: each
 // masked word gets the next version for its location. This is the
 // competitive-update mechanism's global serialization point.
-func (h *HomeCtl) applyUpdate(e *dirEntry, m *Msg) {
+func (h *HomeCtl) applyUpdate(m *Msg) {
 	if h.sys.verSeq == nil {
 		return
 	}
 	b := m.Block
 	for w := 0; w < memsys.WordsPerBlock; w++ {
 		if m.Mask.Has(w) {
-			e.data[w] = h.sys.serialize(m.Src, b, w)
+			v := h.sys.serialize(m.Src, b, w)
+			h.sys.verSeq.At(b).mem[w] = v
 		}
 	}
 }
@@ -427,7 +425,7 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 		h.setPresence(e, bit(m.Src))
 		e.grants++
 		h.ckDir(b, e, "excl-supply")
-		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: e.grants, Payload: e.data, Txn: m.Txn})
+		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: m.Txn})
 		h.finish(b, e)
 		return
 	}
@@ -435,7 +433,7 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 		h.addSharer(e, m.Src)
 	}
 	h.ckDir(b, e, "read-share")
-	h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Prefetch: m.Prefetch, Payload: e.data, Txn: m.Txn})
+	h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Prefetch: m.Prefetch, Payload: h.sys.memWords(b), Txn: m.Txn})
 	h.finish(b, e)
 }
 
@@ -446,13 +444,14 @@ func (h *HomeCtl) onFwdReply(m *Msg) {
 	if !e.busy || (e.txn != txFwd && e.txn != txRecall) {
 		panic(fmt.Sprintf("home %d: unexpected FwdReply for block %d", h.id, b))
 	}
-	if m.Mask != 0 {
-		// Forward served from a writeback buffer: only the masked words are
-		// meaningful (a relinquished frame carries just its written words).
-		e.data.Merge(m.Payload, m.Mask)
-	} else {
-		e.data = m.Payload
+	// A forward served from a writeback buffer carries a mask: only the
+	// masked words are meaningful (a relinquished frame carries just its
+	// written words). Any other forward reply carries the whole block.
+	mask := m.Mask
+	if mask == 0 {
+		mask = memsys.FullMask
 	}
+	h.sys.storeMem(b, &m.Payload, mask)
 	// Write the returned data back to memory.
 	j := h.getJob()
 	j.e, j.m = e, *m
@@ -476,9 +475,9 @@ func fwdWritten(a any) {
 		h.setPresence(e, bit(req.Src))
 		e.lastWriter = req.Src
 		e.grants++
-		h.applyUpdate(e, &req.Msg)
+		h.applyUpdate(&req.Msg)
 		h.ckDir(b, e, "recall-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 	case req.Type == MsgOwnReq:
 		// Write miss to a dirty block: exclusive handoff.
 		e.owner = req.Src
@@ -486,7 +485,7 @@ func fwdWritten(a any) {
 		e.lastWriter = req.Src
 		e.grants++
 		h.ckDir(b, e, "fwd-grant")
-		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 	case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
 		if m.Wrote {
 			// Still migratory: pass the exclusive copy along.
@@ -496,7 +495,7 @@ func fwdWritten(a any) {
 			e.lastWriter = req.Src
 			e.grants++
 			h.ckDir(b, e, "mig-pass")
-			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 		} else {
 			// The holder never wrote its exclusive copy: the pattern is
 			// no longer migratory. Revert to ordinary sharing (the
@@ -507,7 +506,7 @@ func fwdWritten(a any) {
 			e.state = dirClean
 			h.setPresence(e, bit(m.Src)|bit(req.Src))
 			h.ckDir(b, e, "revert")
-			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
+			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: h.sys.memWords(b), Txn: req.Txn})
 		}
 	default:
 		// Ordinary read miss to a dirty block: owner downgraded to
@@ -515,7 +514,7 @@ func fwdWritten(a any) {
 		e.state = dirClean
 		h.addSharer(e, req.Src)
 		h.ckDir(b, e, "fwd-downgrade")
-		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: h.sys.memWords(b), Txn: req.Txn})
 	}
 	h.finish(b, e)
 	h.putJob(j)
@@ -594,7 +593,7 @@ func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
 	e.lastWriter = to
 	e.grants++
 	h.ckDir(b, e, "grant")
-	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: e.needData, Stamp: e.grants, Payload: e.data, Txn: e.txnReq.Txn})
+	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: e.needData, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: e.txnReq.Txn})
 	h.finish(b, e)
 }
 
@@ -619,7 +618,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
-	h.applyUpdate(e, m)
+	h.applyUpdate(m)
 	others := h.sharersFor(e, m.Src)
 	// CW+M migratory detection (paper §3.4): the home cannot see local
 	// reads, so when consecutive updates come from different processors it
@@ -638,7 +637,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 		e.lastWriter = m.Src
 		e.grants++
 		h.ckDir(b, e, "update-excl")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: e.data, Txn: m.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: m.Txn})
 		h.finish(b, e)
 		return
 	}
@@ -648,7 +647,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 	e.gaveUp = true
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if others&bit(n) != 0 {
-			h.send(&Msg{Type: MsgUpdCopy, Block: b, Dst: n, Mask: m.Mask, Probe: probe, Payload: e.data})
+			h.send(&Msg{Type: MsgUpdCopy, Block: b, Dst: n, Mask: m.Mask, Probe: probe, Payload: h.sys.memWords(b)})
 		}
 	}
 }
@@ -685,12 +684,12 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 		e.lastWriter = req.Src
 		e.grants++
 		h.ckDir(b, e, "update-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 	} else {
 		// The updater keeps a Shared copy (if it has one); the ack carries
 		// the post-update memory image so that copy reflects its own writes'
 		// serialized versions.
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Payload: e.data, Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Payload: h.sys.memWords(b), Txn: req.Txn})
 	}
 	h.finish(b, e)
 }
@@ -711,7 +710,7 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 			// lowest written word, so memory keeps a stale version of it.
 			mask &= mask - 1
 		}
-		e.data.Merge(m.Payload, mask)
+		h.sys.storeMem(b, &m.Payload, mask)
 		e.state = dirClean
 		e.presence = 0
 		e.overflow = false

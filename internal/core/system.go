@@ -74,10 +74,10 @@ type System struct {
 	lastToHome bool
 	lastValid  bool
 
-	// Data-value verification state (Params.VerifyData, else nil): a
-	// per-word version counter per block, advanced at each write's global
-	// serialization point, and the violations found.
-	verSeq         *memsys.Table[memsys.BlockData]
+	// Data-value verification state (Params.VerifyData, else nil): per
+	// block, each word's version counter and home memory's words, and the
+	// violations found.
+	verSeq         *memsys.Table[verWords]
 	DataViolations []string
 
 	// hopFree recycles the per-message event-chain records Send schedules;
@@ -85,11 +85,48 @@ type System struct {
 	hopFree []*hop
 }
 
+// verWords is one block's data-verification state. next holds each word's
+// last version, advanced at every write's global serialization point; mem
+// holds the versions home memory has. Memory's words live here rather than
+// in the directory entry, so a run that does not verify carries none.
+type verWords struct {
+	next memsys.BlockData
+	mem  memsys.BlockData
+}
+
 // nextVersion serializes a write to (b, w) and returns its version.
 func (s *System) nextVersion(b memsys.Block, w int) int64 {
-	c := s.verSeq.At(b)
+	c := &s.verSeq.At(b).next
 	c[w]++
 	return c[w]
+}
+
+// memWords returns home memory's words of block b: zero when verification
+// is off or no word of b's page was ever written. It never allocates.
+func (s *System) memWords(b memsys.Block) memsys.BlockData {
+	if s.verSeq != nil {
+		if v := s.verSeq.Get(b); v != nil {
+			return v.mem
+		}
+	}
+	return memsys.BlockData{}
+}
+
+// storeMem writes the masked words of d into home memory's copy of block b.
+// Every word of a page never written reads zero already, so zero words
+// aimed at such a page are dropped rather than given a page.
+func (s *System) storeMem(b memsys.Block, d *memsys.BlockData, mask memsys.WordMask) {
+	if s.verSeq == nil {
+		return
+	}
+	v := s.verSeq.Get(b)
+	if v == nil {
+		if *d == (memsys.BlockData{}) {
+			return
+		}
+		v = s.verSeq.At(b)
+	}
+	v.mem.Merge(*d, mask)
 }
 
 // serialize is a write's global serialization point on behalf of node: it
@@ -188,7 +225,7 @@ func NewSystem(eng *sim.Engine, net network.Net, params Params) (*System, error)
 	}
 	s := &System{Eng: eng, Net: net, P: params, statsOn: true}
 	if params.VerifyData {
-		s.verSeq = new(memsys.Table[memsys.BlockData])
+		s.verSeq = new(memsys.Table[verWords])
 	}
 	s.mutArmed = params.Mutate != ""
 	s.Nodes = make([]*Node, params.Nodes)

@@ -20,7 +20,7 @@ func TestVerifyDataCleanRun(t *testing.T) {
 		t.Fatalf("violations on a coherent run: %v", s.DataViolations)
 	}
 	// The version counter advanced once per write.
-	if got := s.verSeq.At(memsys.BlockOf(a))[0]; got != 2 {
+	if got := s.verSeq.At(memsys.BlockOf(a)).next[0]; got != 2 {
 		t.Fatalf("version counter = %d, want 2", got)
 	}
 }
@@ -68,7 +68,7 @@ func TestVerifyMigratoryHandoffCarriesData(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("violations in migratory chain: %v", s.DataViolations)
 	}
-	if got := s.verSeq.At(memsys.BlockOf(a))[0]; got != 6 {
+	if got := s.verSeq.At(memsys.BlockOf(a)).next[0]; got != 6 {
 		t.Fatalf("version counter = %d, want 6", got)
 	}
 }
@@ -88,9 +88,8 @@ func TestVerifyWritebackCarriesData(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("violations across writeback: %v", s.DataViolations)
 	}
-	l := lineOf(s, 2, a)
-	if l == nil || l.Data[0] != 1 {
-		t.Fatalf("reader's data = %+v, want word 0 version 1", l)
+	if d := wordsOf(s, 2, a); d == nil || d[0] != 1 {
+		t.Fatalf("reader's data = %+v, want word 0 version 1", d)
 	}
 }
 
@@ -116,8 +115,8 @@ func TestVerifyCWUpdatesCarryData(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatalf("violations under competitive update: %v", s.DataViolations)
 	}
-	if l := lineOf(s, 2, a); l == nil || l.Data[0] != 3 {
-		t.Fatalf("sharer data = %+v, want word 0 version 3", l)
+	if d := wordsOf(s, 2, a); d == nil || d[0] != 3 {
+		t.Fatalf("sharer data = %+v, want word 0 version 3", d)
 	}
 }
 
@@ -132,4 +131,18 @@ func TestVerifyOffByDefaultCostsNothing(t *testing.T) {
 	if len(s.DataViolations) != 0 {
 		t.Fatal("violations recorded with verification off")
 	}
+	// The writer and the reader hold the block; no SLC keeps words for it.
+	if lineOf(s, 0, a) == nil || lineOf(s, 2, a) == nil {
+		t.Fatal("nodes 0 and 2 should both hold the block")
+	}
+	for n := range s.Nodes {
+		if d := wordsOf(s, n, a); d != nil {
+			t.Fatalf("node %d's SLC keeps words without VerifyData: %v", n, d)
+		}
+	}
+}
+
+// wordsOf returns the words node n's SLC keeps for address a's block.
+func wordsOf(s *System, n int, a memsys.Addr) *memsys.BlockData {
+	return s.Nodes[n].Cache.slc.Words(memsys.BlockOf(a))
 }

@@ -101,7 +101,7 @@ type Engine struct {
 
 	// qstats holds the always-on queue introspection counters (see
 	// QueueStats); wheelLive tracks the current wheel-resident event count
-	// so schedule/migrate can maintain the occupancy high-water mark.
+	// so AtCall and migrate can maintain the occupancy high-water mark.
 	qstats    QueueStats
 	wheelLive int
 }
@@ -144,38 +144,18 @@ func (e *Engine) Progress() { e.progressAt = e.nsteps }
 // AtCall schedules call(arg) to run at absolute time t. Callers pass a
 // static function and keep arg on a free list (or pass a long-lived
 // pointer), so scheduling allocates nothing. Scheduling in the past panics:
-// it always indicates a bug in a component's timing arithmetic.
+// it always indicates a bug in a component's timing arithmetic. An event
+// inside the wheel window is written straight into its arena slot; one
+// beyond it goes to the overflow heap.
 func (e *Engine) AtCall(t Time, call func(any), arg any) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d, before now %d", t, e.now))
 	}
 	e.seq++
-	e.schedule(event{at: t, seq: e.seq, call: call, arg: arg})
-}
-
-// AfterCall schedules call(arg) to run d pclocks from now. d must be >= 0.
-func (e *Engine) AfterCall(d Time, call func(any), arg any) { e.AtCall(e.now+d, call, arg) }
-
-// alloc places ev in an arena slot, reusing the free list when possible.
-func (e *Engine) alloc(ev event) int32 {
-	s := e.free
-	if s >= 0 {
-		e.free = e.arena[s].next
-		e.arena[s].ev = ev
-	} else {
-		e.arena = append(e.arena, qnode{ev: ev})
-		s = int32(len(e.arena) - 1)
-	}
-	return s
-}
-
-// schedule routes ev to its wheel bucket or, beyond the window, to the
-// overflow heap. Callers have already validated ev.at >= e.now.
-func (e *Engine) schedule(ev event) {
 	e.pending++
-	if ev.at-e.now >= wheelSize {
+	if t-e.now >= wheelSize {
 		e.qstats.OverflowScheduled++
-		e.overflowPush(ev)
+		e.overflowPush(event{at: t, seq: e.seq, call: call, arg: arg})
 		if n := len(e.overflow); n > e.qstats.OverflowHighWater {
 			e.qstats.OverflowHighWater = n
 		}
@@ -186,8 +166,10 @@ func (e *Engine) schedule(ev event) {
 	if e.wheelLive > e.qstats.WheelHighWater {
 		e.qstats.WheelHighWater = e.wheelLive
 	}
-	s := e.alloc(ev)
-	b := int(ev.at) & wheelMask
+	s := e.slot()
+	ev := &e.arena[s].ev
+	ev.at, ev.seq, ev.call, ev.arg = t, e.seq, call, arg
+	b := int(t) & wheelMask
 	w, bit := b>>6, uint64(1)<<uint(b&63)
 	if e.occ[w]&bit != 0 {
 		e.arena[e.btail[b]].next = s
@@ -196,6 +178,21 @@ func (e *Engine) schedule(ev event) {
 		e.bhead[b] = s
 	}
 	e.btail[b] = s
+}
+
+// AfterCall schedules call(arg) to run d pclocks from now. d must be >= 0.
+func (e *Engine) AfterCall(d Time, call func(any), arg any) { e.AtCall(e.now+d, call, arg) }
+
+// slot returns a free arena slot, reusing the free list when possible. The
+// caller writes the slot's event.
+func (e *Engine) slot() int32 {
+	s := e.free
+	if s >= 0 {
+		e.free = e.arena[s].next
+		return s
+	}
+	e.arena = append(e.arena, qnode{})
+	return int32(len(e.arena) - 1)
 }
 
 // migrate moves overflow events whose time has come inside the wheel
@@ -210,7 +207,8 @@ func (e *Engine) migrate() {
 		if e.wheelLive > e.qstats.WheelHighWater {
 			e.qstats.WheelHighWater = e.wheelLive
 		}
-		s := e.alloc(ev)
+		s := e.slot()
+		e.arena[s].ev = ev
 		b := int(ev.at) & wheelMask
 		w, bit := b>>6, uint64(1)<<uint(b&63)
 		if e.occ[w]&bit == 0 {
@@ -278,18 +276,19 @@ func (e *Engine) runCohort(budget uint64) uint64 {
 	var ran uint64
 	for ran < budget && e.occ[w]&bit != 0 {
 		s := e.bhead[b]
-		ev := e.arena[s].ev
+		n := &e.arena[s]
+		call, arg := n.ev.call, n.ev.arg
 		if s == e.btail[b] {
 			e.occ[w] &^= bit
 		} else {
-			e.bhead[b] = e.arena[s].next
+			e.bhead[b] = n.next
 		}
-		e.arena[s].next = e.free
+		n.next = e.free
 		e.free = s
 		e.pending--
 		e.nsteps++
 		ran++
-		ev.call(ev.arg)
+		call(arg)
 	}
 	if ran > 0 {
 		e.wheelLive -= int(ran)

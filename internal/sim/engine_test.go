@@ -10,8 +10,8 @@ import (
 
 // TestEventRecordSize pins the event record at its four words (at, seq,
 // call, arg) and the arena slot at the record plus its link: every
-// scheduled event is copied into the arena, so a field added back to the
-// record makes that copy larger on every schedule.
+// scheduled event is written into an arena slot, so a field added back to
+// the record makes that write larger on every schedule.
 func TestEventRecordSize(t *testing.T) {
 	if n := unsafe.Sizeof(event{}); n != 40 {
 		t.Errorf("event is %d bytes, want 40", n)
@@ -52,6 +52,35 @@ func TestEngineSameTimeFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("same-time events ran out of order: %v", order)
 		}
+	}
+}
+
+// TestEngineMigrationKeepsFIFO pins FIFO order within a timestamp across
+// overflow migration: an event scheduled beyond the wheel window runs
+// before events scheduled for the same instant once the window reached it,
+// because migration inserts by sequence number. The wheel events sit in
+// fresh and recycled arena slots, so a slot whose seq went unwritten shows.
+func TestEngineMigrationKeepsFIFO(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	rec := func(a any) { order = append(order, a.(int)) }
+	const at = 2 * wheelSize
+	e.AtCall(at, rec, 0) // beyond the window: overflow heap
+	for i := 0; i < 4; i++ {
+		e.AtCall(Time(i), func(any) {}, nil) // leave recycled slots behind
+	}
+	e.RunUntil(at - 10) // the window now covers at; nothing has migrated
+	for i := 1; i <= 6; i++ {
+		e.AtCall(at, rec, i)
+	}
+	e.Run()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("same-time events ran as %v, want 0..6 in order", order)
+		}
+	}
+	if len(order) != 7 {
+		t.Fatalf("ran %d events, want 7", len(order))
 	}
 }
 

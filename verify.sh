@@ -54,6 +54,19 @@ fi
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 > /tmp/ccsim-unchecked.txt
 cmp /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt
 
+# Data-verification smoke on a finite SLC: a 16-block direct-mapped cache
+# replaces lines (533 replacement misses under CW+M on a 16-bit mesh, 332
+# under P+M with SC), so a victim's words must reach its writeback and a
+# refill must start from memory's words. -verify must exit 0 and leave
+# stdout byte-identical to the same run without it. ($args is left
+# unquoted so it splits into its flags.)
+for args in "-ext CW+M -net mesh -link 16" "-ext P+M -sc"; do
+    /tmp/ccsim-verify -workload mp3d $args -slc 16 -procs 8 -scale 0.05 -verify > /tmp/ccsim-verified.txt
+    /tmp/ccsim-verify -workload mp3d $args -slc 16 -procs 8 -scale 0.05 > /tmp/ccsim-unverified.txt
+    cmp /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
+done
+rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
+
 # Side-channel smoke: sharing-pattern analytics and the protocol trace are
 # pure side channels too — a run with both attached (and the checker, the
 # heaviest combination) must pass and leave stdout byte-identical to a
