@@ -1,7 +1,8 @@
 .PHONY: verify test chaos golden size
 
-# Tier-1 gate: build + vet + full tests + race passes (sim, telemetry, ops,
-# exp) + the metrics regression gate against golden/.
+# Tier-1 gate: build + vet + full tests + race passes (sim, telemetry,
+# store, exp and others) + crash-resume smokes + the metrics regression
+# gate against golden/.
 verify:
 	sh verify.sh
 

@@ -129,13 +129,6 @@ type Config struct {
 	// for zero overhead.
 	Telemetry *Telemetry
 
-	// Progress, when non-nil, is a live probe into the run: the engine
-	// publishes events executed, simulated time and a wall-clock heartbeat
-	// through lock-free atomic stores, and any other goroutine reads them
-	// with Progress.Snapshot while the simulation runs. Leave nil for zero
-	// overhead.
-	Progress *Progress
-
 	// Cancel, when non-nil, is a cooperative shutdown flag: firing it from
 	// any goroutine (a signal handler, an interrupted sweep) aborts the run
 	// at the next event batch with a *SimFault of kind FaultCanceled
@@ -246,7 +239,6 @@ func (c Config) machineConfig() machine.Config {
 		MaxEvents:        c.MaxEvents,
 		MaxTime:          sim.Time(c.Deadline),
 		NoProgressEvents: c.NoProgressEvents,
-		Progress:         c.Progress,
 		Cancel:           c.Cancel,
 		Check:            c.Check,
 		Sharing:          c.Sharing,
@@ -319,16 +311,6 @@ func WorkloadOps(name string, procs int, scale float64) ([][]Op, error) {
 	}
 	return out, nil
 }
-
-// Progress is a lock-free live probe into a running simulation: attach one
-// via Config.Progress, then call Snapshot from any goroutine to read the
-// run's position (events executed, simulated time, wall-clock heartbeat)
-// without disturbing it. The ops plane of cmd/experiments builds its
-// /status and /metrics views from these probes.
-type Progress = sim.Progress
-
-// ProgressSnapshot is one reading of a Progress probe.
-type ProgressSnapshot = sim.ProgressSnapshot
 
 // HardwareCost is one row of the paper's Table 1: the hardware an extension
 // needs beyond the BASIC protocol.

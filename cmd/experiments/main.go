@@ -17,8 +17,6 @@
 //	experiments -scale 0.25 ...     # shrink the workloads for a quick pass
 //	experiments -jobs 8 ...         # simulate up to 8 configurations at once
 //	experiments -metrics out/ ...   # also write each run's result as JSON
-//	experiments -listen :8099       # live ops plane: /metrics, /status, /dashboard
-//	experiments -listen :8099 -pprof  # also mount Go's /debug/pprof/ endpoints
 //	experiments -log-json ...       # structured stderr logs as JSON
 //	experiments -q ...              # quiet: suppress per-experiment timing
 //	experiments -cpuprofile p.out   # write a runtime/pprof CPU profile
@@ -33,10 +31,10 @@
 // subset of Figure 2's grid) simulates exactly once. Worker count changes
 // wall-clock time only — printed results are identical at any -jobs value.
 //
-// Results go to stdout; every diagnostic — timing, faults, the ops
-// server's address — goes to stderr as structured log/slog records (text
-// by default, JSON under -log-json), so stdout is byte-identical across
-// -jobs values, verbosity levels, and ops-server on/off.
+// Results go to stdout; every diagnostic — timing, faults, the end-of-sweep
+// counts — goes to stderr as structured log/slog records (text by default,
+// JSON under -log-json), so stdout is byte-identical across -jobs values
+// and verbosity levels.
 //
 // Sweeps are crash-contained: a run that panics, deadlocks or trips the
 // watchdog renders as a FAULT cell in its tables while every other cell
@@ -67,7 +65,6 @@ import (
 
 	"ccsim"
 	"ccsim/exp"
-	"ccsim/internal/ops"
 	"ccsim/internal/prof"
 	"ccsim/internal/store"
 )
@@ -95,8 +92,6 @@ func run() (code int) {
 	procs := flag.Int("procs", 16, "processor count")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max simulations to run concurrently")
 	metrics := flag.String("metrics", "", "write each run's full result as JSON into this directory")
-	listen := flag.String("listen", "", "serve the live ops plane (/metrics, /status, /dashboard) on this address, e.g. :8099")
-	pprofOn := flag.Bool("pprof", false, "with -listen, mount Go's live profiling endpoints under /debug/pprof/")
 	logJSON := flag.Bool("log-json", false, "emit stderr diagnostics as JSON log records")
 	quiet := flag.Bool("q", false, "quiet: suppress per-experiment timing lines (warnings and faults still log)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -105,16 +100,12 @@ func run() (code int) {
 	liveCheck := flag.Bool("check", false, "attach the live coherence checker to every run (validation sweeps; slower, disables run dedup)")
 	maxEvents := flag.Uint64("max-events", 0, "abort any single run after this many events (0 = unlimited)")
 	deadline := flag.Int64("deadline", 0, "abort any single run past this simulated time in pclocks (0 = unlimited)")
-	sharing := flag.Bool("sharing", false, "attach the sharing-pattern analyzer to every run; the sweep-wide aggregate prints to stderr at the end and serves live at /sharing (disables run dedup)")
+	sharing := flag.Bool("sharing", false, "attach the sharing-pattern analyzer to every run; the sweep-wide aggregate prints to stderr at the end (disables run dedup)")
 	cacheDir := flag.String("cache-dir", "", "persist every completed run's result into this durable store; an interrupted sweep resumes by re-running with the same directory")
 	resume := flag.Bool("resume", true, "with -cache-dir, serve runs from existing store entries; -resume=false refreshes every entry")
 	flag.Parse()
 
 	logger := newLogger(*logJSON, *quiet)
-	if *pprofOn && *listen == "" {
-		logger.Error("-pprof requires -listen: the profiling endpoints mount on the ops server")
-		return 2
-	}
 
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -159,20 +150,6 @@ func run() (code int) {
 			os.Exit(130)
 		}
 	}()
-	if *listen != "" {
-		srv := ops.NewServer(sched)
-		endpoints := "/metrics /status /sharing /dashboard"
-		if *pprofOn {
-			srv.EnablePprof()
-			endpoints += " /debug/pprof/"
-		}
-		if err := srv.Start(*listen); err != nil {
-			logger.Error("ops server failed to start", "addr", *listen, "err", err)
-			return 1
-		}
-		defer srv.Close()
-		logger.Info("ops server listening", "addr", srv.Addr(), "endpoints", endpoints)
-	}
 	o := exp.Options{
 		Scale: *scale, Procs: *procs, MetricsDir: *metrics, Sched: sched,
 		InjectFault: *injectFault, MaxEvents: *maxEvents, Deadline: *deadline,

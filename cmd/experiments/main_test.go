@@ -66,15 +66,3 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestPprofRequiresListen: profiling endpoints with no ops server to mount
-// them on is a usage error, caught before any simulation starts.
-func TestPprofRequiresListen(t *testing.T) {
-	code, out := runCLI(t, "experiments", "-exp", "table1", "-q", "-pprof")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2 (usage error)", code)
-	}
-	if out != "" {
-		t.Fatalf("experiment ran despite the usage error:\n%s", out)
-	}
-}

@@ -108,8 +108,9 @@ type Options struct {
 
 	// Sharing attaches a fresh sharing-pattern analyzer (ccsim.Config.
 	// Sharing) to every run; each run's per-class totals merge into the
-	// scheduler's aggregate (Scheduler.SharingReport, the ops plane's
-	// /sharing endpoint). Analyzed runs bypass the dedup cache.
+	// scheduler's aggregate (Scheduler.SharingReport, which
+	// `experiments -sharing` prints to stderr at the end). Analyzed runs
+	// bypass the dedup cache.
 	Sharing bool
 }
 

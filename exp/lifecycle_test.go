@@ -32,10 +32,9 @@ func (c *tickClock) Now() time.Time {
 }
 
 // TestSchedulerLifecycleStats runs a stubbed sweep under an injected clock
-// and checks the per-phase histograms: every executed run contributes one
-// queue_wait and one simulate sample, store_put stays empty without a
-// store, and the engine queue-internals aggregate sums the per-run
-// snapshots.
+// and checks the per-phase totals: every executed run contributes one
+// queue_wait and one simulate sample, and the engine queue-internals
+// aggregate sums the per-run snapshots.
 func TestSchedulerLifecycleStats(t *testing.T) {
 	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
 		r := &ccsim.Result{Workload: cfg.Workload, Protocol: cfg.ProtocolName(), ExecTime: 1}
@@ -77,13 +76,9 @@ func TestSchedulerLifecycleStats(t *testing.T) {
 		if d.Count != runs {
 			t.Errorf("%s count = %d, want %d", phase, d.Count, runs)
 		}
-		if d.MaxSeconds <= 0 || d.SumSeconds <= 0 {
-			t.Errorf("%s has zero durations under the ticking clock: %+v", phase, d)
-		}
-	}
-	for _, phase := range []string{"store_put", "metrics_write"} {
-		if d := byPhase[phase]; d.Count != 0 {
-			t.Errorf("%s count = %d, want 0 (no store or metrics dir)", phase, d.Count)
+		// Every sample spans at least one tick of the clock.
+		if least := (runs * time.Millisecond).Seconds(); d.SumSeconds < least {
+			t.Errorf("%s total = %gs under the ticking clock, want at least %gs", phase, d.SumSeconds, least)
 		}
 	}
 	if st.Engine == nil {
@@ -103,7 +98,7 @@ func TestSchedulerLifecycleStats(t *testing.T) {
 
 // TestRunID pins the identifier's shape and its independence from side
 // channels: workload/protocol/8-hex-digit fingerprint prefix, identical
-// whether or not the config carries a probe or checker.
+// whether or not the config carries a checker or trace writer.
 func TestRunID(t *testing.T) {
 	cfg := tiny().config("mp3d")
 	cfg.Procs = 4
@@ -126,9 +121,9 @@ func TestRunID(t *testing.T) {
 }
 
 // TestSchedulerStoreHitSkipsRunBookkeeping pins what a store hit leaves
-// out: it simulates nothing, gets no live-table entry (so no probe, no
-// RunID), adds no simulate sample and feeds nothing into the engine
-// aggregate, yet completes like a run and writes its metrics file.
+// out: it simulates nothing, adds no simulate sample and feeds nothing into
+// the engine aggregate, yet completes like a run and writes its metrics
+// file.
 func TestSchedulerStoreHitSkipsRunBookkeeping(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
@@ -148,9 +143,6 @@ func TestSchedulerStoreHitSkipsRunBookkeeping(t *testing.T) {
 	if calls.Load() != 0 {
 		t.Fatalf("store hit simulated (%d calls)", calls.Load())
 	}
-	if s.nextID != 0 {
-		t.Errorf("store hit took live-table id %d", s.nextID)
-	}
 	st := s.Stats()
 	if st.Engine != nil {
 		t.Errorf("store hit merged engine stats: %+v", st.Engine)
@@ -158,7 +150,7 @@ func TestSchedulerStoreHitSkipsRunBookkeeping(t *testing.T) {
 	if st.Completed != 1 || st.Failed != 0 || st.Queued != 0 || st.Running != 0 {
 		t.Errorf("stats = %+v, want one completion and an idle scheduler", st)
 	}
-	want := map[string]uint64{"queue_wait": 1, "simulate": 0, "store_put": 0, "metrics_write": 1}
+	want := map[string]uint64{"queue_wait": 1, "simulate": 0}
 	for _, d := range st.Lifecycle {
 		if d.Count != want[d.Phase] {
 			t.Errorf("%s count = %d, want %d", d.Phase, d.Count, want[d.Phase])

@@ -7,12 +7,10 @@ import (
 	"log/slog"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
 	"ccsim"
-	"ccsim/internal/stats"
 	"ccsim/internal/store"
 )
 
@@ -66,27 +64,23 @@ type Scheduler struct {
 	submitted   uint64
 	dedupHits   uint64
 	queued      int
+	running     int
 	completed   uint64
 	interrupted uint64
-	nextID      uint64
-	live        map[uint64]LiveRun
-
-	// droppedSpans accumulates Result.DroppedSpans over completed runs so
-	// sweeps can alert on telemetry overflow from /metrics.
-	droppedSpans uint64
 
 	// sharing aggregates per-run analyzer totals across the sweep
 	// (Options.Sharing runs; see SharingReport).
 	sharing ccsim.SharingTotals
 
-	// clock reads wall time for lifecycle histograms; SetClock substitutes
+	// clock reads wall time for the lifecycle totals; SetClock substitutes
 	// a deterministic one in tests. Never nil after NewScheduler.
 	clock func() time.Time
 
-	// phases holds the per-run lifecycle duration histograms in
-	// microseconds, indexed by phaseQueueWait..phaseMetricsWrite and
+	// phaseN and phaseSum count each lifecycle phase's samples and total
+	// their wall time, indexed by phaseQueueWait and phaseSimulate and
 	// guarded by mu.
-	phases [numPhases]stats.Hist
+	phaseN   [numPhases]uint64
+	phaseSum [numPhases]time.Duration
 
 	// engine aggregates completed runs' Result.Queue snapshots (simulated
 	// runs only — store hits carry another sweep's numbers); engineRuns
@@ -99,38 +93,30 @@ type Scheduler struct {
 	logger *slog.Logger
 }
 
-// Lifecycle phase indexes into Scheduler.phases; phaseNames names them in
-// Stats() snapshots and Prometheus labels.
+// Lifecycle phase indexes into Scheduler.phaseN and phaseSum; phaseNames
+// names them in Stats() snapshots.
 const (
-	phaseQueueWait    = iota // Submit to worker-slot acquisition
-	phaseSimulate            // the simulation itself (store hits have none)
-	phaseStorePut            // persisting the Result to the durable store
-	phaseMetricsWrite        // writing the per-run metrics JSON file
+	phaseQueueWait = iota // Submit to worker-slot acquisition
+	phaseSimulate         // the simulation itself (store hits have none)
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
-	phaseQueueWait:    "queue_wait",
-	phaseSimulate:     "simulate",
-	phaseStorePut:     "store_put",
-	phaseMetricsWrite: "metrics_write",
+	phaseQueueWait: "queue_wait",
+	phaseSimulate:  "simulate",
 }
 
-// DurationStats is one phase's (or store op's) duration distribution as
-// Stats() snapshots it, in seconds — the shape the ops plane exports as
-// ccsim_sched_duration_seconds / ccsim_store_duration_seconds.
+// DurationStats is one lifecycle phase's sample count and total wall time
+// as Stats() snapshots it.
 type DurationStats struct {
-	Phase      string  `json:"phase"`
-	Count      uint64  `json:"count"`
-	SumSeconds float64 `json:"sum_seconds"`
-	P50Seconds float64 `json:"p50_seconds"`
-	P95Seconds float64 `json:"p95_seconds"`
-	P99Seconds float64 `json:"p99_seconds"`
-	MaxSeconds float64 `json:"max_seconds"`
+	Phase      string
+	Count      uint64
+	SumSeconds float64
 }
 
-// SchedStats is one consistent snapshot of the scheduler's counters — the
-// gauges the ops plane exports at /metrics.
+// SchedStats is one consistent snapshot of the scheduler's counters. The
+// end-of-sweep log record and the interruption summary read the counts;
+// the benchmark in bench/ reads Lifecycle and Engine.
 type SchedStats struct {
 	Submitted uint64 // Submit calls, including cache hits
 	Unique    uint64 // distinct cacheable configurations started
@@ -140,15 +126,10 @@ type SchedStats struct {
 	Completed uint64 // runs finished without error
 	Failed    uint64 // runs finished with an error (see Failed())
 
-	// DroppedSpans sums Result.DroppedSpans over completed runs: nonzero
-	// means telemetry span buffers overflowed somewhere in the sweep and
-	// exported timelines undercount transactions.
-	DroppedSpans uint64
-
-	// Lifecycle decomposes completed runs' wall-clock into the scheduler's
-	// four phases (queue_wait, simulate, store_put, metrics_write), one
-	// entry per phase in that fixed order. Each simulated run is one
-	// simulate sample; a store hit contributes none.
+	// Lifecycle totals the wall time runs spent in the scheduler's two
+	// phases, queue_wait and simulate, one entry per phase in that fixed
+	// order. Each simulated run is one simulate sample; a store hit
+	// contributes none.
 	Lifecycle []DurationStats
 
 	// Engine aggregates the event engine's queue-internals counters over
@@ -162,35 +143,6 @@ type SchedStats struct {
 	// already executing aborts with a canceled SimFault and counts as
 	// Failed only.
 	Interrupted uint64
-
-	// Store snapshots the durable result cache's counters, nil when the
-	// scheduler runs without one (no -cache-dir).
-	Store *StoreStats
-}
-
-// StoreStats is the durable result store's state as the ops plane exports
-// it (/status, ccsim_store_* on /metrics).
-type StoreStats struct {
-	Dir         string
-	Hits        uint64 // runs served from disk without simulating
-	Misses      uint64 // lookups that fell through to a real run
-	Writes      uint64 // results persisted
-	Quarantined uint64 // corrupt/truncated entries moved aside and re-run
-
-	// Ops holds the store's per-operation latency distributions (read,
-	// validate, write), in that fixed order.
-	Ops []DurationStats
-}
-
-// LiveRun describes one currently-executing simulation. Progress is the
-// run's lock-free probe: snapshot it at any time for the run's position
-// without disturbing the simulation.
-type LiveRun struct {
-	ID       uint64 // scheduler-assigned, ascending in start order
-	RunID    string // stable cross-cutting identifier (see RunID)
-	Workload string
-	Protocol string
-	Progress *ccsim.Progress
 }
 
 // FailedRun records one run that completed with an error — a contained
@@ -223,43 +175,28 @@ func NewScheduler(jobs int, metricsDir string) *Scheduler {
 		metricsDir: metricsDir,
 		slots:      make(chan struct{}, jobs),
 		runs:       make(map[string]*Pending),
-		live:       make(map[uint64]LiveRun),
 		stop:       make(chan struct{}),
 		cancel:     &ccsim.Cancel{},
 		clock:      time.Now,
 	}
 }
 
-// SetClock substitutes the wall clock the lifecycle histograms read.
+// SetClock substitutes the wall clock the lifecycle totals read.
 // Call before submitting; tests use it for deterministic durations.
 func (s *Scheduler) SetClock(now func() time.Time) { s.clock = now }
 
 // SetLogger installs the logger for the scheduler's operational records —
-// store quarantines, each tagged with the run's run_id so logs and the
-// dashboard cross-reference the same identifier. Call before submitting;
-// nil (the default) disables the records.
+// store quarantines, each tagged with the run's run_id, the identifier the
+// fault report also uses. Call before submitting; nil (the default)
+// disables the records.
 func (s *Scheduler) SetLogger(l *slog.Logger) { s.logger = l }
 
 // observe records one lifecycle phase duration.
 func (s *Scheduler) observe(phase int, d time.Duration) {
 	s.mu.Lock()
-	s.phases[phase].Add(d.Microseconds())
+	s.phaseN[phase]++
+	s.phaseSum[phase] += d
 	s.mu.Unlock()
-}
-
-// durationStats renders one histogram of microsecond samples as a
-// DurationStats in seconds. Callers hold s.mu (or the store's latMu
-// equivalent) as needed.
-func durationStats(name string, h *stats.Hist) DurationStats {
-	return DurationStats{
-		Phase:      name,
-		Count:      h.Count(),
-		SumSeconds: float64(h.Sum) / 1e6,
-		P50Seconds: float64(h.Quantile(50)) / 1e6,
-		P95Seconds: float64(h.Quantile(95)) / 1e6,
-		P99Seconds: float64(h.Quantile(99)) / 1e6,
-		MaxSeconds: float64(h.Max()) / 1e6,
-	}
 }
 
 // UseStore attaches a durable result store: every completed cacheable run
@@ -300,58 +237,28 @@ func (s *Scheduler) Interrupted() bool {
 // Stats snapshots the scheduler's counters.
 func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := SchedStats{
-		Submitted:    s.submitted,
-		Unique:       s.unique,
-		DedupHits:    s.dedupHits,
-		Queued:       s.queued,
-		Running:      len(s.live),
-		Completed:    s.completed,
-		Failed:       uint64(len(s.failed)),
-		DroppedSpans: s.droppedSpans,
-		Interrupted:  s.interrupted,
+		Submitted:   s.submitted,
+		Unique:      s.unique,
+		DedupHits:   s.dedupHits,
+		Queued:      s.queued,
+		Running:     s.running,
+		Completed:   s.completed,
+		Failed:      uint64(len(s.failed)),
+		Interrupted: s.interrupted,
 	}
 	st.Lifecycle = make([]DurationStats, numPhases)
-	for i := range s.phases {
-		st.Lifecycle[i] = durationStats(phaseNames[i], &s.phases[i])
+	for i := range st.Lifecycle {
+		st.Lifecycle[i] = DurationStats{
+			Phase: phaseNames[i], Count: s.phaseN[i], SumSeconds: s.phaseSum[i].Seconds(),
+		}
 	}
 	if s.engineRuns > 0 {
 		eng := s.engine
 		st.Engine = &eng
 	}
-	s.mu.Unlock()
-	if s.resStore != nil {
-		ss := s.resStore.Stats()
-		st.Store = &StoreStats{
-			Dir:         s.resStore.Root(),
-			Hits:        ss.Hits,
-			Misses:      ss.Misses,
-			Writes:      ss.Writes,
-			Quarantined: ss.Quarantined,
-		}
-		for _, l := range s.resStore.Latencies() {
-			st.Store.Ops = append(st.Store.Ops, DurationStats{
-				Phase: l.Op, Count: l.Count, SumSeconds: l.SumSeconds,
-				P50Seconds: l.P50Seconds, P95Seconds: l.P95Seconds,
-				P99Seconds: l.P99Seconds, MaxSeconds: l.MaxSeconds,
-			})
-		}
-	}
 	return st
-}
-
-// LiveRuns snapshots the registry of currently-executing runs, oldest
-// first. Each entry's Progress probe stays valid after the run completes;
-// its Done flag flips when the run leaves the registry.
-func (s *Scheduler) LiveRuns() []LiveRun {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]LiveRun, 0, len(s.live))
-	for _, lr := range s.live {
-		out = append(out, lr)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // SharingReport renders the sweep-wide sharing-pattern aggregate: every
@@ -365,15 +272,6 @@ func (s *Scheduler) SharingReport() *ccsim.SharingReport {
 
 // Jobs returns the worker-pool size.
 func (s *Scheduler) Jobs() int { return s.jobs }
-
-// Unique returns how many distinct simulations have been submitted so far;
-// the difference against the number of Submit calls is the work the run
-// cache saved.
-func (s *Scheduler) Unique() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.unique
-}
 
 // Submit queues cfg for simulation and returns its handle immediately. A
 // configuration already submitted — by this experiment or any other
@@ -420,9 +318,7 @@ func (s *Scheduler) Failed() []FailedRun {
 // the durable store when that holds the run, by simulating it otherwise.
 // Both ways end in the same metrics write and the same ledger bookkeeping.
 func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable bool, submittedAt time.Time) {
-	select {
-	case s.slots <- struct{}{}:
-	case <-s.stop:
+	if !s.acquire() {
 		// Interrupted while queued: never ran, and under graceful shutdown
 		// never will. The error routes through the Failed ledger so
 		// cmd/experiments can count abandoned runs and print the resume
@@ -438,9 +334,9 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		return
 	}
 	defer func() { <-s.slots }()
-	// id is the run's entry in the live table, 0 until it has one; a store
-	// hit never gets one.
-	var id uint64
+	// simulated turns true when the run moves from queued to running; a
+	// store hit never does.
+	var simulated bool
 	// done closes on every path — a panicking run must never leave Wait()
 	// callers hanging. Deferred before the recover handler so the handler
 	// has set p.err by the time done closes (LIFO order).
@@ -451,10 +347,10 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 			p.err = fmt.Errorf("run panicked outside the simulation: %v\n%s", v, debug.Stack())
 		}
 		s.mu.Lock()
-		if id == 0 {
-			s.queued-- // never entered the live table: leaves the queue here
+		if simulated {
+			s.running--
 		} else {
-			delete(s.live, id)
+			s.queued-- // never simulated: leaves the queue here
 		}
 		if p.err != nil {
 			s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
@@ -462,8 +358,7 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 			s.completed++
 			// Only simulated runs feed the engine aggregate: a store hit
 			// carries the numbers of the sweep that produced it.
-			if id != 0 && p.res != nil {
-				s.droppedSpans += p.res.DroppedSpans
+			if simulated && p.res != nil {
 				s.engine.Merge(p.res.Queue)
 				s.engineRuns++
 			}
@@ -484,19 +379,10 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		p.res, hit = s.storeGet(key, cfg)
 	}
 	if !hit {
-		// Register in the live table once a worker slot is held: the run is
-		// about to execute, so its probe starts advancing. A caller-supplied
-		// probe is reused (the submitter is watching); otherwise the
-		// scheduler attaches its own so the ops plane sees every run.
-		prog := cfg.Progress
-		if prog == nil {
-			prog = &ccsim.Progress{Label: cfg.Workload + "/" + cfg.ProtocolName()}
-			cfg.Progress = prog
-		}
 		if cfg.Cancel == nil {
 			// The scheduler's shared flag: Interrupt stops this run at its
-			// next event batch. Attached after fingerprinting, like the
-			// probe, so it never affects cacheability.
+			// next event batch. Attached after fingerprinting, so it never
+			// affects cacheability.
 			cfg.Cancel = s.cancel
 		}
 		if cfg.Check != nil {
@@ -512,10 +398,8 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		}
 		s.mu.Lock()
 		s.queued--
-		s.nextID++
-		id = s.nextID
-		s.live[id] = LiveRun{ID: id, RunID: RunID(cfg), Workload: cfg.Workload,
-			Protocol: cfg.ProtocolName(), Progress: prog}
+		s.running++
+		simulated = true
 		s.mu.Unlock()
 		t0 := s.clock()
 		p.res, p.err = runSim(cfg)
@@ -524,27 +408,39 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 			// Write-behind: persist before the metrics write so a crash
 			// between the two still resumes (the store is the source of
 			// truth; metrics files regenerate from it on the resumed run).
-			t1 := s.clock()
-			serr := s.storePut(key, p.res)
-			s.observe(phaseStorePut, s.clock().Sub(t1))
-			if serr != nil {
+			if err := s.storePut(key, p.res); err != nil {
 				// The simulation itself succeeded: keep the Result for
 				// in-process waiters and surface the persistence failure as
 				// this run's error, same contract as a metrics-write failure.
-				p.err = fmt.Errorf("store: %w", serr)
+				p.err = fmt.Errorf("store: %w", err)
 			}
 		}
 	}
 	if p.err == nil && s.metricsDir != "" {
-		t2 := s.clock()
-		werr := writeMetrics(s.metricsDir, cfg, p.res)
-		s.observe(phaseMetricsWrite, s.clock().Sub(t2))
-		if werr != nil {
+		if err := writeMetrics(s.metricsDir, cfg, p.res); err != nil {
 			// The run itself succeeded: keep the Result for in-process
 			// waiters and report the metrics failure as this run's error.
-			p.err = fmt.Errorf("metrics: %w", werr)
+			p.err = fmt.Errorf("metrics: %w", err)
 		}
 	}
+}
+
+// acquire waits for a worker slot and reports whether the run may start.
+// It returns false, holding no slot, once Interrupt has been called. A
+// select chooses at random among ready cases, so a slot that is free after
+// Interrupt can win over the closed stop channel; such a slot is handed
+// back unused.
+func (s *Scheduler) acquire() bool {
+	select {
+	case s.slots <- struct{}{}:
+	case <-s.stop:
+		return false
+	}
+	if s.Interrupted() {
+		<-s.slots
+		return false
+	}
+	return true
 }
 
 // storeGet resolves key through the durable store: a valid entry decodes
@@ -608,7 +504,6 @@ func detachSideChannels(cfg *ccsim.Config) bool {
 	var had bool
 	detach(&had, &cfg.TraceWriter)
 	detach(&had, &cfg.Telemetry)
-	detach(&had, &cfg.Progress)
 	detach(&had, &cfg.Check)
 	detach(&had, &cfg.Sharing)
 	detach(&had, &cfg.Cancel)

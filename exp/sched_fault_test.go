@@ -215,7 +215,7 @@ func TestConcurrentSubmitInterruptAccounting(t *testing.T) {
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if st := s.Stats(); st.Store != nil && st.Store.Hits > 0 {
+			if st.Stats().Hits > 0 {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -259,7 +259,7 @@ func TestConcurrentSubmitInterruptAccounting(t *testing.T) {
 		}
 		t.Errorf("unexpected non-shutdown failure in ledger: %v", f.Err)
 	}
-	if stats.Store == nil || stats.Store.Hits == 0 {
+	if st.Stats().Hits == 0 {
 		t.Error("store read-through hits never happened; the race never covered the hit path")
 	}
 }

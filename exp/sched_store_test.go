@@ -50,7 +50,8 @@ func TestSchedulerStoreResume(t *testing.T) {
 	countingRun(t, &calls)
 
 	s1 := NewScheduler(2, "")
-	s1.UseStore(openStore(t, dir), true)
+	st1 := openStore(t, dir)
+	s1.UseStore(st1, true)
 	for i := 0; i < 3; i++ {
 		if _, err := s1.Submit(cfgN(i)).Wait(); err != nil {
 			t.Fatal(err)
@@ -59,14 +60,15 @@ func TestSchedulerStoreResume(t *testing.T) {
 	if calls.Load() != 3 {
 		t.Fatalf("first sweep simulated %d runs, want 3", calls.Load())
 	}
-	if st := s1.Stats().Store; st == nil || st.Writes != 3 || st.Hits != 0 {
+	if st := st1.Stats(); st.Writes != 3 || st.Hits != 0 {
 		t.Fatalf("first sweep store stats = %+v", st)
 	}
 
 	// "Resume": a fresh scheduler (fresh dedup cache) over the same store.
 	calls.Store(0)
 	s2 := NewScheduler(2, "")
-	s2.UseStore(openStore(t, dir), true)
+	st2 := openStore(t, dir)
+	s2.UseStore(st2, true)
 	for i := 0; i < 4; i++ { // 3 old + 1 new
 		r, err := s2.Submit(cfgN(i)).Wait()
 		if err != nil {
@@ -79,8 +81,7 @@ func TestSchedulerStoreResume(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("resumed sweep simulated %d runs, want only the new one", calls.Load())
 	}
-	st := s2.Stats().Store
-	if st == nil || st.Hits != 3 || st.Misses != 1 || st.Writes != 1 {
+	if st := st2.Stats(); st.Hits != 3 || st.Misses != 1 || st.Writes != 1 {
 		t.Fatalf("resumed sweep store stats = %+v", st)
 	}
 	if s2.Stats().Completed != 4 {
@@ -156,7 +157,8 @@ func TestSchedulerStoreCorruptEntryReruns(t *testing.T) {
 
 	calls.Store(0)
 	s2 := NewScheduler(1, "")
-	s2.UseStore(openStore(t, dir), true)
+	st2 := openStore(t, dir)
+	s2.UseStore(st2, true)
 	r, err := s2.Submit(cfgN(0)).Wait()
 	if err != nil || r == nil {
 		t.Fatalf("resume over a corrupt entry: %v, %v", r, err)
@@ -164,8 +166,7 @@ func TestSchedulerStoreCorruptEntryReruns(t *testing.T) {
 	if calls.Load() != 1 {
 		t.Fatalf("corrupt entry was not re-run (%d calls)", calls.Load())
 	}
-	st := s2.Stats().Store
-	if st == nil || st.Quarantined != 1 || st.Hits != 0 || st.Writes != 1 {
+	if st := st2.Stats(); st.Quarantined != 1 || st.Hits != 0 || st.Writes != 1 {
 		t.Fatalf("store stats = %+v, want quarantine + rewrite", st)
 	}
 	q, err := os.ReadDir(filepath.Join(dir, "quarantine"))
@@ -226,15 +227,15 @@ func TestSchedulerStoreNoReadBack(t *testing.T) {
 	}
 	calls.Store(0)
 	s2 := NewScheduler(1, "")
-	s2.UseStore(openStore(t, dir), false)
+	st2 := openStore(t, dir)
+	s2.UseStore(st2, false)
 	if _, err := s2.Submit(cfgN(0)).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("readBack=false still served from disk (%d calls)", calls.Load())
 	}
-	st := s2.Stats().Store
-	if st == nil || st.Hits != 0 || st.Writes != 1 {
+	if st := st2.Stats(); st.Hits != 0 || st.Writes != 1 {
 		t.Fatalf("store stats = %+v, want no hits and one refresh write", st)
 	}
 }
@@ -297,26 +298,49 @@ func TestSchedulerInterruptAbandonsQueued(t *testing.T) {
 	}
 }
 
+// TestSchedulerInterruptStartsNothingLater: once Interrupt has returned, no
+// submission may start, even with every worker slot free. A select that
+// chooses at random between a free slot and the closed stop channel would
+// start about half of them.
+func TestSchedulerInterruptStartsNothingLater(t *testing.T) {
+	var calls atomic.Int64
+	countingRun(t, &calls)
+	s := NewScheduler(2, "")
+	s.Interrupt()
+	const n = 50
+	var pending []*Pending
+	for i := 0; i < n; i++ {
+		pending = append(pending, s.Submit(cfgN(i)))
+	}
+	var abandoned int
+	for _, p := range pending {
+		if _, err := p.Wait(); errors.Is(err, ErrInterrupted) {
+			abandoned++
+		}
+	}
+	if c := calls.Load(); c != 0 || abandoned != n {
+		t.Fatalf("after Interrupt: %d runs simulated and %d of %d abandoned, want 0 and %d", c, abandoned, n, n)
+	}
+	if st := s.Stats(); st.Interrupted != n {
+		t.Fatalf("Stats().Interrupted = %d, want %d", st.Interrupted, n)
+	}
+}
+
 // TestSchedulerInterruptCancelsInFlight drives a real simulation (no stub)
 // and interrupts it mid-run: the shared cancel flag must abort it with a
 // canceled SimFault rather than letting it run to completion.
 func TestSchedulerInterruptCancelsInFlight(t *testing.T) {
+	started := make(chan struct{})
+	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
+		close(started)
+		return ccsim.Run(cfg)
+	})
 	s := NewScheduler(1, "")
 	// A large config so the run is still in flight when the interrupt lands;
 	// the watchdog polls the flag every batch, so the abort is prompt.
 	o := Options{Scale: 1.0, Procs: 16}
-	prog := &ccsim.Progress{}
-	cfg := o.config("mp3d")
-	cfg.Progress = prog // watch the run so we can interrupt mid-flight
-	p := s.Submit(cfg)
-	deadline := time.After(10 * time.Second)
-	for prog.Snapshot().Events == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("run never started")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	p := s.Submit(o.config("mp3d"))
+	<-started
 	s.Interrupt()
 	_, err := p.Wait()
 	f, ok := ccsim.AsFault(err)

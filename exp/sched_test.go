@@ -89,8 +89,8 @@ func TestSchedulerDedup(t *testing.T) {
 	if s.Submit(other) == p1 {
 		t.Fatal("distinct configs shared a run")
 	}
-	if got := s.Unique(); got != 2 {
-		t.Fatalf("Unique() = %d after 2 distinct configs", got)
+	if got := s.Stats().Unique; got != 2 {
+		t.Fatalf("Unique = %d after 2 distinct configs", got)
 	}
 	if _, err := p1.Wait(); err != nil {
 		t.Fatal(err)
@@ -106,18 +106,18 @@ func TestSchedulerSharedAcrossExperiments(t *testing.T) {
 	if _, err := Figure2(o); err != nil {
 		t.Fatal(err)
 	}
-	after2 := o.Sched.Unique()
+	after2 := o.Sched.Stats().Unique
 	if _, err := Table2(o); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Sched.Unique(); got != after2 {
+	if got := o.Sched.Stats().Unique; got != after2 {
 		t.Fatalf("Table2 added %d runs beyond Figure2's grid", got-after2)
 	}
 	// Figure 4 shares the full RC grid too.
 	if _, err := Figure4(o); err != nil {
 		t.Fatal(err)
 	}
-	if got := o.Sched.Unique(); got != after2 {
+	if got := o.Sched.Stats().Unique; got != after2 {
 		t.Fatalf("Figure4 added %d runs beyond Figure2's grid", got-after2)
 	}
 }
@@ -148,7 +148,7 @@ func TestSchedulerUncacheable(t *testing.T) {
 	if s.Submit(cfg) == s.Submit(cfg) {
 		t.Fatal("uncacheable submissions shared a run")
 	}
-	if got := s.Unique(); got != 0 {
+	if got := s.Stats().Unique; got != 0 {
 		t.Fatalf("uncacheable runs counted as unique: %d", got)
 	}
 }
@@ -165,7 +165,6 @@ var sideChannels = []struct {
 }{
 	{"TraceWriter", func(c *ccsim.Config) { c.TraceWriter = discard{} }},
 	{"Telemetry", func(c *ccsim.Config) { c.Telemetry = ccsim.NewTelemetry() }},
-	{"Progress", func(c *ccsim.Config) { c.Progress = &ccsim.Progress{} }},
 	{"Check", func(c *ccsim.Config) { c.Check = ccsim.NewChecker() }},
 	{"Sharing", func(c *ccsim.Config) { c.Sharing = ccsim.NewSharingAnalytics() }},
 	{"Cancel", func(c *ccsim.Config) { c.Cancel = &ccsim.Cancel{} }},
@@ -223,9 +222,9 @@ func TestFingerprintCoversConfig(t *testing.T) {
 }
 
 // TestSchedulerStats drives a small grid through the scheduler and checks
-// the counters the ops plane exports: every Submit is accounted, dedup
-// hits are split out, and the scheduler ends drained (nothing queued or
-// running, everything completed).
+// its counters: every Submit is accounted, dedup hits are split out, and
+// the scheduler ends drained (nothing queued or running, everything
+// completed).
 func TestSchedulerStats(t *testing.T) {
 	s := NewScheduler(2, "")
 	o := tiny()
@@ -256,57 +255,32 @@ func TestSchedulerStats(t *testing.T) {
 	if st.Queued != 0 || st.Running != 0 {
 		t.Fatalf("drained scheduler still shows queued=%d running=%d", st.Queued, st.Running)
 	}
-	if n := len(s.LiveRuns()); n != 0 {
-		t.Fatalf("drained scheduler still lists %d live runs", n)
-	}
 }
 
-// TestSchedulerLiveRuns holds the worker pool on a caller-controlled run
-// and checks the live registry names it with an advancing probe, then
-// empties on completion.
-func TestSchedulerLiveRuns(t *testing.T) {
+// TestSchedulerRunning holds the single worker slot on a caller-controlled
+// run and checks the running and queued counters while it is held and
+// after both submitted runs complete.
+func TestSchedulerRunning(t *testing.T) {
+	started := make(chan struct{}, 2)
 	release := make(chan struct{})
-	started := make(chan struct{})
-	old := runSim
-	runSim = func(cfg ccsim.Config) (*ccsim.Result, error) {
-		// Simulate probe traffic the way the engine would.
-		if cfg.Progress == nil {
-			t.Error("scheduler did not attach a Progress probe")
-		}
-		close(started)
+	withRunSim(t, func(cfg ccsim.Config) (*ccsim.Result, error) {
+		started <- struct{}{}
 		<-release
 		return &ccsim.Result{Workload: cfg.Workload}, nil
-	}
-	defer func() { runSim = old }()
-
+	})
 	s := NewScheduler(1, "")
-	cfg := tiny().config("mp3d")
-	cfg.Extensions = ccsim.Ext{P: true}
-	p := s.Submit(cfg)
+	pending := []*Pending{s.Submit(cfgN(0)), s.Submit(cfgN(1))}
 	<-started
-
-	live := s.LiveRuns()
-	if len(live) != 1 {
-		t.Fatalf("LiveRuns() = %d entries, want 1", len(live))
-	}
-	lr := live[0]
-	if lr.Workload != "mp3d" || lr.Protocol != "P" {
-		t.Fatalf("live run identity = %s/%s", lr.Workload, lr.Protocol)
-	}
-	if lr.Progress == nil || lr.Progress.Label != "mp3d/P" {
-		t.Fatalf("live run probe missing or mislabelled: %+v", lr.Progress)
-	}
-	if st := s.Stats(); st.Running != 1 {
-		t.Fatalf("Stats().Running = %d with a held run", st.Running)
+	if st := s.Stats(); st.Running != 1 || st.Queued != 1 {
+		t.Fatalf("with one run held: running=%d queued=%d, want 1 and 1", st.Running, st.Queued)
 	}
 	close(release)
-	if _, err := p.Wait(); err != nil {
-		t.Fatal(err)
+	for _, p := range pending {
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := len(s.LiveRuns()); n != 0 {
-		t.Fatalf("registry kept %d entries after completion", n)
-	}
-	if st := s.Stats(); st.Completed != 1 || st.Running != 0 {
+	if st := s.Stats(); st.Completed != 2 || st.Running != 0 || st.Queued != 0 {
 		t.Fatalf("post-run stats = %+v", st)
 	}
 }

@@ -60,11 +60,6 @@ type Config struct {
 	// intervals and periodic utilization samples for the run.
 	Tele *telemetry.Collector
 
-	// Progress, when non-nil, is the live probe other goroutines snapshot
-	// while the run executes (events, simulated time, wall-clock
-	// heartbeat). The engine publishes through it lock-free.
-	Progress *sim.Progress
-
 	// Cancel, when non-nil, is the cooperative shutdown flag: firing it
 	// from any goroutine aborts the run at the next event batch with a
 	// canceled fault. May be shared across concurrent machines.
@@ -232,9 +227,6 @@ func injectPanic(any) { panic("machine: deliberate fault injection") }
 func (m *Machine) Run() (*Result, error) {
 	for _, p := range m.Procs {
 		p.Start()
-	}
-	if m.Cfg.Progress != nil {
-		m.Eng.SetProgress(m.Cfg.Progress)
 	}
 	if m.Cfg.Tele != nil {
 		m.Cfg.Tele.StartSampler(m.Eng)

@@ -95,10 +95,6 @@ type Engine struct {
 	// livelock detector measures event activity against it.
 	progressAt uint64
 
-	// progress, when non-nil, is the live probe RunWatched publishes
-	// position updates through (see SetProgress).
-	progress *Progress
-
 	// qstats holds the always-on queue introspection counters (see
 	// QueueStats); wheelLive tracks the current wheel-resident event count
 	// so AtCall and migrate can maintain the occupancy high-water mark.

@@ -110,8 +110,7 @@ func TestQueueStatsMerge(t *testing.T) {
 	}
 }
 
-// TestCohortBucketMax pins the bucket-bound mapping the Prometheus
-// exposition renders as histogram `le` labels.
+// TestCohortBucketMax pins the upper bound of each CohortSizeLog2 bucket.
 func TestCohortBucketMax(t *testing.T) {
 	for i, want := range []uint64{1, 3, 7, 15, 31} {
 		if got := CohortBucketMax(i); got != want {

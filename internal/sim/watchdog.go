@@ -39,30 +39,28 @@ type Watchdog struct {
 	Cancel *Cancel
 }
 
+// batchEvents bounds one watchdog batch: RunWatched drains at most this
+// many events between two looks at its limits, so it also sets how often
+// Cancel is polled. A batch cut at this bound counts in
+// QueueStats.CappedBatches. It must be a power of two (the boundary is a
+// masked step count); 8192 events take a fraction of a millisecond of
+// host time.
+const batchEvents = 8192
+
 // RunWatched executes events like Run but under the watchdog's limits. It
 // returns nil when the queue drains with the run quiesced, and a
 // *fault.SimFault naming the cause and the stuck agents otherwise. The
 // fault's Snapshot carries only the blocked-agent list; callers with a
 // richer Snapshotter (the machine) replace it.
 //
-// Dispatch is batched: each loop iteration checks the limits and the live
-// probe once, then drains up to one timestamp cohort. The batch budget is
-// capped at the distance to the nearest limit, so every ceiling fires at
-// exactly the event count per-event checking would produce — and a cohort
-// that never empties (a zero-delay livelock) cannot starve the watchdog.
+// Dispatch is batched: each loop iteration checks the limits and the
+// cancel flag once, then drains up to one timestamp cohort. The batch
+// budget is capped at the distance to the nearest limit, so every ceiling
+// fires at exactly the event count per-event checking would produce — and
+// a cohort that never empties (a zero-delay livelock) cannot starve the
+// watchdog.
 func (e *Engine) RunWatched(w *Watchdog) *fault.SimFault {
-	// Publish to the live probe, if one is attached: once at entry, once
-	// every progressStride events, and once at exit. The stride check costs
-	// one nil check and one masked compare per batch — the hot path stays
-	// allocation-free and branch-cheap whether or not anyone is watching.
-	if e.progress != nil {
-		e.progress.begin(e.now, e.nsteps)
-		defer func() { e.progress.finish(e.now, e.nsteps) }()
-	}
 	for e.pending > 0 {
-		if e.progress != nil && e.nsteps&(progressStride-1) == 0 {
-			e.progress.update(e.now, e.nsteps)
-		}
 		if w.Cancel.Cancelled() {
 			return e.watchdogFault(w, fault.KindCanceled,
 				fmt.Sprintf("run cancelled by shutdown request after %d events", e.nsteps))
@@ -81,9 +79,9 @@ func (e *Engine) RunWatched(w *Watchdog) *fault.SimFault {
 					fmt.Sprintf("simulated-time ceiling %d reached (next event at t=%d)", w.Deadline, next))
 			}
 		}
-		// Batch budget: run to the next stride boundary or limit threshold,
-		// whichever comes first.
-		budget := uint64(progressStride) - e.nsteps&(progressStride-1)
+		// Batch budget: run to the next batchEvents boundary or limit
+		// threshold, whichever comes first.
+		budget := uint64(batchEvents) - e.nsteps&(batchEvents-1)
 		if w.MaxEvents > 0 {
 			if left := w.MaxEvents - e.nsteps; left < budget {
 				budget = left

@@ -7,8 +7,8 @@ import (
 )
 
 // TestLatenciesTrackOps checks that each store operation lands in its own
-// latency histogram: a Put populates write, a hit populates read+validate,
-// and untouched ops stay at zero count.
+// latency total: a Put counts a write, a hit counts a read and a validate,
+// and a miss counts nothing.
 func TestLatenciesTrackOps(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -35,9 +35,6 @@ func TestLatenciesTrackOps(t *testing.T) {
 		}
 		if l.Count != 1 {
 			t.Errorf("%s count = %d, want 1", op, l.Count)
-		}
-		if l.MaxSeconds < 0 || l.P99Seconds < l.P50Seconds {
-			t.Errorf("%s quantiles inconsistent: %+v", op, l)
 		}
 	}
 	// A miss reads nothing: counts must not move.

@@ -39,8 +39,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ccsim/internal/stats"
 )
 
 // magic is the entry format version; bump it if the on-disk layout
@@ -50,8 +48,7 @@ const magic = "ccsimstore1"
 // entryExt is the extension of committed entries.
 const entryExt = ".res"
 
-// Stats is one consistent snapshot of the store's counters — what the ops
-// plane exports as ccsim_store_* series.
+// Stats is a snapshot of the store's counters.
 type Stats struct {
 	Hits        uint64 // Get calls served by a valid on-disk entry
 	Misses      uint64 // Get calls finding no (valid) entry
@@ -59,7 +56,7 @@ type Stats struct {
 	Quarantined uint64 // corrupt/truncated files moved to the sidecar dir
 }
 
-// Latency op indexes into Store.lat; opNames names them for snapshots.
+// Latency op indexes into Store.lat; Latencies names them.
 const (
 	opRead     = iota // os.ReadFile of an existing entry
 	opValidate        // header/checksum/key validation of the read bytes
@@ -67,16 +64,11 @@ const (
 	numOps
 )
 
-// OpLatency is one operation's latency distribution snapshot, in seconds —
-// the shape the ops plane exports as ccsim_store_duration_seconds.
+// OpLatency is one operation's count and total time, in seconds.
 type OpLatency struct {
-	Op         string  `json:"op"` // "read", "validate", or "write"
-	Count      uint64  `json:"count"`
-	SumSeconds float64 `json:"sum_seconds"`
-	P50Seconds float64 `json:"p50_seconds"`
-	P95Seconds float64 `json:"p95_seconds"`
-	P99Seconds float64 `json:"p99_seconds"`
-	MaxSeconds float64 `json:"max_seconds"`
+	Op         string // "read", "validate", or "write"
+	Count      uint64
+	SumSeconds float64
 }
 
 // Store is one on-disk result cache rooted at a directory. Create with
@@ -89,11 +81,12 @@ type Store struct {
 	writes      atomic.Uint64
 	quarantined atomic.Uint64
 
-	// lat holds per-operation latency histograms in microseconds: disk
+	// latN and latSum count each operation and total its time: disk
 	// reads, entry validation, and full Put commits. latMu guards them —
 	// these are cold paths (one read or write per run), so a mutex is fine.
-	latMu sync.Mutex
-	lat   [numOps]stats.Hist
+	latMu  sync.Mutex
+	latN   [numOps]uint64
+	latSum [numOps]time.Duration
 }
 
 // Open creates (if needed) and opens the store rooted at dir, sweeping any
@@ -142,33 +135,24 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.root, hex.EncodeToString(h[:20])+entryExt)
 }
 
-// observe records one operation's duration in the op's latency histogram,
-// in microseconds.
+// observe records one operation's duration.
 func (s *Store) observe(op int, d time.Duration) {
 	s.latMu.Lock()
-	s.lat[op].Add(d.Microseconds())
+	s.latN[op]++
+	s.latSum[op] += d
 	s.latMu.Unlock()
 }
 
-// Latencies snapshots the per-operation latency distributions, in seconds,
-// in a fixed op order (read, validate, write). Operations that never ran
-// report Count 0.
+// Latencies snapshots each operation's count and total time, in a fixed
+// op order (read, validate, write). Operations that never ran report
+// Count 0.
 func (s *Store) Latencies() []OpLatency {
 	names := [numOps]string{opRead: "read", opValidate: "validate", opWrite: "write"}
 	out := make([]OpLatency, numOps)
 	s.latMu.Lock()
 	defer s.latMu.Unlock()
-	for i := range s.lat {
-		h := &s.lat[i]
-		out[i] = OpLatency{
-			Op:         names[i],
-			Count:      h.Count(),
-			SumSeconds: float64(h.Sum) / 1e6,
-			P50Seconds: float64(h.Quantile(50)) / 1e6,
-			P95Seconds: float64(h.Quantile(95)) / 1e6,
-			P99Seconds: float64(h.Quantile(99)) / 1e6,
-			MaxSeconds: float64(h.Max()) / 1e6,
-		}
+	for i := range out {
+		out[i] = OpLatency{Op: names[i], Count: s.latN[i], SumSeconds: s.latSum[i].Seconds()}
 	}
 	return out
 }

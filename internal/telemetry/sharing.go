@@ -414,9 +414,9 @@ type SharingClassStats struct {
 	MissLatencyMax int64
 }
 
-// SharingReport is the per-class summary exported in Result.Sharing and on
-// the ops plane's /sharing endpoint. Classes appear in fixed taxonomy order;
-// classes with no blocks are omitted.
+// SharingReport is the per-class summary exported in Result.Sharing and in
+// a sweep's aggregate (`experiments -sharing`). Classes appear in fixed
+// taxonomy order; classes with no blocks are omitted.
 type SharingReport struct {
 	Blocks  uint64 // distinct blocks observed
 	Classes []SharingClassStats

@@ -146,7 +146,8 @@ type Result struct {
 	BroadcastInvs     uint64 // ownership grants that broadcast invalidations
 
 	// Queue is the event engine's queue-internals profile for the run:
-	// always-on counters the ops plane aggregates across a sweep.
+	// always-on counters the experiment scheduler aggregates across a
+	// sweep (exp.SchedStats.Engine).
 	Queue QueueStats
 }
 

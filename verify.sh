@@ -1,10 +1,10 @@
 #!/bin/sh
 # Tier-1 verification: everything must build, vet clean, and pass the full
-# test suite; the event engine, telemetry collector, ops plane, coherence
-# checker, litmus harness, protocol tracer and the parallel experiment
+# test suite; the event engine, telemetry collector, coherence checker,
+# litmus harness, result store, protocol tracer and the parallel experiment
 # scheduler additionally run under the race detector (the scheduler fans
-# ccsim.Run calls across goroutines and the ops server scrapes them live,
-# so exp and ops are the race-sensitive surface; checked runs ride those
+# ccsim.Run calls across goroutines and interrupts them from a signal
+# handler, so exp is the race-sensitive surface; checked runs ride those
 # same goroutines; the tracer renders on a goroutine of its own). CI and
 # `make verify` both run this.
 set -eux
@@ -21,7 +21,7 @@ if [ -n "$unformatted" ]; then
 fi
 
 go test ./...
-go test -race -short ccsim/internal/sim ccsim/internal/telemetry ccsim/internal/fault ccsim/internal/ops ccsim/internal/check ccsim/internal/litmus ccsim/internal/store ccsim/internal/trace ccsim/exp
+go test -race -short ccsim/internal/sim ccsim/internal/telemetry ccsim/internal/fault ccsim/internal/check ccsim/internal/litmus ccsim/internal/store ccsim/internal/trace ccsim/exp
 
 # Trace-renderer race pass, named directly in CI logs: traced runs that end
 # cleanly, at a fault, through a slow writer and through a panicking one,
@@ -32,10 +32,6 @@ go test -race -count=1 -run 'Trace|Fault' ccsim
 # differential event-order tests cover every calendar-queue path (wheel
 # scheduling, overflow migration, cohort dispatch, watchdog batching).
 go test -race -count=1 -run 'TestEngine|TestEventOrder' ccsim/internal/sim
-
-# Ops-handler race pass, named directly in CI logs: live scrapes against a
-# running scheduler plus the dashboard and gated pprof endpoints.
-go test -race -count=1 -run 'TestScrapeDuringSweep|TestDashboardServes|TestPprofGating' ccsim/internal/ops
 
 # Watchdog smoke: a generous event ceiling must not disturb a clean run,
 # and a far-too-tight one must abort with a structured fault (non-zero
@@ -132,84 +128,49 @@ if /tmp/metricsdiff-verify golden /tmp/ccsim-metrics-perturbed > /dev/null 2>&1;
 fi
 rm -rf /tmp/ccsim-metrics-check /tmp/ccsim-metrics-perturbed
 
-# Crash-resume smoke: a sweep with -cache-dir killed mid-flight must
-# resume by re-running the same command, producing stdout byte-identical
-# to an uninterrupted, uncached sweep; a corrupted store entry must be
-# quarantined and re-executed, never crash the resume.
-rm -rf /tmp/ccsim-store
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q > /tmp/ccsim-resume-ref.txt
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q \
-    -cache-dir /tmp/ccsim-store > /dev/null 2>&1 &
-SWEEP_PID=$!
-sleep 1
-kill -9 "$SWEEP_PID" 2> /dev/null || true
-wait "$SWEEP_PID" 2> /dev/null || true
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q \
-    -cache-dir /tmp/ccsim-store > /tmp/ccsim-resume-out.txt
-cmp /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out.txt
+# Crash-resume smokes: a sweep with -cache-dir stopped mid-flight, once by
+# SIGKILL and once by SIGINT, must resume by re-running the same command
+# and print stdout byte-identical to an uninterrupted, uncached sweep.
+# table2 at scale 0.5 simulates 20 unique configurations in about 0.7 s on
+# a 2-core host. The signal goes out once the first entry is committed, and
+# the exit status proves it landed mid-flight: 137 for SIGKILL, 130 for
+# SIGINT's graceful drain; fewer than all 20 entries must be on disk.
+# A corrupted store entry must then be quarantined and re-executed, never
+# crash the resume. ($SWEEP is left unquoted so it splits into its words.)
+SWEEP="/tmp/experiments-verify -exp table2 -scale 0.5 -procs 8 -q"
+$SWEEP > /tmp/ccsim-resume-ref.txt
+for sig in KILL INT; do
+    rm -rf /tmp/ccsim-store
+    $SWEEP -cache-dir /tmp/ccsim-store > /dev/null 2>&1 &
+    SWEEP_PID=$!
+    i=0
+    until ls /tmp/ccsim-store/*.res > /dev/null 2>&1; do
+        i=$((i + 1))
+        test "$i" -lt 1000
+        sleep 0.01
+    done
+    kill -"$sig" "$SWEEP_PID"
+    status=0
+    wait "$SWEEP_PID" || status=$?
+    if [ "$sig" = KILL ]; then want=137; else want=130; fi
+    if [ "$status" -ne "$want" ]; then
+        echo "crash-resume smoke: SIG$sig sweep exited $status, want $want" >&2
+        exit 1
+    fi
+    test "$(ls /tmp/ccsim-store/*.res | wc -l)" -lt 20
+    $SWEEP -cache-dir /tmp/ccsim-store > /tmp/ccsim-resume-out.txt
+    cmp /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out.txt
+done
 # The resume committed an entry for every unique run; truncate one (the
 # kill -9 shape) and resume again: quarantined, re-run, still identical.
 for f in /tmp/ccsim-store/*.res; do
     truncate -s 10 "$f"
     break
 done
-/tmp/experiments-verify -exp table2 -scale 0.05 -procs 4 -q \
-    -cache-dir /tmp/ccsim-store > /tmp/ccsim-resume-out2.txt
+$SWEEP -cache-dir /tmp/ccsim-store > /tmp/ccsim-resume-out2.txt
 cmp /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out2.txt
 ls /tmp/ccsim-store/quarantine/* > /dev/null
 rm -rf /tmp/ccsim-store /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out.txt \
     /tmp/ccsim-resume-out2.txt
-
-# Live ops-plane smoke: a sweep serving -listen -pprof must answer
-# /dashboard and the gated /debug/pprof/ endpoints, and /metrics must carry
-# the engine queue-internals and lifecycle-duration families once the first
-# runs complete — scraped mid-sweep, while the scheduler is still working.
-fetch() {
-    if command -v curl > /dev/null 2>&1; then
-        curl -sf "$1"
-    else
-        wget -qO- "$1"
-    fi
-}
-# No -q: the listening address arrives as an Info-level stderr record.
-# The whole evaluation at scale 0.5 keeps the sweep alive for about three
-# seconds on a 2-core host (peak RSS about 60 MB) so the scrapes below
-# genuinely land mid-sweep; table2 at scale 0.25 ends in under 0.1 s,
-# often before the first poll has read the address.
-/tmp/experiments-verify -exp all -scale 0.5 -procs 8 \
-    -listen 127.0.0.1:0 -pprof > /dev/null 2> /tmp/ccsim-ops-log.txt &
-OPS_PID=$!
-ADDR=""
-i=0
-while [ "$i" -lt 100 ]; do
-    ADDR=$(sed -n 's/.*ops server listening.*addr=\([0-9.]*:[0-9]*\).*/\1/p' /tmp/ccsim-ops-log.txt | head -1)
-    [ -n "$ADDR" ] && break
-    i=$((i + 1))
-    sleep 0.1
-done
-test -n "$ADDR"
-fetch "http://$ADDR/dashboard" | grep -q "ccsim sweep dashboard"
-fetch "http://$ADDR/debug/pprof/heap?debug=1" > /dev/null
-fetch "http://$ADDR/debug/pprof/cmdline" > /dev/null
-# Poll /metrics until the engine and duration families appear (they need
-# one completed run), keeping the last successful scrape so a sweep that
-# drains between polls can't empty the assertion input.
-MID=""
-i=0
-while [ "$i" -lt 300 ] && kill -0 "$OPS_PID" 2> /dev/null; do
-    CUR=$(fetch "http://$ADDR/metrics" || true)
-    [ -n "$CUR" ] && MID=$CUR
-    if printf '%s' "$MID" | grep -q ccsim_engine_events_dispatched_total &&
-        printf '%s' "$MID" | grep -q ccsim_sched_duration_seconds_count; then
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-printf '%s' "$MID" | grep -q ccsim_engine_events_dispatched_total
-printf '%s' "$MID" | grep -q ccsim_sched_duration_seconds_count
-printf '%s' "$MID" | grep -q ccsim_engine_cohort_size_events_bucket
-wait "$OPS_PID"
-rm -f /tmp/ccsim-ops-log.txt
 
 rm -f /tmp/metricsdiff-verify /tmp/experiments-verify
