@@ -1,10 +1,14 @@
 package core
 
 import (
-	"ccsim/internal/memsys"
-
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"ccsim/internal/cache"
+	"ccsim/internal/memsys"
+	"ccsim/internal/sim"
 )
 
 // TestInvariantUnknownDirState pins the exhaustive directory-state switch:
@@ -98,5 +102,167 @@ func TestBestEffortFindingsSortedAndCapped(t *testing.T) {
 	all := s.CheckInvariantsBestEffort(8)
 	if len(all) != 3 {
 		t.Fatalf("got %d findings, want 3: %q", len(all), all)
+	}
+}
+
+// TestInvariantFindings provokes each kind of invariant finding on a
+// drained four-node machine and pins its message in quiescent and in
+// best-effort mode, on an infinite SLC and on a finite two-way one. Each
+// case breaks block b, homed at node 0; the findings are listed as the walk
+// returns them, sorted, with %[1]d standing for b.
+func TestInvariantFindings(t *testing.T) {
+	cases := []struct {
+		name      string
+		corrupt   func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr)
+		quiescent []string
+		// bestEffort is nil when it equals quiescent.
+		bestEffort []string
+	}{
+		{
+			name: "entry at the wrong home",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				s.Nodes[1].Home.entry(memsys.BlockOf(a))
+			},
+			quiescent: []string{"block %[1]d: directory entry at node 1, home is 0"},
+		},
+		{
+			name: "home not quiesced",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				read(t, eng, s, 1, a)
+				s.Nodes[0].Home.lookup(memsys.BlockOf(a)).busy = true
+			},
+			quiescent:  []string{"block %[1]d: home not quiesced"},
+			bestEffort: []string{},
+		},
+		{
+			name: "clean with dirty copies",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				read(t, eng, s, 1, a)
+				read(t, eng, s, 2, a)
+				lineOf(s, 1, a).State = cache.Dirty
+				lineOf(s, 2, a).State = cache.Dirty
+			},
+			quiescent: []string{
+				"block %[1]d: CLEAN at home but 2 dirty copies",
+				"block %[1]d: dirty at node 1 without matching directory state",
+				"block %[1]d: dirty at node 2 without matching directory state",
+			},
+		},
+		{
+			name: "uncached with copies",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				read(t, eng, s, 1, a)
+				read(t, eng, s, 3, a)
+				s.Nodes[0].Home.lookup(memsys.BlockOf(a)).presence = 0
+			},
+			quiescent: []string{
+				"block %[1]d: node 1 holds a copy not in the presence vector",
+				"block %[1]d: node 3 holds a copy not in the presence vector",
+				"block %[1]d: uncached at home but 2 cached copies",
+			},
+		},
+		{
+			name: "copy outside the presence vector",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				read(t, eng, s, 1, a)
+				read(t, eng, s, 2, a)
+				s.Nodes[0].Home.lookup(memsys.BlockOf(a)).presence &^= bit(2)
+			},
+			quiescent: []string{"block %[1]d: node 2 holds a copy not in the presence vector"},
+		},
+		{
+			name: "modified with two dirty copies",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				write(t, eng, s, 1, a)
+				s.Nodes[2].Cache.slc.Insert(memsys.BlockOf(a), cache.Dirty)
+			},
+			quiescent: []string{
+				"block %[1]d: 2 dirty copies",
+				"block %[1]d: MODIFIED owner 1 but node 2 holds a D copy",
+				"block %[1]d: dirty at node 2 without matching directory state",
+			},
+		},
+		{
+			name: "modified with three dirty copies",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				write(t, eng, s, 2, a)
+				s.Nodes[1].Cache.slc.Insert(memsys.BlockOf(a), cache.Dirty)
+				s.Nodes[3].Cache.slc.Insert(memsys.BlockOf(a), cache.Dirty)
+			},
+			quiescent: []string{
+				"block %[1]d: 3 dirty copies",
+				"block %[1]d: MODIFIED owner 2 but node 1 holds a D copy",
+				"block %[1]d: MODIFIED owner 2 but node 3 holds a D copy",
+				"block %[1]d: dirty at node 1 without matching directory state",
+				"block %[1]d: dirty at node 3 without matching directory state",
+			},
+		},
+		{
+			name: "modified with a copy at another node",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				write(t, eng, s, 1, a)
+				s.Nodes[2].Cache.slc.Insert(memsys.BlockOf(a), cache.Shared)
+			},
+			quiescent: []string{"block %[1]d: MODIFIED owner 1 but node 2 holds a S copy"},
+		},
+		{
+			name: "unknown directory state",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				read(t, eng, s, 1, a)
+				s.Nodes[0].Home.lookup(memsys.BlockOf(a)).state = 99
+			},
+			quiescent: []string{"block %[1]d: unknown directory state 99"},
+		},
+		{
+			name: "dirty copy the home never granted",
+			corrupt: func(t *testing.T, eng *sim.Engine, s *System, a memsys.Addr) {
+				s.Nodes[2].Cache.slc.Insert(memsys.BlockOf(a), cache.Dirty)
+			},
+			quiescent: []string{"block %[1]d: dirty at node 2 without matching directory state"},
+		},
+	}
+	slcs := []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"infinite SLC", nil},
+		{"two-way SLC", func(p *Params) { p.SLCSets, p.SLCWays = 64, 2 }},
+	}
+	for _, slc := range slcs {
+		for _, c := range cases {
+			t.Run(slc.name+"/"+c.name, func(t *testing.T) {
+				eng, s := testSystem(t, slc.mutate)
+				a := blockHomedAt(s, 0)
+				if err := s.CheckInvariants(); err != nil {
+					t.Fatalf("fresh machine fails invariants: %v", err)
+				}
+				c.corrupt(t, eng, s, a)
+				b := memsys.BlockOf(a)
+				render := func(formats []string) []string {
+					out := make([]string, len(formats))
+					for i, f := range formats {
+						out[i] = fmt.Sprintf(f, b)
+					}
+					return out
+				}
+				want := render(c.quiescent)
+				var got []string
+				for _, e := range s.invariantErrors(true, 8) {
+					got = append(got, e.Error())
+				}
+				if !slices.Equal(got, want) {
+					t.Errorf("quiescent findings:\n got %q\nwant %q", got, want)
+				}
+				if err := s.CheckInvariants(); err == nil || err.Error() != want[0] {
+					t.Errorf("CheckInvariants = %v, want %q", err, want[0])
+				}
+				if c.bestEffort != nil {
+					want = render(c.bestEffort)
+				}
+				if got := s.CheckInvariantsBestEffort(8); !slices.Equal(got, want) {
+					t.Errorf("best-effort findings:\n got %q\nwant %q", got, want)
+				}
+			})
+		}
 	}
 }
