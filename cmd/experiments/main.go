@@ -32,9 +32,9 @@
 // wall-clock time only — printed results are identical at any -jobs value.
 //
 // Results go to stdout; every diagnostic — timing, faults, the end-of-sweep
-// counts — goes to stderr as structured log/slog records (text by default,
-// JSON under -log-json), so stdout is byte-identical across -jobs values
-// and verbosity levels.
+// counts and host cost — goes to stderr as structured log/slog records
+// (text by default, JSON under -log-json), so stdout is byte-identical
+// across -jobs values and verbosity levels.
 //
 // Sweeps are crash-contained: a run that panics, deadlocks or trips the
 // watchdog renders as a FAULT cell in its tables while every other cell
@@ -55,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -288,6 +289,11 @@ func run() (code int) {
 
 	order := []string{"table1", "fig2", "table2", "fig3", "table3", "fig4", "sens-buffers", "sens-cache", "dir", "assoc", "scaling", "cost"}
 	if *which == "all" {
+		// Where the sweep's host time went: its wall time, the collector
+		// cycles it ran and the heap it allocated.
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
 		for _, name := range order {
 			// A failed experiment doesn't stop the sweep: faulted runs render
 			// as FAULT cells and the rest of the tables still print.
@@ -295,11 +301,16 @@ func run() (code int) {
 				code = 1
 			}
 		}
+		elapsed := time.Since(t0)
+		runtime.ReadMemStats(&m1)
 		// The stderr logger, not stdout: results must be byte-identical at
 		// any -jobs.
 		st := sched.Stats()
 		logger.Info("sweep complete", "unique", st.Unique, "dedup_hits", st.DedupHits,
-			"completed", st.Completed, "failed", st.Failed, "workers", sched.Jobs())
+			"completed", st.Completed, "failed", st.Failed, "workers", sched.Jobs(),
+			"elapsed", elapsed.Round(time.Millisecond).String(),
+			"gc_cycles", m1.NumGC-m0.NumGC,
+			"alloc_mb", math.Round(float64(m1.TotalAlloc-m0.TotalAlloc)/1e5)/10)
 		if reportFaults(logger, *logJSON, sched) {
 			code = 1
 		}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ccsim/internal/prof"
 )
@@ -65,4 +68,45 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 			t.Errorf("%s /dev/full: exit code %d, want 1", f, code)
 		}
 	}
+}
+
+// TestSweepCompleteRecordsHostCost runs the whole sweep at a tiny scale
+// with -log-json and checks that its closing record says where the host
+// time went: wall time, collector cycles and heap allocated.
+func TestSweepCompleteRecordsHostCost(t *testing.T) {
+	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldStderr := os.Stderr
+	os.Stderr = stderr
+	code, _ := runCLI(t, "experiments", "-exp", "all", "-scale", "0.02", "-procs", "4", "-log-json")
+	os.Stderr = oldStderr
+	if err := stderr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	logs, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(logs), "\n") {
+		var rec map[string]any
+		if json.Unmarshal([]byte(line), &rec) != nil || rec["msg"] != "sweep complete" {
+			continue
+		}
+		if d, err := time.ParseDuration(fmt.Sprint(rec["elapsed"])); err != nil || d <= 0 {
+			t.Errorf("elapsed = %v, want a positive duration", rec["elapsed"])
+		}
+		if n, ok := rec["gc_cycles"].(float64); !ok || n < 0 {
+			t.Errorf("gc_cycles = %v, want a count", rec["gc_cycles"])
+		}
+		if mb, ok := rec["alloc_mb"].(float64); !ok || mb <= 0 {
+			t.Errorf("alloc_mb = %v, want a positive size", rec["alloc_mb"])
+		}
+		return
+	}
+	t.Fatalf("no sweep complete record in:\n%s", logs)
 }

@@ -99,19 +99,46 @@ func TestObservedRunAllocationCeiling(t *testing.T) {
 
 // TestRunHeapBytesCeiling pins the heap bytes one run allocates, after a
 // warm-up run. Each processor's workload stream is generated one loop
-// iteration at a time into one reused op buffer, so a run holds one
-// segment per processor instead of every processor's whole stream, and SLC
-// lines and directory entries carry no data-verification words in a run
-// that does not verify: 1,986,680 bytes for this run, measured when the
-// ceiling was set, against 3,245,936 with the words in every line and
-// entry and 11,377,192 when streams were also built whole before the first
-// event. The ceiling is about 1.25x the measured value.
+// iteration at a time into one op buffer sized to the kernel's longest
+// iteration, so a run holds one segment per processor instead of every
+// processor's whole stream; SLC lines and directory entries carry no
+// data-verification words in a run that does not verify; and the
+// end-of-run invariant walk builds no list of cached copies: 1,131,680
+// bytes for this run, measured when the ceiling was set, against
+// 1,986,664 with 256-op buffers, a 40-byte line, per-node latency
+// histograms and the copy list, 3,245,936 with the words in every line
+// and entry, and 11,377,192 when streams were also built whole before the
+// first event. The ceiling is about 1.25x the measured value.
 func TestRunHeapBytesCeiling(t *testing.T) {
-	const ceiling = 2_480_000
+	const ceiling = 1_415_000
 	cfg := ccsim.DefaultConfig()
 	cfg.Workload = "lu"
 	cfg.Procs = 16
 	cfg.Scale = 0.5
+	checkHeapBytes(t, cfg, ceiling)
+}
+
+// TestSweepRunHeapBytesCeiling pins the heap bytes of a run shaped like
+// the scale-0.125 sweep's: 16 processors and the paper's 16-KB
+// direct-mapped SLC, where set-up sized for the largest run used to
+// dominate. It allocated 632,904 bytes when the ceiling was set, against
+// 1,098,264 with a 1,024-slot event arena, 256-op stream buffers, 40-byte
+// lines with LRU ages, a latency histogram per node and the invariant
+// walk's copy list. The ceiling is about 1.25x the measured value.
+func TestSweepRunHeapBytesCeiling(t *testing.T) {
+	const ceiling = 791_000
+	cfg := ccsim.DefaultConfig()
+	cfg.Workload = "mp3d"
+	cfg.Procs = 16
+	cfg.Scale = 0.125
+	cfg.SLCBlocks = 512
+	checkHeapBytes(t, cfg, ceiling)
+}
+
+// checkHeapBytes fails the test when one run of cfg, after a warm-up run,
+// allocates more than ceiling heap bytes.
+func checkHeapBytes(t *testing.T, cfg ccsim.Config, ceiling uint64) {
+	t.Helper()
 	if _, err := ccsim.Run(cfg); err != nil {
 		t.Fatal(err)
 	}

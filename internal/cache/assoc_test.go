@@ -62,8 +62,8 @@ func TestAssocReinsertSameBlock(t *testing.T) {
 	if evicted || l2.PrefetchBit || l2.State != Dirty {
 		t.Fatalf("reinsert wrong: %+v evicted=%v", l2, evicted)
 	}
-	if c.Valid() != 1 {
-		t.Fatalf("Valid = %d", c.Valid())
+	if valid(c) != 1 {
+		t.Fatalf("Valid = %d", valid(c))
 	}
 }
 

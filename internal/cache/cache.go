@@ -11,7 +11,7 @@ import "ccsim/internal/memsys"
 
 // LineState is an SLC line's stable coherence state. The SLC needs no
 // transient states because pending accesses are kept in the SLWB (paper §2).
-type LineState int
+type LineState uint8
 
 const (
 	Invalid LineState = iota
@@ -32,14 +32,15 @@ func (s LineState) String() string {
 }
 
 // Line is one SLC line plus the per-line bits each extension adds
-// (paper Table 1).
+// (paper Table 1). Its counters are 32-bit, so a line takes 24 bytes.
 type Line struct {
 	Block memsys.Block
 	State LineState
 
 	// CW: remaining competitive count; a foreign update when the counter is
-	// zero invalidates the copy. Preset on load and on every local access.
-	CWCount int
+	// zero invalidates the copy. Preset on load and on every local access
+	// (core.Params bounds the threshold to an int32).
+	CWCount int32
 
 	// P: set when the block arrived by prefetch and has not yet been
 	// referenced by the processor (one of P's two bits per line).
@@ -58,8 +59,9 @@ type Line struct {
 
 	// Grant is the home's grant generation of a Dirty line: a line only
 	// becomes Dirty by a grant, and its writeback carries this stamp so the
-	// home can tell a current writeback from a stale one.
-	Grant int
+	// home can tell a current writeback from a stale one. It would wrap
+	// only after 2^31 exclusive grants of one block.
+	Grant int32
 }
 
 // Victim is a line Insert displaced, with its verification words (zero when
@@ -72,7 +74,8 @@ type Victim struct {
 // SLC is the second-level cache. frames == 0 selects the paper's default
 // infinite cache (every block has its own frame); otherwise the cache has
 // that many one-block frames arranged in ways-associative sets with LRU
-// replacement (ways == 1 is the paper's direct-mapped organization).
+// replacement (ways == 1 is the paper's direct-mapped organization, which
+// has one candidate per set and so keeps no LRU ages).
 //
 // A cache built to keep words holds each line's verification words (see
 // memsys.BlockData) beside the line, outside Line itself, so a run that
@@ -82,7 +85,7 @@ type SLC struct {
 	ways   int
 	nsets  int
 	array  []Line   // nsets * ways
-	age    []uint64 // LRU timestamps, parallel to array
+	age    []uint64 // LRU timestamps, parallel to array; nil when ways == 1
 	tick   uint64
 
 	keepWords bool
@@ -129,7 +132,9 @@ func NewSLCAssoc(frames, ways int, keepWords bool) *SLC {
 	}
 	c.nsets = frames / ways
 	c.array = make([]Line, frames)
-	c.age = make([]uint64, frames)
+	if ways > 1 {
+		c.age = make([]uint64, frames)
+	}
 	if keepWords {
 		c.words = make([]memsys.BlockData, frames)
 	}
@@ -146,6 +151,26 @@ func (c *SLC) Ways() int { return c.ways }
 func (c *SLC) set(b memsys.Block) (lo, hi int) {
 	s := int(uint64(b) % uint64(c.nsets))
 	return s * c.ways, (s + 1) * c.ways
+}
+
+// find returns the frame holding block b in a valid state, or -1 (finite
+// mode only).
+func (c *SLC) find(b memsys.Block) int {
+	lo, hi := c.set(b)
+	for i := lo; i < hi; i++ {
+		if l := &c.array[i]; l.State != Invalid && l.Block == b {
+			return i
+		}
+	}
+	return -1
+}
+
+// touch makes frame i the most recently used of its set.
+func (c *SLC) touch(i int) {
+	if c.age != nil {
+		c.tick++
+		c.age[i] = c.tick
+	}
 }
 
 // slot returns infinite-mode slab slot i.
@@ -184,14 +209,22 @@ func (c *SLC) Lookup(b memsys.Block) *Line {
 		}
 		return nil
 	}
-	lo, hi := c.set(b)
-	for i := lo; i < hi; i++ {
-		l := &c.array[i]
-		if l.State != Invalid && l.Block == b {
-			c.tick++
-			c.age[i] = c.tick
-			return l
-		}
+	i := c.find(b)
+	if i < 0 {
+		return nil
+	}
+	c.touch(i)
+	return &c.array[i]
+}
+
+// Peek is Lookup without the LRU refresh: a check that reads the cache
+// leaves its replacement order as it found it.
+func (c *SLC) Peek(b memsys.Block) *Line {
+	if c.frames == 0 {
+		return c.Lookup(b) // infinite mode keeps no ages
+	}
+	if i := c.find(b); i >= 0 {
+		return &c.array[i]
 	}
 	return nil
 }
@@ -243,8 +276,7 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Victim, e
 			victim.Words = c.words[slot]
 		}
 	}
-	c.tick++
-	c.age[slot] = c.tick
+	c.touch(slot)
 	c.array[slot] = Line{Block: b, State: st}
 	if c.keepWords {
 		c.words[slot] = memsys.BlockData{}
@@ -267,11 +299,8 @@ func (c *SLC) Words(b memsys.Block) *memsys.BlockData {
 		}
 		return nil
 	}
-	lo, hi := c.set(b)
-	for i := lo; i < hi; i++ {
-		if l := &c.array[i]; l.State != Invalid && l.Block == b {
-			return &c.words[i]
-		}
+	if i := c.find(b); i >= 0 {
+		return &c.words[i]
 	}
 	return nil
 }
@@ -290,30 +319,12 @@ func (c *SLC) Invalidate(b memsys.Block) (old Line, ok bool) {
 		c.free = append(c.free, i)
 		return *c.slot(i), true
 	}
-	lo, hi := c.set(b)
-	for i := lo; i < hi; i++ {
-		l := &c.array[i]
-		if l.State != Invalid && l.Block == b {
-			v := *l
-			l.State = Invalid
-			return v, true
-		}
+	if i := c.find(b); i >= 0 {
+		v := c.array[i]
+		c.array[i].State = Invalid
+		return v, true
 	}
 	return Line{}, false
-}
-
-// Valid returns the number of valid lines (O(frames) for finite caches).
-func (c *SLC) Valid() int {
-	if c.frames == 0 {
-		return int(c.slots) - len(c.free)
-	}
-	n := 0
-	for i := range c.array {
-		if c.array[i].State != Invalid {
-			n++
-		}
-	}
-	return n
 }
 
 // ForEach calls fn for every valid line: in ascending block order in

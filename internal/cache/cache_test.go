@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -8,12 +9,70 @@ import (
 	"ccsim/internal/memsys"
 )
 
+// valid counts c's valid lines.
+func valid(c *SLC) int {
+	n := 0
+	c.ForEach(func(*Line) { n++ })
+	return n
+}
+
 // TestLineSize pins an SLC line at its state and extension bits: a run
 // holds one Line per cached block, so a field added back to it (the
-// data-verification words, say) grows every run's SLC.
+// data-verification words, say) grows every run's SLC. 24 bytes is the
+// block number plus a one-byte state, two 32-bit counters and four flags;
+// with an int state and int counters the line took 40.
 func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 40 {
-		t.Errorf("Line is %d bytes, want 40", n)
+	if n := unsafe.Sizeof(Line{}); n != 24 {
+		t.Errorf("Line is %d bytes, want 24", n)
+	}
+}
+
+// TestDirectMappedKeepsNoAges drives a direct-mapped SLC through a seeded
+// sequence of inserts, lookups and invalidations and checks every victim
+// against a model in which each frame holds the last block inserted into
+// it: with one way per set there is no replacement choice, so the cache
+// keeps no LRU ages and never ticks its clock. A two-way cache of the same
+// size does keep them.
+func TestDirectMappedKeepsNoAges(t *testing.T) {
+	const frames = 16
+	c := NewSLCAssoc(frames, 1, true)
+	if c.age != nil {
+		t.Fatal("direct-mapped SLC allocated LRU ages")
+	}
+	if NewSLCAssoc(frames, 2, false).age == nil {
+		t.Fatal("two-way SLC has no LRU ages")
+	}
+	var model [frames]struct {
+		block memsys.Block
+		valid bool
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 10000; i++ {
+		b := memsys.Block(r.Intn(4 * frames))
+		m := &model[b%frames]
+		switch r.Intn(3) {
+		case 0:
+			_, victim, evicted := c.Insert(b, Shared)
+			wantEvict := m.valid && m.block != b
+			if evicted != wantEvict || (evicted && victim.Block != m.block) {
+				t.Fatalf("step %d: Insert(%d) evicted %v (%d), model holds %+v", i, b, evicted, victim.Block, *m)
+			}
+			m.block, m.valid = b, true
+		case 1:
+			if hit := c.Lookup(b) != nil; hit != (m.valid && m.block == b) {
+				t.Fatalf("step %d: Lookup(%d) hit %v, model holds %+v", i, b, hit, *m)
+			}
+		case 2:
+			if _, ok := c.Invalidate(b); ok != (m.valid && m.block == b) {
+				t.Fatalf("step %d: Invalidate(%d) = %v, model holds %+v", i, b, ok, *m)
+			}
+			if m.block == b {
+				m.valid = false
+			}
+		}
+	}
+	if c.age != nil || c.tick != 0 {
+		t.Fatalf("direct-mapped SLC kept ages: tick %d", c.tick)
 	}
 }
 
@@ -24,8 +83,8 @@ func TestSLCInfiniteNeverEvicts(t *testing.T) {
 			t.Fatalf("infinite cache evicted on insert of %d", b)
 		}
 	}
-	if c.Valid() != 1000 {
-		t.Fatalf("Valid = %d, want 1000", c.Valid())
+	if valid(c) != 1000 {
+		t.Fatalf("Valid = %d, want 1000", valid(c))
 	}
 	for b := memsys.Block(0); b < 1000; b++ {
 		if c.Lookup(b) == nil {
@@ -56,8 +115,8 @@ func TestSLCInfiniteSlotsStable(t *testing.T) {
 	if len(c.slab) != grown || l.Block != 100000 || l.CWCount != 0 {
 		t.Fatalf("freed slot not reused as a fresh line: slab %d -> %d chunks, line %+v", grown, len(c.slab), l)
 	}
-	if c.Valid() != 10*slabChunk || c.Lookup(6) == nil || c.Lookup(8) == nil {
-		t.Fatalf("neighbours disturbed: Valid = %d", c.Valid())
+	if valid(c) != 10*slabChunk || c.Lookup(6) == nil || c.Lookup(8) == nil {
+		t.Fatalf("neighbours disturbed: Valid = %d", valid(c))
 	}
 }
 
@@ -243,7 +302,7 @@ func TestSLCConsistencyProperty(t *testing.T) {
 				ref[b] = true
 			}
 		}
-		if c.Valid() > 8 {
+		if valid(c) > 8 {
 			return false
 		}
 		for b := memsys.Block(0); b < 32; b++ {

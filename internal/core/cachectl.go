@@ -116,7 +116,6 @@ type CacheStats struct {
 	PartialHits     uint64 // demand misses merged with a pending prefetch
 	ReadMissLatency int64  // summed demand-miss service time (pclocks)
 	ReadMissCount   uint64
-	LatencyHist     stats.Hist // distribution of demand-miss service times
 }
 
 // CacheCtl is the second-level cache controller of one node: the
@@ -522,7 +521,7 @@ func (c *CacheCtl) issuePrefetches(b memsys.Block) {
 // competitive counter and resolves the prefetch bit.
 func (c *CacheCtl) touch(line *cache.Line) {
 	if c.wc != nil {
-		line.CWCount = c.sys.P.CWThreshold
+		line.CWCount = int32(c.sys.P.CWThreshold)
 	}
 	if line.PrefetchBit {
 		line.PrefetchBit = false
@@ -660,7 +659,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 	b := w.block
 	if line != nil && line.State == cache.Dirty {
 		line.Written = true
-		line.CWCount = c.sys.P.CWThreshold
+		line.CWCount = int32(c.sys.P.CWThreshold)
 		c.performLocal(b, w.word)
 		if w.performed != nil {
 			w.performed()
@@ -689,7 +688,7 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 	c.wcObs[b] = append(obs, w.ob)
 	if line != nil {
 		line.LocallyModified = true
-		line.CWCount = c.sys.P.CWThreshold
+		line.CWCount = int32(c.sys.P.CWThreshold)
 	}
 	if evicted {
 		obs := c.wcObs[victim.Block]
@@ -980,7 +979,7 @@ func (c *CacheCtl) handleVictim(v cache.Victim) {
 		c.pf.OnDiscard()
 	}
 	if v.State == cache.Dirty {
-		c.writeBack(v.Block, v.Grant, v.Words, memsys.FullMask)
+		c.writeBack(v.Block, int(v.Grant), v.Words, memsys.FullMask)
 	}
 }
 
@@ -1028,7 +1027,7 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 	c.setWords(b, &m.Payload)
 	if m.Excl {
 		line.MigSupplied = true
-		line.Grant = m.Stamp
+		line.Grant = int32(m.Stamp)
 	}
 	if c.wc != nil {
 		// A prefetch is not a processor access: an unreferenced prefetched
@@ -1037,7 +1036,7 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 		if ms.prefetchOnly {
 			line.CWCount = 0
 		} else {
-			line.CWCount = c.sys.P.CWThreshold
+			line.CWCount = int32(c.sys.P.CWThreshold)
 		}
 		if _, ok := c.wc.Lookup(b); ok {
 			line.LocallyModified = true
@@ -1058,7 +1057,7 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 			lat := int64(c.sys.Eng.Now() - ms.missStart)
 			c.CStats.ReadMissLatency += lat
 			c.CStats.ReadMissCount++
-			c.CStats.LatencyHist.Add(lat)
+			c.sys.MissLatency.Add(lat)
 			if c.sys.Shr != nil {
 				c.sys.Shr.OnMissLatency(uint64(b), lat)
 			}
@@ -1111,7 +1110,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 		line.State = cache.Dirty
 		c.ckLine(b, true, "own-upgrade")
 	}
-	line.Grant = m.Stamp
+	line.Grant = int32(m.Stamp)
 	line.Written = true
 	if d := c.slc.Words(b); d != nil {
 		for _, w := range ms.words {
@@ -1212,9 +1211,9 @@ func (c *CacheCtl) onUpdateAck(m *Msg) {
 			c.relinquishLostOwnership(b, ms, m.Stamp)
 			return
 		}
-		line.Grant = m.Stamp
+		line.Grant = int32(m.Stamp)
 		line.Written = true
-		line.CWCount = c.sys.P.CWThreshold
+		line.CWCount = int32(c.sys.P.CWThreshold)
 	} else if line := c.slc.Lookup(b); line != nil {
 		// Non-exclusive completion: refresh our Shared copy with the
 		// post-update memory image (it now carries our own writes'

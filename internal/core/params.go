@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"ccsim/internal/sim"
 )
@@ -140,6 +141,9 @@ func (p *Params) Validate() error {
 		return fmt.Errorf("core: the competitive-update mechanism is not feasible under sequential consistency (paper §5.2)")
 	case p.CW && (p.CWThreshold < 1 || p.WriteCacheBlocks < 1):
 		return fmt.Errorf("core: CW needs threshold >= 1 and a nonempty write cache")
+	case p.CWThreshold > math.MaxInt32:
+		// An SLC line holds its competitive counter in 32 bits.
+		return fmt.Errorf("core: CWThreshold = %d, need <= %d", p.CWThreshold, math.MaxInt32)
 	case p.P && (p.PrefetchMaxK < 1 || p.PrefetchHighMark <= p.PrefetchLowMark):
 		return fmt.Errorf("core: bad prefetch tuning")
 	case p.DirPointers < 0:

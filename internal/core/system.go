@@ -1,9 +1,8 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 
 	"ccsim/internal/cache"
@@ -30,6 +29,10 @@ type System struct {
 	// Traffic counts network messages (local bus transactions between a
 	// cache and its own memory do not enter the network).
 	Traffic stats.Traffic
+
+	// MissLatency is the distribution of every node's demand-miss service
+	// times: one histogram per run, where CacheStats keeps only sums.
+	MissLatency stats.Hist
 
 	// statsOn gates the measurement counters so only the parallel section
 	// is recorded (SPLASH methodology, paper §4).
@@ -401,38 +404,38 @@ func (s *System) CheckInvariantsBestEffort(max int) []string {
 	return out
 }
 
+// holders returns the nodes caching block b and those holding it dirty, as
+// bitmasks (Params.Validate bounds Nodes to 64). It reads the caches
+// without touching their LRU ages.
+func (s *System) holders(b memsys.Block) (held, dirty uint64) {
+	for _, n := range s.Nodes {
+		if l := n.Cache.slc.Peek(b); l != nil {
+			held |= bit(n.ID)
+			if l.State == cache.Dirty {
+				dirty |= bit(n.ID)
+			}
+		}
+	}
+	return held, dirty
+}
+
 // invariantErrors is the shared invariant walker. In quiescent mode a
 // non-quiesced home entry is itself a violation; in best-effort mode any
-// block with in-flight state anywhere is excluded from every check.
-// Findings are sorted before truncating to max to keep fault dumps
-// deterministic.
+// block with in-flight state anywhere is excluded from every check. It
+// walks each home's entries, then each SLC's lines against their home
+// entry, and builds no list of copies. Findings are sorted before
+// truncating to max to keep fault dumps deterministic.
 func (s *System) invariantErrors(quiescent bool, max int) []error {
 	var errs []error
 	report := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
-	// Gather every cached copy, sorted by (block, node), and (for
-	// best-effort mode) every block a cache controller still has a
+	// For best-effort mode, every block a cache controller still has a
 	// transaction or writeback in flight for.
-	type copyInfo struct {
-		block memsys.Block
-		node  int
-		state cache.LineState
-	}
-	ncopies := 0
-	for _, n := range s.Nodes {
-		ncopies += n.Cache.slc.Valid()
-	}
-	copies := make([]copyInfo, 0, ncopies)
 	var inflight map[memsys.Block]bool
 	if !quiescent {
 		inflight = make(map[memsys.Block]bool)
-	}
-	for _, n := range s.Nodes {
-		n.Cache.slc.ForEach(func(l *cache.Line) {
-			copies = append(copies, copyInfo{l.Block, n.ID, l.State})
-		})
-		if !quiescent {
+		for _, n := range s.Nodes {
 			for _, ms := range n.Cache.slwb {
 				inflight[ms.block] = true
 			}
@@ -440,21 +443,6 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 				inflight[w.block] = true
 			}
 		}
-	}
-	slices.SortFunc(copies, func(a, b copyInfo) int {
-		if c := cmp.Compare(a.block, b.block); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.node, b.node)
-	})
-	// copiesOf returns block b's copies: a run of the sorted slice.
-	copiesOf := func(b memsys.Block) []copyInfo {
-		lo := sort.Search(len(copies), func(i int) bool { return copies[i].block >= b })
-		hi := lo
-		for hi < len(copies) && copies[hi].block == b {
-			hi++
-		}
-		return copies[lo:hi]
 	}
 	for _, n := range s.Nodes {
 		n.Home.dir.ForEach(func(b memsys.Block, e *dirEntry) {
@@ -473,59 +461,62 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 				report("block %d: home not quiesced", b)
 				return
 			}
-			if inflight[b] {
-				return
-			}
-			cs := copiesOf(b)
-			dirties := 0
-			for _, c := range cs {
-				if c.state == cache.Dirty {
-					dirties++
-				}
-			}
-			switch e.state {
-			case dirClean:
-				if dirties != 0 {
-					report("block %d: CLEAN at home but %d dirty copies", b, dirties)
-				}
-				// An entry with an empty presence vector claims the block is
-				// uncached machine-wide: no copy of any kind may exist.
-				if e.presence == 0 && len(cs) > 0 {
-					report("block %d: uncached at home but %d cached copies", b, len(cs))
-				}
-				// Presence must be a superset of actual holders (silent
-				// replacement makes it a superset, not an exact set).
-				for _, c := range cs {
-					if e.presence&(1<<uint(c.node)) == 0 {
-						report("block %d: node %d holds a copy not in the presence vector", b, c.node)
-					}
-				}
-			case dirModified:
-				if dirties > 1 {
-					report("block %d: %d dirty copies", b, dirties)
-				}
-				for _, c := range cs {
-					if c.node != e.owner {
-						report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, c.node, c.state)
-					}
-				}
-			default:
-				// A directory entry outside the known states is corrupt
-				// whatever the copies look like.
+			// A directory entry outside the known states is corrupt
+			// whatever the copies look like.
+			if !inflight[b] && e.state != dirClean && e.state != dirModified {
 				report("block %d: unknown directory state %d", b, e.state)
 			}
 		})
 	}
-	// No cache may hold a dirty copy of a block its home believes clean —
-	// covered above — and every dirty copy must be the registered owner.
-	for _, c := range copies {
-		if c.state != cache.Dirty || inflight[c.block] {
-			continue
-		}
-		e := s.Nodes[s.HomeOf(c.block)].Home.lookup(c.block)
-		if e == nil || e.state != dirModified || e.owner != c.node {
-			report("block %d: dirty at node %d without matching directory state", c.block, c.node)
-		}
+	// Each copy against its home entry. A finding about all of a block's
+	// copies is reported by the lowest-numbered node whose copy shows it
+	// (the lowest bit of a node mask), so it is reported once; only such a
+	// finding looks at other nodes.
+	for _, n := range s.Nodes {
+		n.Cache.slc.ForEach(func(l *cache.Line) {
+			b, dirty := l.Block, l.State == cache.Dirty
+			if inflight[b] {
+				return
+			}
+			// Every dirty copy must be the registered owner.
+			e := s.Nodes[s.HomeOf(b)].Home.lookup(b)
+			if dirty && (e == nil || e.state != dirModified || e.owner != n.ID) {
+				report("block %d: dirty at node %d without matching directory state", b, n.ID)
+			}
+			if e == nil || !e.quiet() {
+				return
+			}
+			switch e.state {
+			case dirClean:
+				if dirty || e.presence == 0 {
+					held, dirties := s.holders(b)
+					if dirty && bits.TrailingZeros64(dirties) == n.ID {
+						report("block %d: CLEAN at home but %d dirty copies", b, bits.OnesCount64(dirties))
+					}
+					// An entry with an empty presence vector claims the block
+					// is uncached machine-wide: no copy of any kind may exist.
+					if e.presence == 0 && bits.TrailingZeros64(held) == n.ID {
+						report("block %d: uncached at home but %d cached copies", b, bits.OnesCount64(held))
+					}
+				}
+				// Presence must be a superset of actual holders (silent
+				// replacement makes it a superset, not an exact set).
+				if e.presence&bit(n.ID) == 0 {
+					report("block %d: node %d holds a copy not in the presence vector", b, n.ID)
+				}
+			case dirModified:
+				if n.ID == e.owner {
+					return
+				}
+				report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, n.ID, l.State)
+				// More than one dirty copy means one beside the owner's.
+				if dirty {
+					if _, dirties := s.holders(b); bits.TrailingZeros64(dirties&^bit(e.owner)) == n.ID && bits.OnesCount64(dirties) > 1 {
+						report("block %d: %d dirty copies", b, bits.OnesCount64(dirties))
+					}
+				}
+			}
+		})
 	}
 	sort.Slice(errs, func(i, j int) bool { return errs[i].Error() < errs[j].Error() })
 	if len(errs) > max {

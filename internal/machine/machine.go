@@ -334,6 +334,7 @@ func (m *Machine) collect() *Result {
 		Network:      m.Net.Name(),
 		Nodes:        m.Cfg.Core.Nodes,
 		Traffic:      m.Sys.Traffic,
+		MissLatency:  m.Sys.MissLatency,
 		TotalPclocks: int64(m.Eng.Now()),
 		Queue:        m.Eng.QueueStats(),
 	}
@@ -380,7 +381,6 @@ func (m *Machine) collect() *Result {
 		r.Cache.PartialHits += c.CStats.PartialHits
 		r.Cache.ReadMissLatency += c.CStats.ReadMissLatency
 		r.Cache.ReadMissCount += c.CStats.ReadMissCount
-		r.Cache.LatencyHist.Merge(c.CStats.LatencyHist)
 		if pf := c.Prefetcher(); pf != nil {
 			r.Prefetch.Issued += pf.Stats.Issued
 			r.Prefetch.Useful += pf.Stats.Useful
@@ -437,6 +437,9 @@ type Result struct {
 	Misses  stats.Misses
 	Cache   core.CacheStats
 	Traffic stats.Traffic
+	// MissLatency is the distribution of demand-miss service times over
+	// every node.
+	MissLatency stats.Hist
 
 	Prefetch stats.Prefetch
 

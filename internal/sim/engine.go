@@ -102,9 +102,14 @@ type Engine struct {
 	wheelLive int
 }
 
+// startSlots is the arena's starting capacity. It covers the wheel
+// high-water mark of a typical run (a few dozen events); a busier run
+// grows the arena by append in slot and keeps what it grew to.
+const startSlots = 64
+
 // NewEngine returns an engine with an empty event queue at time 0.
 func NewEngine() *Engine {
-	return &Engine{arena: make([]qnode, 0, 1024), free: -1}
+	return &Engine{arena: make([]qnode, 0, startSlots), free: -1}
 }
 
 // Now returns the current simulated time.

@@ -405,6 +405,43 @@ func TestResourceQueueDepth(t *testing.T) {
 	}
 }
 
+// TestResourceQueueHoldsOnlyLiveReservations keeps a resource busy for
+// 100,000 reservations without its queue ever emptying: a backlog of
+// eight at time 0, then one arrival per service time. The depth
+// bookkeeping must read the same depths as ever while holding about the
+// live reservations, not every reservation of the busy period.
+func TestResourceQueueHoldsOnlyLiveReservations(t *testing.T) {
+	const (
+		service = 4
+		backlog = 8
+		total   = 100_000
+	)
+	e := NewEngine()
+	r := NewResource(e, "bus")
+	for i := 0; i < backlog; i++ {
+		r.reserve(service)
+	}
+	left := total - backlog
+	var arrive func(any)
+	arrive = func(any) {
+		r.reserve(service)
+		if d := r.QueueDepth(); d != backlog {
+			t.Fatalf("QueueDepth = %d at t=%d, want %d", d, e.Now(), backlog)
+		}
+		if left--; left > 0 {
+			e.AfterCall(service, arrive, nil)
+		}
+	}
+	e.AfterCall(service, arrive, nil)
+	e.Run()
+	if r.Uses() != total || r.MaxQueueDepth() != backlog {
+		t.Fatalf("%d uses, MaxQueueDepth %d; want %d and %d", r.Uses(), r.MaxQueueDepth(), total, backlog)
+	}
+	if limit := 2*r.MaxQueueDepth() + 64; cap(r.pend) > limit {
+		t.Fatalf("reservation queue holds %d slots for a depth of %d, limit %d", cap(r.pend), r.MaxQueueDepth(), limit)
+	}
+}
+
 func TestResourceQueueDepthPipelined(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e, "slc")

@@ -44,11 +44,6 @@ type QueueStats struct {
 	CohortSizeLog2 [cohortLogBuckets]uint64
 }
 
-// CohortBucketMax returns the largest cohort size bucket i of
-// CohortSizeLog2 covers: 2^(i+1)-1 events (callers render the last,
-// open-ended bucket as unbounded).
-func CohortBucketMax(i int) uint64 { return 1<<(uint(i)+1) - 1 }
-
 // Merge folds o into q: counters and histogram buckets add, high-water
 // marks take the max. It is how a sweep aggregates per-run snapshots into
 // fleet-wide totals.

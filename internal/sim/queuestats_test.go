@@ -110,15 +110,6 @@ func TestQueueStatsMerge(t *testing.T) {
 	}
 }
 
-// TestCohortBucketMax pins the upper bound of each CohortSizeLog2 bucket.
-func TestCohortBucketMax(t *testing.T) {
-	for i, want := range []uint64{1, 3, 7, 15, 31} {
-		if got := CohortBucketMax(i); got != want {
-			t.Errorf("CohortBucketMax(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 // TestQueueStatsZeroAllocs pins the tentpole's cost contract: the always-on
 // queue counters (and taking a QueueStats snapshot) add zero allocations
 // per event on a warm engine, across both the wheel and overflow paths.

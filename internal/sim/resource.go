@@ -23,8 +23,10 @@ type Resource struct {
 
 	// Queue-depth tracking: end-of-service times of reservations not yet
 	// finished at the last observation. FIFO order makes these monotone, so
-	// expiring the head is enough. pendHead trims lazily to avoid O(n)
-	// copies per reservation.
+	// expiring the head is enough. pendHead trims lazily, and expire moves
+	// the live tail down once the head passes half the slice, so pend holds
+	// about twice the live reservations however long the resource stays
+	// busy, at an amortized copy of one element per reservation.
 	pend     []Time
 	pendHead int
 	maxDepth int
@@ -65,8 +67,8 @@ func (r *Resource) expire(now Time) {
 	for r.pendHead < len(r.pend) && r.pend[r.pendHead] <= now {
 		r.pendHead++
 	}
-	if r.pendHead == len(r.pend) {
-		r.pend = r.pend[:0]
+	if r.pendHead > len(r.pend)/2 {
+		r.pend = r.pend[:copy(r.pend, r.pend[r.pendHead:])]
 		r.pendHead = 0
 	}
 }

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"ccsim/internal/sim"
-	"ccsim/internal/stats"
-)
+import "ccsim/internal/sim"
 
 // resourceWatch tracks one sim.Resource between samples.
 type resourceWatch struct {
@@ -13,11 +10,6 @@ type resourceWatch struct {
 
 	lastBusy sim.Time
 	lastWait sim.Time
-
-	// depths is the distribution of instantaneous queue depths across
-	// samples — the shared log-bucketed histogram also used for miss
-	// latencies.
-	depths stats.Hist
 }
 
 // gaugeWatch samples an arbitrary monotone or instantaneous counter.
@@ -107,9 +99,7 @@ func (c *Collector) sample(now sim.Time) {
 		}
 		s.Wait[i] = int64(wait - w.lastWait)
 		w.lastBusy, w.lastWait = busy, wait
-		d := w.res.QueueDepth()
-		s.Depth[i] = d
-		w.depths.Add(int64(d))
+		s.Depth[i] = w.res.QueueDepth()
 	}
 	for i, g := range c.gauges {
 		s.Gauge[i] = g.fn()
@@ -123,13 +113,4 @@ func (c *Collector) Samples() []Sample {
 		return nil
 	}
 	return c.samples
-}
-
-// DepthHist returns the sampled queue-depth distribution of watch i (in
-// registration order) and the watch's name, for tests and reports.
-func (c *Collector) DepthHist(i int) (string, stats.Hist) {
-	if c == nil || i < 0 || i >= len(c.watches) {
-		return "", stats.Hist{}
-	}
-	return c.watches[i].name, c.watches[i].depths
 }

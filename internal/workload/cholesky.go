@@ -27,6 +27,10 @@ func Cholesky(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(j*blocksPerCol+b)*memsys.BlockSize
 	}
 
+	// The longest task takes the queue lock (4 ops), reads its column (two
+	// reads and a busy per block) and makes every update (an acquire, a
+	// read, busy and write per block, a release and a busy).
+	maxSeg := 4 + 3*blocksPerCol + updatesPerTask*(3*blocksPerCol+3)
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
 		r := rng("cholesky", p)
@@ -36,7 +40,7 @@ func Cholesky(procs int, scale float64) []proc.Stream {
 		// segment per task t, column j = p + t*procs, then one for the
 		// closing barrier.
 		tasks := (cols - p + procs - 1) / procs
-		streams[p] = newScript(tasks+1, func(s *script, t int) {
+		streams[p] = newScript(tasks+1, maxSeg, func(s *script, t int) {
 			if t == tasks {
 				s.barrier(0)
 				return

@@ -23,10 +23,14 @@ func LU(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(j*blocksPerCol+b)*memsys.BlockSize
 	}
 
-	// One segment per elimination step k.
+	// One segment per elimination step k: two barriers, a read and a busy
+	// per pivot block, and a read, busy and write per block of each column
+	// of [k, n) the processor owns (the pivot column's factorization
+	// included), of which it owns at most ceil(n/procs).
+	maxSeg := 2 + blocksPerCol*(2+3*ceilDiv(n, procs))
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
-		streams[p] = newScript(n, func(s *script, k int) {
+		streams[p] = newScript(n, maxSeg, func(s *script, k int) {
 			if k%procs == p {
 				// Factorize the pivot column.
 				for b := 0; b < blocksPerCol; b++ {

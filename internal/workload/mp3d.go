@@ -43,9 +43,10 @@ func MP3D(procs int, scale float64) []proc.Stream {
 		lo, hi := p*particles/procs, (p+1)*particles/procs
 		clo, chi := p*cells/procs, (p+1)*cells/procs
 		// Each step is one segment per owned particle, then one for the
-		// step's barrier.
+		// step's barrier. A particle's segment is 13 ops: two 3-word block
+		// reads, then busy, write, write, read, busy, write, busy.
 		per := hi - lo + 1
-		streams[p] = newScript(steps*per, func(s *script, seg int) {
+		streams[p] = newScript(steps*per, 13, func(s *script, seg int) {
 			step, k := seg/per, seg%per
 			if k == hi-lo {
 				s.barrier(step)

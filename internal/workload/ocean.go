@@ -27,11 +27,13 @@ func Ocean(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(r*blocksPerRow+b)*memsys.BlockSize
 	}
 
-	// One segment per iteration.
+	// One segment per iteration: up to three reads, a busy and a write per
+	// block of each of at most ceil(g/procs) owned rows, then the barrier.
+	maxSeg := 5*blocksPerRow*ceilDiv(g, procs) + 1
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
 		lo, hi := p*g/procs, (p+1)*g/procs
-		streams[p] = newScript(iters, func(s *script, it int) {
+		streams[p] = newScript(iters, maxSeg, func(s *script, it int) {
 			for r := lo; r < hi; r++ {
 				for b := 0; b < blocksPerRow; b++ {
 					if r > 0 {

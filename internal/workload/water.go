@@ -36,6 +36,11 @@ func Water(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(mols+i*recBlocks)*memsys.BlockSize
 	}
 
+	// A force-phase row deals a processor at most ceil((mols-1)/procs)
+	// pairs of five ops each; the commit phase takes six ops per molecule
+	// touched, and the update phase seven per owned molecule plus the two
+	// barriers.
+	maxSeg := max(5*ceilDiv(mols-1, procs), 6*mols+7*ceilDiv(mols, procs)+2)
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
 		// Each step is one segment per force-phase row i, then one for
@@ -43,7 +48,7 @@ func Water(procs int, scale float64) []proc.Stream {
 		// to row; both it and touched restart with each step's row 0.
 		pair := 0
 		touched := make([]bool, mols)
-		streams[p] = newScript(steps*(mols+1), func(s *script, seg int) {
+		streams[p] = newScript(steps*(mols+1), maxSeg, func(s *script, seg int) {
 			step, i := seg/(mols+1), seg%(mols+1)
 			if i == 0 {
 				pair = 0

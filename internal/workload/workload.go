@@ -43,23 +43,25 @@ type script struct {
 	ops       []proc.Op
 	pos       int // next op of ops to return
 	seg, segs int // next segment to fill and the segment count
+	maxSeg    int // the op buffer's capacity: the kernel's longest segment
 	fill      func(s *script, i int)
 }
 
-// startOps is the op buffer's starting capacity. A larger segment grows
-// the buffer, and later segments reuse what it grew to.
-const startOps = 256
-
 // newScript returns a stream that emits StatsOn and then segments
-// 0..segs-1 of fill.
-func newScript(segs int, fill func(s *script, i int)) *script {
-	s := &script{ops: make([]proc.Op, 0, startOps), segs: segs, fill: fill}
-	s.statsOn()
-	return s
+// 0..segs-1 of fill. maxSeg is the longest segment in ops, which each
+// kernel computes from its own loop bounds; the op buffer is allocated at
+// that size on the first Next, so building a stream allocates only the
+// script, and a segment longer than maxSeg still works by growing it.
+func newScript(segs, maxSeg int, fill func(s *script, i int)) *script {
+	return &script{segs: segs, maxSeg: maxSeg, fill: fill}
 }
 
 // Next implements proc.Stream.
 func (s *script) Next() (proc.Op, bool) {
+	if s.ops == nil {
+		s.ops = make([]proc.Op, 0, s.maxSeg)
+		s.statsOn()
+	}
 	for s.pos == len(s.ops) {
 		if s.seg == s.segs {
 			return proc.Op{}, false
@@ -131,6 +133,9 @@ func Streams(name string, procs int, scale float64) ([]proc.Stream, error) {
 	}
 	return g(procs, scale), nil
 }
+
+// ceilDiv returns a/b rounded up, for positive a and b.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // scaled returns max(lo, round(v*scale)).
 func scaled(v int, scale float64, lo int) int {

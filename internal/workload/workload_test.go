@@ -288,20 +288,22 @@ func TestCholeskyStreamsColumnsOnce(t *testing.T) {
 }
 
 // TestScriptSegmentsReplayInOrder generates streams whose segments are
-// empty, larger than the op buffer's starting capacity, or absent, and
-// replays each in order: StatsOn, then every segment's ops, then the end.
+// empty, larger than the op buffer's starting capacity (the stream's
+// longest-segment hint), or absent, and replays each in order: StatsOn,
+// then every segment's ops, then the end.
 func TestScriptSegmentsReplayInOrder(t *testing.T) {
+	const hint = 4
 	for _, c := range []struct {
 		name  string
 		sizes []int // ops in each segment
 	}{
 		{"no segments", nil},
 		{"empty segments", []int{0, 3, 0, 0, 2, 0}},
-		{"segment past starting capacity", []int{5, 3*startOps + 7, 1, 0, startOps}},
+		{"segment past starting capacity", []int{5, 3*hint + 7, 1, 0, hint}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			next := 0 // ops generated so far, in order
-			st := newScript(len(c.sizes), func(s *script, i int) {
+			st := newScript(len(c.sizes), hint, func(s *script, i int) {
 				for n := 0; n < c.sizes[i]; n++ {
 					s.busy(int64(next))
 					next++
@@ -379,6 +381,48 @@ func TestKernelStreamHashes(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s at %d procs, scale %g: stream sha256 = %s, want %s",
 				c.kernel, c.procs, c.scale, got, c.want)
+		}
+	}
+}
+
+// TestKernelOpBuffersNeverGrow drains every kernel at scales from 0.02 to
+// 1.0 and 1 to 32 processors, and checks that each stream's op buffer,
+// allocated at the kernel's longest-segment bound, never grows, and that
+// the bound is no more than 1.25 times the longest segment seen plus one
+// op: a bound that is too small shows as growth, one that is too loose as
+// wasted buffer.
+func TestKernelOpBuffersNeverGrow(t *testing.T) {
+	for _, name := range Names() {
+		for _, scale := range []float64{0.02, 0.125, 0.5, 1.0} {
+			for _, procs := range []int{1, 4, 8, 16, 32} {
+				streams, err := Streams(name, procs, scale)
+				if err != nil {
+					t.Fatal(err)
+				}
+				longest, bound := 0, 0
+				for p, st := range streams {
+					s := st.(*script)
+					bound = s.maxSeg
+					fill := s.fill
+					s.fill = func(s *script, i int) {
+						fill(s, i)
+						longest = max(longest, len(s.ops))
+					}
+					for {
+						if _, ok := s.Next(); !ok {
+							break
+						}
+						if cap(s.ops) != bound {
+							t.Fatalf("%s at %d procs, scale %g: proc %d's op buffer grew from %d to %d ops",
+								name, procs, scale, p, bound, cap(s.ops))
+						}
+					}
+				}
+				if float64(bound) > 1.25*float64(longest)+1 {
+					t.Errorf("%s at %d procs, scale %g: bound %d ops, longest segment %d",
+						name, procs, scale, bound, longest)
+				}
+			}
 		}
 	}
 }

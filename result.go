@@ -15,10 +15,6 @@ import (
 // high-water marks. See sim.QueueStats for field documentation.
 type QueueStats = sim.QueueStats
 
-// CohortBucketMax returns the largest cohort size QueueStats.CohortSizeLog2
-// bucket i covers (the last bucket is open-ended).
-func CohortBucketMax(i int) uint64 { return sim.CohortBucketMax(i) }
-
 func memAddr(a uint64) memsys.Addr { return memsys.Addr(a) }
 
 // ResourceUtil reports one contended resource's occupancy over the run.
@@ -174,10 +170,10 @@ func convertResult(cfg Config, r *machine.Result) *Result {
 		UpdateBytes:        r.Traffic.Bytes[stats.UpdateMsg],
 		DataBytes:          r.Traffic.Bytes[stats.DataMsg],
 		AvgReadMissLatency: r.AvgReadMissLatency(),
-		MissLatencyP50:     r.Cache.LatencyHist.Quantile(50),
-		MissLatencyP95:     r.Cache.LatencyHist.Quantile(95),
-		MissLatencyP99:     r.Cache.LatencyHist.Quantile(99),
-		MissLatencyMax:     r.Cache.LatencyHist.Max(),
+		MissLatencyP50:     r.MissLatency.Quantile(50),
+		MissLatencyP95:     r.MissLatency.Quantile(95),
+		MissLatencyP99:     r.MissLatency.Quantile(99),
+		MissLatencyMax:     r.MissLatency.Max(),
 		TotalPclocks:       r.TotalPclocks,
 		Resources:          convertResources(r),
 		MissPhasePclocks:   missPhases(cfg),

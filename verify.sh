@@ -72,22 +72,27 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # no-allocs tests pin the nil-hook cost to zero, the processor's
 # operations to zero allocations, and a whole run under its allocation
 # and heap-byte ceilings (the second holds workload streams to one loop
-# iteration per processor). The observed-run ceiling does the same for a
-# run with the checker, sharing analyzer, telemetry and trace attached
-# (it fails if their per-block or per-span state goes back to maps and
-# one heap object each). A traced run may allocate only a constant more
-# than the same run untraced, so no trace line allocates. The
-# address-shift test pins the sparse per-block tables, the side channels'
-# included: a run with every address moved above 2^40 or 2^58 bytes must
-# match the unshifted run exactly.
+# iteration per processor; a second heap-byte ceiling holds a run shaped
+# like the scale-0.125 sweep's to what it uses, and two named tests hold
+# every kernel's op buffer to its first size and a busy resource's
+# reservation queue to its live reservations). The observed-run ceiling
+# does the same for a run with the checker, sharing analyzer, telemetry
+# and trace attached (it fails if their per-block or per-span state goes
+# back to maps and one heap object each). A traced run may allocate only
+# a constant more than the same run untraced, so no trace line allocates.
+# The address-shift test pins the sparse per-block tables, the side
+# channels' included: a run with every address moved above 2^40 or 2^58
+# bytes must match the unshifted run exactly.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
-go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
+go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestSweepRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
+go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations' ccsim/internal/sim
+go test -count=1 -run 'TestKernelOpBuffersNeverGrow' ccsim/internal/workload
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
 
