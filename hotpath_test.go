@@ -35,10 +35,10 @@ func TestProtocolTraceGolden(t *testing.T) {
 // path (processor continuations, pooled messages, transaction records and
 // home jobs, ring buffers, the infinite-SLC slab) allocates nothing once
 // warm, and per-block protocol state lives in paged block tables, so what
-// remains is per-run set-up, warm-up of the pools and record slices, one
-// allocation per table page and the invariant walk's one sorted slice:
-// 1,707 allocations for this run, measured when the ceiling was set. The
-// ceiling is about 1.2x that; one allocation per message, reference or
+// remains is per-run set-up, warm-up of the pools and record slices and
+// one allocation per table page: 1,707 allocations for this run when the
+// ceiling was set, 1,645 since per-run set-up was sized to the run. The
+// ceiling is about 1.2x the first; one allocation per message, reference or
 // cached block would exceed it several times over.
 func TestRunAllocationCeiling(t *testing.T) {
 	const ceiling = 2050
