@@ -370,10 +370,10 @@ func TestAnalyticsDisabledAddsNoAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		sh.OnRead(0, 7)
 		sh.OnWrite(0, 7, 3)
-		sh.OnMiss(1, 7)
+		sh.OnMiss(7)
 		sh.OnMissLatency(7, 120)
-		sh.OnInvalidate(1, 7)
-		sh.OnUpdate(1, 7)
+		sh.OnInvalidate(7)
+		sh.OnUpdate(7)
 		sh.OnTraffic(7, stats.DataMsg, 32)
 	}); n != 0 {
 		t.Fatalf("nil sharing analyzer allocates %v times per run, want 0", n)

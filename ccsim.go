@@ -30,15 +30,11 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
-	"strings"
 
 	"ccsim/internal/check"
 	"ccsim/internal/core"
-	"ccsim/internal/machine"
-	"ccsim/internal/memsys"
 	"ccsim/internal/proc"
 	"ccsim/internal/sim"
-	"ccsim/internal/trace"
 	"ccsim/internal/workload"
 )
 
@@ -231,34 +227,6 @@ func (c Config) coreParams() core.Params {
 	return p
 }
 
-func (c Config) machineConfig() machine.Config {
-	mc := machine.Config{
-		Core:             c.coreParams(),
-		LinkBits:         c.LinkBits,
-		Tele:             c.Telemetry,
-		MaxEvents:        c.MaxEvents,
-		MaxTime:          sim.Time(c.Deadline),
-		NoProgressEvents: c.NoProgressEvents,
-		Cancel:           c.Cancel,
-		Check:            c.Check,
-		Sharing:          c.Sharing,
-	}
-	if c.FaultInject != "" {
-		ident := c.Workload + "/" + c.ProtocolName()
-		if kind, target, cut := strings.Cut(c.FaultInject, "@"); cut {
-			if target == ident {
-				mc.Core.Mutate = kind
-			}
-		} else if c.FaultInject == ident {
-			mc.InjectPanic = true
-		}
-	}
-	if c.Net == Mesh {
-		mc.Net = machine.NetMesh
-	}
-	return mc
-}
-
 // ProtocolName returns the paper's name for the configured protocol
 // (BASIC, P, CW, M, P+CW, P+M, CW+M, P+CW+M, with -SC under sequential
 // consistency).
@@ -344,24 +312,18 @@ func RunStreams(cfg Config, streams []Stream) (*Result, error) {
 }
 
 func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
-	mc := cfg.machineConfig()
-	if cfg.TraceWriter != nil {
-		var f trace.Filter
-		for _, a := range cfg.TraceBlocks {
-			f.Blocks = append(f.Blocks, uint64(memsys.BlockOf(memsys.Addr(a))))
-		}
-		mc.Tracer = trace.New(cfg.TraceWriter, f)
+	m, err := newMachine(cfg, streams)
+	if err != nil {
+		return nil, err
+	}
+	if t := m.sys.Tracer; t != nil {
 		// Deferred first so it runs last, after a panic has become a fault:
 		// every path writes the whole trace before the run returns.
 		defer func() {
-			if cerr := mc.Tracer.Close(); cerr != nil {
+			if cerr := t.Close(); cerr != nil {
 				res, err = nil, errors.Join(err, cerr)
 			}
 		}()
-	}
-	m, merr := machine.New(mc, streams)
-	if merr != nil {
-		return nil, merr
 	}
 	// Contain protocol assertions: the simulator's internal invariants stay
 	// panics (DESIGN.md), but none escapes Run — a crash surfaces as a
@@ -374,12 +336,8 @@ func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
 				res, err = nil, oe.err
 				return
 			}
-			res, err = nil, m.Recovered(v, debug.Stack())
+			res, err = nil, m.recovered(v, debug.Stack())
 		}
 	}()
-	r, rerr := m.Run()
-	if rerr != nil {
-		return nil, rerr
-	}
-	return convertResult(cfg, r), nil
+	return m.run()
 }

@@ -60,11 +60,11 @@ func TestLiveCheckerCatchesWritebackMutation(t *testing.T) {
 	if !f.HasBlock || f.Block != 0 {
 		t.Errorf("fault names block %d (has=%v), want block 0", f.Block, f.HasBlock)
 	}
-	if f.MsgKind == "" {
-		t.Errorf("fault does not name the protocol message being handled")
+	if f.Component != "cache 0" || f.MsgKind != "ReadReply" {
+		t.Errorf("fault attributed to %q handling %q, want cache 0 handling ReadReply", f.Component, f.MsgKind)
 	}
-	if f.Message == "" {
-		t.Errorf("fault carries no violation message")
+	if want := "node 0 read block 0 word 0 version 0 after seeing 1"; f.Message != want {
+		t.Errorf("fault message = %q, want %q", f.Message, want)
 	}
 }
 
@@ -111,8 +111,11 @@ func TestLiveCheckerCatchesSkipSharerMutation(t *testing.T) {
 	if !f.HasBlock || f.Block != 0 {
 		t.Errorf("fault names block %d (has=%v), want block 0", f.Block, f.HasBlock)
 	}
-	if !strings.Contains(f.Component, "cache") {
-		t.Errorf("fault component = %q, want the installing cache", f.Component)
+	if f.Component != "cache 1" || f.MsgKind != "ReadReply" {
+		t.Errorf("fault attributed to %q handling %q, want the installing cache 1 handling ReadReply", f.Component, f.MsgKind)
+	}
+	if want := "install: node 1 holds block 0 outside the presence vector (CLEAN presence 0x0)"; f.Message != want {
+		t.Errorf("fault message = %q, want %q", f.Message, want)
 	}
 }
 

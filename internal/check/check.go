@@ -23,10 +23,11 @@
 // version above the serialization high-water mark.
 //
 // A violation panics with a structured *fault.SimFault (KindInvariant)
-// naming the protocol message being handled, the block and the transition
-// — ccsim.Run recovers it into the ordinary fault path, so the dump
-// carries the machine snapshot and the flight-recorder tail for the exact
-// event where coherence first broke.
+// naming the block and the transition. ccsim.Run recovers it into the
+// ordinary fault path, which adds the protocol message being handled and
+// the controller handling it, so the dump carries the machine snapshot and
+// the flight-recorder tail for the exact event where coherence first
+// broke.
 //
 // The package is a leaf over fault and memsys so internal/core can hook it
 // without cycles. A disabled checker is a nil pointer in core.System; every
@@ -87,14 +88,6 @@ type Oracle struct {
 	wc    []memsys.Table[wcShadow] // one table per node
 	hwm   memsys.Table[memsys.BlockData]
 
-	// Dispatch context: the protocol message whose handling triggered the
-	// current hooks; a violation is attributed to it.
-	ctxValid  bool
-	ctxMsg    string
-	ctxBlock  memsys.Block
-	ctxDst    int
-	ctxToHome bool
-
 	checks uint64
 
 	// LogObs, when set before the run, records every read observation and
@@ -116,7 +109,6 @@ func (o *Oracle) Reset(nodes int) {
 	o.lines = memsys.Table[lineShadow]{}
 	o.wc = make([]memsys.Table[wcShadow], nodes)
 	o.hwm = memsys.Table[memsys.BlockData]{}
-	o.ctxValid = false
 	o.checks = 0
 	o.obs = make([][]Obs, nodes)
 }
@@ -128,41 +120,24 @@ func (o *Oracle) Checks() uint64 { return o.checks }
 // set), in per-node program order.
 func (o *Oracle) Observations(n int) []Obs { return o.obs[n] }
 
-// OnDispatch records the protocol message now being handled; violations
-// raised until the next dispatch are attributed to it.
-func (o *Oracle) OnDispatch(msg string, b memsys.Block, dst int, toHome bool) {
-	o.ctxMsg, o.ctxBlock, o.ctxDst, o.ctxToHome, o.ctxValid = msg, b, dst, toHome, true
-}
-
-// violate raises a structured invariant fault for block b attributed to
-// the given component ("" derives it from the dispatch context).
-func (o *Oracle) violate(component string, b memsys.Block, format string, args ...any) {
-	f := &fault.SimFault{
-		Kind:     fault.KindInvariant,
-		Block:    uint64(b),
-		HasBlock: true,
-		Message:  fmt.Sprintf(format, args...),
-	}
-	if component == "" && o.ctxValid {
-		if o.ctxToHome {
-			component = fmt.Sprintf("home %d", o.ctxDst)
-		} else {
-			component = fmt.Sprintf("cache %d", o.ctxDst)
-		}
-	}
-	f.Component = component
-	if o.ctxValid {
-		f.MsgKind = o.ctxMsg
-	}
-	panic(f)
+// violate raises a structured invariant fault for block b. The run that
+// recovers it attributes it to the protocol message being handled.
+func (o *Oracle) violate(b memsys.Block, format string, args ...any) {
+	o.Failf("", b, format, args...)
 }
 
 // Failf lets the hooked code raise an invariant violation it detected
 // itself (FLC inclusion, data-value regressions) through the same
-// structured fault path. component may be empty to use the dispatch
-// context.
+// structured fault path. component names the controller at fault; leave it
+// empty for the one handling the message being dispatched.
 func (o *Oracle) Failf(component string, b memsys.Block, format string, args ...any) {
-	o.violate(component, b, format, args...)
+	panic(&fault.SimFault{
+		Kind:      fault.KindInvariant,
+		Component: component,
+		Block:     uint64(b),
+		HasBlock:  true,
+		Message:   fmt.Sprintf(format, args...),
+	})
 }
 
 // OnLine records that node's SLC now holds b (dirty or shared) after the
@@ -182,24 +157,24 @@ func (o *Oracle) OnLine(node int, b memsys.Block, dirty bool, event string) {
 	if dirty {
 		// SWMR: no other node may hold a dirty copy at any instant.
 		if others := l.dirty &^ bit; others != 0 {
-			o.violate("", b, "%s: node %d turned block %d dirty while node %d already holds it dirty (SWMR)",
+			o.violate(b, "%s: node %d turned block %d dirty while node %d already holds it dirty (SWMR)",
 				event, node, b, lowest(others))
 		}
 		// A dirty copy exists only at the registered owner of a MODIFIED
 		// entry — the home always registers the grant before the ack can
 		// arrive.
 		if !d.known || !d.modified || d.owner != node {
-			o.violate("", b, "%s: node %d holds block %d dirty but directory is %s",
+			o.violate(b, "%s: node %d holds block %d dirty but directory is %s",
 				event, node, b, d.describe())
 		}
 	} else if d.modified && d.owner != node {
 		// A shared copy under a MODIFIED entry is legal only at the owner
 		// (the instant between its downgrade and the home's transition).
-		o.violate("", b, "%s: node %d holds block %d shared but directory is %s",
+		o.violate(b, "%s: node %d holds block %d shared but directory is %s",
 			event, node, b, d.describe())
 	}
 	if d.known && d.presence&(1<<uint(node)) == 0 {
-		o.violate("", b, "%s: node %d holds block %d outside the presence vector (%s)",
+		o.violate(b, "%s: node %d holds block %d outside the presence vector (%s)",
 			event, node, b, d.describe())
 	}
 }
@@ -245,23 +220,23 @@ func (d dirShadow) describe() string {
 func (o *Oracle) OnDirState(home int, b memsys.Block, modified bool, owner int, presence uint64, event string) {
 	o.checks++
 	if h := memsys.HomeOf(b, o.nodes); h != home {
-		o.violate("", b, "%s: directory entry for block %d mutated at node %d, home is %d",
+		o.violate(b, "%s: directory entry for block %d mutated at node %d, home is %d",
 			event, b, home, h)
 	}
 	*o.dir.At(b) = dirShadow{known: true, modified: modified, owner: owner, presence: presence}
 	l := load(&o.lines, b)
 	if modified {
 		if owner < 0 || owner >= o.nodes {
-			o.violate("", b, "%s: block %d MODIFIED with owner %d out of range", event, b, owner)
+			o.violate(b, "%s: block %d MODIFIED with owner %d out of range", event, b, owner)
 		}
 		// In MODIFIED state the presence vector collapses to at most the
 		// owner, and no other node may hold any copy.
 		if presence&^(1<<uint(owner)) != 0 {
-			o.violate("", b, "%s: block %d MODIFIED owner %d but presence %#x tracks other nodes",
+			o.violate(b, "%s: block %d MODIFIED owner %d but presence %#x tracks other nodes",
 				event, b, owner, presence)
 		}
 		if stray := l.held &^ (1 << uint(owner)); stray != 0 {
-			o.violate("", b, "%s: block %d granted MODIFIED to %d while node %d still holds a copy",
+			o.violate(b, "%s: block %d granted MODIFIED to %d while node %d still holds a copy",
 				event, b, owner, lowest(stray))
 		}
 		return
@@ -272,9 +247,9 @@ func (o *Oracle) OnDirState(home int, b memsys.Block, modified bool, owner int, 
 	if bad := l.dirty | l.held&^presence; bad != 0 {
 		n := lowest(bad)
 		if l.dirty&(1<<uint(n)) != 0 {
-			o.violate("", b, "%s: block %d CLEAN at home while node %d holds it dirty", event, b, n)
+			o.violate(b, "%s: block %d CLEAN at home while node %d holds it dirty", event, b, n)
 		}
-		o.violate("", b, "%s: block %d presence %#x dropped node %d which still holds a copy",
+		o.violate(b, "%s: block %d presence %#x dropped node %d which still holds a copy",
 			event, b, presence, n)
 	}
 }
@@ -287,7 +262,7 @@ func (o *Oracle) OnWCWrite(node int, b memsys.Block, w int, got memsys.WordMask)
 	want := e.mask.Set(w)
 	*e = wcShadow{held: true, mask: want}
 	if got != want {
-		o.violate("", b, "write cache: node %d block %d word %d: dirty mask %s, shadow %s",
+		o.violate(b, "write cache: node %d block %d word %d: dirty mask %s, shadow %s",
 			node, b, w, got, want)
 	}
 }
@@ -305,10 +280,10 @@ func (o *Oracle) OnWCFlush(node int, b memsys.Block, got memsys.WordMask, event 
 		*e = wcShadow{}
 	}
 	if !held {
-		o.violate("", b, "%s: node %d flushed write-cache block %d the shadow never saw written", event, node, b)
+		o.violate(b, "%s: node %d flushed write-cache block %d the shadow never saw written", event, node, b)
 	}
 	if got != want || got == 0 {
-		o.violate("", b, "%s: node %d flushed block %d with mask %s, shadow %s",
+		o.violate(b, "%s: node %d flushed block %d with mask %s, shadow %s",
 			event, node, b, got, want)
 	}
 }
@@ -320,7 +295,7 @@ func (o *Oracle) OnWrite(node int, b memsys.Block, w int, ver int64) {
 	o.checks++
 	c := o.hwm.At(b)
 	if ver != c[w]+1 {
-		o.violate("", b, "write by node %d to block %d word %d serialized as version %d after %d",
+		o.violate(b, "write by node %d to block %d word %d serialized as version %d after %d",
 			node, b, w, ver, c[w])
 	}
 	c[w] = ver
@@ -336,7 +311,7 @@ func (o *Oracle) OnRead(node int, b memsys.Block, w int, ver int64) {
 	o.checks++
 	// A block never written reads as version 0.
 	if hw := load(&o.hwm, b)[w]; ver > 0 && ver > hw {
-		o.violate("", b, "node %d read block %d word %d version %d beyond serialization high-water %d",
+		o.violate(b, "node %d read block %d word %d version %d beyond serialization high-water %d",
 			node, b, w, ver, hw)
 	}
 	if o.LogObs {

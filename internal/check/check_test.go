@@ -182,24 +182,6 @@ func TestReadBeyondHighWater(t *testing.T) {
 	}
 }
 
-func TestDispatchContextAttribution(t *testing.T) {
-	o := New()
-	o.Reset(2)
-	b := memsys.Block(0)
-	o.OnDirState(0, b, false, -1, 1<<1, "read-share")
-	o.OnDispatch("ReadReply", b, 0, false)
-	f := mustFault(t, func() { o.OnLine(0, b, false, "install") })
-	if f.MsgKind != "ReadReply" {
-		t.Fatalf("MsgKind %q, want ReadReply", f.MsgKind)
-	}
-	if f.Component != "cache 0" {
-		t.Fatalf("Component %q, want cache 0", f.Component)
-	}
-	if f.Block != 0 {
-		t.Fatalf("Block %d, want 0", f.Block)
-	}
-}
-
 func TestObservationLog(t *testing.T) {
 	o := New()
 	o.LogObs = true

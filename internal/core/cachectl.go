@@ -486,7 +486,7 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 		c.Misses.Add(c.Cls.Classify(b))
 		c.CStats.SLCReadMisses++
 		if c.sys.Shr != nil {
-			c.sys.Shr.OnMiss(c.id, uint64(b))
+			c.sys.Shr.OnMiss(uint64(b))
 		}
 	}
 	ms := c.newMSHR(b, mshrRead)
@@ -948,7 +948,7 @@ func (c *CacheCtl) removeLine(b memsys.Block) {
 	c.sys.traceNode(trace.CacheEvict, "inval", b, c.id, line.State.String())
 	c.ckDrop(b, "inval")
 	if c.statsOn() && c.sys.Shr != nil {
-		c.sys.Shr.OnInvalidate(c.id, uint64(b))
+		c.sys.Shr.OnInvalidate(uint64(b))
 	}
 	c.flc.Invalidate(b)
 	c.Cls.Invalidate(b)
@@ -1290,7 +1290,7 @@ func (c *CacheCtl) onFwd(m *Msg) {
 func (c *CacheCtl) onUpdCopy(m *Msg) {
 	b := m.Block
 	if c.statsOn() && c.sys.Shr != nil {
-		c.sys.Shr.OnUpdate(c.id, uint64(b))
+		c.sys.Shr.OnUpdate(uint64(b))
 	}
 	reply := &Msg{Type: MsgUpdAck, Block: b, Dst: m.Src}
 	line := c.slc.Lookup(b)

@@ -15,8 +15,8 @@ import (
 // (node order, block order) so identical faults dump identically.
 
 // LastDispatch returns the dispatch context: the component and protocol
-// message a panic inside a handler should be attributed to. ok is false
-// before the first message delivery.
+// message a panic or a live-checker fault inside a handler should be
+// attributed to. ok is false before the first message delivery.
 func (s *System) LastDispatch() (component, msgKind string, block memsys.Block, ok bool) {
 	if !s.lastValid {
 		return "", "", 0, false

@@ -69,8 +69,9 @@ type System struct {
 	mutArmed bool
 
 	// Dispatch context: the protocol message most recently delivered to a
-	// controller. A panic inside a handler is attributed to this message
-	// (plain value fields — maintaining them costs no allocation).
+	// controller. A panic inside a handler, and a live-checker fault, is
+	// attributed to this message (plain value fields — maintaining them
+	// costs no allocation).
 	lastType   MsgType
 	lastBlock  memsys.Block
 	lastDst    int
@@ -353,9 +354,6 @@ func (s *System) dispatch(m *Msg) {
 	s.Rec.Record(int64(s.Eng.Now()), "recv", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
 	s.lastType, s.lastBlock, s.lastDst, s.lastToHome, s.lastValid =
 		m.Type, m.Block, m.Dst, m.toHome(), true
-	if s.Check != nil {
-		s.Check.OnDispatch(m.Type.String(), m.Block, m.Dst, m.toHome())
-	}
 	if m.Txn != 0 && s.Tele != nil {
 		if ph, ok := arrivalPhase(m.Type); ok {
 			s.Tele.Mark(m.Txn, ph, int64(s.Eng.Now()))

@@ -291,13 +291,12 @@ func clampNode(n int) int16 {
 }
 
 // OnMiss records an SLC demand read miss on the block.
-func (s *Sharing) OnMiss(node int, b uint64) {
+func (s *Sharing) OnMiss(b uint64) {
 	if s == nil {
 		return
 	}
 	bs := s.get(b)
 	s.settle(bs, func() { bs.misses++ })
-	_ = node
 }
 
 // OnMissLatency attributes one demand-miss service time (pclocks) to the
@@ -312,24 +311,22 @@ func (s *Sharing) OnMissLatency(b uint64, lat int64) {
 
 // OnInvalidate records a coherence invalidation of the block's SLC copy
 // (replacement victims are not counted).
-func (s *Sharing) OnInvalidate(node int, b uint64) {
+func (s *Sharing) OnInvalidate(b uint64) {
 	if s == nil {
 		return
 	}
 	bs := s.get(b)
 	s.settle(bs, func() { bs.invals++ })
-	_ = node
 }
 
 // OnUpdate records a write-update delivery to the block's copy (competitive
 // update protocol).
-func (s *Sharing) OnUpdate(node int, b uint64) {
+func (s *Sharing) OnUpdate(b uint64) {
 	if s == nil {
 		return
 	}
 	bs := s.get(b)
 	s.settle(bs, func() { bs.updates++ })
-	_ = node
 }
 
 // OnTraffic attributes one network message to the block's class by message

@@ -3,6 +3,7 @@ package ccsim
 import (
 	"fmt"
 
+	"ccsim/internal/memsys"
 	"ccsim/internal/proc"
 )
 
@@ -79,7 +80,7 @@ func (op Op) toProc() (proc.Op, error) {
 	}
 	return proc.Op{
 		Kind:   proc.OpKind(op.Kind),
-		Addr:   memAddr(op.Addr),
+		Addr:   memsys.Addr(op.Addr),
 		Cycles: op.Cycles,
 		Bar:    op.Bar,
 	}, nil

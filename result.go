@@ -3,19 +3,13 @@ package ccsim
 import (
 	"fmt"
 
-	"ccsim/internal/machine"
-	"ccsim/internal/memsys"
 	"ccsim/internal/sim"
-	"ccsim/internal/stats"
-	"ccsim/internal/telemetry"
 )
 
 // QueueStats is the event engine's internal scheduling profile — wheel vs
 // overflow routing counts, migrations, cohort-size histogram, and depth
 // high-water marks. See sim.QueueStats for field documentation.
 type QueueStats = sim.QueueStats
-
-func memAddr(a uint64) memsys.Addr { return memsys.Addr(a) }
 
 // ResourceUtil reports one contended resource's occupancy over the run.
 type ResourceUtil struct {
@@ -26,32 +20,6 @@ type ResourceUtil struct {
 	WaitPclocks   int64 // cumulative time requests queued for the resource
 	Uses          uint64
 	MaxQueueDepth int // peak simultaneous reservations
-}
-
-func convertResources(r *machine.Result) []ResourceUtil {
-	out := make([]ResourceUtil, 0, len(r.Resources))
-	for _, u := range r.Resources {
-		ru := ResourceUtil{
-			Name:          u.Name,
-			Node:          u.Node,
-			BusyPclocks:   u.Busy,
-			WaitPclocks:   u.Wait,
-			Uses:          u.Uses,
-			MaxQueueDepth: u.MaxQueueDepth,
-		}
-		if r.TotalPclocks > 0 {
-			ru.Utilization = float64(u.Busy) / float64(r.TotalPclocks)
-		}
-		out = append(out, ru)
-	}
-	return out
-}
-
-func missPhases(cfg Config) map[string]int64 {
-	if cfg.Telemetry == nil {
-		return nil
-	}
-	return cfg.Telemetry.PhaseTotals(telemetry.SpanRead)
 }
 
 // Result carries everything a run measures, in the units the paper
@@ -145,54 +113,6 @@ type Result struct {
 	// always-on counters the experiment scheduler aggregates across a
 	// sweep (exp.SchedStats.Engine).
 	Queue QueueStats
-}
-
-func convertResult(cfg Config, r *machine.Result) *Result {
-	return &Result{
-		Protocol:           r.Protocol,
-		Workload:           cfg.Workload,
-		Network:            r.Network,
-		Procs:              r.Nodes,
-		ExecTime:           r.ExecTime,
-		Busy:               r.Busy,
-		ReadStall:          r.ReadStall,
-		WriteStall:         r.WriteStall,
-		AcquireStall:       r.AcquireStall + r.BarrierStall,
-		BarrierStall:       r.BarrierStall,
-		ReleaseStall:       r.ReleaseStall,
-		Reads:              r.Reads,
-		Writes:             r.Writes,
-		ColdMisses:         r.Misses[stats.Cold],
-		CoherenceMisses:    r.Misses[stats.Coherence],
-		ReplacementMisses:  r.Misses[stats.Replacement],
-		TrafficBytes:       r.Traffic.TotalBytes(),
-		TrafficMsgs:        r.Traffic.TotalMsgs(),
-		UpdateBytes:        r.Traffic.Bytes[stats.UpdateMsg],
-		DataBytes:          r.Traffic.Bytes[stats.DataMsg],
-		AvgReadMissLatency: r.AvgReadMissLatency(),
-		MissLatencyP50:     r.MissLatency.Quantile(50),
-		MissLatencyP95:     r.MissLatency.Quantile(95),
-		MissLatencyP99:     r.MissLatency.Quantile(99),
-		MissLatencyMax:     r.MissLatency.Max(),
-		TotalPclocks:       r.TotalPclocks,
-		Resources:          convertResources(r),
-		MissPhasePclocks:   missPhases(cfg),
-		DroppedSpans:       cfg.Telemetry.DroppedSpans(),
-		Sharing:            cfg.Sharing.Report(),
-		PrefetchesIssued:   r.Prefetch.Issued,
-		PrefetchesUseful:   r.Prefetch.Useful,
-		PrefetchPartHits:   r.Prefetch.PartHits,
-		PrefetchesNacked:   r.Prefetch.Nacked,
-		OwnershipRequests:  r.OwnReqs,
-		UpdateRequests:     r.UpdateReqs,
-		MigDetections:      r.MigDetections,
-		MigReverts:         r.MigReverts,
-		ExclSupplies:       r.ExclSupplies,
-		WriteCacheHits:     r.Cache.WCHits,
-		PointerOverflows:   r.PointerOverflows,
-		BroadcastInvs:      r.BroadcastInvs,
-		Queue:              r.Queue,
-	}
 }
 
 // ColdMissRate returns the cold miss-rate component as a percentage of

@@ -112,23 +112,24 @@ go test -count=1 -run 'TestRandomWalkChecked' ccsim/internal/litmus
 # Tier-2 metrics regression gate: regenerate the golden grid (every run of
 # the whole evaluation at a tiny fixed scale: all eight extension sets, RC
 # and SC, uniform and 16/32/64-bit meshes, every sensitivity axis) and
-# require every metric to match the committed baseline exactly — the
-# simulator is deterministic, so any drift is a behavior change.
-# `make golden` refreshes the baseline after an intentional one.
-go build -o /tmp/metricsdiff-verify ./cmd/metricsdiff
+# require it to match the committed baseline byte for byte — the simulator
+# is deterministic, so any drift is a behavior change. A file missing from
+# either side fails too. The golden JSON is indented, so diff prints the
+# file and the line of any metric that moved. `make golden` refreshes the
+# baseline after an intentional one.
 go build -o /tmp/experiments-verify ./cmd/experiments
 rm -rf /tmp/ccsim-metrics-check
 /tmp/experiments-verify -exp all -scale 0.02 -procs 16 -q -metrics /tmp/ccsim-metrics-check > /dev/null
-/tmp/metricsdiff-verify golden /tmp/ccsim-metrics-check
+diff -r golden /tmp/ccsim-metrics-check
 
 # Gate self-check: the baseline must pass against itself, and a perturbed
 # copy must fail — proves the gate can actually catch a regression.
-/tmp/metricsdiff-verify golden golden > /dev/null
+diff -r golden golden > /dev/null
 rm -rf /tmp/ccsim-metrics-perturbed
 cp -r golden /tmp/ccsim-metrics-perturbed
 sed -i 's/"ExecTime": [0-9]*/"ExecTime": 1/' /tmp/ccsim-metrics-perturbed/mp3d_BASIC_p16_x0.02.json
-if /tmp/metricsdiff-verify golden /tmp/ccsim-metrics-perturbed > /dev/null 2>&1; then
-    echo "metricsdiff self-check: perturbed baseline was not rejected" >&2
+if diff -r golden /tmp/ccsim-metrics-perturbed > /dev/null 2>&1; then
+    echo "golden self-check: perturbed baseline was not rejected" >&2
     exit 1
 fi
 rm -rf /tmp/ccsim-metrics-check /tmp/ccsim-metrics-perturbed
@@ -178,4 +179,4 @@ ls /tmp/ccsim-store/quarantine/* > /dev/null
 rm -rf /tmp/ccsim-store /tmp/ccsim-resume-ref.txt /tmp/ccsim-resume-out.txt \
     /tmp/ccsim-resume-out2.txt
 
-rm -f /tmp/metricsdiff-verify /tmp/experiments-verify
+rm -f /tmp/experiments-verify
