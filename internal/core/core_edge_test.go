@@ -206,6 +206,58 @@ func TestWritebackStampRejectsStale(t *testing.T) {
 	}
 }
 
+// TestOwnerReadParksUntilWriteback drives the home's parking path: node 1
+// victimized its dirty copy and missed on the block again, and its read
+// request overtook its writeback. The home must park the read (the
+// registered owner cannot be asking for data it holds), accept the
+// writeback when it lands, then serve the parked read from memory.
+func TestOwnerReadParksUntilWriteback(t *testing.T) {
+	eng, s := testSystem(t, nil)
+	a := blockHomedAt(s, 0)
+	b := memsys.BlockOf(a)
+	write(t, eng, s, 1, a) // node 1 owner, grants=1
+	home := s.Nodes[0].Home
+	// Node 1's side of the race: the victimized line is gone, its
+	// writeback is in flight and a read miss is pending.
+	c := s.Nodes[1].Cache
+	c.slc.Invalidate(b)
+	c.wb = append(c.wb, wbEntry{block: b})
+	served := false
+	ms := c.newMSHR(b, mshrRead)
+	ms.readers = append(ms.readers, readerWait{fn: func() { served = true }})
+
+	home.Handle(&Msg{Type: MsgReadReq, Block: b, Src: 1, Dst: 0})
+	eng.Run()
+	d := s.dirSnapshot(b)
+	if d == nil || d.Parked != 1 || d.Busy || d.Deferred != 0 || d.State != "MODIFIED" || d.Owner != 1 {
+		t.Fatalf("read not parked behind the writeback: %+v", d)
+	}
+	if served {
+		t.Fatal("parked read served before the writeback arrived")
+	}
+
+	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 1})
+	eng.Run()
+	if home.Writebacks != 1 || home.StaleWritebacks != 0 {
+		t.Fatalf("writeback not accepted: %d accepted, %d stale", home.Writebacks, home.StaleWritebacks)
+	}
+	if !served {
+		t.Fatal("parked read never served")
+	}
+	if e, _ := home.Entry(b); e.Modified || e.Busy || e.Presence != bit(1) {
+		t.Fatalf("entry after the writeback and read: %+v, want CLEAN with presence {1}", e)
+	}
+	if d := s.dirSnapshot(b); d.Parked != 0 || d.Deferred != 0 {
+		t.Fatalf("requests left queued: %+v", d)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Quiesced() {
+		t.Fatal("machine not quiesced")
+	}
+}
+
 func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
 	// Regression for the ABA the fuzzer found: a cache victimizes its
 	// dirty line, regains exclusivity through an update while the old
