@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -69,12 +70,43 @@ func lineOf(s *System, n int, a memsys.Addr) *cache.Line {
 }
 
 // TestDirEntrySize pins a directory entry at the protocol state BASIC and
-// the extensions need: a home's block table holds one per block of every
-// page it serves, so a field added back to it (the data-verification
-// words, say) grows every run's directory pages.
+// the extensions keep between transactions: a home's block table holds one
+// per block of every page it serves, so a field added back to it (the
+// data-verification words, or transaction context that belongs in the
+// txnRec) grows every run's directory pages.
 func TestDirEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(dirEntry{}); n != 136 {
-		t.Errorf("dirEntry is %d bytes, want 136", n)
+	if n := unsafe.Sizeof(dirEntry{}); n != 24 {
+		t.Errorf("dirEntry is %d bytes, want 24", n)
+	}
+}
+
+// TestDirEntryHoldsNoPointers keeps the directory pages out of the
+// collector's scan: an entry may hold only plain values, so a pointer,
+// slice, map, interface, func, chan or string field (a request queue, say),
+// or an array or struct holding one, fails here.
+func TestDirEntryHoldsNoPointers(t *testing.T) {
+	var holds func(reflect.Type) bool
+	holds = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.String:
+			return true
+		case reflect.Array:
+			return holds(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holds(typ.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	typ := reflect.TypeOf(dirEntry{})
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); holds(f.Type) {
+			t.Errorf("dirEntry.%s (%s) holds a pointer", f.Name, f.Type)
+		}
 	}
 }
 

@@ -258,6 +258,58 @@ func TestOwnerReadParksUntilWriteback(t *testing.T) {
 	}
 }
 
+// TestOwnerReadParksDuringDrain is the parking path reached from the
+// deferred queue: node 1's read arrives while the entry is busy with a
+// stale writeback of node 1's, waits behind it, and is parked when the
+// stale writeback finishes and the entry drains. The entry must keep the
+// parked read, idle but not quiet, until the current writeback lands.
+func TestOwnerReadParksDuringDrain(t *testing.T) {
+	eng, s := testSystem(t, nil)
+	a := blockHomedAt(s, 0)
+	b := memsys.BlockOf(a)
+	write(t, eng, s, 1, a) // node 1 owner, grants=1
+	home := s.Nodes[0].Home
+	c := s.Nodes[1].Cache
+	c.slc.Invalidate(b)
+	// Two writebacks in flight, one per acknowledgment: a stale one
+	// (stamp 0) and the current one.
+	c.wb = append(c.wb, wbEntry{block: b}, wbEntry{block: b})
+	served := false
+	ms := c.newMSHR(b, mshrRead)
+	ms.readers = append(ms.readers, readerWait{fn: func() { served = true }})
+
+	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 0})
+	home.Handle(&Msg{Type: MsgReadReq, Block: b, Src: 1, Dst: 0})
+	if d := s.dirSnapshot(b); !d.Busy || d.Deferred != 1 {
+		t.Fatalf("read not deferred behind the stale writeback: %+v", d)
+	}
+	eng.Run()
+	if home.StaleWritebacks != 1 {
+		t.Fatalf("StaleWritebacks = %d, want 1", home.StaleWritebacks)
+	}
+	if d := s.dirSnapshot(b); d.Parked != 1 || d.Busy || d.Deferred != 0 {
+		t.Fatalf("read not parked when the entry drained: %+v", d)
+	}
+	if s.Quiesced() {
+		t.Fatal("machine quiesced with a read parked at the home")
+	}
+
+	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 1})
+	eng.Run()
+	if home.Writebacks != 1 || !served {
+		t.Fatalf("writeback accepted %d times, read served %v", home.Writebacks, served)
+	}
+	if e, _ := home.Entry(b); e.Modified || e.Busy || e.Presence != bit(1) {
+		t.Fatalf("entry after the writeback and read: %+v, want CLEAN with presence {1}", e)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Quiesced() {
+		t.Fatal("machine not quiesced")
+	}
+}
+
 func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
 	// Regression for the ABA the fuzzer found: a cache victimizes its
 	// dirty line, regains exclusivity through an update while the old

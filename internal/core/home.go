@@ -13,9 +13,9 @@ import (
 
 // dirState is a memory block's stable directory state. The paper's three
 // transient states are represented by the entry's busy flag plus the
-// transaction context; requests arriving at a busy entry are deferred, which
+// transaction record; requests arriving at a busy entry are deferred, which
 // serializes transactions per block exactly as a real home controller does.
-type dirState int
+type dirState uint8
 
 const (
 	dirClean    dirState = iota // the memory copy is valid
@@ -23,7 +23,7 @@ const (
 )
 
 // txnKind identifies the in-flight transaction at a busy entry.
-type txnKind int
+type txnKind uint8
 
 const (
 	txNone   txnKind = iota
@@ -38,41 +38,95 @@ const (
 // presence vector and stable state of BASIC (paper §2), plus the migratory
 // bit, last-writer pointer and last-updater pointer the M and CW+M
 // extensions add (paper §3.2, §3.4). Entries live by value in the home's
-// block table; seen marks one the home has received a request for.
+// block table, one per block of every page the home touches, so an entry
+// keeps only what outlives a transaction: 24 bytes and no pointers, which
+// the collector never scans. What a transaction needs while it runs lives
+// in a pooled txnRec that rec names. seen marks an entry the home has
+// received a request for. Node numbers fit an int8 (Params.Validate caps
+// Nodes at 64).
 type dirEntry struct {
-	seen     bool
-	state    dirState
 	presence uint64 // bit i set: node i may hold a copy
-	owner    int    // valid when state == dirModified
-
-	// deferred, parked and txnReq hold pooled request records (see
-	// HomeCtl.hold): a request outlives the handler that delivered it.
-	busy     bool
-	deferred reqQueue // requests awaiting the current transaction
-	parked   reqQueue // requests from the registered owner, awaiting its writeback
-
-	// Transaction context (valid while busy).
-	txn      txnKind
-	txnReq   *heldReq
-	acksLeft int
-	needData bool
-	gaveUp   bool // CW+M probe: all interrogated caches surrendered
-	probing  bool
-
-	// overflow marks a limited-pointer entry whose sharer count exceeded
-	// the pointer budget: coherence actions must broadcast.
-	overflow bool
 
 	// grants counts exclusive-ownership grants; a writeback request is
 	// only current if no grant intervened since it arrived (otherwise
 	// ownership cycled — possibly back to the same cache — while the stale
 	// writeback sat deferred).
-	grants int
+	grants int32
 
-	// Extension state.
-	migratory   bool
-	lastWriter  int
-	lastUpdater int
+	// rec names the entry's transaction record in System.txns while a
+	// transaction is in flight or requests are queued, and is 0 once the
+	// entry is quiet again (see HomeCtl.finish).
+	rec int32
+
+	owner       int8 // valid when state == dirModified
+	lastWriter  int8 // M extension
+	lastUpdater int8 // CW+M extension
+	state       dirState
+
+	seen bool
+	busy bool
+	// overflow marks a limited-pointer entry whose sharer count exceeded
+	// the pointer budget: coherence actions must broadcast.
+	overflow  bool
+	migratory bool
+}
+
+// txnRec is the transaction context of one directory entry: everything
+// valid only while the entry is busy or has queued requests. A record is
+// attached when its entry first goes busy or parks a request, and released
+// once the entry is quiet again, so the home keeps one per block with
+// work pending rather than one per block it serves. req, deferred and
+// parked hold pooled request records (see HomeCtl.hold): a request
+// outlives the handler that delivered it.
+type txnRec struct {
+	req      *heldReq // the in-flight request (valid while busy)
+	deferred reqQueue // requests awaiting the current transaction
+	parked   reqQueue // requests from the registered owner, awaiting its writeback
+
+	acksLeft int32
+	txn      txnKind
+	needData bool
+	gaveUp   bool // CW+M probe: all interrogated caches surrendered
+	probing  bool
+
+	next int32 // free-list link (see txnPool)
+}
+
+// txnChunk is the record pool's growth step, in records: one chunk covers
+// the transactions a typical run has in flight at once.
+const txnChunk = 64
+
+// txnPool holds a run's transaction records in fixed-size chunks, so a
+// record's address never changes, and recycles released records through a
+// free list. Records are named by index from 1; 0 names none.
+type txnPool struct {
+	chunks []*[txnChunk]txnRec
+	used   int32 // records ever handed out
+	free   int32 // head of the free list (0 = empty)
+}
+
+// at returns record i (i >= 1).
+func (p *txnPool) at(i int32) *txnRec { return &p.chunks[(i-1)/txnChunk][(i-1)%txnChunk] }
+
+// get returns the index of a cleared record, growing the pool by a chunk
+// when every record is in use.
+func (p *txnPool) get() int32 {
+	if i := p.free; i != 0 {
+		p.free = p.at(i).next
+		p.at(i).next = 0
+		return i
+	}
+	if int(p.used) == len(p.chunks)*txnChunk {
+		p.chunks = append(p.chunks, new([txnChunk]txnRec))
+	}
+	p.used++
+	return p.used
+}
+
+// put clears record i and returns it to the free list.
+func (p *txnPool) put(i int32) {
+	*p.at(i) = txnRec{next: p.free}
+	p.free = i
 }
 
 // heldReq is a pooled request record: a delivered request copied to live on
@@ -191,7 +245,7 @@ func bit(n int) uint64 { return 1 << uint(n) }
 // transition. One nil check when the checker is off.
 func (h *HomeCtl) ckDir(b memsys.Block, e *dirEntry, event string) {
 	if ck := h.sys.Check; ck != nil {
-		ck.OnDirState(h.id, b, e.state == dirModified, e.owner, e.presence, event)
+		ck.OnDirState(h.id, b, e.state == dirModified, int(e.owner), e.presence, event)
 	}
 }
 
@@ -245,9 +299,30 @@ func (h *HomeCtl) sharersFor(e *dirEntry, requester int) uint64 {
 	return e.presence &^ bit(requester)
 }
 
+// grant makes node n the block's exclusive owner and last writer: one
+// more exclusive-ownership grant.
+func (h *HomeCtl) grant(e *dirEntry, n int) {
+	e.state = dirModified
+	e.owner = int8(n)
+	h.setPresence(e, bit(n))
+	e.lastWriter = int8(n)
+	e.grants++
+}
+
 // quiet reports whether no transaction is in flight or queued at e.
-func (e *dirEntry) quiet() bool {
-	return !e.busy && e.deferred.empty() && e.parked.empty()
+func (e *dirEntry) quiet() bool { return !e.busy && e.rec == 0 }
+
+// txn returns e's transaction record; e must have one (busy, or requests
+// queued).
+func (h *HomeCtl) txn(e *dirEntry) *txnRec { return h.sys.txns.at(e.rec) }
+
+// inFlight returns the kind of transaction in flight at e (txNone when e
+// is not busy).
+func (h *HomeCtl) inFlight(e *dirEntry) txnKind {
+	if !e.busy {
+		return txNone
+	}
+	return h.txn(e).txn
 }
 
 // idle reports whether no transaction is in flight at this home.
@@ -282,7 +357,7 @@ func (h *HomeCtl) Handle(m *Msg) {
 		e := h.entry(m.Block)
 		r := h.hold(m)
 		if e.busy {
-			e.deferred.push(r)
+			h.txn(e).deferred.push(r)
 			return
 		}
 		h.process(r, e)
@@ -301,23 +376,28 @@ func (h *HomeCtl) Handle(m *Msg) {
 	}
 }
 
-// process starts a transaction for a request at a non-busy entry. All
-// requests first access the (fully interleaved) memory, which holds both
-// the directory and the data.
+// process starts a transaction for a request at a non-busy entry,
+// attaching a transaction record if the entry has none. All requests first
+// access the (fully interleaved) memory, which holds both the directory and
+// the data.
 func (h *HomeCtl) process(m *heldReq, e *dirEntry) {
+	if e.rec == 0 {
+		e.rec = h.sys.txns.get()
+	}
+	t := h.txn(e)
 	// A read or ownership request from the registered exclusive owner can
 	// only mean the owner's writeback is still in flight. Park it until the
 	// writeback arrives. (Updates from the owner are handled directly in
 	// updateReq: they carry writes that were combined before the owner
 	// became exclusive.)
-	if e.state == dirModified && e.owner == m.Src &&
+	if e.state == dirModified && int(e.owner) == m.Src &&
 		(m.Type == MsgReadReq || m.Type == MsgOwnReq) {
-		e.parked.push(m)
+		t.parked.push(m)
 		return
 	}
 	e.busy = true
-	e.txn = txMem
-	e.txnReq = m
+	t.txn = txMem
+	t.req = m
 	// The request's queueing behind a busy entry ends here; the memory
 	// access it now performs ends at memDone below.
 	h.sys.tmark(m.Txn, telemetry.PhaseDirWait)
@@ -331,7 +411,7 @@ func (h *HomeCtl) process(m *heldReq, e *dirEntry) {
 // (fwdWritten), or a lock or barrier operation (lockDone, barrierDone).
 // Jobs recycle through HomeCtl.jobFree. A job holds the message it serves
 // by value, since the delivered *Msg is valid only until Handle returns;
-// memDone needs none, its request being the entry's in-flight record.
+// memDone needs none, its request being in the entry's transaction record.
 type homeJob struct {
 	h *HomeCtl
 	e *dirEntry
@@ -358,7 +438,7 @@ func memDone(a any) {
 	j := a.(*homeJob)
 	h, e := j.h, j.e
 	h.putJob(j)
-	m := &e.txnReq.Msg
+	m := &h.txn(e).req.Msg
 	h.sys.tmark(m.Txn, telemetry.PhaseMemory)
 	switch m.Type {
 	case MsgReadReq:
@@ -372,18 +452,22 @@ func memDone(a any) {
 	}
 }
 
+// finish ends e's transaction: it recycles the request, starts the
+// deferred requests in order until one keeps the entry busy, and releases
+// the transaction record once nothing is in flight or queued.
 func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
-	e.txnReq.next = h.reqFree
-	h.reqFree = e.txnReq
+	t := h.txn(e)
+	t.req.next = h.reqFree
+	h.reqFree = t.req
+	t.req = nil
+	t.txn = txNone
 	e.busy = false
-	e.txn = txNone
-	e.txnReq = nil
-	h.drainDeferred(b, e)
-}
-
-func (h *HomeCtl) drainDeferred(b memsys.Block, e *dirEntry) {
-	for !e.busy && !e.deferred.empty() {
-		h.process(e.deferred.pop(), e)
+	for !e.busy && !t.deferred.empty() {
+		h.process(t.deferred.pop(), e)
+	}
+	if !e.busy && t.parked.empty() {
+		h.sys.txns.put(e.rec)
+		e.rec = 0
 	}
 }
 
@@ -408,9 +492,9 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 			return
 		}
 		// Serviced in four node-to-node transfers via the owner.
-		e.txn = txFwd
+		h.txn(e).txn = txFwd
 		h.send(&Msg{
-			Type: MsgFwd, Block: b, Dst: e.owner,
+			Type: MsgFwd, Block: b, Dst: int(e.owner),
 			Requester: m.Src, Mig: mig, Prefetch: m.Prefetch, Txn: m.Txn,
 		})
 		return
@@ -421,11 +505,11 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 		// the follow-up write hits locally (the optimization's whole point).
 		h.ExclusiveSupplies++
 		e.state = dirModified
-		e.owner = m.Src
+		e.owner = int8(m.Src)
 		h.setPresence(e, bit(m.Src))
 		e.grants++
 		h.ckDir(b, e, "excl-supply")
-		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: m.Txn})
+		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: m.Txn})
 		h.finish(b, e)
 		return
 	}
@@ -441,7 +525,7 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 func (h *HomeCtl) onFwdReply(m *Msg) {
 	b := m.Block
 	e := h.entry(b)
-	if !e.busy || (e.txn != txFwd && e.txn != txRecall) {
+	if k := h.inFlight(e); k != txFwd && k != txRecall {
 		panic(fmt.Sprintf("home %d: unexpected FwdReply for block %d", h.id, b))
 	}
 	// A forward served from a writeback buffer carries a mask: only the
@@ -463,39 +547,30 @@ func (h *HomeCtl) onFwdReply(m *Msg) {
 func fwdWritten(a any) {
 	j := a.(*homeJob)
 	h, e, m := j.h, j.e, &j.m
-	req := e.txnReq
+	t := h.txn(e)
+	req := t.req
 	b := req.Block
 	h.sys.tmark(req.Txn, telemetry.PhaseMemory)
 	switch {
-	case e.txn == txRecall:
+	case t.txn == txRecall:
 		// Recalled to serve a competitive update: apply the update and
 		// hand the block to the updater exclusively.
-		e.state = dirModified
-		e.owner = req.Src
-		h.setPresence(e, bit(req.Src))
-		e.lastWriter = req.Src
-		e.grants++
+		h.grant(e, req.Src)
 		h.applyUpdate(&req.Msg)
 		h.ckDir(b, e, "recall-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
 	case req.Type == MsgOwnReq:
 		// Write miss to a dirty block: exclusive handoff.
-		e.owner = req.Src
-		h.setPresence(e, bit(req.Src))
-		e.lastWriter = req.Src
-		e.grants++
+		h.grant(e, req.Src)
 		h.ckDir(b, e, "fwd-grant")
-		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
+		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
 	case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
 		if m.Wrote {
 			// Still migratory: pass the exclusive copy along.
 			h.ExclusiveSupplies++
-			e.owner = req.Src
-			h.setPresence(e, bit(req.Src))
-			e.lastWriter = req.Src
-			e.grants++
+			h.grant(e, req.Src)
 			h.ckDir(b, e, "mig-pass")
-			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
+			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
 		} else {
 			// The holder never wrote its exclusive copy: the pattern is
 			// no longer migratory. Revert to ordinary sharing (the
@@ -527,8 +602,8 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 	b := m.Block
 	if e.state == dirModified {
 		// Dirty elsewhere: take the copy away from the owner.
-		e.txn = txFwd
-		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
+		h.txn(e).txn = txFwd
+		h.send(&Msg{Type: MsgFwd, Block: b, Dst: int(e.owner), Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
 	// Migratory detection (paper §3.2, following Stenström et al.): an
@@ -537,13 +612,14 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 	// migratory.
 	if h.sys.P.M && !e.migratory &&
 		bits.OnesCount64(e.presence) == 2 && e.presence&bit(m.Src) != 0 &&
-		e.lastWriter >= 0 && e.lastWriter != m.Src {
+		e.lastWriter >= 0 && int(e.lastWriter) != m.Src {
 		e.migratory = true
 		h.MigratoryDetections++
 		h.sys.traceNode(trace.DirTransition, "migratory", b, h.id, "")
 	}
 	sharers := h.sharersFor(e, m.Src)
-	e.needData = e.presence&bit(m.Src) == 0
+	t := h.txn(e)
+	t.needData = e.presence&bit(m.Src) == 0
 	if sharers == 0 {
 		h.grantOwnership(b, e, m.Src)
 		return
@@ -551,8 +627,8 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 	if e.overflow {
 		h.BroadcastInvalidations++
 	}
-	e.txn = txInv
-	e.acksLeft = bits.OnesCount64(sharers)
+	t.txn = txInv
+	t.acksLeft = int32(bits.OnesCount64(sharers))
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if sharers&bit(n) != 0 {
 			h.send(&Msg{Type: MsgInv, Block: b, Dst: n})
@@ -563,16 +639,17 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 func (h *HomeCtl) onInvAck(m *Msg) {
 	b := m.Block
 	e := h.entry(b)
-	if !e.busy || e.txn != txInv {
+	if h.inFlight(e) != txInv {
 		panic(fmt.Sprintf("home %d: unexpected InvAck for block %d", h.id, b))
 	}
 	e.presence &^= bit(m.Src)
 	h.ckDir(b, e, "inv-ack")
-	e.acksLeft--
-	if e.acksLeft == 0 {
+	t := h.txn(e)
+	t.acksLeft--
+	if t.acksLeft == 0 {
 		// The invalidation fan-out round trip ends with the last ack.
-		h.sys.tmark(e.txnReq.Txn, telemetry.PhaseGather)
-		h.grantOwnership(b, e, e.txnReq.Src)
+		h.sys.tmark(t.req.Txn, telemetry.PhaseGather)
+		h.grantOwnership(b, e, t.req.Src)
 	}
 }
 
@@ -587,13 +664,10 @@ var grantNotes = func() (n [64]string) {
 
 func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
 	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, grantNotes[to])
-	e.state = dirModified
-	e.owner = to
-	h.setPresence(e, bit(to))
-	e.lastWriter = to
-	e.grants++
+	h.grant(e, to)
 	h.ckDir(b, e, "grant")
-	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: e.needData, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: e.txnReq.Txn})
+	t := h.txn(e)
+	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: t.needData, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: t.req.Txn})
 	h.finish(b, e)
 }
 
@@ -603,19 +677,19 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 	h.UpdateReqs++
 	b := m.Block
 	if e.state == dirModified {
-		if e.owner == m.Src {
+		if int(e.owner) == m.Src {
 			// The updater became the exclusive owner while these writes
 			// were still combining in its write cache; its dirty line
 			// already holds them, so just acknowledge.
-			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Excl: true, Stamp: e.grants, Txn: m.Txn})
+			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Excl: true, Stamp: int(e.grants), Txn: m.Txn})
 			h.finish(b, e)
 			return
 		}
 		// The block went exclusive to another cache (e.g. migratory under
 		// CW+M) while this updater still had combined writes buffered:
 		// recall the owner's copy, then hand the block to the updater.
-		e.txn = txRecall
-		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Requester: m.Src, Excl: true, Txn: m.Txn})
+		h.txn(e).txn = txRecall
+		h.send(&Msg{Type: MsgFwd, Block: b, Dst: int(e.owner), Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
 	h.applyUpdate(m)
@@ -625,26 +699,23 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 	// interrogates all other copy holders; the block is deemed migratory
 	// only if every one of them gives up its copy.
 	probe := h.sys.P.M && h.sys.P.CW && !e.migratory &&
-		e.lastUpdater >= 0 && e.lastUpdater != m.Src && others != 0
-	e.lastUpdater = m.Src
-	e.needData = e.presence&bit(m.Src) == 0
+		e.lastUpdater >= 0 && int(e.lastUpdater) != m.Src && others != 0
+	e.lastUpdater = int8(m.Src)
+	t := h.txn(e)
+	t.needData = e.presence&bit(m.Src) == 0
 	if others == 0 {
 		// No other copies: the updater becomes the exclusive owner, so its
 		// subsequent writes stay local.
-		e.state = dirModified
-		e.owner = m.Src
-		h.setPresence(e, bit(m.Src))
-		e.lastWriter = m.Src
-		e.grants++
+		h.grant(e, m.Src)
 		h.ckDir(b, e, "update-excl")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: m.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: t.needData, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: m.Txn})
 		h.finish(b, e)
 		return
 	}
-	e.txn = txUpd
-	e.acksLeft = bits.OnesCount64(others)
-	e.probing = probe
-	e.gaveUp = true
+	t.txn = txUpd
+	t.acksLeft = int32(bits.OnesCount64(others))
+	t.probing = probe
+	t.gaveUp = true
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if others&bit(n) != 0 {
 			h.send(&Msg{Type: MsgUpdCopy, Block: b, Dst: n, Mask: m.Mask, Probe: probe, Payload: h.sys.memWords(b)})
@@ -655,36 +726,33 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 func (h *HomeCtl) onUpdAck(m *Msg) {
 	b := m.Block
 	e := h.entry(b)
-	if !e.busy || e.txn != txUpd {
+	if h.inFlight(e) != txUpd {
 		panic(fmt.Sprintf("home %d: unexpected UpdAck for block %d", h.id, b))
 	}
 	if m.Removed {
 		e.presence &^= bit(m.Src)
 		h.ckDir(b, e, "upd-ack")
 	}
+	t := h.txn(e)
 	if !m.GaveUp {
-		e.gaveUp = false
+		t.gaveUp = false
 	}
-	e.acksLeft--
-	if e.acksLeft > 0 {
+	t.acksLeft--
+	if t.acksLeft > 0 {
 		return
 	}
-	req := e.txnReq
+	req := t.req
 	// The update fan-out round trip ends with the last sharer's ack.
 	h.sys.tmark(req.Txn, telemetry.PhaseGather)
-	if e.probing && e.gaveUp {
+	if t.probing && t.gaveUp {
 		e.migratory = true
 		h.MigratoryDetections++
 	}
 	if e.presence&^bit(req.Src) == 0 {
 		// Every other copy is gone: grant exclusivity to the updater.
-		e.state = dirModified
-		e.owner = req.Src
-		h.setPresence(e, bit(req.Src))
-		e.lastWriter = req.Src
-		e.grants++
+		h.grant(e, req.Src)
 		h.ckDir(b, e, "update-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: e.needData, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: t.needData, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
 	} else {
 		// The updater keeps a Shared copy (if it has one); the ack carries
 		// the post-update memory image so that copy reflects its own writes'
@@ -698,7 +766,7 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 
 func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 	b := m.Block
-	if e.state == dirModified && e.owner == m.Src && m.Stamp == e.grants {
+	if e.state == dirModified && int(e.owner) == m.Src && m.Stamp == int(e.grants) {
 		h.Writebacks++
 		h.sys.traceNode(trace.DirTransition, "writeback", b, h.id, "")
 		mask := m.Mask
@@ -724,7 +792,8 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 	h.send(&Msg{Type: MsgWBAck, Block: b, Dst: m.Src})
 	// The owner's parked requests can proceed now that the writeback
 	// resolved.
-	e.deferred.prepend(&e.parked)
+	t := h.txn(e)
+	t.deferred.prepend(&t.parked)
 	h.finish(b, e)
 }
 
@@ -803,7 +872,7 @@ func (h *HomeCtl) Entry(b memsys.Block) (DirEntryInfo, bool) {
 	return DirEntryInfo{
 		Modified:  e.state == dirModified,
 		Presence:  e.presence,
-		Owner:     e.owner,
+		Owner:     int(e.owner),
 		Migratory: e.migratory,
 		Busy:      e.busy,
 	}, true

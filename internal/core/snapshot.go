@@ -82,17 +82,21 @@ func (s *System) dirSnapshot(b memsys.Block) *fault.DirState {
 		Block:    uint64(b),
 		Home:     home,
 		State:    "CLEAN",
-		Owner:    e.owner,
+		Owner:    int(e.owner),
 		Presence: e.presence,
 		Busy:     e.busy,
-		Deferred: e.deferred.len(),
-		Parked:   e.parked.len(),
 	}
 	if e.state == dirModified {
 		d.State = "MODIFIED"
 	}
+	// A quiet entry has no transaction record: nothing in flight or queued.
+	var t txnRec
+	if e.rec != 0 {
+		t = *s.txns.at(e.rec)
+	}
+	d.Deferred, d.Parked = t.deferred.len(), t.parked.len()
 	if e.busy {
-		d.Txn = [...]string{"none", "mem", "fwd", "inv", "upd", "recall"}[e.txn]
+		d.Txn = [...]string{"none", "mem", "fwd", "inv", "upd", "recall"}[t.txn]
 	}
 	return d
 }

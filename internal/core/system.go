@@ -87,6 +87,10 @@ type System struct {
 	// hopFree recycles the per-message event-chain records Send schedules;
 	// see the hop type.
 	hopFree []*hop
+
+	// txns holds the transaction records of every home's busy directory
+	// entries (see txnRec).
+	txns txnPool
 }
 
 // verWords is one block's data-verification state. next holds each word's
@@ -478,7 +482,7 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 			}
 			// Every dirty copy must be the registered owner.
 			e := s.Nodes[s.HomeOf(b)].Home.lookup(b)
-			if dirty && (e == nil || e.state != dirModified || e.owner != n.ID) {
+			if dirty && (e == nil || e.state != dirModified || int(e.owner) != n.ID) {
 				report("block %d: dirty at node %d without matching directory state", b, n.ID)
 			}
 			if e == nil || !e.quiet() {
@@ -503,13 +507,14 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 					report("block %d: node %d holds a copy not in the presence vector", b, n.ID)
 				}
 			case dirModified:
-				if n.ID == e.owner {
+				owner := int(e.owner)
+				if n.ID == owner {
 					return
 				}
-				report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, e.owner, n.ID, l.State)
+				report("block %d: MODIFIED owner %d but node %d holds a %s copy", b, owner, n.ID, l.State)
 				// More than one dirty copy means one beside the owner's.
 				if dirty {
-					if _, dirties := s.holders(b); bits.TrailingZeros64(dirties&^bit(e.owner)) == n.ID && bits.OnesCount64(dirties) > 1 {
+					if _, dirties := s.holders(b); bits.TrailingZeros64(dirties&^bit(owner)) == n.ID && bits.OnesCount64(dirties) > 1 {
 						report("block %d: %d dirty copies", b, bits.OnesCount64(dirties))
 					}
 				}
