@@ -102,15 +102,18 @@ func TestObservedRunAllocationCeiling(t *testing.T) {
 // iteration at a time into one op buffer sized to the kernel's longest
 // iteration, so a run holds one segment per processor instead of every
 // processor's whole stream; SLC lines and directory entries carry no
-// data-verification words in a run that does not verify; and the
-// end-of-run invariant walk builds no list of cached copies: 1,131,680
+// data-verification words in a run that does not verify; the end-of-run
+// invariant walk builds no list of cached copies; a directory entry keeps
+// 24 bytes of per-block state, its transaction context pooled apart; and
+// the event wheel's bucket headers are one word each: 963,920-965,400
 // bytes for this run, measured when the ceiling was set, against
-// 1,986,664 with 256-op buffers, a 40-byte line, per-node latency
-// histograms and the copy list, 3,245,936 with the words in every line
-// and entry, and 11,377,192 when streams were also built whole before the
-// first event. The ceiling is about 1.25x the measured value.
+// 1,120,584 with 136-byte entries and two-word headers, 1,986,664 with
+// 256-op buffers, a 40-byte line, per-node latency histograms and the
+// copy list, 3,245,936 with the words in every line and entry, and
+// 11,377,192 when streams were also built whole before the first event.
+// The ceiling is about 1.25x the measured value.
 func TestRunHeapBytesCeiling(t *testing.T) {
-	const ceiling = 1_415_000
+	const ceiling = 1_206_000
 	cfg := ccsim.DefaultConfig()
 	cfg.Workload = "lu"
 	cfg.Procs = 16
@@ -121,12 +124,14 @@ func TestRunHeapBytesCeiling(t *testing.T) {
 // TestSweepRunHeapBytesCeiling pins the heap bytes of a run shaped like
 // the scale-0.125 sweep's: 16 processors and the paper's 16-KB
 // direct-mapped SLC, where set-up sized for the largest run used to
-// dominate. It allocated 632,904 bytes when the ceiling was set, against
-// 1,098,264 with a 1,024-slot event arena, 256-op stream buffers, 40-byte
-// lines with LRU ages, a latency histogram per node and the invariant
-// walk's copy list. The ceiling is about 1.25x the measured value.
+// dominate. It allocated 464,904-465,168 bytes when the ceiling was set,
+// against 621,568 with 136-byte directory entries and two-word wheel
+// bucket headers, and 1,098,264 with a 1,024-slot event arena, 256-op
+// stream buffers, 40-byte lines with LRU ages, a latency histogram per
+// node and the invariant walk's copy list. The ceiling is about 1.25x the
+// measured value.
 func TestSweepRunHeapBytesCeiling(t *testing.T) {
-	const ceiling = 791_000
+	const ceiling = 582_000
 	cfg := ccsim.DefaultConfig()
 	cfg.Workload = "mp3d"
 	cfg.Procs = 16

@@ -45,7 +45,9 @@ type event struct {
 //     negligible.
 //   - Buckets are singly-linked lists threaded through a slab (arena) with
 //     an intrusive free list, so steady-state scheduling allocates nothing
-//     no matter which buckets the sliding window touches.
+//     no matter which buckets the sliding window touches. A bucket's
+//     header is its head slot's index; the head slot also records the
+//     bucket's tail, so a header is one word.
 //
 // FIFO order within a timestamp is preserved exactly: direct scheduling
 // appends at the bucket tail (the global seq counter is monotone), and
@@ -54,7 +56,7 @@ type event struct {
 // binary-heap engine it replaced (the golden metrics gate enforces this).
 // wheelBits sizes the window: 4096 pclocks comfortably covers every fixed
 // latency in the machine plus completion times stacked a few hundred deep
-// on a contended resource, at ~33 KB of per-engine bucket headers.
+// on a contended resource, at 16 KB of per-engine bucket headers.
 const (
 	wheelBits  = 12
 	wheelSize  = 1 << wheelBits // pclocks covered by the wheel window
@@ -62,12 +64,14 @@ const (
 	wheelWords = wheelSize / 64 // occupancy bitmap words
 )
 
-// qnode is one arena slot: an event plus the intrusive link. next chains
+// qnode is one arena slot: an event plus the intrusive links. next chains
 // bucket lists (undefined for a bucket's tail) and the free list (-1 ends
-// it).
+// it); tail, meaningful only in a bucket's head slot, is the bucket's last
+// slot. The two links fill the record's padding: a slot stays 48 bytes.
 type qnode struct {
 	ev   event
 	next int32
+	tail int32
 }
 
 // Engine is a discrete-event simulation kernel. The zero value is not ready
@@ -82,10 +86,9 @@ type Engine struct {
 	arena []qnode
 	free  int32
 
-	// bhead/btail delimit each bucket's list; they are meaningful only
-	// while the bucket's occupancy bit is set.
+	// bhead is each bucket's head slot, meaningful only while the bucket's
+	// occupancy bit is set; the head slot's tail field ends the list.
 	bhead [wheelSize]int32
-	btail [wheelSize]int32
 	occ   [wheelWords]uint64
 
 	// overflow is the (at, seq) min-heap of events beyond the wheel window.
@@ -173,12 +176,14 @@ func (e *Engine) AtCall(t Time, call func(any), arg any) {
 	b := int(t) & wheelMask
 	w, bit := b>>6, uint64(1)<<uint(b&63)
 	if e.occ[w]&bit != 0 {
-		e.arena[e.btail[b]].next = s
+		h := &e.arena[e.bhead[b]]
+		e.arena[h.tail].next = s
+		h.tail = s
 	} else {
 		e.occ[w] |= bit
 		e.bhead[b] = s
+		e.arena[s].tail = s
 	}
-	e.btail[b] = s
 }
 
 // AfterCall schedules call(arg) to run d pclocks from now. d must be >= 0.
@@ -215,20 +220,24 @@ func (e *Engine) migrate() {
 		if e.occ[w]&bit == 0 {
 			e.occ[w] |= bit
 			e.bhead[b] = s
-			e.btail[b] = s
+			e.arena[s].tail = s
 			continue
 		}
-		if ev.seq < e.arena[e.bhead[b]].ev.seq {
-			e.arena[s].next = e.bhead[b]
+		h := e.bhead[b]
+		tail := e.arena[h].tail
+		if ev.seq < e.arena[h].ev.seq {
+			// The new head takes over the bucket's tail.
+			e.arena[s].next = h
+			e.arena[s].tail = tail
 			e.bhead[b] = s
 			continue
 		}
-		p := e.bhead[b]
-		for p != e.btail[b] && e.arena[e.arena[p].next].ev.seq < ev.seq {
+		p := h
+		for p != tail && e.arena[e.arena[p].next].ev.seq < ev.seq {
 			p = e.arena[p].next
 		}
-		if p == e.btail[b] {
-			e.btail[b] = s
+		if p == tail {
+			e.arena[h].tail = s
 		} else {
 			e.arena[s].next = e.arena[p].next
 		}
@@ -279,9 +288,11 @@ func (e *Engine) runCohort(budget uint64) uint64 {
 		s := e.bhead[b]
 		n := &e.arena[s]
 		call, arg := n.ev.call, n.ev.arg
-		if s == e.btail[b] {
+		if s == n.tail {
 			e.occ[w] &^= bit
 		} else {
+			// The next slot becomes the head and takes over the tail.
+			e.arena[n.next].tail = n.tail
 			e.bhead[b] = n.next
 		}
 		n.next = e.free

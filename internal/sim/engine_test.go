@@ -9,7 +9,7 @@ import (
 )
 
 // TestEventRecordSize pins the event record at its four words (at, seq,
-// call, arg) and the arena slot at the record plus its link: every
+// call, arg) and the arena slot at the record plus its links: every
 // scheduled event is written into an arena slot, so a field added back to
 // the record makes that write larger on every schedule.
 func TestEventRecordSize(t *testing.T) {
@@ -18,6 +18,16 @@ func TestEventRecordSize(t *testing.T) {
 	}
 	if n := unsafe.Sizeof(qnode{}); n != 48 {
 		t.Errorf("qnode is %d bytes, want 48", n)
+	}
+}
+
+// TestEngineSize pins the engine at one word of header per wheel bucket
+// (its head slot) plus the occupancy bitmap and a few counters: every run
+// allocates one engine before its first event, so a second per-bucket
+// array (a separate tail index, say) doubles that.
+func TestEngineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Engine{}); n != 17208 {
+		t.Errorf("Engine is %d bytes, want 17208", n)
 	}
 }
 
@@ -81,6 +91,49 @@ func TestEngineMigrationKeepsFIFO(t *testing.T) {
 	}
 	if len(order) != 7 {
 		t.Fatalf("ran %d events, want 7", len(order))
+	}
+}
+
+// TestEngineMigratedHeadKeepsTail pins the bucket tail a migrated event
+// takes over when it becomes the head of an occupied bucket: events
+// scheduled for the same instant afterwards, before and during the
+// cohort's dispatch, must still append behind the old tail, in FIFO order.
+func TestEngineMigratedHeadKeepsTail(t *testing.T) {
+	e := NewEngine()
+	var order []int
+	rec := func(a any) { order = append(order, a.(int)) }
+	const at = 2 * wheelSize
+	e.AtCall(at, func(any) {
+		order = append(order, 0)
+		e.AtCall(at, rec, 5) // appended during dispatch
+	}, nil) // beyond the window: overflow heap
+	for i := 0; i < 4; i++ {
+		e.AtCall(Time(i), func(any) {}, nil) // leave recycled slots behind
+	}
+	e.RunUntil(at - 10) // the window now covers at; nothing has migrated
+	e.AtCall(at, rec, 1)
+	e.AtCall(at, rec, 2)
+	if next, ok := e.PeekTime(); !ok || next != at {
+		t.Fatalf("PeekTime = %d, %v; want %d", next, ok, at)
+	}
+	if q := e.QueueStats(); q.Migrations != 1 {
+		t.Fatalf("%d migrations before the appends, want 1", q.Migrations)
+	}
+	e.AtCall(at, rec, 3) // the migrated head now carries the bucket's tail
+	e.AtCall(at, rec, 4)
+	// Step a bounded number of times: a bucket list cut by a wrong tail
+	// loses events, which Run would wait for forever.
+	for i := 0; i < 100 && e.Pending() > 0; i++ {
+		e.Step()
+	}
+	want := []int{0, 1, 2, 3, 4, 5}
+	if len(order) != len(want) {
+		t.Fatalf("same-time events ran as %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("same-time events ran as %v, want %v", order, want)
+		}
 	}
 }
 

@@ -82,7 +82,11 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # a constant more than the same run untraced, so no trace line allocates.
 # The address-shift test pins the sparse per-block tables, the side
 # channels' included: a run with every address moved above 2^40 or 2^58
-# bytes must match the unshifted run exactly.
+# bytes must match the unshifted run exactly. Size pins hold a directory
+# entry at 24 pointer-free bytes (its transaction context lives in pooled
+# records) and the engine at one word of header per wheel bucket; two
+# named tests run the paths those layouts moved: a request parked behind
+# its owner's writeback, and a migrated event taking over a bucket's tail.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
@@ -91,7 +95,8 @@ test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
 go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestSweepRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
-go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations' ccsim/internal/sim
+go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations|TestEngineSize|TestEngineMigratedHeadKeepsTail' ccsim/internal/sim
+go test -count=1 -run 'TestDirEntrySize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback' ccsim/internal/core
 go test -count=1 -run 'TestKernelOpBuffersNeverGrow' ccsim/internal/workload
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
