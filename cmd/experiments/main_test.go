@@ -70,31 +70,45 @@ func TestProfileFlagsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSweepCompleteRecordsHostCost runs the whole sweep at a tiny scale
-// with -log-json and checks that its closing record says where the host
-// time went: wall time, collector cycles and heap allocated.
-func TestSweepCompleteRecordsHostCost(t *testing.T) {
+// runCLILogs is runCLI with stderr captured too: it returns the exit code
+// and the JSON records stderr carried (run with -log-json).
+func runCLILogs(t *testing.T, args ...string) (int, []map[string]any) {
+	t.Helper()
 	stderr, err := os.CreateTemp(t.TempDir(), "stderr")
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldStderr := os.Stderr
 	os.Stderr = stderr
-	code, _ := runCLI(t, "experiments", "-exp", "all", "-scale", "0.02", "-procs", "4", "-log-json")
+	code, _ := runCLI(t, args...)
 	os.Stderr = oldStderr
 	if err := stderr.Close(); err != nil {
 		t.Fatal(err)
-	}
-	if code != 0 {
-		t.Fatalf("exit code %d", code)
 	}
 	logs, err := os.ReadFile(stderr.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
+	var recs []map[string]any
 	for _, line := range strings.Split(string(logs), "\n") {
 		var rec map[string]any
-		if json.Unmarshal([]byte(line), &rec) != nil || rec["msg"] != "sweep complete" {
+		if json.Unmarshal([]byte(line), &rec) == nil {
+			recs = append(recs, rec)
+		}
+	}
+	return code, recs
+}
+
+// TestSweepCompleteRecordsHostCost runs the whole sweep at a tiny scale
+// with -log-json and checks that its closing record says where the host
+// time went: wall time, collector cycles and heap allocated.
+func TestSweepCompleteRecordsHostCost(t *testing.T) {
+	code, recs := runCLILogs(t, "experiments", "-exp", "all", "-scale", "0.02", "-procs", "4", "-log-json")
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	for _, rec := range recs {
+		if rec["msg"] != "sweep complete" {
 			continue
 		}
 		if d, err := time.ParseDuration(fmt.Sprint(rec["elapsed"])); err != nil || d <= 0 {
@@ -108,5 +122,42 @@ func TestSweepCompleteRecordsHostCost(t *testing.T) {
 		}
 		return
 	}
-	t.Fatalf("no sweep complete record in:\n%s", logs)
+	t.Fatalf("no sweep complete record in %d stderr records", len(recs))
+}
+
+// TestFaultReportOrderFixed runs the same injected-fault sweep twice on two
+// workers and requires the faulted runs to be reported in the same order
+// both times: by workload, protocol and run ID. The sweep repeats
+// mp3d/BASIC across experiments, so most faulted runs tie on workload and
+// protocol, and the order they finish in varies between invocations. (A
+// checked run is never deduplicated, so one configuration submitted by
+// several experiments faults, identically, once per submission.)
+func TestFaultReportOrderFixed(t *testing.T) {
+	args := []string{"experiments", "-exp", "all", "-scale", "0.02", "-procs", "8", "-jobs", "2",
+		"-check", "-q", "-log-json", "-inject-fault", "skip-sharer@mp3d/BASIC"}
+	var seqs [2][]string
+	for i := range seqs {
+		code, recs := runCLILogs(t, args...)
+		if code != 1 {
+			t.Fatalf("sweep %d: exit code %d, want 1", i, code)
+		}
+		var last [3]string
+		for _, rec := range recs {
+			if rec["msg"] != "run faulted" {
+				continue
+			}
+			key := [3]string{fmt.Sprint(rec["workload"]), fmt.Sprint(rec["protocol"]), fmt.Sprint(rec["run_id"])}
+			if key[0] < last[0] || key[0] == last[0] && (key[1] < last[1] || key[1] == last[1] && key[2] < last[2]) {
+				t.Errorf("sweep %d: %v reported after %v", i, key, last)
+			}
+			last = key
+			seqs[i] = append(seqs[i], key[2])
+		}
+	}
+	if len(seqs[0]) < 2 {
+		t.Fatalf("%d faulted runs, want several sharing mp3d/BASIC", len(seqs[0]))
+	}
+	if strings.Join(seqs[0], " ") != strings.Join(seqs[1], " ") {
+		t.Errorf("faulted runs reported in different orders:\n%v\n%v", seqs[0], seqs[1])
+	}
 }
