@@ -106,14 +106,17 @@ type txnPool struct {
 }
 
 // at returns record i (i >= 1).
-func (p *txnPool) at(i int32) *txnRec { return &p.chunks[(i-1)/txnChunk][(i-1)%txnChunk] }
+func (p *txnPool) at(i int32) *txnRec {
+	u := uint32(i) - 1
+	return &p.chunks[u/txnChunk][u%txnChunk]
+}
 
 // get returns the index of a cleared record, growing the pool by a chunk
 // when every record is in use.
 func (p *txnPool) get() int32 {
 	if i := p.free; i != 0 {
-		p.free = p.at(i).next
-		p.at(i).next = 0
+		r := p.at(i)
+		p.free, r.next = r.next, 0
 		return i
 	}
 	if int(p.used) == len(p.chunks)*txnChunk {
@@ -438,25 +441,25 @@ func memDone(a any) {
 	j := a.(*homeJob)
 	h, e := j.h, j.e
 	h.putJob(j)
-	m := &h.txn(e).req.Msg
+	t := h.txn(e)
+	m := &t.req.Msg
 	h.sys.tmark(m.Txn, telemetry.PhaseMemory)
 	switch m.Type {
 	case MsgReadReq:
-		h.readReq(m, e)
+		h.readReq(m, e, t)
 	case MsgOwnReq:
-		h.ownReq(m, e)
+		h.ownReq(m, e, t)
 	case MsgUpdateReq:
-		h.updateReq(m, e)
+		h.updateReq(m, e, t)
 	case MsgWBReq:
-		h.wbReq(m, e)
+		h.wbReq(m, e, t)
 	}
 }
 
-// finish ends e's transaction: it recycles the request, starts the
-// deferred requests in order until one keeps the entry busy, and releases
-// the transaction record once nothing is in flight or queued.
-func (h *HomeCtl) finish(b memsys.Block, e *dirEntry) {
-	t := h.txn(e)
+// finish ends the transaction in t, e's record: it recycles the request,
+// starts the deferred requests in order until one keeps the entry busy,
+// and releases the record once nothing is in flight or queued.
+func (h *HomeCtl) finish(e *dirEntry, t *txnRec) {
 	t.req.next = h.reqFree
 	h.reqFree = t.req
 	t.req = nil
@@ -478,7 +481,7 @@ func (h *HomeCtl) send(m *Msg) {
 
 // ---------- Read misses ----------
 
-func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
+func (h *HomeCtl) readReq(m *Msg, e *dirEntry, t *txnRec) {
 	h.ReadReqs++
 	b := m.Block
 	if e.state == dirModified {
@@ -488,11 +491,11 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 			// writer; reject it. (Migratory blocks are the exception: the
 			// whole point of P+M is to prefetch them exclusively.)
 			h.send(&Msg{Type: MsgPrefNack, Block: b, Dst: m.Src, Txn: m.Txn})
-			h.finish(b, e)
+			h.finish(e, t)
 			return
 		}
 		// Serviced in four node-to-node transfers via the owner.
-		h.txn(e).txn = txFwd
+		t.txn = txFwd
 		h.send(&Msg{
 			Type: MsgFwd, Block: b, Dst: int(e.owner),
 			Requester: m.Src, Mig: mig, Prefetch: m.Prefetch, Txn: m.Txn,
@@ -510,7 +513,7 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 		e.grants++
 		h.ckDir(b, e, "excl-supply")
 		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: m.Txn})
-		h.finish(b, e)
+		h.finish(e, t)
 		return
 	}
 	if !h.sys.takeMutation("skip-sharer") {
@@ -518,7 +521,7 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry) {
 	}
 	h.ckDir(b, e, "read-share")
 	h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Prefetch: m.Prefetch, Payload: h.sys.memWords(b), Txn: m.Txn})
-	h.finish(b, e)
+	h.finish(e, t)
 }
 
 // onFwdReply completes a transaction that needed the owner's copy.
@@ -591,18 +594,18 @@ func fwdWritten(a any) {
 		h.ckDir(b, e, "fwd-downgrade")
 		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: h.sys.memWords(b), Txn: req.Txn})
 	}
-	h.finish(b, e)
+	h.finish(e, t)
 	h.putJob(j)
 }
 
 // ---------- Ownership requests ----------
 
-func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
+func (h *HomeCtl) ownReq(m *Msg, e *dirEntry, t *txnRec) {
 	h.OwnReqs++
 	b := m.Block
 	if e.state == dirModified {
 		// Dirty elsewhere: take the copy away from the owner.
-		h.txn(e).txn = txFwd
+		t.txn = txFwd
 		h.send(&Msg{Type: MsgFwd, Block: b, Dst: int(e.owner), Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
@@ -618,10 +621,9 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry) {
 		h.sys.traceNode(trace.DirTransition, "migratory", b, h.id, "")
 	}
 	sharers := h.sharersFor(e, m.Src)
-	t := h.txn(e)
 	t.needData = e.presence&bit(m.Src) == 0
 	if sharers == 0 {
-		h.grantOwnership(b, e, m.Src)
+		h.grantOwnership(b, e, t, m.Src)
 		return
 	}
 	if e.overflow {
@@ -649,7 +651,7 @@ func (h *HomeCtl) onInvAck(m *Msg) {
 	if t.acksLeft == 0 {
 		// The invalidation fan-out round trip ends with the last ack.
 		h.sys.tmark(t.req.Txn, telemetry.PhaseGather)
-		h.grantOwnership(b, e, t.req.Src)
+		h.grantOwnership(b, e, t, t.req.Src)
 	}
 }
 
@@ -662,18 +664,17 @@ var grantNotes = func() (n [64]string) {
 	return n
 }()
 
-func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, to int) {
+func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, t *txnRec, to int) {
 	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, grantNotes[to])
 	h.grant(e, to)
 	h.ckDir(b, e, "grant")
-	t := h.txn(e)
 	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: t.needData, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: t.req.Txn})
-	h.finish(b, e)
+	h.finish(e, t)
 }
 
 // ---------- Competitive updates ----------
 
-func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
+func (h *HomeCtl) updateReq(m *Msg, e *dirEntry, t *txnRec) {
 	h.UpdateReqs++
 	b := m.Block
 	if e.state == dirModified {
@@ -682,13 +683,13 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 			// were still combining in its write cache; its dirty line
 			// already holds them, so just acknowledge.
 			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Excl: true, Stamp: int(e.grants), Txn: m.Txn})
-			h.finish(b, e)
+			h.finish(e, t)
 			return
 		}
 		// The block went exclusive to another cache (e.g. migratory under
 		// CW+M) while this updater still had combined writes buffered:
 		// recall the owner's copy, then hand the block to the updater.
-		h.txn(e).txn = txRecall
+		t.txn = txRecall
 		h.send(&Msg{Type: MsgFwd, Block: b, Dst: int(e.owner), Requester: m.Src, Excl: true, Txn: m.Txn})
 		return
 	}
@@ -701,7 +702,6 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 	probe := h.sys.P.M && h.sys.P.CW && !e.migratory &&
 		e.lastUpdater >= 0 && int(e.lastUpdater) != m.Src && others != 0
 	e.lastUpdater = int8(m.Src)
-	t := h.txn(e)
 	t.needData = e.presence&bit(m.Src) == 0
 	if others == 0 {
 		// No other copies: the updater becomes the exclusive owner, so its
@@ -709,7 +709,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry) {
 		h.grant(e, m.Src)
 		h.ckDir(b, e, "update-excl")
 		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: t.needData, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: m.Txn})
-		h.finish(b, e)
+		h.finish(e, t)
 		return
 	}
 	t.txn = txUpd
@@ -759,12 +759,12 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 		// serialized versions.
 		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Payload: h.sys.memWords(b), Txn: req.Txn})
 	}
-	h.finish(b, e)
+	h.finish(e, t)
 }
 
 // ---------- Writebacks ----------
 
-func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
+func (h *HomeCtl) wbReq(m *Msg, e *dirEntry, t *txnRec) {
 	b := m.Block
 	if e.state == dirModified && int(e.owner) == m.Src && m.Stamp == int(e.grants) {
 		h.Writebacks++
@@ -792,9 +792,8 @@ func (h *HomeCtl) wbReq(m *Msg, e *dirEntry) {
 	h.send(&Msg{Type: MsgWBAck, Block: b, Dst: m.Src})
 	// The owner's parked requests can proceed now that the writeback
 	// resolved.
-	t := h.txn(e)
 	t.deferred.prepend(&t.parked)
-	h.finish(b, e)
+	h.finish(e, t)
 }
 
 // ---------- Locks and barriers ----------
