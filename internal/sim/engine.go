@@ -45,9 +45,9 @@ type event struct {
 //     negligible.
 //   - Buckets are singly-linked lists threaded through a slab (arena) with
 //     an intrusive free list, so steady-state scheduling allocates nothing
-//     no matter which buckets the sliding window touches. A bucket's
-//     header is its head slot's index; the head slot also records the
-//     bucket's tail, so a header is one word.
+//     no matter which buckets the sliding window touches. Each list is
+//     circular and its header is its tail slot, whose link names the
+//     head: one word of header per bucket reaches both ends.
 //
 // FIFO order within a timestamp is preserved exactly: direct scheduling
 // appends at the bucket tail (the global seq counter is monotone), and
@@ -64,14 +64,12 @@ const (
 	wheelWords = wheelSize / 64 // occupancy bitmap words
 )
 
-// qnode is one arena slot: an event plus the intrusive links. next chains
-// bucket lists (undefined for a bucket's tail) and the free list (-1 ends
-// it); tail, meaningful only in a bucket's head slot, is the bucket's last
-// slot. The two links fill the record's padding: a slot stays 48 bytes.
+// qnode is one arena slot: an event plus the intrusive link. next chains
+// bucket lists (a bucket's tail links back to its head) and the free list
+// (-1 ends it).
 type qnode struct {
 	ev   event
 	next int32
-	tail int32
 }
 
 // Engine is a discrete-event simulation kernel. The zero value is not ready
@@ -86,9 +84,10 @@ type Engine struct {
 	arena []qnode
 	free  int32
 
-	// bhead is each bucket's head slot, meaningful only while the bucket's
-	// occupancy bit is set; the head slot's tail field ends the list.
-	bhead [wheelSize]int32
+	// btail is each bucket's last slot, meaningful only while the bucket's
+	// occupancy bit is set. A bucket's list is circular: its tail's next
+	// is its head.
+	btail [wheelSize]int32
 	occ   [wheelWords]uint64
 
 	// overflow is the (at, seq) min-heap of events beyond the wheel window.
@@ -134,7 +133,7 @@ func (e *Engine) PeekTime() (t Time, ok bool) {
 	e.migrate()
 	if e.pending > len(e.overflow) {
 		b := e.nextBucket()
-		return e.arena[e.bhead[b]].ev.at, true
+		return e.arena[e.arena[e.btail[b]].next].ev.at, true
 	}
 	return e.overflow[0].at, true
 }
@@ -176,14 +175,14 @@ func (e *Engine) AtCall(t Time, call func(any), arg any) {
 	b := int(t) & wheelMask
 	w, bit := b>>6, uint64(1)<<uint(b&63)
 	if e.occ[w]&bit != 0 {
-		h := &e.arena[e.bhead[b]]
-		e.arena[h.tail].next = s
-		h.tail = s
+		tail := &e.arena[e.btail[b]]
+		e.arena[s].next = tail.next
+		tail.next = s
 	} else {
 		e.occ[w] |= bit
-		e.bhead[b] = s
-		e.arena[s].tail = s
+		e.arena[s].next = s
 	}
+	e.btail[b] = s
 }
 
 // AfterCall schedules call(arg) to run d pclocks from now. d must be >= 0.
@@ -219,28 +218,24 @@ func (e *Engine) migrate() {
 		w, bit := b>>6, uint64(1)<<uint(b&63)
 		if e.occ[w]&bit == 0 {
 			e.occ[w] |= bit
-			e.bhead[b] = s
-			e.arena[s].tail = s
+			e.arena[s].next = s
+			e.btail[b] = s
 			continue
 		}
-		h := e.bhead[b]
-		tail := e.arena[h].tail
-		if ev.seq < e.arena[h].ev.seq {
-			// The new head takes over the bucket's tail.
-			e.arena[s].next = h
-			e.arena[s].tail = tail
-			e.bhead[b] = s
-			continue
+		// Insert after the last slot whose event precedes ev. When ev
+		// precedes the head, that is the tail, and ev becomes the head.
+		tail := e.btail[b]
+		p := tail
+		if h := e.arena[tail].next; ev.seq > e.arena[h].ev.seq {
+			p = h
+			for p != tail && e.arena[e.arena[p].next].ev.seq < ev.seq {
+				p = e.arena[p].next
+			}
+			if p == tail {
+				e.btail[b] = s
+			}
 		}
-		p := h
-		for p != tail && e.arena[e.arena[p].next].ev.seq < ev.seq {
-			p = e.arena[p].next
-		}
-		if p == tail {
-			e.arena[h].tail = s
-		} else {
-			e.arena[s].next = e.arena[p].next
-		}
+		e.arena[s].next = e.arena[p].next
 		e.arena[p].next = s
 	}
 }
@@ -282,18 +277,18 @@ func (e *Engine) runCohort(budget uint64) uint64 {
 	}
 	b := e.nextBucket()
 	w, bit := b>>6, uint64(1)<<uint(b&63)
-	e.now = e.arena[e.bhead[b]].ev.at
+	e.now = e.arena[e.arena[e.btail[b]].next].ev.at
 	var ran uint64
 	for ran < budget && e.occ[w]&bit != 0 {
-		s := e.bhead[b]
+		ti := e.btail[b]
+		tail := &e.arena[ti]
+		s := tail.next
 		n := &e.arena[s]
 		call, arg := n.ev.call, n.ev.arg
-		if s == n.tail {
+		if s == ti {
 			e.occ[w] &^= bit
 		} else {
-			// The next slot becomes the head and takes over the tail.
-			e.arena[n.next].tail = n.tail
-			e.bhead[b] = n.next
+			tail.next = n.next
 		}
 		n.next = e.free
 		e.free = s

@@ -9,7 +9,7 @@ import (
 )
 
 // TestEventRecordSize pins the event record at its four words (at, seq,
-// call, arg) and the arena slot at the record plus its links: every
+// call, arg) and the arena slot at the record plus its link: every
 // scheduled event is written into an arena slot, so a field added back to
 // the record makes that write larger on every schedule.
 func TestEventRecordSize(t *testing.T) {
@@ -22,9 +22,9 @@ func TestEventRecordSize(t *testing.T) {
 }
 
 // TestEngineSize pins the engine at one word of header per wheel bucket
-// (its head slot) plus the occupancy bitmap and a few counters: every run
+// (its tail slot) plus the occupancy bitmap and a few counters: every run
 // allocates one engine before its first event, so a second per-bucket
-// array (a separate tail index, say) doubles that.
+// array (a separate head index, say) doubles that.
 func TestEngineSize(t *testing.T) {
 	if n := unsafe.Sizeof(Engine{}); n != 17208 {
 		t.Errorf("Engine is %d bytes, want 17208", n)
@@ -94,10 +94,10 @@ func TestEngineMigrationKeepsFIFO(t *testing.T) {
 	}
 }
 
-// TestEngineMigratedHeadKeepsTail pins the bucket tail a migrated event
-// takes over when it becomes the head of an occupied bucket: events
-// scheduled for the same instant afterwards, before and during the
-// cohort's dispatch, must still append behind the old tail, in FIFO order.
+// TestEngineMigratedHeadKeepsTail pins the bucket's tail when a migrated
+// event becomes the head of an occupied bucket: events scheduled for the
+// same instant afterwards, before and during the cohort's dispatch, must
+// still append behind the old tail, in FIFO order.
 func TestEngineMigratedHeadKeepsTail(t *testing.T) {
 	e := NewEngine()
 	var order []int
@@ -119,7 +119,7 @@ func TestEngineMigratedHeadKeepsTail(t *testing.T) {
 	if q := e.QueueStats(); q.Migrations != 1 {
 		t.Fatalf("%d migrations before the appends, want 1", q.Migrations)
 	}
-	e.AtCall(at, rec, 3) // the migrated head now carries the bucket's tail
+	e.AtCall(at, rec, 3) // after the old tail, not the migrated head
 	e.AtCall(at, rec, 4)
 	// Step a bounded number of times: a bucket list cut by a wrong tail
 	// loses events, which Run would wait for forever.
