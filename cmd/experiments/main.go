@@ -369,31 +369,24 @@ func reportFaults(logger *slog.Logger, jsonMode bool, sched *exp.Scheduler) bool
 	if len(kept) == 0 {
 		return true
 	}
+	failed = kept
 	// Runs that share a workload and protocol (a sensitivity axis, say)
 	// are ordered by run ID: the ledger lists runs in the order they
 	// finished, which varies between invocations.
-	type faulted struct {
-		exp.FailedRun
-		id string
-	}
-	runs := make([]faulted, len(kept))
-	for i, f := range kept {
-		runs[i] = faulted{f, exp.RunID(f.Cfg)}
-	}
-	sort.Slice(runs, func(i, j int) bool {
-		a, b := runs[i].Cfg, runs[j].Cfg
+	sort.Slice(failed, func(i, j int) bool {
+		a, b := failed[i].Cfg, failed[j].Cfg
 		if a.Workload != b.Workload {
 			return a.Workload < b.Workload
 		}
 		if pa, pb := a.ProtocolName(), b.ProtocolName(); pa != pb {
 			return pa < pb
 		}
-		return runs[i].id < runs[j].id
+		return exp.RunID(a) < exp.RunID(b)
 	})
-	logger.Error("sweep had faulted runs", "count", len(runs))
-	for _, f := range runs {
+	logger.Error("sweep had faulted runs", "count", len(failed))
+	for _, f := range failed {
 		attrs := []any{
-			"run_id", f.id,
+			"run_id", exp.RunID(f.Cfg),
 			"workload", f.Cfg.Workload,
 			"protocol", f.Cfg.ProtocolName(),
 		}
