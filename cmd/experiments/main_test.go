@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -147,7 +148,7 @@ func TestFaultReportOrderFixed(t *testing.T) {
 				continue
 			}
 			key := [3]string{fmt.Sprint(rec["workload"]), fmt.Sprint(rec["protocol"]), fmt.Sprint(rec["run_id"])}
-			if key[0] < last[0] || key[0] == last[0] && (key[1] < last[1] || key[1] == last[1] && key[2] < last[2]) {
+			if slices.Compare(key[:], last[:]) < 0 {
 				t.Errorf("sweep %d: %v reported after %v", i, key, last)
 			}
 			last = key
@@ -157,7 +158,7 @@ func TestFaultReportOrderFixed(t *testing.T) {
 	if len(seqs[0]) < 2 {
 		t.Fatalf("%d faulted runs, want several sharing mp3d/BASIC", len(seqs[0]))
 	}
-	if strings.Join(seqs[0], " ") != strings.Join(seqs[1], " ") {
+	if !slices.Equal(seqs[0], seqs[1]) {
 		t.Errorf("faulted runs reported in different orders:\n%v\n%v", seqs[0], seqs[1])
 	}
 }
