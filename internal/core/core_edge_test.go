@@ -7,6 +7,7 @@ import (
 
 	"ccsim/internal/cache"
 	"ccsim/internal/memsys"
+	"ccsim/internal/sim"
 )
 
 func TestParamsValidate(t *testing.T) {
@@ -206,42 +207,41 @@ func TestWritebackStampRejectsStale(t *testing.T) {
 	}
 }
 
-// TestOwnerReadParksUntilWriteback drives the home's parking path: node 1
-// victimized its dirty copy and missed on the block again, and its read
-// request overtook its writeback. The home must park the read (the
-// registered owner cannot be asking for data it holds), accept the
-// writeback when it lands, then serve the parked read from memory.
-func TestOwnerReadParksUntilWriteback(t *testing.T) {
-	eng, s := testSystem(t, nil)
+// ownerReadRace sets up node 1's side of a read that overtook its
+// writeback: node 1 owned block b, homed at node 0 (one grant), its line
+// is gone, wbs writebacks of b are in flight and a read miss on b is
+// pending. served reports whether the read has completed.
+func ownerReadRace(t *testing.T, wbs int) (eng *sim.Engine, s *System, b memsys.Block, served *bool) {
+	t.Helper()
+	eng, s = testSystem(t, nil)
 	a := blockHomedAt(s, 0)
-	b := memsys.BlockOf(a)
-	write(t, eng, s, 1, a) // node 1 owner, grants=1
-	home := s.Nodes[0].Home
-	// Node 1's side of the race: the victimized line is gone, its
-	// writeback is in flight and a read miss is pending.
+	b = memsys.BlockOf(a)
+	write(t, eng, s, 1, a)
 	c := s.Nodes[1].Cache
 	c.slc.Invalidate(b)
-	c.wb = append(c.wb, wbEntry{block: b})
-	served := false
+	for i := 0; i < wbs; i++ {
+		c.wb = append(c.wb, wbEntry{block: b})
+	}
+	served = new(bool)
 	ms := c.newMSHR(b, mshrRead)
-	ms.readers = append(ms.readers, readerWait{fn: func() { served = true }})
+	ms.readers = append(ms.readers, readerWait{fn: func() { *served = true }})
+	return eng, s, b, served
+}
 
-	home.Handle(&Msg{Type: MsgReadReq, Block: b, Src: 1, Dst: 0})
-	eng.Run()
-	d := s.dirSnapshot(b)
-	if d == nil || d.Parked != 1 || d.Busy || d.Deferred != 0 || d.State != "MODIFIED" || d.Owner != 1 {
-		t.Fatalf("read not parked behind the writeback: %+v", d)
-	}
-	if served {
-		t.Fatal("parked read served before the writeback arrived")
-	}
-
+// landWriteback delivers node 1's current writeback of b (stamp 1) and
+// checks that the home accepts it and then serves the parked read from
+// memory: the entry ends CLEAN with presence {1} and nothing queued, and
+// the machine quiesces with its invariants intact.
+func landWriteback(t *testing.T, eng *sim.Engine, s *System, b memsys.Block, served *bool) {
+	t.Helper()
+	home := s.Nodes[0].Home
+	wbs := home.Writebacks
 	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 1})
 	eng.Run()
-	if home.Writebacks != 1 || home.StaleWritebacks != 0 {
+	if home.Writebacks != wbs+1 {
 		t.Fatalf("writeback not accepted: %d accepted, %d stale", home.Writebacks, home.StaleWritebacks)
 	}
-	if !served {
+	if !*served {
 		t.Fatal("parked read never served")
 	}
 	if e, _ := home.Entry(b); e.Modified || e.Busy || e.Presence != bit(1) {
@@ -258,26 +258,34 @@ func TestOwnerReadParksUntilWriteback(t *testing.T) {
 	}
 }
 
+// TestOwnerReadParksUntilWriteback drives the home's parking path: node 1
+// victimized its dirty copy and missed on the block again, and its read
+// request overtook its writeback. The home must park the read (the
+// registered owner cannot be asking for data it holds), accept the
+// writeback when it lands, then serve the parked read from memory.
+func TestOwnerReadParksUntilWriteback(t *testing.T) {
+	eng, s, b, served := ownerReadRace(t, 1)
+	s.Nodes[0].Home.Handle(&Msg{Type: MsgReadReq, Block: b, Src: 1, Dst: 0})
+	eng.Run()
+	d := s.dirSnapshot(b)
+	if d == nil || d.Parked != 1 || d.Busy || d.Deferred != 0 || d.State != "MODIFIED" || d.Owner != 1 {
+		t.Fatalf("read not parked behind the writeback: %+v", d)
+	}
+	if *served {
+		t.Fatal("parked read served before the writeback arrived")
+	}
+	landWriteback(t, eng, s, b, served)
+}
+
 // TestOwnerReadParksDuringDrain is the parking path reached from the
 // deferred queue: node 1's read arrives while the entry is busy with a
-// stale writeback of node 1's, waits behind it, and is parked when the
-// stale writeback finishes and the entry drains. The entry must keep the
-// parked read, idle but not quiet, until the current writeback lands.
+// stale writeback of node 1's (stamp 0, its own acknowledgment due), waits
+// behind it, and is parked when the stale writeback finishes and the
+// entry drains. The entry must keep the parked read, idle but not quiet,
+// until the current writeback lands.
 func TestOwnerReadParksDuringDrain(t *testing.T) {
-	eng, s := testSystem(t, nil)
-	a := blockHomedAt(s, 0)
-	b := memsys.BlockOf(a)
-	write(t, eng, s, 1, a) // node 1 owner, grants=1
+	eng, s, b, served := ownerReadRace(t, 2)
 	home := s.Nodes[0].Home
-	c := s.Nodes[1].Cache
-	c.slc.Invalidate(b)
-	// Two writebacks in flight, one per acknowledgment: a stale one
-	// (stamp 0) and the current one.
-	c.wb = append(c.wb, wbEntry{block: b}, wbEntry{block: b})
-	served := false
-	ms := c.newMSHR(b, mshrRead)
-	ms.readers = append(ms.readers, readerWait{fn: func() { served = true }})
-
 	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 0})
 	home.Handle(&Msg{Type: MsgReadReq, Block: b, Src: 1, Dst: 0})
 	if d := s.dirSnapshot(b); !d.Busy || d.Deferred != 1 {
@@ -293,21 +301,7 @@ func TestOwnerReadParksDuringDrain(t *testing.T) {
 	if s.Quiesced() {
 		t.Fatal("machine quiesced with a read parked at the home")
 	}
-
-	home.Handle(&Msg{Type: MsgWBReq, Block: b, Src: 1, Dst: 0, Data: true, Stamp: 1})
-	eng.Run()
-	if home.Writebacks != 1 || !served {
-		t.Fatalf("writeback accepted %d times, read served %v", home.Writebacks, served)
-	}
-	if e, _ := home.Entry(b); e.Modified || e.Busy || e.Presence != bit(1) {
-		t.Fatalf("entry after the writeback and read: %+v, want CLEAN with presence {1}", e)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if !s.Quiesced() {
-		t.Fatal("machine not quiesced")
-	}
+	landWriteback(t, eng, s, b, served)
 }
 
 func TestOwnershipCyclesBackWithQueuedWriteback(t *testing.T) {
