@@ -86,7 +86,7 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # entry at 24 pointer-free bytes (its transaction context lives in pooled
 # records) and the engine at one word of header per wheel bucket; two
 # named tests run the paths those layouts moved: a request parked behind
-# its owner's writeback, and a migrated event taking over a bucket's tail.
+# its owner's writeback, and a migrated event becoming a bucket's head.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
