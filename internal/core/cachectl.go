@@ -24,14 +24,16 @@ const (
 // mshr is one lockup-free pending transaction. The SLC itself has no
 // transient states; everything in flight lives here (paper §2: "all pending
 // accesses are kept in the SLWB of the requesting node until they are
-// completed"). Retired records recycle through CacheCtl.mshrFree with their
-// slices' storage, so a record owns its slices: hand their contents to
-// another record by copying, never by sharing.
+// completed"). Records come from System.mshrs, where idx names them, and
+// retired records go back with their slices' storage, so a record owns its
+// slices: hand their contents to another record by copying, never by
+// sharing.
 type mshr struct {
 	block        memsys.Block
 	kind         mshrKind
 	prefetchOnly bool // a prefetch no demand reference has merged with yet
 	countsSLWB   bool
+	idx          int32
 	txn          uint64 // telemetry span of this transaction (0 = untracked)
 
 	// timed marks a read opened by a demand miss at missStart; its fill
@@ -143,7 +145,6 @@ type CacheCtl struct {
 	// processor's one blocking demand read and the fence-time write-cache
 	// drains that may overfill it.
 	slwb     []*mshr
-	mshrFree []*mshr
 	slwbUsed int
 	wb       []wbEntry // the writeback buffer
 
@@ -169,9 +170,6 @@ type CacheCtl struct {
 	// Data-value verification bookkeeping: the versions this processor
 	// observed.
 	lastSeen memsys.Table[memsys.BlockData]
-
-	// jobFree recycles the pooled SLC-occupancy events; see slcJob.
-	jobFree []*slcJob
 
 	// Measurements.
 	Cls    *stats.Classifier
@@ -228,14 +226,8 @@ func (c *CacheCtl) pending(b memsys.Block) *mshr {
 // newMSHR opens a cleared transaction record of the given kind for block b,
 // reusing a retired one when available.
 func (c *CacheCtl) newMSHR(b memsys.Block, kind mshrKind) *mshr {
-	var ms *mshr
-	if n := len(c.mshrFree); n > 0 {
-		ms = c.mshrFree[n-1]
-		c.mshrFree = c.mshrFree[:n-1]
-	} else {
-		ms = &mshr{}
-	}
-	ms.block, ms.kind = b, kind
+	i, ms := c.sys.mshrs.get()
+	ms.idx, ms.block, ms.kind = i, b, kind
 	c.slwb = append(c.slwb, ms)
 	return ms
 }
@@ -257,6 +249,7 @@ func (c *CacheCtl) closeMSHR(ms *mshr) {
 // retireMSHR recycles a closed transaction's record. The caller must be
 // done with it: the next newMSHR may hand it out again.
 func (c *CacheCtl) retireMSHR(ms *mshr) {
+	i := ms.idx
 	clear(ms.readers)
 	clear(ms.performed)
 	clear(ms.after)
@@ -267,7 +260,7 @@ func (c *CacheCtl) retireMSHR(ms *mshr) {
 		obs:       ms.obs[:0],
 		words:     ms.words[:0],
 	}
-	c.mshrFree = append(c.mshrFree, ms)
+	c.sys.mshrs.put(i)
 }
 
 func (c *CacheCtl) idle() bool {
@@ -837,8 +830,9 @@ func (c *CacheCtl) tryRelease() {
 
 // slcJob is one pooled SLC-occupancy event: either a delivered protocol
 // message awaiting its SLC access (handler != nil) or a blocked processor
-// read (handler == nil). Jobs recycle through CacheCtl.jobFree, so the two
-// hottest cache-controller scheduling patterns allocate nothing once warm.
+// read (handler == nil). Jobs come from System.slcJobs, shared by every
+// cache controller of the run, so the two hottest cache-controller
+// scheduling patterns allocate nothing once warm; idx names a job there.
 // The job holds the message by value: the delivered *Msg is valid only
 // until Handle returns.
 type slcJob struct {
@@ -849,20 +843,18 @@ type slcJob struct {
 	block   memsys.Block
 	word    int
 	unblock func()
+	idx     int32
 }
 
 func (c *CacheCtl) getJob() *slcJob {
-	if n := len(c.jobFree); n > 0 {
-		j := c.jobFree[n-1]
-		c.jobFree = c.jobFree[:n-1]
-		return j
-	}
-	return &slcJob{c: c}
+	i, j := c.sys.slcJobs.get()
+	j.c, j.idx = c, i
+	return j
 }
 
 func (c *CacheCtl) putJob(j *slcJob) {
 	j.handler, j.unblock = nil, nil
-	c.jobFree = append(c.jobFree, j)
+	c.sys.slcJobs.put(j.idx)
 }
 
 // runMsgJob completes a message's SLC access and runs its handler. The job

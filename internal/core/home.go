@@ -88,56 +88,16 @@ type txnRec struct {
 	needData bool
 	gaveUp   bool // CW+M probe: all interrogated caches surrendered
 	probing  bool
-
-	next int32 // free-list link (see txnPool)
-}
-
-// txnChunk is the record pool's growth step, in records: one chunk covers
-// the transactions a typical run has in flight at once.
-const txnChunk = 64
-
-// txnPool holds a run's transaction records in fixed-size chunks, so a
-// record's address never changes, and recycles released records through a
-// free list. Records are named by index from 1; 0 names none.
-type txnPool struct {
-	chunks []*[txnChunk]txnRec
-	used   int32 // records ever handed out
-	free   int32 // head of the free list (0 = empty)
-}
-
-// at returns record i (i >= 1).
-func (p *txnPool) at(i int32) *txnRec {
-	u := uint32(i) - 1
-	return &p.chunks[u/txnChunk][u%txnChunk]
-}
-
-// get returns the index of a cleared record, growing the pool by a chunk
-// when every record is in use.
-func (p *txnPool) get() int32 {
-	if i := p.free; i != 0 {
-		r := p.at(i)
-		p.free, r.next = r.next, 0
-		return i
-	}
-	if int(p.used) == len(p.chunks)*txnChunk {
-		p.chunks = append(p.chunks, new([txnChunk]txnRec))
-	}
-	p.used++
-	return p.used
-}
-
-// put clears record i and returns it to the free list.
-func (p *txnPool) put(i int32) {
-	*p.at(i) = txnRec{next: p.free}
-	p.free = i
 }
 
 // heldReq is a pooled request record: a delivered request copied to live on
 // as deferred, parked or in-flight state after its handler returns (see
-// HomeCtl.hold). next links it into one reqQueue, or the home's free list.
+// HomeCtl.hold). next links it into one reqQueue; idx names it in
+// System.reqs.
 type heldReq struct {
 	Msg
 	next *heldReq
+	idx  int32
 }
 
 // reqQueue is a FIFO of held requests linked through their records, so
@@ -207,11 +167,6 @@ type HomeCtl struct {
 	MigratoryReverts                          uint64
 	ExclusiveSupplies                         uint64
 	StaleWritebacks                           uint64
-
-	// reqFree recycles request records (see hold), linked through next, and
-	// jobFree the pooled memory-access events (see homeJob).
-	reqFree *heldReq
-	jobFree []*homeJob
 }
 
 func newHomeCtl(s *System, id int) *HomeCtl {
@@ -343,13 +298,8 @@ func (h *HomeCtl) idle() bool {
 // as deferred, parked or in-flight state after its handler returns, and
 // the delivered *Msg does not. finish releases the record.
 func (h *HomeCtl) hold(m *Msg) *heldReq {
-	r := h.reqFree
-	if r == nil {
-		r = new(heldReq)
-	} else {
-		h.reqFree = r.next
-	}
-	r.Msg, r.next = *m, nil
+	i, r := h.sys.reqs.get()
+	r.Msg, r.next, r.idx = *m, nil, i
 	return r
 }
 
@@ -385,7 +335,7 @@ func (h *HomeCtl) Handle(m *Msg) {
 // the data.
 func (h *HomeCtl) process(m *heldReq, e *dirEntry) {
 	if e.rec == 0 {
-		e.rec = h.sys.txns.get()
+		e.rec, _ = h.sys.txns.get()
 	}
 	t := h.txn(e)
 	// A read or ownership request from the registered exclusive owner can
@@ -412,27 +362,26 @@ func (h *HomeCtl) process(m *heldReq, e *dirEntry) {
 // homeJob carries one memory access through the pooled event path: a
 // request's directory lookup (memDone), a forward reply's write-back
 // (fwdWritten), or a lock or barrier operation (lockDone, barrierDone).
-// Jobs recycle through HomeCtl.jobFree. A job holds the message it serves
-// by value, since the delivered *Msg is valid only until Handle returns;
-// memDone needs none, its request being in the entry's transaction record.
+// Jobs come from System.homeJobs, shared by every home of the run, and idx
+// names a job there. A job holds the message it serves by value, since the
+// delivered *Msg is valid only until Handle returns; memDone needs none,
+// its request being in the entry's transaction record.
 type homeJob struct {
-	h *HomeCtl
-	e *dirEntry
-	m Msg
+	h   *HomeCtl
+	e   *dirEntry
+	m   Msg
+	idx int32
 }
 
 func (h *HomeCtl) getJob() *homeJob {
-	if n := len(h.jobFree); n > 0 {
-		j := h.jobFree[n-1]
-		h.jobFree = h.jobFree[:n-1]
-		return j
-	}
-	return &homeJob{h: h}
+	i, j := h.sys.homeJobs.get()
+	j.h, j.idx = h, i
+	return j
 }
 
 func (h *HomeCtl) putJob(j *homeJob) {
 	j.e = nil
-	h.jobFree = append(h.jobFree, j)
+	h.sys.homeJobs.put(j.idx)
 }
 
 // memDone completes a request's memory access and dispatches it to the
@@ -460,8 +409,7 @@ func memDone(a any) {
 // starts the deferred requests in order until one keeps the entry busy,
 // and releases the record once nothing is in flight or queued.
 func (h *HomeCtl) finish(e *dirEntry, t *txnRec) {
-	t.req.next = h.reqFree
-	h.reqFree = t.req
+	h.sys.reqs.put(t.req.idx)
 	t.req = nil
 	t.txn = txNone
 	e.busy = false
@@ -469,6 +417,7 @@ func (h *HomeCtl) finish(e *dirEntry, t *txnRec) {
 		h.process(t.deferred.pop(), e)
 	}
 	if !e.busy && t.parked.empty() {
+		*t = txnRec{}
 		h.sys.txns.put(e.rec)
 		e.rec = 0
 	}

@@ -84,13 +84,16 @@ type System struct {
 	verSeq         *memsys.Table[verWords]
 	DataViolations []string
 
-	// hopFree recycles the per-message event-chain records Send schedules;
-	// see the hop type.
-	hopFree []*hop
-
-	// txns holds the transaction records of every home's busy directory
-	// entries (see txnRec).
-	txns txnPool
+	// The run's record pools, one per type, shared by every node: the
+	// transaction records of busy directory entries (see txnRec), held
+	// requests (HomeCtl.hold), the per-message event chains Send schedules
+	// (hop), MSHRs, and home and SLC jobs.
+	txns     pool[txnRec]
+	reqs     pool[heldReq]
+	hops     pool[hop]
+	mshrs    pool[mshr]
+	homeJobs pool[homeJob]
+	slcJobs  pool[slcJob]
 }
 
 // verWords is one block's data-verification state. next holds each word's
@@ -121,20 +124,17 @@ func (s *System) memWords(b memsys.Block) memsys.BlockData {
 }
 
 // storeMem writes the masked words of d into home memory's copy of block b.
-// Every word of a page never written reads zero already, so zero words
-// aimed at such a page are dropped rather than given a page.
+// Its two callers, wbReq for a current writeback and onFwdReply, store data
+// only from b's registered MODIFIED owner, and b has a page by then: every
+// grant serializes a write of b (nextVersion gives b its page) before the
+// owner can return data. An ownership grant's writes serialize as its
+// OwnAck arrives, an exclusive update grant applies the update first, and
+// a migratory block was written before it became migratory.
 func (s *System) storeMem(b memsys.Block, d *memsys.BlockData, mask memsys.WordMask) {
 	if s.verSeq == nil {
 		return
 	}
-	v := s.verSeq.Get(b)
-	if v == nil {
-		if *d == (memsys.BlockData{}) {
-			return
-		}
-		v = s.verSeq.At(b)
-	}
-	v.mem.Merge(*d, mask)
+	s.verSeq.At(b).mem.Merge(*d, mask)
 }
 
 // serialize is a write's global serialization point on behalf of node: it
@@ -261,33 +261,28 @@ func (s *System) busTime(m *Msg) sim.Time {
 }
 
 // hop carries one in-flight message across its source bus -> network ->
-// destination bus event chain. Hops are recycled through System.hopFree, so
-// the per-message event chain — the hottest scheduling pattern in the
-// simulator — allocates nothing once the free list is warm. The hop holds
-// the message by value; the handler it is dispatched to reads it in place,
-// so a hop is recycled only after dispatch returns.
+// destination bus event chain. Hops come from System.hops, so the
+// per-message event chain — the hottest scheduling pattern in the
+// simulator — allocates nothing once the pool is warm; idx names the hop
+// there. The hop holds the message by value; the handler it is dispatched
+// to reads it in place, so a hop is released only after dispatch returns.
 type hop struct {
-	s  *System
-	m  Msg
-	bt sim.Time
+	s   *System
+	m   Msg
+	bt  sim.Time
+	idx int32
 }
 
 func (s *System) getHop(m *Msg, bt sim.Time) *hop {
-	var h *hop
-	if n := len(s.hopFree); n > 0 {
-		h = s.hopFree[n-1]
-		s.hopFree = s.hopFree[:n-1]
-	} else {
-		h = &hop{s: s}
-	}
-	h.m, h.bt = *m, bt
+	i, h := s.hops.get()
+	h.s, h.m, h.bt, h.idx = s, *m, bt, i
 	return h
 }
 
-// deliver dispatches the hop's message and recycles the hop.
+// deliver dispatches the hop's message and releases the hop.
 func (s *System) deliver(h *hop) {
 	s.dispatch(&h.m)
-	s.hopFree = append(s.hopFree, h)
+	s.hops.put(h.idx)
 }
 
 // hopSrcBus runs when the message clears its source node's bus.

@@ -87,6 +87,9 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # records) and the engine at one word of header per wheel bucket; two
 # named tests run the paths those layouts moved: a request parked behind
 # its owner's writeback, and a migrated event becoming a bucket's head.
+# The record pool's tests (TestPool*) pin what its callers rely on: indexes
+# from 1, addresses that never move, the last released record reused first,
+# no allocation once warm, and a record that comes back as it was released.
 /tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -check \
     -sharing /tmp/ccsim-sharing.txt -trace /tmp/ccsim-trace.txt \
     > /tmp/ccsim-analytics.txt
@@ -96,7 +99,7 @@ test -s /tmp/ccsim-trace.txt
 go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestSweepRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations|TestEngineSize|TestEngineMigratedHeadKeepsTail' ccsim/internal/sim
-go test -count=1 -run 'TestDirEntrySize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback' ccsim/internal/core
+go test -count=1 -run 'TestDirEntrySize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback|TestPool' ccsim/internal/core
 go test -count=1 -run 'TestKernelOpBuffersNeverGrow' ccsim/internal/workload
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
