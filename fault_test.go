@@ -1,6 +1,8 @@
 package ccsim_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +228,124 @@ func TestWatchdogFaultsRepeat(t *testing.T) {
 	for _, kind := range []string{ccsim.FaultMaxEvents, ccsim.FaultDeadline, ccsim.FaultLivelock, ccsim.FaultDeadlock} {
 		if seen[kind] == 0 {
 			t.Errorf("no configuration faulted with %s", kind)
+		}
+	}
+}
+
+// feedStream hands out a fixed op slice like ccsim.Ops, but through a type
+// of its own, so RunStreams cannot restart it from its slice. When cancel
+// is set, it fires the flag as it hands out op number cancelAt.
+type feedStream struct {
+	ops      []ccsim.Op
+	i        int
+	cancel   *ccsim.Cancel
+	cancelAt int
+}
+
+func (s *feedStream) Next() (ccsim.Op, bool) {
+	if s.i >= len(s.ops) {
+		return ccsim.Op{}, false
+	}
+	if s.cancel != nil && s.i == s.cancelAt {
+		s.cancel.Cancel()
+	}
+	op := s.ops[s.i]
+	s.i++
+	return op, true
+}
+
+// feedStreams returns mp3d's ops at 4 processors and scale 0.05 as feed
+// streams; processor 0's fires cancel at its op cancelAt when cancel is
+// set.
+func feedStreams(t *testing.T, cancel *ccsim.Cancel, cancelAt int) []ccsim.Stream {
+	t.Helper()
+	ops, err := ccsim.WorkloadOps("mp3d", 4, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]ccsim.Stream, len(ops))
+	for p, o := range ops {
+		s := &feedStream{ops: o}
+		if p == 0 {
+			s.cancel, s.cancelAt = cancel, cancelAt
+		}
+		out[p] = s
+	}
+	return out
+}
+
+// TestFaultDumpGolden pins the whole fault dump, Go stack aside, of one
+// run for each way a run can fault: an injected panic, a checker finding
+// through RunStreams, an event ceiling with telemetry and the sharing
+// analyzer attached, a deadline, a livelock, the ABBA deadlock, a cancel
+// fired from inside a custom stream and an event ceiling on the same
+// custom streams. The dump carries the snapshot and the flight recorder's
+// message tail, so a change to either, or to where a faulting run stops,
+// changes a hash.
+func TestFaultDumpGolden(t *testing.T) {
+	inject := tinyCfg("mp3d")
+	inject.FaultInject = "mp3d/BASIC"
+	mutated := mutationConfig(1)
+	mutated.FaultInject = "wb-drop-word@mut/BASIC"
+	mutated.Check = ccsim.NewChecker()
+	observed := tinyCfg("mp3d")
+	observed.Extensions = ccsim.Ext{P: true, CW: true}
+	observed.MaxEvents = 20_000
+	observed.Telemetry = ccsim.NewTelemetry()
+	observed.Sharing = ccsim.NewSharingAnalytics()
+	deadline := tinyCfg("water")
+	deadline.Deadline = 10_000
+	livelock := tinyCfg("cholesky")
+	livelock.Extensions = ccsim.Ext{P: true, CW: true}
+	livelock.NoProgressEvents = 40
+	feed := ccsim.DefaultConfig()
+	feed.Procs = 4
+	cancel := &ccsim.Cancel{}
+	canceled := feed
+	canceled.Cancel = cancel
+	ceiling := feed
+	ceiling.MaxEvents = 15_000
+	for _, c := range []struct {
+		name string
+		kind string
+		run  func() error
+		want string
+	}{
+		{"injected panic", ccsim.FaultPanic,
+			func() error { _, err := ccsim.Run(inject); return err },
+			"c7635ba6d79b658aa55a6e3cad3f659402624e41198ba9d8be0397bb40ec14fe"},
+		{"checker finding", ccsim.FaultInvariant,
+			func() error { _, err := ccsim.RunStreams(mutated, wbDropStreams()); return err },
+			"0c67774d410d14132317491dc5e9be4ccb6b16f9ed85314e0335d39d510d0b43"},
+		{"max events observed", ccsim.FaultMaxEvents,
+			func() error { _, err := ccsim.Run(observed); return err },
+			"7e1762768bec351cac9a839ceb9dfe795b6f358f7a74dd8bfc1235d0e321c3a4"},
+		{"deadline", ccsim.FaultDeadline,
+			func() error { _, err := ccsim.Run(deadline); return err },
+			"4df61b0a121864815319376858abaf84eb84165bb3cd79951bf85b55054e834e"},
+		{"livelock", ccsim.FaultLivelock,
+			func() error { _, err := ccsim.Run(livelock); return err },
+			"cbf368336bf552cf8dbc59391a89ac176c627e25137b4bcfc51135c2c2f641db"},
+		{"deadlock", ccsim.FaultDeadlock, runABBA,
+			"1d84a719cf8c8d594e3f7a891bdcbbd5579a3807dbdaa0b0a2427f1c8137efdd"},
+		{"canceled from a stream", ccsim.FaultCanceled,
+			func() error { _, err := ccsim.RunStreams(canceled, feedStreams(t, cancel, 300)); return err },
+			"13d5797205aa353bbda5a6d158889c121801ccd624ba84d8879fd78f5620e5df"},
+		{"max events through a stream", ccsim.FaultMaxEvents,
+			func() error { _, err := ccsim.RunStreams(ceiling, feedStreams(t, nil, 0)); return err },
+			"e3854d7ec7a01553f4616ee1ce5a6bd362f7644f310e232ea9c1deccd20b2b06"},
+	} {
+		err := c.run()
+		f, ok := ccsim.AsFault(err)
+		if !ok || f.Kind != c.kind {
+			t.Errorf("%s: err = %v, want a %s fault", c.name, err, c.kind)
+			continue
+		}
+		f.Stack = nil
+		h := sha256.New()
+		f.Dump(h)
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%s: dump sha256 = %s, want %s", c.name, got, c.want)
 		}
 	}
 }
