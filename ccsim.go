@@ -33,8 +33,10 @@ import (
 
 	"ccsim/internal/check"
 	"ccsim/internal/core"
+	"ccsim/internal/fault"
 	"ccsim/internal/proc"
 	"ccsim/internal/sim"
+	"ccsim/internal/telemetry"
 	"ccsim/internal/workload"
 )
 
@@ -237,7 +239,9 @@ func (c Config) ProtocolName() string {
 
 // Run simulates the configured workload to completion and returns its
 // measurements. The run is deterministic: identical configurations produce
-// identical results.
+// identical results. A run that faults is run again up to its fault to
+// recompute the fault dump's flight-recorder tail, so it takes about
+// twice as long.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Workload == "" {
 		return nil, fmt.Errorf("ccsim: no workload named; use RunStreams for custom streams")
@@ -249,7 +253,10 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runStreams(cfg, streams)
+	return runStreams(cfg, streams, func() []proc.Stream {
+		again, _ := workload.Streams(cfg.Workload, cfg.Procs, cfg.Scale)
+		return again
+	})
 }
 
 // Workloads lists the available kernel names in the paper's order.
@@ -302,20 +309,44 @@ func ComputeStorage(cfg Config, slcFrames, memBlocks int) StorageBits {
 // the configured machine. Each stream must begin with a StatsOn operation.
 // An operation of unknown kind, with negative busy cycles or with a
 // negative barrier id ends the run with an error naming its processor and
-// its index in that processor's stream.
+// its index in that processor's stream. A faulting run is run again like
+// Run's: an Ops stream restarts from its slice, and any other stream's
+// operations are kept as they are read so they can be handed out again.
 func RunStreams(cfg Config, streams []Stream) (*Result, error) {
+	adapters := make([]*streamAdapter, len(streams))
 	adapted := make([]proc.Stream, len(streams))
 	for i, s := range streams {
-		adapted[i] = &streamAdapter{s: s, proc: i}
+		adapters[i] = newStreamAdapter(s, i)
+		adapted[i] = adapters[i]
 	}
-	return runStreams(cfg, adapted)
+	return runStreams(cfg, adapted, func() []proc.Stream {
+		again := make([]proc.Stream, len(adapters))
+		for i, a := range adapters {
+			again[i] = a.again()
+		}
+		return again
+	})
 }
 
-func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
-	m, err := newMachine(cfg, streams)
+// runStreams runs streams on the machine cfg describes. No run carries a
+// flight recorder: when one faults after its first event, replayTail
+// recomputes its fault's message tail from again, which must return the
+// same streams from their first operation.
+func runStreams(cfg Config, streams []proc.Stream, again func() []proc.Stream) (*Result, error) {
+	m, err := newMachine(cfg, streams, false)
 	if err != nil {
 		return nil, err
 	}
+	res, err := m.contained()
+	if snap := m.snap; snap != nil && m.eng.Steps() > 0 {
+		snap.Messages, snap.MessagesSeen = replayTail(cfg, m.eng.Steps(), again())
+	}
+	return res, err
+}
+
+// contained runs the machine and returns its result, or the error that
+// ended it.
+func (m *machine) contained() (res *Result, err error) {
 	if t := m.sys.Tracer; t != nil {
 		// Deferred first so it runs last, after a panic has become a fault:
 		// every path writes the whole trace before the run returns.
@@ -340,4 +371,44 @@ func runStreams(cfg Config, streams []proc.Stream) (res *Result, err error) {
 		}
 	}()
 	return m.run()
+}
+
+// replayTail runs cfg again on streams with a flight recorder attached and
+// returns the recorder's tail and message count after steps events: the
+// messages a run of cfg that faulted at steps sent and delivered. A run is
+// a function of its configuration, so the replay repeats it event for
+// event. It keeps the watchdog limits, FaultInject and VerifyData, and
+// gets a checker, telemetry collector and sharing analyzer of its own, like
+// the caller's: a checker finding must recur in the middle of its event,
+// and the telemetry sampler schedules events. It drops the trace, which
+// must end at the fault, and Cancel; the event ceiling of steps stops it
+// where the faulted run stopped even when the cause does not recur, as for
+// a cancel. A replay that stops elsewhere leaves the tail empty rather
+// than wrong.
+func replayTail(cfg Config, steps uint64, streams []proc.Stream) ([]fault.Record, uint64) {
+	cfg.TraceWriter, cfg.Cancel, cfg.MaxEvents = nil, nil, steps
+	if cfg.Check != nil {
+		c := check.New()
+		c.LogObs = cfg.Check.LogObs
+		cfg.Check = c
+	}
+	if cfg.Telemetry != nil {
+		cfg.Telemetry = telemetry.New(cfg.Telemetry.Options())
+	}
+	if cfg.Sharing != nil {
+		cfg.Sharing = telemetry.NewSharing()
+	}
+	m, err := newMachine(cfg, streams, true)
+	if err != nil {
+		return nil, 0
+	}
+	func() {
+		// The replay ends in the fault the caller already has.
+		defer func() { _ = recover() }()
+		_, _ = m.run()
+	}()
+	if m.eng.Steps() != steps {
+		return nil, 0
+	}
+	return m.sys.Rec.Tail(), m.sys.Rec.Seen()
 }

@@ -25,14 +25,15 @@
 // A violation panics with a structured *fault.SimFault (KindInvariant)
 // naming the block and the transition. ccsim.Run recovers it into the
 // ordinary fault path, which adds the protocol message being handled and
-// the controller handling it, so the dump carries the machine snapshot and
-// the flight-recorder tail for the exact event where coherence first
-// broke.
+// the controller handling it, so the dump carries the machine snapshot for
+// the exact event where coherence first broke. Its flight-recorder tail
+// comes from a replay of the run with a fresh oracle, which fails at the
+// same event.
 //
 // The package is a leaf over fault and memsys so internal/core can hook it
 // without cycles. A disabled checker is a nil pointer in core.System; every
 // hook site is guarded by one nil check, the same zero-cost-off pattern as
-// the tracer and the flight recorder.
+// the tracer and the flight recorder, which only that replay attaches.
 package check
 
 import (

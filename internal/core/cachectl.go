@@ -143,7 +143,8 @@ type CacheCtl struct {
 	// slwb holds every pending transaction, at most one per block, searched
 	// by block. Besides the SLWB's slwbUsed counted entries it holds the
 	// processor's one blocking demand read and the fence-time write-cache
-	// drains that may overfill it.
+	// drains that may overfill it. It is made with room for the entries
+	// and the read, so only such a drain grows it.
 	slwb     []*mshr
 	slwbUsed int
 	wb       []wbEntry // the writeback buffer
@@ -193,6 +194,7 @@ func newCacheCtl(s *System, id int) *CacheCtl {
 		slc:         newSLC(s.P),
 		slcRes:      sim.NewResource(s.Eng, fmt.Sprintf("slc%d", id)),
 		flwb:        cache.NewFIFO[flwbWrite](s.P.FLWBEntries),
+		slwb:        make([]*mshr, 0, s.P.SLWBEntries+1),
 		lockWaiters: make(map[memsys.Block]func()),
 		wcObs:       make(map[memsys.Block][]int),
 		barWaiters:  make(map[int]func()),

@@ -31,7 +31,7 @@ func (s *System) LastDispatch() (component, msgKind string, block memsys.Block, 
 // FaultSnapshot captures the machine's diagnostic state for a fault
 // report: per-cache pending transactions, the directory entry of the
 // faulting block, non-empty resource queues, blocked synchronization
-// agents, and the flight recorder's tail.
+// agents, and the flight recorder's tail when the system carries one.
 func (s *System) FaultSnapshot(block uint64, hasBlock bool) *fault.Snapshot {
 	snap := &fault.Snapshot{
 		Blocked:      s.BlockedSync(),

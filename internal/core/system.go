@@ -46,8 +46,11 @@ type System struct {
 	// utilization samples. A nil collector is a no-op on every path.
 	Tele *telemetry.Collector
 
-	// Rec is the fault flight recorder: a fixed ring of the last protocol
-	// messages, dumped with a SimFault. A nil recorder is a free no-op.
+	// Rec, when non-nil, is the fault flight recorder: a fixed ring of the
+	// last protocol messages sent and delivered. Only the replay of a
+	// faulted run sets it, to recompute the message tail the fault's
+	// dump shows; every other run leaves it nil, and its two hook sites
+	// then cost one nil check each.
 	Rec *fault.Recorder
 
 	// Check, when non-nil, is the live coherence checker: every directory
@@ -323,7 +326,9 @@ func hopDstBus(a any) {
 // delivered *Msg may use it only until the handler returns.
 func (s *System) Send(m *Msg) {
 	s.traceMsg(trace.MsgSend, m)
-	s.Rec.Record(int64(s.Eng.Now()), "send", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
+	if s.Rec != nil {
+		s.Rec.Record(int64(s.Eng.Now()), "send", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
+	}
 	bt := s.busTime(m)
 	s.Nodes[m.Src].Bus.UseCall(bt, hopSrcBus, s.getHop(m, bt))
 }
@@ -350,7 +355,9 @@ func arrivalPhase(t MsgType) (telemetry.Phase, bool) {
 
 func (s *System) dispatch(m *Msg) {
 	s.traceMsg(trace.MsgDeliver, m)
-	s.Rec.Record(int64(s.Eng.Now()), "recv", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
+	if s.Rec != nil {
+		s.Rec.Record(int64(s.Eng.Now()), "recv", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
+	}
 	s.lastType, s.lastBlock, s.lastDst, s.lastToHome, s.lastValid =
 		m.Type, m.Block, m.Dst, m.toHome(), true
 	if m.Txn != 0 && s.Tele != nil {

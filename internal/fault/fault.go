@@ -248,9 +248,9 @@ type Record struct {
 }
 
 // Recorder is a fixed-size ring buffer of the last N protocol messages.
-// Record costs one slot store and two integer ops — no allocation — so it
-// is cheap enough to leave on for every run; a nil *Recorder is a no-op,
-// making the disabled case free.
+// Record costs one slot store and two integer ops, and no allocation. The
+// simulator attaches one only to the replay of a faulted run, which
+// recomputes the fault's message tail; a nil *Recorder is a no-op.
 type Recorder struct {
 	buf []Record
 	n   uint64 // total records ever written

@@ -232,6 +232,10 @@ func New(opts Options) *Collector {
 	return &Collector{opts: opts.withDefaults()}
 }
 
+// Options returns the collector's bounds, defaults filled in: a collector
+// built from them records a run the same way, sampler ticks included.
+func (c *Collector) Options() Options { return c.opts }
+
 // Begin opens a span and returns its transaction ID, or 0 when the
 // collector is nil or full. ID 0 is the universal "untracked" transaction:
 // Mark and End ignore it.

@@ -30,7 +30,8 @@ const defaultNoProgressEvents = 2_000_000
 
 // flightRecorderDepth is the flight recorder's depth in protocol messages:
 // enough history to see the message pattern around a fault without
-// bloating dumps.
+// bloating dumps. Only the replay of a faulted run carries the recorder
+// (see replayTail).
 const flightRecorderDepth = 64
 
 // machine is one assembled simulation.
@@ -42,6 +43,11 @@ type machine struct {
 	procs []*proc.Processor
 
 	injectPanic bool // Config.FaultInject names this run's identity
+
+	// snap is the diagnostic snapshot faultSnapshot took at the run's
+	// fault, nil until then or when the machine could not be snapshotted;
+	// a replay fills in its message tail.
+	snap *fault.Snapshot
 
 	statsStart   sim.Time
 	statsStarted bool
@@ -58,11 +64,11 @@ func meshSide(n int) int {
 }
 
 // newMachine builds the machine whose processor i executes streams[i] and
-// attaches cfg's side channels: protocol trace, telemetry, live checker,
-// sharing analyzer, plus the flight recorder every run carries. It starts
-// the trace renderer last, after every check that can fail, so an error
-// leaves nothing to close.
-func newMachine(cfg Config, streams []proc.Stream) (*machine, error) {
+// attaches cfg's side channels: protocol trace, telemetry, live checker and
+// sharing analyzer, plus the flight recorder when the machine is the
+// replay of a faulted run. It starts the trace renderer last, after every
+// check that can fail, so an error leaves nothing to close.
+func newMachine(cfg Config, streams []proc.Stream, replay bool) (*machine, error) {
 	p := cfg.coreParams()
 	if len(streams) != p.Nodes {
 		return nil, fmt.Errorf("machine: %d streams for %d nodes", len(streams), p.Nodes)
@@ -104,7 +110,9 @@ func newMachine(cfg Config, streams []proc.Stream) (*machine, error) {
 		cfg.Check.Reset(p.Nodes)
 		sys.Check = cfg.Check
 	}
-	sys.Rec = fault.NewRecorder(flightRecorderDepth)
+	if replay {
+		sys.Rec = fault.NewRecorder(flightRecorderDepth)
+	}
 	// Measurement starts at the workloads' StatsOn marker.
 	sys.SetStatsEnabled(false)
 	onStatsOn, onDone := m.onStatsOn, func() { m.doneCount++ }
@@ -286,6 +294,7 @@ func (m *machine) faultSnapshot(block uint64, hasBlock bool) (snap *fault.Snapsh
 		if recover() != nil {
 			snap = nil
 		}
+		m.snap = snap
 	}()
 	snap = m.sys.FaultSnapshot(block, hasBlock)
 	snap.Blocked = m.blockedAgents()

@@ -92,11 +92,25 @@ func (op Op) toProc() (proc.Op, error) {
 type opError struct{ err error }
 
 // streamAdapter converts processor proc's public Stream to the internal
-// one.
+// one. It keeps what a replay of the run needs to hand out the same
+// operations again: an Ops stream's slice and the run's start in it, or
+// else every operation it handed out.
 type streamAdapter struct {
 	s    Stream
 	proc int
 	n    int // operations read so far
+
+	ops  *sliceStream // s, when it is an Ops stream
+	from int          // ops.i when the run started
+	log  []Op         // what Next handed out, when s is not an Ops stream
+}
+
+func newStreamAdapter(s Stream, proc int) *streamAdapter {
+	a := &streamAdapter{s: s, proc: proc}
+	if ss, ok := s.(*sliceStream); ok {
+		a.ops, a.from = ss, ss.i
+	}
+	return a
 }
 
 func (a *streamAdapter) Next() (proc.Op, bool) {
@@ -108,6 +122,19 @@ func (a *streamAdapter) Next() (proc.Op, bool) {
 	if err != nil {
 		panic(opError{fmt.Errorf("ccsim: processor %d, operation %d: %w", a.proc, a.n, err)})
 	}
+	if a.ops == nil {
+		a.log = append(a.log, op)
+	}
 	a.n++
 	return pop, true
+}
+
+// again returns an adapter that hands out this one's operations again from
+// the first: an Ops stream restarts where the run started in its slice,
+// copying nothing, and any other stream replays what it handed out.
+func (a *streamAdapter) again() *streamAdapter {
+	if a.ops != nil {
+		return newStreamAdapter(Ops(a.ops.ops[a.from:]...), a.proc)
+	}
+	return newStreamAdapter(Ops(a.log...), a.proc)
 }

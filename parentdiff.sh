@@ -19,8 +19,15 @@
 # The random scales stop at 0.1, so the script then exports every kernel's
 # operation streams with ccsim -dump at 16 processors and scale 1.0 (the
 # paper-size default), 4 at 0.13 and 32 at 0.02, and compares the files
-# byte for byte. The first difference prints its command line and exits 1;
-# otherwise the script prints the counts and exits 0.
+# byte for byte. Last come fixed faulting runs: every kernel under BASIC
+# and P+CW at 4 processors and scale 0.05, once with -max-events and once
+# with -deadline far below what the run needs, and one -in run of a -dump
+# file with -max-events, the RunStreams path. In text mode ccsim prints
+# the whole fault dump on stderr, flight recorder included, and a watchdog
+# dump carries no Go stack, so each side's exit code and stderr, slog's
+# time= field stripped, must match byte for byte. The first difference
+# prints its command line and exits 1; otherwise the script prints the
+# counts and exits 0.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -150,3 +157,36 @@ for size in "16 1.0" "4 0.13" "32 0.02"; do
     done
 done
 echo "parentdiff: $dumps kernel dumps identical"
+
+# fault ARGS...: run ccsim ARGS in $run on both sides; it must fault, and
+# both sides must exit alike and print the same stderr but for its times.
+faults=0
+fault() {
+    for s in old new; do
+        (
+            cd "$run"
+            set +e
+            "$work/$s.ccsim" "$@" > /dev/null 2> "$s.stderr"
+            echo $? > "$s.code"
+        )
+        sed 's/^time=[^ ]* //' "$run/$s.stderr" > "$run/$s.err"
+    done
+    if ! cmp -s "$run/old.code" "$run/new.code" || ! cmp -s "$run/old.err" "$run/new.err"; then
+        echo "parentdiff: fault dump differs: ccsim $*" >&2
+        exit 1
+    fi
+    if ! grep -q '^=== END FAULT ===$' "$run/new.err"; then
+        echo "parentdiff: no fault dump: ccsim $*" >&2
+        exit 1
+    fi
+    faults=$((faults + 1))
+}
+for k in mp3d cholesky water lu ocean; do
+    for ext in BASIC P+CW; do
+        fault -workload "$k" -ext "$ext" -procs 4 -scale 0.05 -max-events 300
+        fault -workload "$k" -ext "$ext" -procs 4 -scale 0.05 -deadline 1000
+    done
+done
+"$work/new.ccsim" -workload water -procs 4 -scale 0.05 -dump "$run/water.trace" > /dev/null
+fault -in water.trace -max-events 2000
+echo "parentdiff: $faults fault dumps identical"
