@@ -37,6 +37,7 @@ import (
 	"ccsim/internal/proc"
 	"ccsim/internal/sim"
 	"ccsim/internal/telemetry"
+	"ccsim/internal/trace"
 	"ccsim/internal/workload"
 )
 
@@ -241,7 +242,7 @@ func (c Config) ProtocolName() string {
 // measurements. The run is deterministic: identical configurations produce
 // identical results. A run that faults is run again up to its fault to
 // recompute the fault dump's flight-recorder tail, so it takes about
-// twice as long.
+// twice as long; a cancelled run is not, and returns at once with no tail.
 func Run(cfg Config) (*Result, error) {
 	if cfg.Workload == "" {
 		return nil, fmt.Errorf("ccsim: no workload named; use RunStreams for custom streams")
@@ -328,18 +329,23 @@ func RunStreams(cfg Config, streams []Stream) (*Result, error) {
 	})
 }
 
-// runStreams runs streams on the machine cfg describes. No run carries a
-// flight recorder: when one faults after its first event, replayTail
-// recomputes its fault's message tail from again, which must return the
-// same streams from their first operation.
+// runStreams runs streams on the machine cfg describes. No run records its
+// messages: when one faults after its first event, replayTail recomputes
+// its fault's message tail from again, which must return the same streams
+// from their first operation. A cancelled run is not replayed: its caller
+// asked it to stop, and neither CLI prints a cancelled run's dump.
 func runStreams(cfg Config, streams []proc.Stream, again func() []proc.Stream) (*Result, error) {
-	m, err := newMachine(cfg, streams, false)
+	m, err := newMachine(cfg, streams)
 	if err != nil {
 		return nil, err
 	}
 	res, err := m.contained()
-	if snap := m.snap; snap != nil && m.eng.Steps() > 0 {
-		snap.Messages, snap.MessagesSeen = replayTail(cfg, m.eng.Steps(), again())
+	// AsFault moves its target to the heap, so it comes last: a run that
+	// did not fault must not pay an allocation for it.
+	if m.snap != nil && m.eng.Steps() > 0 {
+		if f, ok := AsFault(err); ok && f.Kind != FaultCanceled {
+			m.snap.Messages, m.snap.MessagesSeen = replayTail(cfg, m.eng.Steps(), again())
+		}
 	}
 	return res, err
 }
@@ -347,7 +353,7 @@ func runStreams(cfg Config, streams []proc.Stream, again func() []proc.Stream) (
 // contained runs the machine and returns its result, or the error that
 // ended it.
 func (m *machine) contained() (res *Result, err error) {
-	if t := m.sys.Tracer; t != nil {
+	if t, ok := m.sys.Tracer.(*trace.Tracer); ok {
 		// Deferred first so it runs last, after a panic has become a fault:
 		// every path writes the whole trace before the run returns.
 		defer func() {
@@ -373,20 +379,19 @@ func (m *machine) contained() (res *Result, err error) {
 	return m.run()
 }
 
-// replayTail runs cfg again on streams with a flight recorder attached and
-// returns the recorder's tail and message count after steps events: the
+// replayTail runs cfg again on streams with a msgTail on the protocol-trace
+// hook and returns the tail and its message count after steps events: the
 // messages a run of cfg that faulted at steps sent and delivered. A run is
 // a function of its configuration, so the replay repeats it event for
 // event. It keeps the watchdog limits, FaultInject and VerifyData, and
-// gets a checker, telemetry collector and sharing analyzer of its own, like
-// the caller's: a checker finding must recur in the middle of its event,
-// and the telemetry sampler schedules events. It drops the trace, which
-// must end at the fault, and Cancel; the event ceiling of steps stops it
-// where the faulted run stopped even when the cause does not recur, as for
-// a cancel. A replay that stops elsewhere leaves the tail empty rather
-// than wrong.
+// gets a checker and telemetry collector of its own, like the caller's: a
+// checker finding must recur in the middle of its event, and the telemetry
+// sampler schedules events. It drops the trace, whose hook the tail takes,
+// the sharing analyzer, which only observes, and Cancel; the event ceiling
+// of steps stops it where the faulted run stopped. A replay that stops
+// elsewhere leaves the tail empty rather than wrong.
 func replayTail(cfg Config, steps uint64, streams []proc.Stream) ([]fault.Record, uint64) {
-	cfg.TraceWriter, cfg.Cancel, cfg.MaxEvents = nil, nil, steps
+	cfg.TraceWriter, cfg.Sharing, cfg.Cancel, cfg.MaxEvents = nil, nil, nil, steps
 	if cfg.Check != nil {
 		c := check.New()
 		c.LogObs = cfg.Check.LogObs
@@ -395,13 +400,12 @@ func replayTail(cfg Config, steps uint64, streams []proc.Stream) ([]fault.Record
 	if cfg.Telemetry != nil {
 		cfg.Telemetry = telemetry.New(cfg.Telemetry.Options())
 	}
-	if cfg.Sharing != nil {
-		cfg.Sharing = telemetry.NewSharing()
-	}
-	m, err := newMachine(cfg, streams, true)
+	m, err := newMachine(cfg, streams)
 	if err != nil {
 		return nil, 0
 	}
+	tail := new(msgTail)
+	m.sys.Tracer = tail
 	func() {
 		// The replay ends in the fault the caller already has.
 		defer func() { _ = recover() }()
@@ -410,5 +414,47 @@ func replayTail(cfg Config, steps uint64, streams []proc.Stream) ([]fault.Record
 	if m.eng.Steps() != steps {
 		return nil, 0
 	}
-	return m.sys.Rec.Tail(), m.sys.Rec.Seen()
+	return tail.records(), tail.seen
+}
+
+// tailDepth is how many protocol messages a fault dump's flight recorder
+// shows: enough history to see the message pattern around a fault without
+// bloating dumps.
+const tailDepth = 64
+
+// msgTail is the protocol-trace sink of a fault's replay: a ring of the
+// last tailDepth message sends and deliveries, kept as the records the
+// dump prints. Record ignores every other event and allocates nothing.
+type msgTail struct {
+	ring [tailDepth]fault.Record
+	seen uint64 // sends and deliveries recorded
+}
+
+// Record keeps e if it is a message send or delivery, overwriting the
+// oldest entry when the ring is full.
+func (t *msgTail) Record(e trace.Event) {
+	var op string
+	switch e.Kind {
+	case trace.MsgSend:
+		op = "send"
+	case trace.MsgDeliver:
+		op = "recv"
+	default:
+		return
+	}
+	t.ring[t.seen%tailDepth] = fault.Record{At: e.At, Op: op, Kind: e.What, Block: e.Block, Src: e.Node, Dst: e.Peer}
+	t.seen++
+}
+
+// records copies out the kept entries, oldest first.
+func (t *msgTail) records() []fault.Record {
+	if t.seen == 0 {
+		return nil
+	}
+	kept := min(t.seen, tailDepth)
+	out := make([]fault.Record, 0, kept)
+	for i := t.seen - kept; i < t.seen; i++ {
+		out = append(out, t.ring[i%tailDepth])
+	}
+	return out
 }

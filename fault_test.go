@@ -3,6 +3,7 @@ package ccsim_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -281,7 +282,8 @@ func feedStreams(t *testing.T, cancel *ccsim.Cancel, cancelAt int) []ccsim.Strea
 // fired from inside a custom stream and an event ceiling on the same
 // custom streams. The dump carries the snapshot and the flight recorder's
 // message tail, so a change to either, or to where a faulting run stops,
-// changes a hash.
+// changes a hash. A cancelled run is not replayed, so its dump has no
+// message tail.
 func TestFaultDumpGolden(t *testing.T) {
 	inject := tinyCfg("mp3d")
 	inject.FaultInject = "mp3d/BASIC"
@@ -330,7 +332,7 @@ func TestFaultDumpGolden(t *testing.T) {
 			"1d84a719cf8c8d594e3f7a891bdcbbd5579a3807dbdaa0b0a2427f1c8137efdd"},
 		{"canceled from a stream", ccsim.FaultCanceled,
 			func() error { _, err := ccsim.RunStreams(canceled, feedStreams(t, cancel, 300)); return err },
-			"13d5797205aa353bbda5a6d158889c121801ccd624ba84d8879fd78f5620e5df"},
+			"c9187417cf64267053a1f79571640b62b697df953947b556aa853c9149f07e07"},
 		{"max events through a stream", ccsim.FaultMaxEvents,
 			func() error { _, err := ccsim.RunStreams(ceiling, feedStreams(t, nil, 0)); return err },
 			"e3854d7ec7a01553f4616ee1ce5a6bd362f7644f310e232ea9c1deccd20b2b06"},
@@ -346,6 +348,75 @@ func TestFaultDumpGolden(t *testing.T) {
 		f.Dump(h)
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
 			t.Errorf("%s: dump sha256 = %s, want %s", c.name, got, c.want)
+		}
+		if replayed := f.Snapshot.MessagesSeen > 0; replayed == (c.kind == ccsim.FaultCanceled) {
+			t.Errorf("%s: replayed = %v, want a replay for every fault but a cancel", c.name, replayed)
+		}
+	}
+}
+
+// TestFaultDumpSameWithTrace: a faulting run dumps the same bytes with a
+// protocol trace attached as without one, a trace restricted to one block
+// included. The replay that recomputes the dump's message tail drops the
+// trace writer and puts its tail on the trace hook instead, so the two
+// sinks never share a run.
+func TestFaultDumpSameWithTrace(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cfg     func() ccsim.Config
+		streams func() []ccsim.Stream
+	}{
+		{"injected panic", func() ccsim.Config {
+			cfg := tinyCfg("mp3d")
+			cfg.FaultInject = "mp3d/BASIC"
+			return cfg
+		}, nil},
+		{"checker finding", func() ccsim.Config {
+			cfg := mutationConfig(1)
+			cfg.FaultInject = "wb-drop-word@mut/BASIC"
+			cfg.Check = ccsim.NewChecker()
+			return cfg
+		}, wbDropStreams},
+		{"max events observed", func() ccsim.Config {
+			cfg := tinyCfg("mp3d")
+			cfg.Extensions = ccsim.Ext{P: true, CW: true}
+			cfg.MaxEvents = 20_000
+			cfg.Telemetry = ccsim.NewTelemetry()
+			cfg.Sharing = ccsim.NewSharingAnalytics()
+			cfg.TraceBlocks = []uint64{0}
+			return cfg
+		}, nil},
+		{"max events through a stream", func() ccsim.Config {
+			cfg := ccsim.DefaultConfig()
+			cfg.Procs = 4
+			cfg.MaxEvents = 15_000
+			return cfg
+		}, func() []ccsim.Stream { return feedStreams(t, nil, 0) }},
+	} {
+		var dumps [2]string
+		for i, w := range []io.Writer{nil, io.Discard} {
+			cfg := c.cfg()
+			cfg.TraceWriter = w
+			var err error
+			if c.streams != nil {
+				_, err = ccsim.RunStreams(cfg, c.streams())
+			} else {
+				_, err = ccsim.Run(cfg)
+			}
+			f, ok := ccsim.AsFault(err)
+			if !ok {
+				t.Fatalf("%s: err = %v, want a fault", c.name, err)
+			}
+			f.Stack = nil
+			var b strings.Builder
+			f.Dump(&b)
+			dumps[i] = b.String()
+		}
+		if !strings.Contains(dumps[0], "flight recorder") {
+			t.Errorf("%s: dump has no message tail:\n%s", c.name, dumps[0])
+		}
+		if dumps[0] != dumps[1] {
+			t.Errorf("%s: traced run dumps\n%s\n--- untraced ---\n%s", c.name, dumps[1], dumps[0])
 		}
 	}
 }

@@ -18,9 +18,6 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 	return &FIFO[T]{buf: make([]T, capacity)}
 }
 
-// Cap returns the capacity.
-func (f *FIFO[T]) Cap() int { return len(f.buf) }
-
 // Len returns the current occupancy.
 func (f *FIFO[T]) Len() int { return f.n }
 

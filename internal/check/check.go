@@ -28,12 +28,12 @@
 // the controller handling it, so the dump carries the machine snapshot for
 // the exact event where coherence first broke. Its flight-recorder tail
 // comes from a replay of the run with a fresh oracle, which fails at the
-// same event.
+// same event, and a message ring on the protocol-trace hook.
 //
 // The package is a leaf over fault and memsys so internal/core can hook it
 // without cycles. A disabled checker is a nil pointer in core.System; every
 // hook site is guarded by one nil check, the same zero-cost-off pattern as
-// the tracer and the flight recorder, which only that replay attaches.
+// the protocol-trace hook.
 package check
 
 import (

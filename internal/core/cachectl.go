@@ -651,14 +651,16 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 // writes to dirty lines proceed locally; everything else combines in the
 // write cache.
 func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
+	if w.performed != nil {
+		// Only an SC processor waits for its writes to perform, and
+		// Params.Validate rejects CW under SC.
+		panic("core: write-cache write with a performed callback (CW under SC)")
+	}
 	b := w.block
 	if line != nil && line.State == cache.Dirty {
 		line.Written = true
 		line.CWCount = int32(c.sys.P.CWThreshold)
 		c.performLocal(b, w.word)
-		if w.performed != nil {
-			w.performed()
-		}
 		c.completeObs([]int{w.ob})
 		return true
 	}
@@ -689,9 +691,6 @@ func (c *CacheCtl) processWriteCW(w flwbWrite, line *cache.Line) bool {
 		obs := c.wcObs[victim.Block]
 		delete(c.wcObs, victim.Block)
 		c.doFlush(victim, obs)
-	}
-	if w.performed != nil {
-		w.performed()
 	}
 	if len(c.relQueue) > 0 {
 		// A release is waiting; a prior write must not linger unflushed in

@@ -42,14 +42,23 @@ func read(t *testing.T, eng *sim.Engine, s *System, n int, a memsys.Addr) sim.Ti
 	return done
 }
 
-// write performs a write on node n and drains the machine.
+// write performs a write on node n and drains the machine. Only an SC
+// processor waits for a write to perform, and CW runs only under RC, so a
+// CW write passes no performed callback and must leave the FLWB instead.
 func write(t *testing.T, eng *sim.Engine, s *System, n int, a memsys.Addr) {
 	t.Helper()
 	performed := false
-	if !s.Nodes[n].Cache.Write(a, nil, func() { performed = true }) {
+	onPerformed := func() { performed = true }
+	if s.P.CW {
+		onPerformed = nil
+	}
+	if !s.Nodes[n].Cache.Write(a, nil, onPerformed) {
 		t.Fatalf("write by node %d not accepted", n)
 	}
 	eng.Run()
+	if s.P.CW {
+		performed = s.Nodes[n].Cache.flwb.Empty()
+	}
 	if !performed {
 		t.Fatalf("write by node %d never performed", n)
 	}

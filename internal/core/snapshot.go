@@ -10,9 +10,9 @@ import (
 	"ccsim/internal/memsys"
 )
 
-// This file implements fault.Snapshotter for System: the diagnostic
-// snapshot a SimFault carries. Everything is ordered deterministically
-// (node order, block order) so identical faults dump identically.
+// This file takes System's diagnostic snapshot, the one a SimFault
+// carries. Everything is ordered deterministically (node order, block
+// order) so identical faults dump identically.
 
 // LastDispatch returns the dispatch context: the component and protocol
 // message a panic or a live-checker fault inside a handler should be
@@ -30,14 +30,11 @@ func (s *System) LastDispatch() (component, msgKind string, block memsys.Block, 
 
 // FaultSnapshot captures the machine's diagnostic state for a fault
 // report: per-cache pending transactions, the directory entry of the
-// faulting block, non-empty resource queues, blocked synchronization
-// agents, and the flight recorder's tail when the system carries one.
+// faulting block, non-empty resource queues and blocked synchronization
+// agents. The message tail is not the system's to give: the replay of a
+// faulted run fills it in (replayTail in package ccsim).
 func (s *System) FaultSnapshot(block uint64, hasBlock bool) *fault.Snapshot {
-	snap := &fault.Snapshot{
-		Blocked:      s.BlockedSync(),
-		Messages:     s.Rec.Tail(),
-		MessagesSeen: s.Rec.Seen(),
-	}
+	snap := &fault.Snapshot{Blocked: s.BlockedSync()}
 	for _, n := range s.Nodes {
 		c := n.Cache
 		cs := fault.CacheState{

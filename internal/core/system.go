@@ -7,7 +7,6 @@ import (
 
 	"ccsim/internal/cache"
 	"ccsim/internal/check"
-	"ccsim/internal/fault"
 	"ccsim/internal/memsys"
 	"ccsim/internal/network"
 	"ccsim/internal/sim"
@@ -39,24 +38,19 @@ type System struct {
 	statsOn bool
 
 	// Tracer, when non-nil, receives protocol events (message sends and
-	// deliveries, directory transitions, cache fills and evictions).
-	Tracer *trace.Tracer
+	// deliveries, directory transitions, cache fills and evictions): the
+	// streaming *trace.Tracer of a traced run, or the message tail the
+	// replay of a faulted run keeps for its fault dump.
+	Tracer interface{ Record(trace.Event) }
 
 	// Tele, when non-nil, collects transaction spans, stall intervals and
 	// utilization samples. A nil collector is a no-op on every path.
 	Tele *telemetry.Collector
 
-	// Rec, when non-nil, is the fault flight recorder: a fixed ring of the
-	// last protocol messages sent and delivered. Only the replay of a
-	// faulted run sets it, to recompute the message tail the fault's
-	// dump shows; every other run leaves it nil, and its two hook sites
-	// then cost one nil check each.
-	Rec *fault.Recorder
-
 	// Check, when non-nil, is the live coherence checker: every directory
 	// and SLC state transition reports to it and a violated invariant
 	// panics with a structured *fault.SimFault at the offending event.
-	// Hook sites cost one nil check when disabled, like Tracer and Rec.
+	// Hook sites cost one nil check when disabled, like Tracer.
 	Check *check.Oracle
 
 	// Shr, when non-nil, is the sharing-pattern analyzer: processor
@@ -326,9 +320,6 @@ func hopDstBus(a any) {
 // delivered *Msg may use it only until the handler returns.
 func (s *System) Send(m *Msg) {
 	s.traceMsg(trace.MsgSend, m)
-	if s.Rec != nil {
-		s.Rec.Record(int64(s.Eng.Now()), "send", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
-	}
 	bt := s.busTime(m)
 	s.Nodes[m.Src].Bus.UseCall(bt, hopSrcBus, s.getHop(m, bt))
 }
@@ -355,9 +346,6 @@ func arrivalPhase(t MsgType) (telemetry.Phase, bool) {
 
 func (s *System) dispatch(m *Msg) {
 	s.traceMsg(trace.MsgDeliver, m)
-	if s.Rec != nil {
-		s.Rec.Record(int64(s.Eng.Now()), "recv", m.Type.String(), uint64(m.Block), m.Src, m.Dst)
-	}
 	s.lastType, s.lastBlock, s.lastDst, s.lastToHome, s.lastValid =
 		m.Type, m.Block, m.Dst, m.toHome(), true
 	if m.Txn != 0 && s.Tele != nil {

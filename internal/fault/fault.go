@@ -4,7 +4,9 @@
 // time, the faulting component, the protocol message being handled, the
 // Go stack (for panics) and a diagnostic Snapshot of the machine —
 // pending transactions, directory state, resource queues, blocked agents
-// and the flight recorder's last protocol messages.
+// and the flight recorder's last protocol messages. The package only
+// holds and prints that tail: ccsim recomputes it by replaying the
+// faulted run with a message sink on the protocol-trace hook.
 //
 // The package is a leaf: it imports only the standard library, so every
 // layer of the simulator (engine, coherence fabric, machine, scheduler)
@@ -118,8 +120,8 @@ func (f *SimFault) Dump(w io.Writer) {
 	fmt.Fprintf(w, "=== END FAULT ===\n")
 }
 
-// Snapshot is the machine's diagnostic state at a fault, captured by the
-// Snapshotter (core.System). Every slice is deterministically ordered so
+// Snapshot is the machine's diagnostic state at a fault, captured by
+// core.System's FaultSnapshot. Every slice is deterministically ordered so
 // two identical faults dump identically.
 type Snapshot struct {
 	// Caches describes each cache controller with in-flight state.
@@ -138,10 +140,12 @@ type Snapshot struct {
 	// coherence violation that caused a hang appears in the dump.
 	Invariants []string
 	// Messages is the flight recorder's tail: the last protocol messages
-	// sent and delivered, oldest first.
+	// sent and delivered, oldest first, from the replay of the faulted
+	// run (empty when the run was cancelled or faulted before its first
+	// event).
 	Messages []Record
-	// MessagesSeen counts every message the recorder observed over the
-	// run, so a reader can tell how much history the ring kept.
+	// MessagesSeen counts every send and delivery the replay observed, so
+	// a reader can tell how much history the tail kept.
 	MessagesSeen uint64
 }
 
@@ -229,13 +233,6 @@ func (s *Snapshot) write(w io.Writer) {
 	}
 }
 
-// Snapshotter captures a machine's diagnostic state at a fault. The
-// faulting block (when known) selects which directory entry to include.
-// core.System implements it.
-type Snapshotter interface {
-	FaultSnapshot(block uint64, hasBlock bool) *Snapshot
-}
-
 // Record is one flight-recorder entry: a protocol message send or
 // delivery.
 type Record struct {
@@ -245,58 +242,4 @@ type Record struct {
 	Block uint64
 	Src   int
 	Dst   int
-}
-
-// Recorder is a fixed-size ring buffer of the last N protocol messages.
-// Record costs one slot store and two integer ops, and no allocation. The
-// simulator attaches one only to the replay of a faulted run, which
-// recomputes the fault's message tail; a nil *Recorder is a no-op.
-type Recorder struct {
-	buf []Record
-	n   uint64 // total records ever written
-}
-
-// NewRecorder returns a recorder keeping the last depth messages, or nil
-// (a valid no-op recorder) when depth <= 0.
-func NewRecorder(depth int) *Recorder {
-	if depth <= 0 {
-		return nil
-	}
-	return &Recorder{buf: make([]Record, depth)}
-}
-
-// Record appends one entry, overwriting the oldest when full. Safe on a
-// nil receiver. The caller must pass interned/constant strings (message
-// type names are) so recording allocates nothing.
-func (r *Recorder) Record(at int64, op, kind string, block uint64, src, dst int) {
-	if r == nil {
-		return
-	}
-	r.buf[r.n%uint64(len(r.buf))] = Record{At: at, Op: op, Kind: kind, Block: block, Src: src, Dst: dst}
-	r.n++
-}
-
-// Seen returns how many records were ever written (>= len(Tail())).
-func (r *Recorder) Seen() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.n
-}
-
-// Tail copies out the retained records, oldest first.
-func (r *Recorder) Tail() []Record {
-	if r == nil || r.n == 0 {
-		return nil
-	}
-	depth := uint64(len(r.buf))
-	kept := r.n
-	if kept > depth {
-		kept = depth
-	}
-	out := make([]Record, 0, kept)
-	for i := r.n - kept; i < r.n; i++ {
-		out = append(out, r.buf[i%depth])
-	}
-	return out
 }

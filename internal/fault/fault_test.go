@@ -47,60 +47,3 @@ func TestDumpSections(t *testing.T) {
 		}
 	}
 }
-
-func TestRecorderRing(t *testing.T) {
-	r := NewRecorder(4)
-	for i := 0; i < 10; i++ {
-		r.Record(int64(i), "send", "ReadReq", uint64(i), i, 0)
-	}
-	tail := r.Tail()
-	if len(tail) != 4 {
-		t.Fatalf("tail length %d, want 4", len(tail))
-	}
-	for i, rec := range tail {
-		if want := int64(6 + i); rec.At != want {
-			t.Errorf("tail[%d].At = %d, want %d (oldest first)", i, rec.At, want)
-		}
-	}
-	if r.Seen() != 10 {
-		t.Errorf("Seen() = %d, want 10", r.Seen())
-	}
-}
-
-func TestRecorderPartial(t *testing.T) {
-	r := NewRecorder(8)
-	r.Record(1, "send", "Inv", 5, 0, 1)
-	r.Record(2, "recv", "Inv", 5, 0, 1)
-	tail := r.Tail()
-	if len(tail) != 2 || tail[0].At != 1 || tail[1].At != 2 {
-		t.Fatalf("partial tail wrong: %+v", tail)
-	}
-}
-
-func TestRecorderNil(t *testing.T) {
-	var r *Recorder // disabled
-	r.Record(1, "send", "Inv", 5, 0, 1)
-	if r.Tail() != nil || r.Seen() != 0 {
-		t.Fatal("nil recorder must be a no-op")
-	}
-	if NewRecorder(0) != nil {
-		t.Fatal("NewRecorder(0) must return the nil no-op recorder")
-	}
-}
-
-func TestRecorderZeroAlloc(t *testing.T) {
-	r := NewRecorder(64)
-	allocs := testing.AllocsPerRun(100, func() {
-		r.Record(1, "send", "ReadReq", 7, 0, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("Record allocates %v times per call, want 0", allocs)
-	}
-	var nilRec *Recorder
-	allocs = testing.AllocsPerRun(100, func() {
-		nilRec.Record(1, "send", "ReadReq", 7, 0, 1)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled Record allocates %v times per call, want 0", allocs)
-	}
-}

@@ -30,9 +30,6 @@ type Page uint64
 // BlockOf returns the block containing a.
 func BlockOf(a Addr) Block { return Block(a / BlockSize) }
 
-// PageOf returns the page containing a.
-func PageOf(a Addr) Page { return Page(a / PageSize) }
-
 // PageOfBlock returns the page containing block b.
 func PageOfBlock(b Block) Page { return Page(b / BlocksPerPage) }
 

@@ -50,8 +50,8 @@ const batchEvents = 8192
 // RunWatched executes events like Run but under the watchdog's limits. It
 // returns nil when the queue drains with the run quiesced, and a
 // *fault.SimFault naming the cause and the stuck agents otherwise. The
-// fault's Snapshot carries only the blocked-agent list; callers with a
-// richer Snapshotter (the machine) replace it.
+// fault's Snapshot carries only the blocked-agent list; the machine
+// replaces it with its full diagnostic snapshot.
 //
 // Dispatch is batched: each loop iteration checks the limits and the
 // cancel flag once, then drains up to one timestamp cohort. The batch

@@ -75,9 +75,6 @@ func (h *Hist) Merge(o Hist) {
 // Count returns the number of recorded values.
 func (h *Hist) Count() uint64 { return h.N }
 
-// Total is a legacy alias for Count.
-func (h *Hist) Total() uint64 { return h.N }
-
 // Max returns the exact largest recorded value (0 when empty).
 func (h *Hist) Max() int64 { return h.MaxV }
 
@@ -112,6 +109,3 @@ func (h *Hist) Quantile(p float64) int64 {
 	}
 	return h.MaxV
 }
-
-// Percentile is a legacy alias for Quantile.
-func (h *Hist) Percentile(p float64) int64 { return h.Quantile(p) }

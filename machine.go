@@ -28,12 +28,6 @@ import (
 // legal window at the paper's machine sizes.
 const defaultNoProgressEvents = 2_000_000
 
-// flightRecorderDepth is the flight recorder's depth in protocol messages:
-// enough history to see the message pattern around a fault without
-// bloating dumps. Only the replay of a faulted run carries the recorder
-// (see replayTail).
-const flightRecorderDepth = 64
-
 // machine is one assembled simulation.
 type machine struct {
 	cfg   Config
@@ -46,7 +40,7 @@ type machine struct {
 
 	// snap is the diagnostic snapshot faultSnapshot took at the run's
 	// fault, nil until then or when the machine could not be snapshotted;
-	// a replay fills in its message tail.
+	// a replay fills in its message tail (replayTail).
 	snap *fault.Snapshot
 
 	statsStart   sim.Time
@@ -65,10 +59,9 @@ func meshSide(n int) int {
 
 // newMachine builds the machine whose processor i executes streams[i] and
 // attaches cfg's side channels: protocol trace, telemetry, live checker and
-// sharing analyzer, plus the flight recorder when the machine is the
-// replay of a faulted run. It starts the trace renderer last, after every
-// check that can fail, so an error leaves nothing to close.
-func newMachine(cfg Config, streams []proc.Stream, replay bool) (*machine, error) {
+// sharing analyzer. It starts the trace renderer last, after every check
+// that can fail, so an error leaves nothing to close.
+func newMachine(cfg Config, streams []proc.Stream) (*machine, error) {
 	p := cfg.coreParams()
 	if len(streams) != p.Nodes {
 		return nil, fmt.Errorf("machine: %d streams for %d nodes", len(streams), p.Nodes)
@@ -109,9 +102,6 @@ func newMachine(cfg Config, streams []proc.Stream, replay bool) (*machine, error
 	if cfg.Check != nil {
 		cfg.Check.Reset(p.Nodes)
 		sys.Check = cfg.Check
-	}
-	if replay {
-		sys.Rec = fault.NewRecorder(flightRecorderDepth)
 	}
 	// Measurement starts at the workloads' StatsOn marker.
 	sys.SetStatsEnabled(false)

@@ -22,12 +22,13 @@
 # byte for byte. Last come fixed faulting runs: every kernel under BASIC
 # and P+CW at 4 processors and scale 0.05, once with -max-events and once
 # with -deadline far below what the run needs, and one -in run of a -dump
-# file with -max-events, the RunStreams path. In text mode ccsim prints
-# the whole fault dump on stderr, flight recorder included, and a watchdog
-# dump carries no Go stack, so each side's exit code and stderr, slog's
-# time= field stripped, must match byte for byte. The first difference
-# prints its command line and exits 1; otherwise the script prints the
-# counts and exits 0.
+# file with -max-events, the RunStreams path. Three of them run again with
+# -trace -, so stderr carries the protocol trace up to the fault before
+# the dump. In text mode ccsim prints the whole fault dump on stderr,
+# flight recorder included, and a watchdog dump carries no Go stack, so
+# each side's exit code and stderr, slog's time= field stripped, must
+# match byte for byte. The first difference prints its command line and
+# exits 1; otherwise the script prints the counts and exits 0.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 2 ]; then
@@ -189,4 +190,9 @@ for k in mp3d cholesky water lu ocean; do
 done
 "$work/new.ccsim" -workload water -procs 4 -scale 0.05 -dump "$run/water.trace" > /dev/null
 fault -in water.trace -max-events 2000
+# A traced run's stderr is its trace, written up to the fault, then the
+# dump; the dump's message tail comes from a replay that drops the trace.
+fault -workload mp3d -ext P+CW -procs 4 -scale 0.05 -max-events 300 -trace -
+fault -workload lu -ext BASIC -procs 4 -scale 0.05 -deadline 1000 -trace -
+fault -in water.trace -max-events 2000 -trace -
 echo "parentdiff: $faults fault dumps identical"
