@@ -22,21 +22,12 @@ func deliverEvent(at int64, what string, block uint64, src, dst int) trace.Event
 	return e
 }
 
-// TestFaultTailKeepsNewest: the ring keeps the newest tailDepth messages,
-// oldest first, and all of them while it has not wrapped.
+// TestFaultTailKeepsNewest: once the ring has wrapped, it keeps the newest
+// tailDepth messages, oldest first.
 func TestFaultTailKeepsNewest(t *testing.T) {
 	var tail msgTail
-	if got := tail.records(); got != nil {
-		t.Fatalf("empty tail = %v, want nil", got)
-	}
-	for i := 0; i < 3; i++ {
-		tail.Record(sendEvent(int64(i), "ReadReq", 1, 0, 1))
-	}
-	if got := tail.records(); len(got) != 3 || got[0].At != 0 || got[2].At != 2 {
-		t.Fatalf("partial tail = %+v, want times 0..2", got)
-	}
 	const n = 3*tailDepth + 5
-	for i := 3; i < n; i++ {
+	for i := 0; i < n; i++ {
 		tail.Record(sendEvent(int64(i), "ReadReq", 1, 0, 1))
 	}
 	got := tail.records()
@@ -46,6 +37,27 @@ func TestFaultTailKeepsNewest(t *testing.T) {
 	for i, r := range got {
 		if want := int64(n - tailDepth + i); r.At != want {
 			t.Fatalf("tail[%d].At = %d, want %d (newest %d, oldest first)", i, r.At, want, tailDepth)
+		}
+	}
+}
+
+// TestFaultTailKeepsAllUntilWrapped: an empty ring has no records, and one
+// that has not wrapped keeps every message, oldest first.
+func TestFaultTailKeepsAllUntilWrapped(t *testing.T) {
+	var tail msgTail
+	if got := tail.records(); got != nil {
+		t.Fatalf("empty tail = %v, want nil", got)
+	}
+	for i := 0; i < tailDepth; i++ {
+		tail.Record(sendEvent(int64(i), "ReadReq", 1, 0, 1))
+	}
+	got := tail.records()
+	if len(got) != tailDepth {
+		t.Fatalf("tail keeps %d records, want all %d", len(got), tailDepth)
+	}
+	for i, r := range got {
+		if r.At != int64(i) {
+			t.Fatalf("tail[%d].At = %d, want %d (oldest first)", i, r.At, i)
 		}
 	}
 }
