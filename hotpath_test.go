@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -28,6 +29,44 @@ func TestProtocolTraceGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("protocol trace sha256 = %s, want %s", got, want)
+	}
+}
+
+// TestTimelineGolden pins what telemetry records for one small run: the
+// bytes of its Perfetto timeline (every span with its phase slices, stall,
+// directory instant and sampler counter), the read-miss phase totals in
+// its Result and the spans its cap dropped. The run (mp3d, P+M, 4
+// processors) carries read, prefetch and ownership spans, read and barrier
+// stalls and three kinds of directory instant, and its span cap sits below
+// the 485 spans it begins, so spans still open when the cap fills complete
+// after later ones are dropped. A change to how the collector stores or
+// renders any record changes one of the three.
+func TestTimelineGolden(t *testing.T) {
+	const want = "459acd8ac725872f94150ffff12aad4b2ab8ee6a296be6f0054a81f23539d210"
+	cfg := ccsim.DefaultConfig()
+	cfg.Workload = "mp3d"
+	cfg.Extensions = ccsim.Ext{P: true, M: true}
+	cfg.Scale = 0.02
+	cfg.Procs = 4
+	cfg.Telemetry = ccsim.NewTelemetryWith(ccsim.TelemetryOptions{MaxSpans: 300})
+	r, err := ccsim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	if err := cfg.Telemetry.WriteTimeline(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("timeline sha256 = %s, want %s", got, want)
+	}
+	phases := map[string]int64{"request": 4522, "dir-wait": 24, "memory": 1071,
+		"forward": 1039, "owner": 1265, "reply": 5084, "fill": 594}
+	if !reflect.DeepEqual(r.MissPhasePclocks, phases) {
+		t.Errorf("MissPhasePclocks = %v, want %v", r.MissPhasePclocks, phases)
+	}
+	if r.DroppedSpans != 185 {
+		t.Errorf("DroppedSpans = %d, want 185", r.DroppedSpans)
 	}
 }
 
