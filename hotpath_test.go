@@ -109,30 +109,25 @@ func TestRunAllocationCeiling(t *testing.T) {
 // every side channel attached: the live checker, the sharing analyzer,
 // telemetry and a protocol trace. The checker's shadow state and the
 // analyzer's per-block state live in block tables, one allocation per
-// page, and telemetry carves spans and their first marks from slabs. This
+// page, and telemetry keeps its records in chunks of 256. This
 // run allocated 3,229 times when the ceiling was first set, 2,643 of them
 // without any side channel attached; with Go maps and one heap object per
 // block and per span it allocated 17,837 times. It allocated 3,173 times
 // with one heap object per hop, MSHR, held request and job, 2,538 since
-// those come from chunks of 16, and 2,439 without the flight recorder,
+// those come from chunks of 16, 2,439 without the flight recorder,
 // with pending lists made at full size and free lists kept in the pools'
-// chunks; the count varies by a few between runs of one build. The
+// chunks, and 2,350 since telemetry's spans, stalls, instants and
+// sampler values hold no pointers and live in chunks, against
+// 2,440 with spans and their first marks in slabs, stalls and
+// instants in slices grown by doubling and four slices per sampler
+// snapshot; the count varies by a few between runs of one build. The
 // ceiling is about 1.25x the last.
 func TestObservedRunAllocationCeiling(t *testing.T) {
-	const ceiling = 3050
-	cfg := ccsim.DefaultConfig()
-	cfg.Workload = "mp3d"
-	cfg.Extensions = ccsim.Ext{P: true, CW: true}
-	cfg.Procs = 16
-	cfg.Scale = 0.1
-	cfg.TraceWriter = io.Discard
+	const ceiling = 2940
+	cfg := observedConfig()
 	var runErr error
 	n := testing.AllocsPerRun(3, func() {
-		c := cfg
-		c.Check = ccsim.NewChecker()
-		c.Sharing = ccsim.NewSharingAnalytics()
-		c.Telemetry = ccsim.NewTelemetry()
-		if _, err := ccsim.Run(c); err != nil {
+		if _, err := ccsim.Run(withFreshSideChannels(cfg)); err != nil {
 			runErr = err
 		}
 	})
@@ -143,6 +138,49 @@ func TestObservedRunAllocationCeiling(t *testing.T) {
 	if n > ceiling {
 		t.Fatalf("%v allocs per run, ceiling %d", n, ceiling)
 	}
+}
+
+// TestObservedRunHeapBytesCeiling pins the heap bytes of the run
+// TestObservedRunAllocationCeiling counts, after a warm-up run, each with
+// side channels of its own. It allocated 1,832,128 bytes when the ceiling
+// was set, with telemetry's records pointer-free in chunks, against
+// 2,357,080-2,357,096 with a heap span and a mark slice per span, a string in every
+// stall and instant, four slices per sampler snapshot and record lists
+// grown by doubling. The ceiling is about 1.25x the measured value.
+func TestObservedRunHeapBytesCeiling(t *testing.T) {
+	checkHeapBytes(t, observedConfig(), 2_290_000)
+}
+
+// observedConfig is the run the observed-run ceilings measure: mp3d under
+// P+CW with the checker, sharing analyzer, telemetry and a protocol trace
+// attached.
+func observedConfig() ccsim.Config {
+	cfg := ccsim.DefaultConfig()
+	cfg.Workload = "mp3d"
+	cfg.Extensions = ccsim.Ext{P: true, CW: true}
+	cfg.Procs = 16
+	cfg.Scale = 0.1
+	cfg.TraceWriter = io.Discard
+	cfg.Check = ccsim.NewChecker()
+	cfg.Sharing = ccsim.NewSharingAnalytics()
+	cfg.Telemetry = ccsim.NewTelemetry()
+	return cfg
+}
+
+// withFreshSideChannels gives cfg a new checker, sharing analyzer and
+// telemetry collector in place of each it carries, so that no run sees
+// what an earlier one recorded.
+func withFreshSideChannels(cfg ccsim.Config) ccsim.Config {
+	if cfg.Check != nil {
+		cfg.Check = ccsim.NewChecker()
+	}
+	if cfg.Sharing != nil {
+		cfg.Sharing = ccsim.NewSharingAnalytics()
+	}
+	if cfg.Telemetry != nil {
+		cfg.Telemetry = ccsim.NewTelemetryWith(cfg.Telemetry.Options())
+	}
+	return cfg
 }
 
 // TestRunHeapBytesCeiling pins the heap bytes one run allocates, after a
@@ -196,12 +234,14 @@ func TestSweepRunHeapBytesCeiling(t *testing.T) {
 }
 
 // checkHeapBytes fails the test when one run of cfg, after a warm-up run,
-// allocates more than ceiling heap bytes.
+// allocates more than ceiling heap bytes. Each run gets side channels of
+// its own, made before the measurement starts.
 func checkHeapBytes(t *testing.T, cfg ccsim.Config, ceiling uint64) {
 	t.Helper()
-	if _, err := ccsim.Run(cfg); err != nil {
+	if _, err := ccsim.Run(withFreshSideChannels(cfg)); err != nil {
 		t.Fatal(err)
 	}
+	cfg = withFreshSideChannels(cfg)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	_, err := ccsim.Run(cfg)

@@ -40,19 +40,20 @@ func (c *Collector) WriteTimeline(w io.Writer) error {
 	if c == nil {
 		return fmt.Errorf("telemetry: no collector")
 	}
+	spans, stalls, instants := c.Spans(), c.Stalls(), c.Instants()
 	maxNode := 0
 	note := func(n int) {
 		if n > maxNode {
 			maxNode = n
 		}
 	}
-	for _, s := range c.spans {
+	for _, s := range spans {
 		note(s.Node)
 	}
-	for _, s := range c.stalls {
+	for _, s := range stalls {
 		note(s.Node)
 	}
-	for _, in := range c.instants {
+	for _, in := range instants {
 		note(in.Node)
 	}
 	for _, rw := range c.watches {
@@ -81,14 +82,14 @@ func (c *Collector) WriteTimeline(w io.Writer) error {
 	}
 	ev = append(ev, traceEvent{Name: "process_name", Ph: "M", Pid: machinePid, Args: map[string]any{"name": "machine"}})
 
-	for _, s := range c.stalls {
+	for _, s := range stalls {
 		ev = append(ev, traceEvent{
 			Name: s.Kind + " stall", Ph: "X", Ts: s.Start, Dur: s.End - s.Start,
 			Pid: s.Node, Tid: tidStalls,
 		})
 	}
 
-	for _, s := range c.spans {
+	for _, s := range spans {
 		ev = append(ev, traceEvent{
 			Name: s.Kind.String(), Ph: "X", Ts: s.Start, Dur: s.End - s.Start,
 			Pid: s.Node, Tid: tidSpans,
@@ -112,14 +113,14 @@ func (c *Collector) WriteTimeline(w io.Writer) error {
 		}
 	}
 
-	for _, in := range c.instants {
+	for _, in := range instants {
 		ev = append(ev, traceEvent{
 			Name: in.Name, Ph: "i", Ts: in.At, Pid: in.Node, Tid: tidDir, S: "t",
 			Args: map[string]any{"block": in.Block},
 		})
 	}
 
-	for _, s := range c.samples {
+	for _, s := range c.Samples() {
 		for i, rw := range c.watches {
 			ev = append(ev,
 				traceEvent{

@@ -1,6 +1,10 @@
 package telemetry
 
-import "ccsim/internal/sim"
+import (
+	"math"
+
+	"ccsim/internal/sim"
+)
 
 // resourceWatch tracks one sim.Resource between samples.
 type resourceWatch struct {
@@ -27,6 +31,14 @@ type Sample struct {
 	Wait  []int64   // queue-wait pclocks accrued over the interval
 	Depth []int     // instantaneous queue depth
 	Gauge []int64
+}
+
+// sampleRec heads one snapshot's values in Collector.values: for each
+// watched resource its utilization's float64 bits, its queue wait and its
+// queue depth, then each gauge.
+type sampleRec struct {
+	at              int64
+	watches, gauges int32
 }
 
 // WatchResource registers a resource for periodic utilization sampling.
@@ -71,7 +83,7 @@ func (c *Collector) StartSampler(eng *sim.Engine) {
 func sampleTick(a any) {
 	c := a.(*Collector)
 	c.sample(c.eng.Now())
-	if c.eng.Pending() > 0 && len(c.samples) < c.opts.MaxSamples {
+	if c.eng.Pending() > 0 && c.samples.n < c.opts.MaxSamples {
 		c.eng.AfterCall(c.opts.SampleEvery, sampleTick, c)
 	}
 }
@@ -79,14 +91,8 @@ func sampleTick(a any) {
 func (c *Collector) sample(now sim.Time) {
 	dt := now - c.lastAt
 	c.lastAt = now
-	s := Sample{
-		At:    int64(now),
-		Util:  make([]float64, len(c.watches)),
-		Wait:  make([]int64, len(c.watches)),
-		Depth: make([]int, len(c.watches)),
-		Gauge: make([]int64, len(c.gauges)),
-	}
-	for i, w := range c.watches {
+	*c.samples.add() = sampleRec{at: int64(now), watches: int32(len(c.watches)), gauges: int32(len(c.gauges))}
+	for _, w := range c.watches {
 		// BusyTime is booked wholesale at reservation time, but queued
 		// reservations run contiguously up to FreeAt, so the portion already
 		// realized by `now` is exact: total minus what still lies ahead.
@@ -94,23 +100,49 @@ func (c *Collector) sample(now sim.Time) {
 		if f := w.res.FreeAt(); f > now {
 			busy -= f - now
 		}
+		util := 0.0
 		if dt > 0 {
-			s.Util[i] = float64(busy-w.lastBusy) / float64(dt)
+			util = float64(busy-w.lastBusy) / float64(dt)
 		}
-		s.Wait[i] = int64(wait - w.lastWait)
+		*c.values.add() = int64(math.Float64bits(util))
+		*c.values.add() = int64(wait - w.lastWait)
+		*c.values.add() = int64(w.res.QueueDepth())
 		w.lastBusy, w.lastWait = busy, wait
-		s.Depth[i] = w.res.QueueDepth()
 	}
-	for i, g := range c.gauges {
-		s.Gauge[i] = g.fn()
+	for _, g := range c.gauges {
+		*c.values.add() = g.fn()
 	}
-	c.samples = append(c.samples, s)
 }
 
-// Samples returns the snapshots taken so far.
+// Samples returns the snapshots taken so far, built on each call.
 func (c *Collector) Samples() []Sample {
-	if c == nil {
+	if c == nil || c.samples.n == 0 {
 		return nil
 	}
-	return c.samples
+	out := make([]Sample, c.samples.n)
+	v := 0
+	next := func() int64 {
+		v++
+		return *c.values.at(v - 1)
+	}
+	for i := range out {
+		r := c.samples.at(i)
+		s := Sample{
+			At:    r.at,
+			Util:  make([]float64, r.watches),
+			Wait:  make([]int64, r.watches),
+			Depth: make([]int, r.watches),
+			Gauge: make([]int64, r.gauges),
+		}
+		for j := range s.Util {
+			s.Util[j] = math.Float64frombits(uint64(next()))
+			s.Wait[j] = next()
+			s.Depth[j] = int(next())
+		}
+		for j := range s.Gauge {
+			s.Gauge[j] = next()
+		}
+		out[i] = s
+	}
+	return out
 }

@@ -5,6 +5,15 @@
 // in simulated time (pclocks) from deterministic event ordering, so two
 // identical runs produce identical telemetry byte for byte.
 //
+// The collector keeps each record as a fixed-size value of plain fields: a
+// span with its first eight phase marks inline, a stall or an instant with
+// its kind or name as a small code, a snapshot's sampled values in one flat
+// slab, and the completion order as a list of span indexes. The records
+// sit in append-only chunks of 256 and never move, so growing a list copies
+// nothing, and since they hold no pointers the garbage collector never
+// scans them. Spans, Stalls, Instants and Samples build the exported values
+// only when they are called.
+//
 // A nil *Collector is valid everywhere and records nothing: the simulator
 // core calls straight into nil-receiver methods on its hot paths, which keeps
 // the disabled path free of allocations and branches beyond the nil check.
@@ -113,10 +122,14 @@ func (s *Span) Latency() int64 { return s.End - s.Start }
 
 // Durations returns the per-phase time decomposition. The entries sum
 // exactly to Latency().
-func (s *Span) Durations() [NumPhases]int64 {
+func (s *Span) Durations() [NumPhases]int64 { return durations(s.Start, s.Marks) }
+
+// durations splits the time from start to the last of marks by the phase
+// each mark ends.
+func durations(start int64, marks []Mark) [NumPhases]int64 {
 	var d [NumPhases]int64
-	prev := s.Start
-	for _, m := range s.Marks {
+	prev := start
+	for _, m := range marks {
 		d[m.Phase] += m.At - prev
 		prev = m.At
 	}
@@ -192,38 +205,92 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Slab sizes for spans. Every span's first inlineMarks marks share one
-// slab with its neighbours'; a span with more marks appends past its slot
-// into a slice of its own. In the five kernels under all eight extension
-// sets at 16 processors and scale 0.25, each of 186,532 spans carried 5, 6
-// or 8 marks, never more.
+// Every record lives in a chunk list. A span keeps its first inlineMarks
+// marks in place; in the five kernels under all eight extension sets at 16
+// processors and scale 0.25, each of 186,532 spans carried 5, 6 or 8 marks,
+// never more, and any mark beyond goes to a side list.
 const (
-	slabSpans   = 256
+	chunkLen    = 256
 	inlineMarks = 8
 )
+
+// chunks is an append-only list of records kept in chunks of chunkLen. A
+// record never moves once added, so a pointer to it stays good while the
+// list grows, and growing copies no record. The collector stores only
+// types that hold no pointers, so the garbage collector never scans a
+// chunk.
+type chunks[T any] struct {
+	c []*[chunkLen]T
+	n int
+}
+
+// add appends a zero record and returns it.
+func (l *chunks[T]) add() *T {
+	if l.n%chunkLen == 0 {
+		l.c = append(l.c, new([chunkLen]T))
+	}
+	r := &l.c[l.n/chunkLen][l.n%chunkLen]
+	l.n++
+	return r
+}
+
+// at returns record i, which must be below the list's length.
+func (l *chunks[T]) at(i int) *T { return &l.c[i/chunkLen][i%chunkLen] }
+
+// spanRec is a span as the collector keeps it. Its ID is its index plus 1,
+// and it ends at its last mark, the fill End records.
+type spanRec struct {
+	block uint64
+	start int64
+	at    [inlineMarks]int64 // when each inline mark's phase ended
+	node  int32
+	more  int32 // 1 + the side-list index of the span's next mark, or 0
+	phase [inlineMarks]Phase
+	n     uint8 // inline marks used
+	kind  SpanKind
+	ended bool
+}
+
+// markRec is one mark past a span's inline ones, chained from its span.
+type markRec struct {
+	at    int64
+	next  int32 // 1 + the side-list index of the span's next mark, or 0
+	phase Phase
+}
+
+// stallRec and instantRec name their kind by its index in Collector.names.
+type stallRec struct {
+	start, end int64
+	node       int32
+	kind       uint32
+}
+
+type instantRec struct {
+	block uint64
+	at    int64
+	node  int32
+	name  uint32
+}
 
 // Collector accumulates one run's telemetry. Construct with New; the zero
 // value is not usable, but a nil *Collector is a valid no-op sink.
 type Collector struct {
 	opts Options
 
-	// Span IDs are dense from 1: open[id-1] is span id while it is open,
-	// and nil once it has ended, so len(open) counts every span kept.
-	open    []*Span
-	spans   []*Span
+	spans   chunks[spanRec] // in Begin order: span id is spans.at(id-1)
+	marks   chunks[markRec] // marks past a span's inline ones
+	done    chunks[int32]   // span indexes in completion order
 	dropped uint64
 
-	// The unused tails of the current span and mark slabs.
-	spanSlab []Span
-	markSlab []Mark
-
-	stalls   []Stall
-	instants []Instant
+	stalls   chunks[stallRec]
+	instants chunks[instantRec]
+	names    []string // stall kinds and instant names, by code
 
 	watches []*resourceWatch
 	gauges  []gaugeWatch
-	samples []Sample
-	eng     *sim.Engine // the engine the sampler ticks on, set by StartSampler
+	samples chunks[sampleRec]
+	values  chunks[int64] // every sample's values, one after another
+	eng     *sim.Engine   // the engine the sampler ticks on, set by StartSampler
 	lastAt  sim.Time
 }
 
@@ -243,38 +310,58 @@ func (c *Collector) Begin(node int, block uint64, kind SpanKind, at int64) uint6
 	if c == nil {
 		return 0
 	}
-	if len(c.open) >= c.opts.MaxSpans {
+	if c.spans.n >= c.opts.MaxSpans {
 		c.dropped++
 		return 0
 	}
-	if len(c.spanSlab) == 0 {
-		c.spanSlab = make([]Span, slabSpans)
-		c.markSlab = make([]Mark, slabSpans*inlineMarks)
-	}
-	s := &c.spanSlab[0]
-	c.spanSlab = c.spanSlab[1:]
-	id := uint64(len(c.open)) + 1
-	*s = Span{ID: id, Node: node, Block: block, Kind: kind, Start: at,
-		Marks: c.markSlab[:0:inlineMarks]}
-	c.markSlab = c.markSlab[inlineMarks:]
-	c.open = append(c.open, s)
-	return id
+	*c.spans.add() = spanRec{block: block, start: at, node: int32(node), kind: kind}
+	return uint64(c.spans.n)
 }
 
 // lookup returns open span id, or nil for a zero, unknown or ended ID.
-func (c *Collector) lookup(id uint64) *Span {
-	if c == nil || id == 0 || id > uint64(len(c.open)) {
+func (c *Collector) lookup(id uint64) *spanRec {
+	if c == nil || id == 0 || id > uint64(c.spans.n) {
 		return nil
 	}
-	return c.open[id-1]
+	if s := c.spans.at(int(id - 1)); !s.ended {
+		return s
+	}
+	return nil
 }
 
 // Mark timestamps the end of a phase inside span id. Unknown, zero or
 // ended IDs are ignored.
 func (c *Collector) Mark(id uint64, ph Phase, at int64) {
 	if s := c.lookup(id); s != nil {
-		s.Marks = append(s.Marks, Mark{Phase: ph, At: at})
+		c.mark(s, ph, at)
 	}
+}
+
+func (c *Collector) mark(s *spanRec, ph Phase, at int64) {
+	if s.n < inlineMarks {
+		s.phase[s.n], s.at[s.n] = ph, at
+		s.n++
+		return
+	}
+	link := &s.more
+	for *link != 0 {
+		link = &c.marks.at(int(*link - 1)).next
+	}
+	*c.marks.add() = markRec{at: at, phase: ph}
+	*link = int32(c.marks.n)
+}
+
+// appendMarks appends span s's marks to dst in the order they were made.
+func (c *Collector) appendMarks(dst []Mark, s *spanRec) []Mark {
+	for i := uint8(0); i < s.n; i++ {
+		dst = append(dst, Mark{Phase: s.phase[i], At: s.at[i]})
+	}
+	for x := s.more; x != 0; {
+		m := c.marks.at(int(x - 1))
+		dst = append(dst, Mark{Phase: m.phase, At: m.at})
+		x = m.next
+	}
+	return dst
 }
 
 // End closes span id at the given time, labelling the final segment as
@@ -284,35 +371,58 @@ func (c *Collector) End(id uint64, at int64) {
 	if s == nil {
 		return
 	}
-	c.open[id-1] = nil
-	s.Marks = append(s.Marks, Mark{Phase: PhaseFill, At: at})
-	s.End = at
-	c.spans = append(c.spans, s)
+	c.mark(s, PhaseFill, at)
+	s.ended = true
+	*c.done.add() = int32(id - 1)
+}
+
+// code returns name's index in c.names, adding it on its first use. A run
+// uses a handful of names, each a literal at its call site, so the scan is
+// short and its comparisons mostly match by pointer.
+func (c *Collector) code(name string) uint32 {
+	for i, n := range c.names {
+		if n == name {
+			return uint32(i)
+		}
+	}
+	c.names = append(c.names, name)
+	return uint32(len(c.names) - 1)
 }
 
 // StallInterval records one processor-blocked interval. Empty intervals are
 // dropped.
 func (c *Collector) StallInterval(node int, kind string, start, end int64) {
-	if c == nil || end <= start || len(c.stalls) >= c.opts.MaxStalls {
+	if c == nil || end <= start || c.stalls.n >= c.opts.MaxStalls {
 		return
 	}
-	c.stalls = append(c.stalls, Stall{Node: node, Kind: kind, Start: start, End: end})
+	*c.stalls.add() = stallRec{start: start, end: end, node: int32(node), kind: c.code(kind)}
 }
 
 // RecordInstant records a point event on a node's timeline.
 func (c *Collector) RecordInstant(node int, name string, block uint64, at int64) {
-	if c == nil || len(c.instants) >= c.opts.MaxInstants {
+	if c == nil || c.instants.n >= c.opts.MaxInstants {
 		return
 	}
-	c.instants = append(c.instants, Instant{Node: node, Name: name, Block: block, At: at})
+	*c.instants.add() = instantRec{block: block, at: at, node: int32(node), name: c.code(name)}
 }
 
-// Spans returns the completed spans in completion order.
+// Spans returns the completed spans in completion order, built on each
+// call from the collector's records.
 func (c *Collector) Spans() []*Span {
-	if c == nil {
+	if c == nil || c.done.n == 0 {
 		return nil
 	}
-	return c.spans
+	vals := make([]Span, c.done.n)
+	out := make([]*Span, c.done.n)
+	for i := range vals {
+		idx := int(*c.done.at(i))
+		s := c.spans.at(idx)
+		marks := c.appendMarks(make([]Mark, 0, s.n), s)
+		vals[i] = Span{ID: uint64(idx) + 1, Node: int(s.node), Block: s.block, Kind: s.kind,
+			Start: s.start, End: marks[len(marks)-1].At, Marks: marks}
+		out[i] = &vals[i]
+	}
+	return out
 }
 
 // DroppedSpans reports how many spans the MaxSpans cap discarded.
@@ -323,36 +433,50 @@ func (c *Collector) DroppedSpans() uint64 {
 	return c.dropped
 }
 
-// Stalls returns the recorded processor stall intervals.
+// Stalls returns the recorded processor stall intervals, built on each
+// call.
 func (c *Collector) Stalls() []Stall {
-	if c == nil {
+	if c == nil || c.stalls.n == 0 {
 		return nil
 	}
-	return c.stalls
+	out := make([]Stall, c.stalls.n)
+	for i := range out {
+		s := c.stalls.at(i)
+		out[i] = Stall{Node: int(s.node), Kind: c.names[s.kind], Start: s.start, End: s.end}
+	}
+	return out
 }
 
-// Instants returns the recorded point events.
+// Instants returns the recorded point events, built on each call.
 func (c *Collector) Instants() []Instant {
-	if c == nil {
+	if c == nil || c.instants.n == 0 {
 		return nil
 	}
-	return c.instants
+	out := make([]Instant, c.instants.n)
+	for i := range out {
+		in := c.instants.at(i)
+		out[i] = Instant{Node: int(in.node), Name: c.names[in.name], Block: in.block, At: in.at}
+	}
+	return out
 }
 
 // PhaseTotals sums the per-phase durations of all completed spans of the
 // given kind, keyed by phase name. Phases that never occurred are omitted.
 func (c *Collector) PhaseTotals(kind SpanKind) map[string]int64 {
-	if c == nil || len(c.spans) == 0 {
+	if c == nil {
 		return nil
 	}
 	var tot [NumPhases]int64
 	any := false
-	for _, s := range c.spans {
-		if s.Kind != kind {
+	var marks []Mark
+	for i := 0; i < c.spans.n; i++ {
+		s := c.spans.at(i)
+		if !s.ended || s.kind != kind {
 			continue
 		}
 		any = true
-		d := s.Durations()
+		marks = c.appendMarks(marks[:0], s)
+		d := durations(s.start, marks)
 		for p := Phase(0); p < NumPhases; p++ {
 			tot[p] += d[p]
 		}

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ccsim/internal/sim"
@@ -130,6 +132,76 @@ func TestStallIntervals(t *testing.T) {
 	st := c.Stalls()
 	if len(st) != 1 || st[0].End-st[0].Start != 20 || st[0].Kind != "read" {
 		t.Fatalf("stalls = %+v", st)
+	}
+}
+
+// TestStallAndInstantNames interleaves stalls and instants of several
+// kinds and names, which share one table of codes: each must come back
+// with the string it was recorded with.
+func TestStallAndInstantNames(t *testing.T) {
+	c := New(Options{})
+	kinds := []string{"read", "write", "acquire", "read", "barrier"}
+	names := []string{"grant", "revert", "grant", "migratory", "write"}
+	for i := range kinds {
+		c.StallInterval(i, kinds[i], int64(i), int64(i)+1)
+		c.RecordInstant(i, names[i], uint64(i), int64(i))
+	}
+	st, in := c.Stalls(), c.Instants()
+	if len(st) != len(kinds) || len(in) != len(names) {
+		t.Fatalf("got %d stalls and %d instants, want %d of each", len(st), len(in), len(kinds))
+	}
+	for i := range kinds {
+		if st[i] != (Stall{Node: i, Kind: kinds[i], Start: int64(i), End: int64(i) + 1}) {
+			t.Errorf("stall %d = %+v, want kind %q", i, st[i], kinds[i])
+		}
+		if in[i] != (Instant{Node: i, Name: names[i], Block: uint64(i), At: int64(i)}) {
+			t.Errorf("instant %d = %+v, want name %q", i, in[i], names[i])
+		}
+	}
+}
+
+// TestRecordsHoldNoPointers keeps telemetry's records out of the garbage
+// collector's scan: every chunk list the collector keeps must hold records
+// of plain values only, so a pointer, slice, map, interface, func, chan or
+// string field (a span's mark slice, a stall's kind string), or an array or
+// struct holding one, fails here. Spans, stalls, instants and sampler
+// snapshots must each have a list.
+func TestRecordsHoldNoPointers(t *testing.T) {
+	var holds func(reflect.Type) bool
+	holds = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.Func, reflect.Chan, reflect.String:
+			return true
+		case reflect.Array:
+			return holds(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if holds(typ.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	kept := map[string]bool{}
+	typ := reflect.TypeOf(Collector{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !strings.HasPrefix(f.Type.Name(), "chunks[") {
+			continue
+		}
+		// chunks[T].c is a []*[chunkLen]T.
+		rec := f.Type.Field(0).Type.Elem().Elem().Elem()
+		kept[rec.Name()] = true
+		if holds(rec) {
+			t.Errorf("Collector.%s keeps %s, which holds a pointer", f.Name, rec)
+		}
+	}
+	for _, rec := range []string{"spanRec", "stallRec", "instantRec", "sampleRec"} {
+		if !kept[rec] {
+			t.Errorf("no chunk list of %s in Collector", rec)
+		}
 	}
 }
 
@@ -392,11 +464,11 @@ func TestSpanMarksBeyondInlineCapacity(t *testing.T) {
 	}
 }
 
-// TestSpanSlabsKeepSpansApart begins more spans than one slab holds, all
+// TestSpanSlabsKeepSpansApart begins more spans than one chunk holds, all
 // open at once, and checks each completes with its own fields and marks.
 func TestSpanSlabsKeepSpansApart(t *testing.T) {
 	c := New(Options{})
-	const n = 2*slabSpans + 3
+	const n = 2*chunkLen + 3
 	ids := make([]uint64, n)
 	for i := range ids {
 		ids[i] = c.Begin(i%16, uint64(i), SpanKind(i%4), int64(i))

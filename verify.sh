@@ -78,8 +78,13 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # reservation queue to its live reservations). The observed-run ceiling
 # does the same for a run with the checker, sharing analyzer, telemetry
 # and trace attached (it fails if their per-block or per-span state goes
-# back to maps and one heap object each). A traced run may allocate only
-# a constant more than the same run untraced, so no trace line allocates.
+# back to maps and one heap object each); its heap-byte ceiling fails if
+# telemetry's records go back to a heap span with a mark slice each,
+# strings in stalls and instants, or slices per sampler snapshot. A
+# telemetry test keeps every record the collector stores free of pointers,
+# and the timeline golden pins what a small run's telemetry renders. A
+# traced run may allocate only a constant more than the same run untraced,
+# so no trace line allocates.
 # The address-shift test pins the sparse per-block tables, the side
 # channels' included: a run with every address moved above 2^40 or 2^58
 # bytes must match the unshifted run exactly. Size pins hold a directory
@@ -96,7 +101,8 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
-go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestSweepRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
+go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestObservedRunHeapBytesCeiling|TestTimelineGolden|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestSweepRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
+go test -count=1 -run 'TestRecordsHoldNoPointers' ccsim/internal/telemetry
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations|TestEngineSize|TestEngineMigratedHeadKeepsTail' ccsim/internal/sim
 go test -count=1 -run 'TestDirEntrySize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback|TestPool' ccsim/internal/core
