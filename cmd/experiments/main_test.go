@@ -126,6 +126,31 @@ func TestSweepCompleteRecordsHostCost(t *testing.T) {
 	t.Fatalf("no sweep complete record in %d stderr records", len(recs))
 }
 
+// TestSweepUniqueRunsMatchGolden runs the sweep that golden/ records and
+// checks it simulates one run per golden file, 265: a run's metrics file
+// and its scheduler key must name the same configuration, so a sweep that
+// simulates one configuration under two keys (an SLC of 0 ways and one of
+// 1 way, both direct-mapped, did) fails here.
+func TestSweepUniqueRunsMatchGolden(t *testing.T) {
+	golden, err := filepath.Glob(filepath.Join("..", "..", "golden", "*.json"))
+	if err != nil || len(golden) == 0 {
+		t.Fatalf("no golden files: %v", err)
+	}
+	code, recs := runCLILogs(t, "experiments", "-exp", "all", "-scale", "0.02", "-procs", "16", "-log-json")
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	for _, rec := range recs {
+		if rec["msg"] == "sweep complete" {
+			if n, ok := rec["unique"].(float64); !ok || int(n) != len(golden) {
+				t.Errorf("sweep simulated %v unique runs, want one per golden file (%d)", rec["unique"], len(golden))
+			}
+			return
+		}
+	}
+	t.Fatalf("no sweep complete record in %d stderr records", len(recs))
+}
+
 // TestFaultReportOrderFixed runs the same injected-fault sweep twice on two
 // workers and requires the faulted runs to be reported in the same order
 // both times: by workload, protocol and run ID. The sweep repeats

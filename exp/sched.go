@@ -535,6 +535,9 @@ func Fingerprint(cfg ccsim.Config) (string, bool) {
 	if scale == 0 {
 		scale = 1.0 // Run applies the same default
 	}
+	if cfg.SLCWays == 1 {
+		cfg.SLCWays = 0 // both mean direct-mapped, as metricsName has it
+	}
 	e := cfg.Extensions
 	return fmt.Sprintf("v%s|%s|x%g|p%d|P%t|M%t|CW%t|SC%t|net%d|link%d|slc%d|ways%d|flwb%d|slwb%d|pfk%d|cwt%d|wcb%d|nack%t|dir%d|vd%t|me%d|dl%d|np%d|inj%s",
 		ResultSchemaVersion(),

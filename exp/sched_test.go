@@ -221,6 +221,25 @@ func TestFingerprintCoversConfig(t *testing.T) {
 	}
 }
 
+// TestFingerprintDirectMappedAlike keys an SLC of 0 ways and one of 1 way
+// alike, and gives them one RunID: both mean direct-mapped, so a sweep
+// simulates the associativity study's 1-way column and the cache
+// sensitivity study's direct-mapped runs of the same SLC once.
+func TestFingerprintDirectMappedAlike(t *testing.T) {
+	zero := tiny().config("mp3d")
+	zero.SLCBlocks = 512
+	one := zero
+	one.SLCWays = 1
+	k0, _ := Fingerprint(zero)
+	k1, _ := Fingerprint(one)
+	if k0 != k1 {
+		t.Errorf("0 and 1 SLC ways keyed apart: %q vs %q", k0, k1)
+	}
+	if a, b := RunID(zero), RunID(one); a != b {
+		t.Errorf("0 and 1 SLC ways have RunIDs %q and %q", a, b)
+	}
+}
+
 // TestSchedulerStats drives a small grid through the scheduler and checks
 // its counters: every Submit is accounted, dedup hits are split out, and
 // the scheduler ends drained (nothing queued or running, everything
