@@ -205,10 +205,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Every record lives in a chunk list. A span keeps its first inlineMarks
-// marks in place; in the five kernels under all eight extension sets at 16
-// processors and scale 0.25, each of 186,532 spans carried 5, 6 or 8 marks,
-// never more, and any mark beyond goes to a side list.
+// chunkLen is the number of records in each chunk of a chunk list, and
+// inlineMarks the number of marks a span keeps in its own record; any
+// beyond go to a side list. In the five kernels under all eight extension
+// sets at 16 processors and scale 0.25, each of 186,532 spans carried 5, 6
+// or 8 marks, never more.
 const (
 	chunkLen    = 256
 	inlineMarks = 8
@@ -337,6 +338,8 @@ func (c *Collector) Mark(id uint64, ph Phase, at int64) {
 	}
 }
 
+// mark appends a mark to span s: in its record while there is room, then
+// at the end of its chain in the side list.
 func (c *Collector) mark(s *spanRec, ph Phase, at int64) {
 	if s.n < inlineMarks {
 		s.phase[s.n], s.at[s.n] = ph, at
