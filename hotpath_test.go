@@ -3,6 +3,7 @@ package ccsim_test
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"reflect"
 	"runtime"
@@ -29,6 +30,55 @@ func TestProtocolTraceGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("protocol trace sha256 = %s, want %s", got, want)
+	}
+}
+
+// TestSixtyFourNodeTraceGolden pins the widest machine Params.Validate
+// allows: mp3d on 64 processors, once under P+CW with release consistency
+// and once under P+M with sequential consistency, each with the live
+// checker attached (which turns data verification on). For each run it
+// pins the sha256 of the protocol trace, whose node and peer columns
+// print every message's source and destination, and of the Result's JSON.
+func TestSixtyFourNodeTraceGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		ext         ccsim.Ext
+		sc          bool
+		trace, json string
+	}{
+		{"P+CW", ccsim.Ext{P: true, CW: true}, false,
+			"867b4373a1fb28f41d82c9a78dff94dd554ea955fdaf1119cdb58a8ab4b4dfba",
+			"fe7d10cfa62eface1f646f4cb6754cbfc6f098df955020f6bce46a74f2acc825"},
+		{"P+M-SC", ccsim.Ext{P: true, M: true}, true,
+			"68721a693e470f1e7485a0893f04fc5e3000890ede8cdb7c82afffba178c8d9e",
+			"78716c0847a89f19dc6e6632396f41669a731b5e9e1a1524f71f756b386503a5"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ccsim.DefaultConfig()
+			cfg.Workload = "mp3d"
+			cfg.Extensions = tc.ext
+			cfg.SC = tc.sc
+			cfg.Scale = 0.05
+			cfg.Procs = 64
+			cfg.Check = ccsim.NewChecker()
+			h := sha256.New()
+			cfg.TraceWriter = h
+			r, err := ccsim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.trace {
+				t.Errorf("protocol trace sha256 = %s, want %s", got, tc.trace)
+			}
+			b, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != tc.json {
+				t.Errorf("result JSON sha256 = %s, want %s", got, tc.json)
+			}
+		})
 	}
 }
 
