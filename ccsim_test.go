@@ -1,6 +1,7 @@
 package ccsim_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,6 +139,7 @@ func TestRunStreamsRejectsInvalidOps(t *testing.T) {
 		{ccsim.Op{Kind: -1}, "unknown kind -1"},
 		{ccsim.Op{Kind: ccsim.Busy, Cycles: -5}, "busy cycles -5"},
 		{ccsim.Op{Kind: ccsim.Barrier, Bar: -1}, "barrier id -1"},
+		{ccsim.Op{Kind: ccsim.Barrier, Bar: math.MaxInt32 + 1}, "barrier id 2147483648 > 2147483647"},
 	} {
 		cfg := ccsim.DefaultConfig()
 		cfg.Procs = 2

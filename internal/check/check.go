@@ -291,15 +291,18 @@ func (o *Oracle) OnWCFlush(node int, b memsys.Block, got memsys.WordMask, event 
 
 // OnWrite records a write to (b, w) serializing as version ver and asserts
 // the global serialization order has no gaps or replays: each location's
-// versions advance exactly one at a time.
+// versions advance exactly one at a time. The high-water marks keep the
+// 32-bit words core's versions have; ver is one past a mark once the
+// assertion holds, and core faults before a word's counter passes
+// math.MaxInt32.
 func (o *Oracle) OnWrite(node int, b memsys.Block, w int, ver int64) {
 	o.checks++
 	c := o.hwm.At(b)
-	if ver != c[w]+1 {
+	if ver != int64(c[w])+1 {
 		o.violate(b, "write by node %d to block %d word %d serialized as version %d after %d",
 			node, b, w, ver, c[w])
 	}
-	c[w] = ver
+	c[w] = int32(ver)
 	if o.LogObs {
 		o.obs[node] = append(o.obs[node], Obs{Node: node, Block: b, Word: w, Ver: ver, Write: true})
 	}
@@ -311,7 +314,7 @@ func (o *Oracle) OnWrite(node int, b memsys.Block, w int, ver int64) {
 func (o *Oracle) OnRead(node int, b memsys.Block, w int, ver int64) {
 	o.checks++
 	// A block never written reads as version 0.
-	if hw := load(&o.hwm, b)[w]; ver > 0 && ver > hw {
+	if hw := int64(load(&o.hwm, b)[w]); ver > 0 && ver > hw {
 		o.violate(b, "node %d read block %d word %d version %d beyond serialization high-water %d",
 			node, b, w, ver, hw)
 	}

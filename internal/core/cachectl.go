@@ -78,7 +78,7 @@ type wbEntry struct {
 	// requeued: a fresh writeback of grant generation stamp waits for the
 	// in-flight one's acknowledgment (ownership cycled back in between).
 	requeued bool
-	stamp    int
+	stamp    int32
 }
 
 // flwbWrite is one first-level write-buffer entry. ob is the write's
@@ -288,9 +288,12 @@ func (c *CacheCtl) completeObs(obs []int) {
 }
 
 func (c *CacheCtl) send(m *Msg) {
-	m.Src = c.id
+	m.Src = int8(c.id)
 	c.sys.Send(m)
 }
+
+// homeOf returns block b's home node as a message's destination.
+func (c *CacheCtl) homeOf(b memsys.Block) int8 { return int8(c.sys.HomeOf(b)) }
 
 func (c *CacheCtl) statsOn() bool { return c.sys.statsOn }
 
@@ -319,12 +322,12 @@ func (c *CacheCtl) endSpan(txn uint64) {
 
 // observe checks the data-value invariant for a read of word w returning
 // version v: per processor and location, observed versions never decrease.
-func (c *CacheCtl) observe(b memsys.Block, w int, v int64) {
+func (c *CacheCtl) observe(b memsys.Block, w int, v int32) {
 	if c.sys.verSeq == nil {
 		return
 	}
 	if ck := c.sys.Check; ck != nil {
-		ck.OnRead(c.id, b, w, v)
+		ck.OnRead(c.id, b, w, int64(v))
 	}
 	last := c.lastSeen.At(b)
 	if v < last[w] {
@@ -488,7 +491,7 @@ func (c *CacheCtl) readSLC(b memsys.Block, word int, unblock func()) {
 	ms.timed, ms.missStart = true, c.sys.Eng.Now()
 	ms.readers = append(ms.readers, readerWait{word, unblock})
 	ms.txn = c.beginSpan(b, telemetry.SpanRead)
-	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.homeOf(b), Txn: ms.txn})
 	if c.pf != nil {
 		c.pf.OnMiss(b)
 		c.issuePrefetches(b)
@@ -508,7 +511,7 @@ func (c *CacheCtl) issuePrefetches(b memsys.Block) {
 		ms.txn = c.beginSpan(nb, telemetry.SpanPrefetch)
 		c.slwbUsed++
 		c.pf.OnIssue()
-		c.send(&Msg{Type: MsgReadReq, Block: nb, Dst: c.sys.HomeOf(nb), Prefetch: true, Txn: ms.txn})
+		c.send(&Msg{Type: MsgReadReq, Block: nb, Dst: c.homeOf(nb), Prefetch: true, Txn: ms.txn})
 	}
 }
 
@@ -643,7 +646,7 @@ func (c *CacheCtl) processWrite(w flwbWrite) bool {
 		ms.performed = append(ms.performed, w.performed)
 	}
 	c.slwbUsed++
-	c.send(&Msg{Type: MsgOwnReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+	c.send(&Msg{Type: MsgOwnReq, Block: b, Dst: c.homeOf(b), Txn: ms.txn})
 	return true
 }
 
@@ -730,7 +733,7 @@ func (c *CacheCtl) doFlush(e cache.WCEntry, obs []int) {
 	c.obsFree = append(c.obsFree, obs[:0])
 	ms.txn = c.beginSpan(e.Block, telemetry.SpanUpdate)
 	c.slwbUsed++
-	c.send(&Msg{Type: MsgUpdateReq, Block: e.Block, Dst: c.sys.HomeOf(e.Block), Mask: e.Mask, Txn: ms.txn})
+	c.send(&Msg{Type: MsgUpdateReq, Block: e.Block, Dst: c.homeOf(e.Block), Mask: e.Mask, Txn: ms.txn})
 }
 
 // pump retries work that was waiting for an SLWB slot or a fill.
@@ -756,7 +759,7 @@ func (c *CacheCtl) Acquire(a memsys.Addr, unblock func()) {
 		panic("core: overlapping acquires of one lock by one processor")
 	}
 	c.lockWaiters[b] = unblock
-	c.send(&Msg{Type: MsgLockReq, Block: b, Dst: c.sys.HomeOf(b)})
+	c.send(&Msg{Type: MsgLockReq, Block: b, Dst: c.homeOf(b)})
 }
 
 // Release queues a lock release. Under release consistency the processor
@@ -820,9 +823,9 @@ func (c *CacheCtl) tryRelease() {
 			if r.ack != nil {
 				c.relAckWaiters = append(c.relAckWaiters, r.ack)
 			}
-			c.send(&Msg{Type: MsgLockRel, Block: r.lock, Dst: c.sys.HomeOf(r.lock)})
+			c.send(&Msg{Type: MsgLockRel, Block: r.lock, Dst: c.homeOf(r.lock)})
 		case relBarrier:
-			c.send(&Msg{Type: MsgBarArrive, BarID: r.barID, Dst: r.barID % c.sys.P.Nodes})
+			c.send(&Msg{Type: MsgBarArrive, BarID: int32(r.barID), Dst: int8(r.barID % c.sys.P.Nodes)})
 		}
 	}
 }
@@ -919,11 +922,11 @@ func (c *CacheCtl) Handle(m *Msg) {
 		c.relAckWaiters = c.relAckWaiters[:n]
 		w()
 	case MsgBarGo:
-		w := c.barWaiters[m.BarID]
+		w := c.barWaiters[int(m.BarID)]
 		if w == nil {
 			panic(fmt.Sprintf("cache %d: barrier go with no waiter", c.id))
 		}
-		delete(c.barWaiters, m.BarID)
+		delete(c.barWaiters, int(m.BarID))
 		w()
 	default:
 		panic(fmt.Sprintf("cache %d: unexpected message %v", c.id, m.Type))
@@ -972,7 +975,7 @@ func (c *CacheCtl) handleVictim(v cache.Victim) {
 		c.pf.OnDiscard()
 	}
 	if v.State == cache.Dirty {
-		c.writeBack(v.Block, int(v.Grant), v.Words, memsys.FullMask)
+		c.writeBack(v.Block, v.Grant, v.Words, memsys.FullMask)
 	}
 }
 
@@ -988,7 +991,7 @@ func (c *CacheCtl) wbFind(b memsys.Block) int {
 
 // writeBack returns the masked words of block b, held under grant
 // generation stamp, to its home through the writeback buffer.
-func (c *CacheCtl) writeBack(b memsys.Block, stamp int, data memsys.BlockData, mask memsys.WordMask) {
+func (c *CacheCtl) writeBack(b memsys.Block, stamp int32, data memsys.BlockData, mask memsys.WordMask) {
 	if i := c.wbFind(b); i >= 0 {
 		// The previous writeback of this block has not been acknowledged
 		// yet (ownership cycled back in between); queue a fresh one behind
@@ -998,7 +1001,7 @@ func (c *CacheCtl) writeBack(b memsys.Block, stamp int, data memsys.BlockData, m
 		return
 	}
 	c.wb = append(c.wb, wbEntry{block: b, data: data, mask: mask})
-	c.send(&Msg{Type: MsgWBReq, Block: b, Dst: c.sys.HomeOf(b), Data: true, Stamp: stamp, Payload: data, Mask: mask})
+	c.send(&Msg{Type: MsgWBReq, Block: b, Dst: c.homeOf(b), Data: true, Stamp: stamp, Payload: data, Mask: mask})
 }
 
 func (c *CacheCtl) onReadReply(m *Msg) {
@@ -1020,7 +1023,7 @@ func (c *CacheCtl) onReadReply(m *Msg) {
 	c.setWords(b, &m.Payload)
 	if m.Excl {
 		line.MigSupplied = true
-		line.Grant = int32(m.Stamp)
+		line.Grant = m.Stamp
 	}
 	if c.wc != nil {
 		// A prefetch is not a processor access: an unreferenced prefetched
@@ -1103,7 +1106,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 		line.State = cache.Dirty
 		c.ckLine(b, true, "own-upgrade")
 	}
-	line.Grant = int32(m.Stamp)
+	line.Grant = m.Stamp
 	line.Written = true
 	if d := c.slc.Words(b); d != nil {
 		for _, w := range ms.words {
@@ -1128,7 +1131,7 @@ func (c *CacheCtl) onOwnAck(m *Msg) {
 // relinquishLostOwnership handles an exclusive grant (of generation stamp)
 // for a block whose cache frame was lost to replacement while the request
 // was pending.
-func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int) {
+func (c *CacheCtl) relinquishLostOwnership(b memsys.Block, ms *mshr, stamp int32) {
 	for _, p := range ms.performed {
 		p()
 	}
@@ -1169,7 +1172,7 @@ func (c *CacheCtl) refetch(b memsys.Block, readers []readerWait) {
 	ms := c.newMSHR(b, mshrRead)
 	ms.readers = append(ms.readers, readers...)
 	ms.txn = c.beginSpan(b, telemetry.SpanRead)
-	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+	c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.homeOf(b), Txn: ms.txn})
 }
 
 func (c *CacheCtl) onUpdateAck(m *Msg) {
@@ -1204,7 +1207,7 @@ func (c *CacheCtl) onUpdateAck(m *Msg) {
 			c.relinquishLostOwnership(b, ms, m.Stamp)
 			return
 		}
-		line.Grant = int32(m.Stamp)
+		line.Grant = m.Stamp
 		line.Written = true
 		line.CWCount = int32(c.sys.P.CWThreshold)
 	} else if line := c.slc.Lookup(b); line != nil {
@@ -1333,7 +1336,7 @@ func (c *CacheCtl) onPrefNack(m *Msg) {
 		// A demand reference merged with the prefetch while the nack was in
 		// flight; reissue it as a demand read, which is never nacked. The
 		// span continues: it is still the same logical fetch.
-		c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.sys.HomeOf(b), Txn: ms.txn})
+		c.send(&Msg{Type: MsgReadReq, Block: b, Dst: c.homeOf(b), Txn: ms.txn})
 		return
 	}
 	c.closeMSHR(ms)
@@ -1356,7 +1359,7 @@ func (c *CacheCtl) onWBAck(m *Msg) {
 	}
 	if w := &c.wb[i]; w.requeued {
 		w.requeued = false
-		c.send(&Msg{Type: MsgWBReq, Block: m.Block, Dst: c.sys.HomeOf(m.Block), Data: true, Stamp: w.stamp,
+		c.send(&Msg{Type: MsgWBReq, Block: m.Block, Dst: c.homeOf(m.Block), Data: true, Stamp: w.stamp,
 			Payload: w.data, Mask: w.mask})
 	} else {
 		last := len(c.wb) - 1

@@ -89,6 +89,18 @@ func TestDirEntrySize(t *testing.T) {
 	}
 }
 
+// TestMsgSize pins a protocol message at 72 bytes: its fields ordered
+// largest first, node numbers in an int8, the grant stamp and barrier id
+// in an int32 and the verification words 32 bytes. Every message is copied
+// by value into its hop and again into a job or held request; a field
+// added or widened grows every copy, and past this size a copy becomes a
+// call to the runtime's block-copy routine rather than inline moves.
+func TestMsgSize(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n != 72 {
+		t.Errorf("Msg is %d bytes, want 72", n)
+	}
+}
+
 // TestDirEntryHoldsNoPointers keeps the directory pages out of the
 // collector's scan: an entry may hold only plain values, so a pointer,
 // slice, map, interface, func, chan or string field (a request queue, say),

@@ -517,11 +517,11 @@ func TestStorageModel(t *testing.T) {
 // arrival order, and a writeback's parked→deferred splice puts every
 // parked request, in order, ahead of the deferred ones.
 func TestReqQueueOrder(t *testing.T) {
-	req := func(src int) *heldReq { return &heldReq{Msg: Msg{Src: src}} }
+	req := func(src int) *heldReq { return &heldReq{Msg: Msg{Src: int8(src)}} }
 	drain := func(q *reqQueue) []int {
 		var out []int
 		for !q.empty() {
-			out = append(out, q.pop().Src)
+			out = append(out, int(q.pop().Src))
 		}
 		return out
 	}

@@ -157,7 +157,7 @@ type HomeCtl struct {
 
 	dir      memsys.Table[dirEntry]
 	locks    map[memsys.Block]*syncprim.Lock
-	barriers map[int]*syncprim.Barrier
+	barriers map[int32]*syncprim.Barrier
 
 	// Statistics.
 	ReadReqs, OwnReqs, UpdateReqs, Writebacks uint64
@@ -174,7 +174,7 @@ func newHomeCtl(s *System, id int) *HomeCtl {
 		sys:      s,
 		id:       id,
 		locks:    make(map[memsys.Block]*syncprim.Lock),
-		barriers: make(map[int]*syncprim.Barrier),
+		barriers: make(map[int32]*syncprim.Barrier),
 	}
 }
 
@@ -228,7 +228,7 @@ func (h *HomeCtl) applyUpdate(m *Msg) {
 	b := m.Block
 	for w := 0; w < memsys.WordsPerBlock; w++ {
 		if m.Mask.Has(w) {
-			v := h.sys.serialize(m.Src, b, w)
+			v := h.sys.serialize(int(m.Src), b, w)
 			h.sys.verSeq.At(b).mem[w] = v
 		}
 	}
@@ -343,7 +343,7 @@ func (h *HomeCtl) process(m *heldReq, e *dirEntry) {
 	// writeback arrives. (Updates from the owner are handled directly in
 	// updateReq: they carry writes that were combined before the owner
 	// became exclusive.)
-	if e.state == dirModified && int(e.owner) == m.Src &&
+	if e.state == dirModified && e.owner == m.Src &&
 		(m.Type == MsgReadReq || m.Type == MsgOwnReq) {
 		t.parked.push(m)
 		return
@@ -424,7 +424,7 @@ func (h *HomeCtl) finish(e *dirEntry, t *txnRec) {
 }
 
 func (h *HomeCtl) send(m *Msg) {
-	m.Src = h.id
+	m.Src = int8(h.id)
 	h.sys.Send(m)
 }
 
@@ -432,7 +432,7 @@ func (h *HomeCtl) send(m *Msg) {
 
 func (h *HomeCtl) readReq(m *Msg, e *dirEntry, t *txnRec) {
 	h.ReadReqs++
-	b := m.Block
+	b, src := m.Block, int(m.Src)
 	if e.state == dirModified {
 		mig := h.sys.P.M && e.migratory
 		if m.Prefetch && !mig && h.sys.P.PrefetchNackDirty {
@@ -445,28 +445,25 @@ func (h *HomeCtl) readReq(m *Msg, e *dirEntry, t *txnRec) {
 		}
 		// Serviced in four node-to-node transfers via the owner.
 		t.txn = txFwd
-		h.send(&Msg{
-			Type: MsgFwd, Block: b, Dst: int(e.owner),
-			Requester: m.Src, Mig: mig, Prefetch: m.Prefetch, Txn: m.Txn,
-		})
+		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Mig: mig, Prefetch: m.Prefetch, Txn: m.Txn})
 		return
 	}
 	// Clean at memory: serviced in two transfers (or locally).
-	if h.sys.P.M && e.migratory && e.presence&^bit(m.Src) == 0 {
+	if h.sys.P.M && e.migratory && e.presence&^bit(src) == 0 {
 		// Migratory block with no other holder: supply an exclusive copy so
 		// the follow-up write hits locally (the optimization's whole point).
 		h.ExclusiveSupplies++
 		e.state = dirModified
-		e.owner = int8(m.Src)
-		h.setPresence(e, bit(m.Src))
+		e.owner = m.Src
+		h.setPresence(e, bit(src))
 		e.grants++
 		h.ckDir(b, e, "excl-supply")
-		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: m.Txn})
+		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Excl: true, Prefetch: m.Prefetch, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: m.Txn})
 		h.finish(e, t)
 		return
 	}
 	if !h.sys.takeMutation("skip-sharer") {
-		h.addSharer(e, m.Src)
+		h.addSharer(e, src)
 	}
 	h.ckDir(b, e, "read-share")
 	h.send(&Msg{Type: MsgReadReply, Block: b, Dst: m.Src, Data: true, Prefetch: m.Prefetch, Payload: h.sys.memWords(b), Txn: m.Txn})
@@ -501,28 +498,28 @@ func fwdWritten(a any) {
 	h, e, m := j.h, j.e, &j.m
 	t := h.txn(e)
 	req := t.req
-	b := req.Block
+	b, to := req.Block, int(req.Src)
 	h.sys.tmark(req.Txn, telemetry.PhaseMemory)
 	switch {
 	case t.txn == txRecall:
 		// Recalled to serve a competitive update: apply the update and
 		// hand the block to the updater exclusively.
-		h.grant(e, req.Src)
+		h.grant(e, to)
 		h.applyUpdate(&req.Msg)
 		h.ckDir(b, e, "recall-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: true, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 	case req.Type == MsgOwnReq:
 		// Write miss to a dirty block: exclusive handoff.
-		h.grant(e, req.Src)
+		h.grant(e, to)
 		h.ckDir(b, e, "fwd-grant")
-		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
+		h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: req.Src, Data: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 	case req.Type == MsgReadReq && e.migratory && h.sys.P.M:
 		if m.Wrote {
 			// Still migratory: pass the exclusive copy along.
 			h.ExclusiveSupplies++
-			h.grant(e, req.Src)
+			h.grant(e, to)
 			h.ckDir(b, e, "mig-pass")
-			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
+			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Excl: true, Prefetch: req.Prefetch, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 		} else {
 			// The holder never wrote its exclusive copy: the pattern is
 			// no longer migratory. Revert to ordinary sharing (the
@@ -531,7 +528,7 @@ func fwdWritten(a any) {
 			h.sys.traceNode(trace.DirTransition, "revert", b, h.id, "")
 			e.migratory = false
 			e.state = dirClean
-			h.setPresence(e, bit(m.Src)|bit(req.Src))
+			h.setPresence(e, bit(int(m.Src))|bit(to))
 			h.ckDir(b, e, "revert")
 			h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: h.sys.memWords(b), Txn: req.Txn})
 		}
@@ -539,7 +536,7 @@ func fwdWritten(a any) {
 		// Ordinary read miss to a dirty block: owner downgraded to
 		// Shared, memory updated, requester added.
 		e.state = dirClean
-		h.addSharer(e, req.Src)
+		h.addSharer(e, to)
 		h.ckDir(b, e, "fwd-downgrade")
 		h.send(&Msg{Type: MsgReadReply, Block: b, Dst: req.Src, Data: true, Prefetch: req.Prefetch, Payload: h.sys.memWords(b), Txn: req.Txn})
 	}
@@ -551,11 +548,11 @@ func fwdWritten(a any) {
 
 func (h *HomeCtl) ownReq(m *Msg, e *dirEntry, t *txnRec) {
 	h.OwnReqs++
-	b := m.Block
+	b, src := m.Block, int(m.Src)
 	if e.state == dirModified {
 		// Dirty elsewhere: take the copy away from the owner.
 		t.txn = txFwd
-		h.send(&Msg{Type: MsgFwd, Block: b, Dst: int(e.owner), Requester: m.Src, Excl: true, Txn: m.Txn})
+		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Excl: true, Txn: m.Txn})
 		return
 	}
 	// Migratory detection (paper §3.2, following Stenström et al.): an
@@ -563,16 +560,16 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry, t *txnRec) {
 	// where the last writer is the other processor, marks the block
 	// migratory.
 	if h.sys.P.M && !e.migratory &&
-		bits.OnesCount64(e.presence) == 2 && e.presence&bit(m.Src) != 0 &&
-		e.lastWriter >= 0 && int(e.lastWriter) != m.Src {
+		bits.OnesCount64(e.presence) == 2 && e.presence&bit(src) != 0 &&
+		e.lastWriter >= 0 && e.lastWriter != m.Src {
 		e.migratory = true
 		h.MigratoryDetections++
 		h.sys.traceNode(trace.DirTransition, "migratory", b, h.id, "")
 	}
-	sharers := h.sharersFor(e, m.Src)
-	t.needData = e.presence&bit(m.Src) == 0
+	sharers := h.sharersFor(e, src)
+	t.needData = e.presence&bit(src) == 0
 	if sharers == 0 {
-		h.grantOwnership(b, e, t, m.Src)
+		h.grantOwnership(b, e, t, src)
 		return
 	}
 	if e.overflow {
@@ -582,7 +579,7 @@ func (h *HomeCtl) ownReq(m *Msg, e *dirEntry, t *txnRec) {
 	t.acksLeft = int32(bits.OnesCount64(sharers))
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if sharers&bit(n) != 0 {
-			h.send(&Msg{Type: MsgInv, Block: b, Dst: n})
+			h.send(&Msg{Type: MsgInv, Block: b, Dst: int8(n)})
 		}
 	}
 }
@@ -593,14 +590,14 @@ func (h *HomeCtl) onInvAck(m *Msg) {
 	if h.inFlight(e) != txInv {
 		panic(fmt.Sprintf("home %d: unexpected InvAck for block %d", h.id, b))
 	}
-	e.presence &^= bit(m.Src)
+	e.presence &^= bit(int(m.Src))
 	h.ckDir(b, e, "inv-ack")
 	t := h.txn(e)
 	t.acksLeft--
 	if t.acksLeft == 0 {
 		// The invalidation fan-out round trip ends with the last ack.
 		h.sys.tmark(t.req.Txn, telemetry.PhaseGather)
-		h.grantOwnership(b, e, t, t.req.Src)
+		h.grantOwnership(b, e, t, int(t.req.Src))
 	}
 }
 
@@ -617,7 +614,7 @@ func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, t *txnRec, to int)
 	h.sys.traceNode(trace.DirTransition, "grant", b, h.id, grantNotes[to])
 	h.grant(e, to)
 	h.ckDir(b, e, "grant")
-	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: to, Data: t.needData, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: t.req.Txn})
+	h.send(&Msg{Type: MsgOwnAck, Block: b, Dst: int8(to), Data: t.needData, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: t.req.Txn})
 	h.finish(e, t)
 }
 
@@ -625,13 +622,13 @@ func (h *HomeCtl) grantOwnership(b memsys.Block, e *dirEntry, t *txnRec, to int)
 
 func (h *HomeCtl) updateReq(m *Msg, e *dirEntry, t *txnRec) {
 	h.UpdateReqs++
-	b := m.Block
+	b, src := m.Block, int(m.Src)
 	if e.state == dirModified {
-		if int(e.owner) == m.Src {
+		if e.owner == m.Src {
 			// The updater became the exclusive owner while these writes
 			// were still combining in its write cache; its dirty line
 			// already holds them, so just acknowledge.
-			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Excl: true, Stamp: int(e.grants), Txn: m.Txn})
+			h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Excl: true, Stamp: e.grants, Txn: m.Txn})
 			h.finish(e, t)
 			return
 		}
@@ -639,25 +636,25 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry, t *txnRec) {
 		// CW+M) while this updater still had combined writes buffered:
 		// recall the owner's copy, then hand the block to the updater.
 		t.txn = txRecall
-		h.send(&Msg{Type: MsgFwd, Block: b, Dst: int(e.owner), Requester: m.Src, Excl: true, Txn: m.Txn})
+		h.send(&Msg{Type: MsgFwd, Block: b, Dst: e.owner, Excl: true, Txn: m.Txn})
 		return
 	}
 	h.applyUpdate(m)
-	others := h.sharersFor(e, m.Src)
+	others := h.sharersFor(e, src)
 	// CW+M migratory detection (paper §3.4): the home cannot see local
 	// reads, so when consecutive updates come from different processors it
 	// interrogates all other copy holders; the block is deemed migratory
 	// only if every one of them gives up its copy.
 	probe := h.sys.P.M && h.sys.P.CW && !e.migratory &&
-		e.lastUpdater >= 0 && int(e.lastUpdater) != m.Src && others != 0
-	e.lastUpdater = int8(m.Src)
-	t.needData = e.presence&bit(m.Src) == 0
+		e.lastUpdater >= 0 && e.lastUpdater != m.Src && others != 0
+	e.lastUpdater = m.Src
+	t.needData = e.presence&bit(src) == 0
 	if others == 0 {
 		// No other copies: the updater becomes the exclusive owner, so its
 		// subsequent writes stay local.
-		h.grant(e, m.Src)
+		h.grant(e, src)
 		h.ckDir(b, e, "update-excl")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: t.needData, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: m.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: m.Src, Data: t.needData, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: m.Txn})
 		h.finish(e, t)
 		return
 	}
@@ -667,7 +664,7 @@ func (h *HomeCtl) updateReq(m *Msg, e *dirEntry, t *txnRec) {
 	t.gaveUp = true
 	for n := 0; n < h.sys.P.Nodes; n++ {
 		if others&bit(n) != 0 {
-			h.send(&Msg{Type: MsgUpdCopy, Block: b, Dst: n, Mask: m.Mask, Probe: probe, Payload: h.sys.memWords(b)})
+			h.send(&Msg{Type: MsgUpdCopy, Block: b, Dst: int8(n), Mask: m.Mask, Probe: probe, Payload: h.sys.memWords(b)})
 		}
 	}
 }
@@ -679,7 +676,7 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 		panic(fmt.Sprintf("home %d: unexpected UpdAck for block %d", h.id, b))
 	}
 	if m.Removed {
-		e.presence &^= bit(m.Src)
+		e.presence &^= bit(int(m.Src))
 		h.ckDir(b, e, "upd-ack")
 	}
 	t := h.txn(e)
@@ -697,11 +694,11 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 		e.migratory = true
 		h.MigratoryDetections++
 	}
-	if e.presence&^bit(req.Src) == 0 {
+	if to := int(req.Src); e.presence&^bit(to) == 0 {
 		// Every other copy is gone: grant exclusivity to the updater.
-		h.grant(e, req.Src)
+		h.grant(e, to)
 		h.ckDir(b, e, "update-grant")
-		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: t.needData, Excl: true, Stamp: int(e.grants), Payload: h.sys.memWords(b), Txn: req.Txn})
+		h.send(&Msg{Type: MsgUpdateAck, Block: b, Dst: req.Src, Data: t.needData, Excl: true, Stamp: e.grants, Payload: h.sys.memWords(b), Txn: req.Txn})
 	} else {
 		// The updater keeps a Shared copy (if it has one); the ack carries
 		// the post-update memory image so that copy reflects its own writes'
@@ -715,7 +712,7 @@ func (h *HomeCtl) onUpdAck(m *Msg) {
 
 func (h *HomeCtl) wbReq(m *Msg, e *dirEntry, t *txnRec) {
 	b := m.Block
-	if e.state == dirModified && int(e.owner) == m.Src && m.Stamp == int(e.grants) {
+	if e.state == dirModified && e.owner == m.Src && m.Stamp == e.grants {
 		h.Writebacks++
 		h.sys.traceNode(trace.DirTransition, "writeback", b, h.id, "")
 		mask := m.Mask
@@ -764,12 +761,12 @@ func lockDone(a any) {
 	l := h.locks[m.Block]
 	switch m.Type {
 	case MsgLockReq:
-		if l.Acquire(m.Src) {
+		if l.Acquire(int(m.Src)) {
 			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: m.Src})
 		}
 	case MsgLockRel:
-		if next, ok := l.Release(m.Src); ok {
-			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: next})
+		if next, ok := l.Release(int(m.Src)); ok {
+			h.send(&Msg{Type: MsgLockGrant, Block: m.Block, Dst: int8(next)})
 		}
 		if h.sys.P.SC {
 			h.send(&Msg{Type: MsgRelAck, Block: m.Block, Dst: m.Src})
@@ -792,9 +789,9 @@ func (h *HomeCtl) onBarrier(m *Msg) {
 func barrierDone(a any) {
 	j := a.(*homeJob)
 	h, m := j.h, &j.m
-	if rel, done := h.barriers[m.BarID].Arrive(m.Src); done {
+	if rel, done := h.barriers[m.BarID].Arrive(int(m.Src)); done {
 		for _, p := range rel {
-			h.send(&Msg{Type: MsgBarGo, BarID: m.BarID, Dst: p})
+			h.send(&Msg{Type: MsgBarGo, BarID: m.BarID, Dst: int8(p)})
 		}
 	}
 	h.putJob(j)

@@ -7,7 +7,7 @@ import (
 
 // MsgType enumerates every message of the coherence and synchronization
 // protocols.
-type MsgType int
+type MsgType uint8
 
 const (
 	// Cache -> home requests.
@@ -59,25 +59,28 @@ var msgNames = [...]string{
 }
 
 func (t MsgType) String() string {
-	if t < 0 || int(t) >= len(msgNames) {
+	if int(t) >= len(msgNames) {
 		return ""
 	}
 	return msgNames[t]
 }
 
-// Msg is one protocol message.
+// Msg is one protocol message. Every message is copied by value into its
+// hop and, at its destination, into a job or held request, so its fields
+// are ordered largest first and as narrow as what they carry: node numbers
+// fit an int8 (Params.Validate caps Nodes at 64), and a grant generation
+// is an int32, as in the directory entry and the cache line. At 72 bytes a
+// copy compiles to inline moves rather than a call to runtime.duffcopy.
 type Msg struct {
-	Type  MsgType
-	Block memsys.Block
-	Src   int // sending node
-	Dst   int // receiving node
-
-	Requester int              // original requester, for forwarded messages
-	Txn       uint64           // telemetry span this message belongs to (0 = untracked)
-	Stamp     int              // home bookkeeping: grant generation at arrival
-	Payload   memsys.BlockData // word versions, when data verification is on
-	Mask      memsys.WordMask  // dirty words, for updates
-	BarID     int              // barrier identity, for BarArrive/BarGo
+	Txn     uint64 // telemetry span this message belongs to (0 = untracked)
+	Block   memsys.Block
+	Payload memsys.BlockData // word versions, when data verification is on
+	Stamp   int32            // grant generation of an exclusive grant or a writeback
+	BarID   int32            // barrier identity, for BarArrive/BarGo
+	Type    MsgType
+	Src     int8            // sending node
+	Dst     int8            // receiving node
+	Mask    memsys.WordMask // dirty words, for updates
 
 	Data     bool // message carries a whole data block
 	Excl     bool // exclusive supply (migratory read / update-to-owner)

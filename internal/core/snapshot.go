@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"ccsim/internal/fault"
 	"ccsim/internal/memsys"
@@ -148,10 +147,10 @@ func (s *System) BlockedSync() []string {
 				out = append(out, fmt.Sprintf("proc %d awaiting write completion on block %d", c.id, ms.block))
 			}
 		}
-		for _, b := range sortedBlocks(c.lockWaiters) {
+		for _, b := range sortedKeys(c.lockWaiters) {
 			out = append(out, fmt.Sprintf("proc %d waiting for lock %d", c.id, b))
 		}
-		for _, id := range sortedInts(c.barWaiters) {
+		for _, id := range sortedKeys(c.barWaiters) {
 			out = append(out, fmt.Sprintf("proc %d waiting at barrier %d", c.id, id))
 		}
 		if len(c.relAckWaiters) > 0 {
@@ -163,14 +162,14 @@ func (s *System) BlockedSync() []string {
 	}
 	for _, n := range s.Nodes {
 		h := n.Home
-		for _, b := range sortedBlocks(h.locks) {
+		for _, b := range sortedKeys(h.locks) {
 			l := h.locks[b]
 			if l.Held() && l.QueueLen() > 0 {
 				out = append(out, fmt.Sprintf("lock %d (home %d) held by proc %d, %d queued",
 					b, h.id, l.Holder(), l.QueueLen()))
 			}
 		}
-		for _, id := range sortedInts(h.barriers) {
+		for _, id := range sortedKeys(h.barriers) {
 			bar := h.barriers[id]
 			if w := bar.Waiting(); w > 0 && w < bar.Parties() {
 				out = append(out, fmt.Sprintf("barrier %d (home %d): %d of %d arrived",
@@ -181,26 +180,15 @@ func (s *System) BlockedSync() []string {
 	return out
 }
 
-func sortedBlocks[V any](m map[memsys.Block]V) []memsys.Block {
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
 	if len(m) == 0 {
 		return nil
 	}
-	out := make([]memsys.Block, 0, len(m))
-	for b := range m {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedInts[V any](m map[int]V) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	return out
 }

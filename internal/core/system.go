@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -71,7 +72,7 @@ type System struct {
 	// costs no allocation).
 	lastType   MsgType
 	lastBlock  memsys.Block
-	lastDst    int
+	lastDst    int8
 	lastToHome bool
 	lastValid  bool
 
@@ -102,9 +103,15 @@ type verWords struct {
 	mem  memsys.BlockData
 }
 
-// nextVersion serializes a write to (b, w) and returns its version.
-func (s *System) nextVersion(b memsys.Block, w int) int64 {
+// nextVersion serializes a write to (b, w) and returns its version. A
+// version counts the writes to one word; a counter that would pass
+// math.MaxInt32 panics, so the run faults instead of storing a version
+// that wrapped negative.
+func (s *System) nextVersion(b memsys.Block, w int) int32 {
 	c := &s.verSeq.At(b).next
+	if c[w] == math.MaxInt32 {
+		panic(fmt.Sprintf("core: version counter of block %d word %d would pass math.MaxInt32", b, w))
+	}
 	c[w]++
 	return c[w]
 }
@@ -138,10 +145,10 @@ func (s *System) storeMem(b memsys.Block, d *memsys.BlockData, mask memsys.WordM
 // draws the next version for (b, w) and reports it to the live checker,
 // which asserts the serialization order is gapless and (under LogObs)
 // records it for litmus outcome predicates.
-func (s *System) serialize(node int, b memsys.Block, w int) int64 {
+func (s *System) serialize(node int, b memsys.Block, w int) int32 {
 	v := s.nextVersion(b, w)
 	if s.Check != nil {
-		s.Check.OnWrite(node, b, w, v)
+		s.Check.OnWrite(node, b, w, int64(v))
 	}
 	return v
 }
@@ -184,7 +191,7 @@ func (s *System) traceMsg(k trace.Kind, m *Msg) {
 	}
 	s.Tracer.Record(trace.Event{
 		At: int64(s.Eng.Now()), Kind: k, What: m.Type.String(),
-		Block: uint64(m.Block), Node: m.Src, Peer: m.Dst, Note: note,
+		Block: uint64(m.Block), Node: int(m.Src), Peer: int(m.Dst), Note: note,
 	})
 }
 
@@ -298,7 +305,7 @@ func hopSrcBus(a any) {
 			s.Shr.OnTraffic(uint64(m.Block), m.Class(), m.Size())
 		}
 	}
-	s.Net.SendCall(m.Src, m.Dst, m.Size(), hopArrive, h)
+	s.Net.SendCall(int(m.Src), int(m.Dst), m.Size(), hopArrive, h)
 }
 
 // hopArrive runs when the message's last byte reaches the destination node.

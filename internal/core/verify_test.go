@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -23,6 +24,40 @@ func TestVerifyDataCleanRun(t *testing.T) {
 	if got := s.verSeq.At(memsys.BlockOf(a)).next[0]; got != 2 {
 		t.Fatalf("version counter = %d, want 2", got)
 	}
+}
+
+// TestVersionCounterOverflowFaults drives writes to one word whose version
+// counter starts near math.MaxInt32. A counter one below the limit still
+// serializes, and the reader sees the version; a write past the limit
+// panics with the named message, which the run's fault containment
+// reports, and leaves the counter at the limit rather than storing a
+// version that wrapped negative.
+func TestVersionCounterOverflowFaults(t *testing.T) {
+	eng, s := testSystem(t, func(p *Params) { p.VerifyData = true })
+	a := blockHomedAt(s, 1)
+	b := memsys.BlockOf(a)
+	next := &s.verSeq.At(b).next
+	next[0] = math.MaxInt32 - 1
+	write(t, eng, s, 0, a)
+	read(t, eng, s, 2, a)
+	if len(s.DataViolations) != 0 {
+		t.Fatalf("violations below the limit: %v", s.DataViolations)
+	}
+	if d := wordsOf(s, 2, a); d == nil || d[0] != math.MaxInt32 {
+		t.Fatalf("reader's data = %+v, want word 0 version %d", d, int32(math.MaxInt32))
+	}
+
+	const want = "word 0 would pass math.MaxInt32"
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q, want one naming %q (counter %d)", msg, want, next[0])
+		}
+		if next[0] != math.MaxInt32 {
+			t.Fatalf("counter = %d after the fault, want %d", next[0], int32(math.MaxInt32))
+		}
+	}()
+	write(t, eng, s, 0, a)
 }
 
 func TestVerifyDetectsRegression(t *testing.T) {

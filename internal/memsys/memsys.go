@@ -79,8 +79,10 @@ func (m WordMask) String() string { return fmt.Sprintf("%08b", uint8(m)) }
 // BlockData models a block's contents as one version number per word. The
 // simulator does not carry application data; it carries these versions so
 // the machine can verify the data-value invariant of coherence — a
-// processor never observes a location's value moving backward in time.
-type BlockData [WordsPerBlock]int64
+// processor never observes a location's value moving backward in time. A
+// word's version counts the writes to that one word, so 32 bits hold it:
+// the serialization point faults rather than wrap past math.MaxInt32.
+type BlockData [WordsPerBlock]int32
 
 // Merge overwrites the words selected by mask with src's values.
 func (d *BlockData) Merge(src BlockData, mask WordMask) {

@@ -3,6 +3,7 @@ package memsys
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestGeometryConstants(t *testing.T) {
@@ -11,6 +12,17 @@ func TestGeometryConstants(t *testing.T) {
 	}
 	if BlocksPerPage != 128 {
 		t.Errorf("BlocksPerPage = %d, want 128", BlocksPerPage)
+	}
+}
+
+// TestBlockDataSize pins a block's verification words at one 32-bit
+// version per word. Every store of them is sized by it: the payload of each
+// protocol message, the SLC's word slab, each writeback buffer entry,
+// memory's words and the per-processor and checker tables of a verifying
+// run.
+func TestBlockDataSize(t *testing.T) {
+	if n := unsafe.Sizeof(BlockData{}); n != 32 {
+		t.Errorf("BlockData is %d bytes, want 32", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package ccsim
 
 import (
 	"fmt"
+	"math"
 
 	"ccsim/internal/memsys"
 	"ccsim/internal/proc"
@@ -67,7 +68,8 @@ func (s *sliceStream) Next() (Op, bool) {
 
 // toProc converts op to the internal operation after checking the fields
 // its kind uses: the kind itself, busy cycles (>= 0) and the barrier id
-// (>= 0), the same checks ParseTrace makes on a trace file. The public and
+// (from 0 to math.MaxInt32, the range a protocol message carries), the
+// same checks ParseTrace makes on a trace file. The public and
 // internal kinds have the same values, so a valid kind converts as is.
 func (op Op) toProc() (proc.Op, error) {
 	switch {
@@ -77,6 +79,8 @@ func (op Op) toProc() (proc.Op, error) {
 		return proc.Op{}, fmt.Errorf("busy cycles %d < 0", op.Cycles)
 	case op.Kind == Barrier && op.Bar < 0:
 		return proc.Op{}, fmt.Errorf("barrier id %d < 0", op.Bar)
+	case op.Kind == Barrier && op.Bar > math.MaxInt32:
+		return proc.Op{}, fmt.Errorf("barrier id %d > %d", op.Bar, math.MaxInt32)
 	}
 	return proc.Op{
 		Kind:   proc.OpKind(op.Kind),

@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -104,7 +105,7 @@ func ParseTrace(r io.Reader) ([]Stream, error) {
 			parsed = Op{Kind: Busy, Cycles: n}
 		case "b":
 			id, err := strconv.Atoi(arg)
-			if err != nil || id < 0 {
+			if err != nil || id < 0 || id > math.MaxInt32 {
 				return nil, fail("bad barrier id %q", arg)
 			}
 			parsed = Op{Kind: Barrier, Bar: id}

@@ -68,6 +68,7 @@ func TestParseTraceErrors(t *testing.T) {
 		{"proc 0\nr zz\n", "bad address"},
 		{"proc 0\nc -5\n", "bad cycle count"},
 		{"proc 0\nb x\n", "bad barrier id"},
+		{"proc 0\nb 2147483648\n", "bad barrier id"},
 		{"proc 0\nfoo 1\n", "unknown operation"},
 		{"proc 0\nr 1 2\n", "want: <op> <arg>"},
 		{"proc 1\nr 1\n", "missing section for processor 0"},

@@ -89,7 +89,8 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # channels' included: a run with every address moved above 2^40 or 2^58
 # bytes must match the unshifted run exactly. Size pins hold a directory
 # entry at 24 pointer-free bytes (its transaction context lives in pooled
-# records) and the engine at one word of header per wheel bucket; two
+# records), a protocol message at 72 bytes, a block's verification words
+# at 32 and the engine at one word of header per wheel bucket; two
 # named tests run the paths those layouts moved: a request parked behind
 # its owner's writeback, and a migrated event becoming a bucket's head.
 # The record pool's tests (TestPool*) pin what its callers rely on: indexes
@@ -105,7 +106,8 @@ go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeilin
 go test -count=1 -run 'TestRecordsHoldNoPointers' ccsim/internal/telemetry
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations|TestEngineSize|TestEngineMigratedHeadKeepsTail' ccsim/internal/sim
-go test -count=1 -run 'TestDirEntrySize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback|TestPool' ccsim/internal/core
+go test -count=1 -run 'TestDirEntrySize|TestMsgSize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback|TestPool' ccsim/internal/core
+go test -count=1 -run 'TestBlockDataSize' ccsim/internal/memsys
 go test -count=1 -run 'TestKernelOpBuffersNeverGrow' ccsim/internal/workload
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
     /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
