@@ -1,6 +1,7 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -185,5 +186,53 @@ func TestFaultReportOrderFixed(t *testing.T) {
 	}
 	if !slices.Equal(seqs[0], seqs[1]) {
 		t.Errorf("faulted runs reported in different orders:\n%v\n%v", seqs[0], seqs[1])
+	}
+}
+
+// TestSweepTablesPinned pins the sha256 of the tables `experiments -exp all`
+// prints at the golden sweep's size, clean and with one cell's run faulting:
+// golden/ pins every run's metrics, this pins how the experiments render
+// them, FAULT cells included. Diagnostics go to the null device.
+func TestSweepTablesPinned(t *testing.T) {
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldStderr := os.Stderr
+	os.Stderr = null
+	t.Cleanup(func() {
+		os.Stderr = oldStderr
+		null.Close()
+	})
+	for _, tc := range []struct {
+		fault      string
+		code       int
+		faultLines int
+		sum        string
+	}{
+		{"", 0, 0, "4b4f71d0ea3cb7a08ffea19ea5dd75f2202422fdf8bd6d19779f3cd9326f230c"},
+		{"mp3d/BASIC", 1, 55, "9a5ed56a40f7712831a3f1c986259127046077a011d32851e4816f7d3c6926d6"},
+		{"mp3d/P+CW", 1, 17, "1324804fdcfbc0a7d3ede8a91807dd97c3c4a8ee3d0a2bc2d2f5c5c15f2c32f0"},
+	} {
+		args := []string{"experiments", "-exp", "all", "-scale", "0.02", "-procs", "16", "-q"}
+		if tc.fault != "" {
+			args = append(args, "-inject-fault", tc.fault)
+		}
+		code, out := runCLI(t, args...)
+		if code != tc.code {
+			t.Errorf("-inject-fault %q: exit code %d, want %d", tc.fault, code, tc.code)
+		}
+		lines := 0
+		for _, l := range strings.Split(out, "\n") {
+			if strings.Contains(l, "FAULT") {
+				lines++
+			}
+		}
+		if lines != tc.faultLines {
+			t.Errorf("-inject-fault %q: %d lines with a FAULT cell, want %d", tc.fault, lines, tc.faultLines)
+		}
+		if sum := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); sum != tc.sum {
+			t.Errorf("-inject-fault %q: stdout sha256 %s, want %s", tc.fault, sum, tc.sum)
+		}
 	}
 }
