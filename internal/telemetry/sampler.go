@@ -13,7 +13,6 @@ type resourceWatch struct {
 	res  *sim.Resource
 
 	lastBusy sim.Time
-	lastWait sim.Time
 }
 
 // gaugeWatch samples an arbitrary monotone or instantaneous counter.
@@ -23,19 +22,18 @@ type gaugeWatch struct {
 	fn   func() int64
 }
 
-// Sample is one sampler snapshot. Util, Wait and Depth are indexed like the
+// Sample is one sampler snapshot. Util and Depth are indexed like the
 // collector's watches, Gauges like its gauges.
 type Sample struct {
 	At    int64
 	Util  []float64 // busy fraction of each watched resource over the interval
-	Wait  []int64   // queue-wait pclocks accrued over the interval
 	Depth []int     // instantaneous queue depth
 	Gauge []int64
 }
 
 // sampleRec heads one snapshot's values in Collector.values: for each
-// watched resource its utilization's float64 bits, its queue wait and its
-// queue depth, then each gauge.
+// watched resource its utilization's float64 bits and its queue depth, then
+// each gauge.
 type sampleRec struct {
 	at              int64
 	watches, gauges int32
@@ -96,7 +94,7 @@ func (c *Collector) sample(now sim.Time) {
 		// BusyTime is booked wholesale at reservation time, but queued
 		// reservations run contiguously up to FreeAt, so the portion already
 		// realized by `now` is exact: total minus what still lies ahead.
-		busy, wait := w.res.BusyTime(), w.res.WaitTime()
+		busy := w.res.BusyTime()
 		if f := w.res.FreeAt(); f > now {
 			busy -= f - now
 		}
@@ -105,9 +103,8 @@ func (c *Collector) sample(now sim.Time) {
 			util = float64(busy-w.lastBusy) / float64(dt)
 		}
 		*c.values.add() = int64(math.Float64bits(util))
-		*c.values.add() = int64(wait - w.lastWait)
 		*c.values.add() = int64(w.res.QueueDepth())
-		w.lastBusy, w.lastWait = busy, wait
+		w.lastBusy = busy
 	}
 	for _, g := range c.gauges {
 		*c.values.add() = g.fn()
@@ -130,13 +127,11 @@ func (c *Collector) Samples() []Sample {
 		s := Sample{
 			At:    r.at,
 			Util:  make([]float64, r.watches),
-			Wait:  make([]int64, r.watches),
 			Depth: make([]int, r.watches),
 			Gauge: make([]int64, r.gauges),
 		}
 		for j := range s.Util {
 			s.Util[j] = math.Float64frombits(uint64(next()))
-			s.Wait[j] = next()
 			s.Depth[j] = int(next())
 		}
 		for j := range s.Gauge {
