@@ -147,8 +147,8 @@ func TestSchedulerStoreHitSkipsRunBookkeeping(t *testing.T) {
 	if st.Engine != nil {
 		t.Errorf("store hit merged engine stats: %+v", st.Engine)
 	}
-	if st.Completed != 1 || st.Failed != 0 || st.Queued != 0 || st.Running != 0 {
-		t.Errorf("stats = %+v, want one completion and an idle scheduler", st)
+	if st.Completed != 1 || st.Failed != 0 {
+		t.Errorf("stats = %+v, want one completion", st)
 	}
 	want := map[string]uint64{"queue_wait": 1, "simulate": 0}
 	for _, d := range st.Lifecycle {

@@ -63,8 +63,6 @@ type Scheduler struct {
 	failed      []FailedRun
 	submitted   uint64
 	dedupHits   uint64
-	queued      int
-	running     int
 	completed   uint64
 	interrupted uint64
 
@@ -121,8 +119,6 @@ type SchedStats struct {
 	Submitted uint64 // Submit calls, including cache hits
 	Unique    uint64 // distinct cacheable configurations started
 	DedupHits uint64 // Submit calls served by the run cache
-	Queued    int    // runs waiting for a worker slot
-	Running   int    // runs executing right now
 	Completed uint64 // runs finished without error
 	Failed    uint64 // runs finished with an error (see Failed())
 
@@ -242,8 +238,6 @@ func (s *Scheduler) Stats() SchedStats {
 		Submitted:   s.submitted,
 		Unique:      s.unique,
 		DedupHits:   s.dedupHits,
-		Queued:      s.queued,
-		Running:     s.running,
 		Completed:   s.completed,
 		Failed:      uint64(len(s.failed)),
 		Interrupted: s.interrupted,
@@ -285,7 +279,6 @@ func (s *Scheduler) Submit(cfg ccsim.Config) *Pending {
 	if !cacheable {
 		s.mu.Lock()
 		s.submitted++
-		s.queued++
 		s.mu.Unlock()
 		go s.exec(p, cfg, key, false, submittedAt)
 		return p
@@ -299,7 +292,6 @@ func (s *Scheduler) Submit(cfg ccsim.Config) *Pending {
 	}
 	s.runs[key] = p
 	s.unique++
-	s.queued++
 	s.mu.Unlock()
 	go s.exec(p, cfg, key, true, submittedAt)
 	return p
@@ -326,7 +318,6 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		// store, for the ones that did complete).
 		p.err = ErrInterrupted
 		s.mu.Lock()
-		s.queued--
 		s.interrupted++
 		s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
 		s.mu.Unlock()
@@ -334,9 +325,9 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 		return
 	}
 	defer func() { <-s.slots }()
-	// simulated turns true when the run moves from queued to running; a
-	// store hit never does.
-	var simulated bool
+	// hit turns true when the durable store serves the run: it never
+	// simulates.
+	var hit bool
 	// done closes on every path — a panicking run must never leave Wait()
 	// callers hanging. Deferred before the recover handler so the handler
 	// has set p.err by the time done closes (LIFO order).
@@ -347,18 +338,13 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 			p.err = fmt.Errorf("run panicked outside the simulation: %v\n%s", v, debug.Stack())
 		}
 		s.mu.Lock()
-		if simulated {
-			s.running--
-		} else {
-			s.queued-- // never simulated: leaves the queue here
-		}
 		if p.err != nil {
 			s.failed = append(s.failed, FailedRun{Cfg: cfg, Err: p.err})
 		} else {
 			s.completed++
 			// Only simulated runs feed the engine aggregate: a store hit
 			// carries the numbers of the sweep that produced it.
-			if simulated && p.res != nil {
+			if !hit && p.res != nil {
 				s.engine.Merge(p.res.Queue)
 				s.engineRuns++
 			}
@@ -374,7 +360,6 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 	// That is the whole resume path: an interrupted sweep's completed runs
 	// hit here, only the missing ones execute. Metrics files are still
 	// written so a resumed `-metrics` sweep produces the full directory.
-	hit := false
 	if s.resStore != nil && s.storeRead && cacheable {
 		p.res, hit = s.storeGet(key, cfg)
 	}
@@ -396,11 +381,6 @@ func (s *Scheduler) exec(p *Pending, cfg ccsim.Config, key string, cacheable boo
 			// sweep aggregate on completion.
 			cfg.Sharing = ccsim.NewSharingAnalytics()
 		}
-		s.mu.Lock()
-		s.queued--
-		s.running++
-		simulated = true
-		s.mu.Unlock()
 		t0 := s.clock()
 		p.res, p.err = runSim(cfg)
 		s.observe(phaseSimulate, s.clock().Sub(t0))
