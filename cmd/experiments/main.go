@@ -59,6 +59,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -88,7 +89,11 @@ func newLogger(jsonOut, quiet bool) *slog.Logger {
 }
 
 func run() (code int) {
-	which := flag.String("exp", "all", "experiment: all, table1, fig2, table2, fig3, table3, fig4, sens-buffers, sens-cache, dir, assoc, scaling, cost")
+	names := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		names[i] = e.Name
+	}
+	which := flag.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
 	scale := flag.Float64("scale", 1.0, "workload problem-size multiplier")
 	procs := flag.Int("procs", 16, "processor count")
 	jobs := flag.Int("jobs", runtime.GOMAXPROCS(0), "max simulations to run concurrently")
@@ -152,7 +157,7 @@ func run() (code int) {
 		}
 	}()
 	o := exp.Options{
-		Scale: *scale, Procs: *procs, MetricsDir: *metrics, Sched: sched,
+		Scale: *scale, Procs: *procs, Sched: sched,
 		InjectFault: *injectFault, MaxEvents: *maxEvents, Deadline: *deadline,
 		Check: *liveCheck, Sharing: *sharing,
 	}
@@ -177,127 +182,31 @@ func run() (code int) {
 		}
 		return code
 	}
-	runExp := func(name string, fn func() error) error {
+	runExp := func(e exp.Experiment) error {
 		t0 := time.Now()
-		fmt.Printf("==== %s (scale %g, %d processors) ====\n", name, o.Scale, o.Procs)
-		if err := fn(); err != nil {
-			logger.Error("experiment failed", "experiment", name, "err", err)
+		fmt.Printf("==== %s (scale %g, %d processors) ====\n", e.Name, o.Scale, o.Procs)
+		if err := e.Run(o, os.Stdout); err != nil {
+			logger.Error("experiment failed", "experiment", e.Name, "err", err)
 			return err
 		}
 		// Timing goes to the stderr logger so stdout is byte-identical
 		// across runs, -jobs values and verbosity levels (diffable results).
-		fmt.Printf("---- %s done ----\n\n", name)
-		logger.Info("experiment done", "experiment", name,
+		fmt.Printf("---- %s done ----\n\n", e.Name)
+		logger.Info("experiment done", "experiment", e.Name,
 			"elapsed", time.Since(t0).Round(time.Millisecond).String())
 		return nil
 	}
 
-	experiments := map[string]func() error{
-		"table1": func() error {
-			exp.FprintTable1(os.Stdout, o.Procs)
-			return nil
-		},
-		"fig2": func() error {
-			rows, err := exp.Figure2(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintFigure2(os.Stdout, rows)
-			return nil
-		},
-		"table2": func() error {
-			rows, err := exp.Table2(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintTable2(os.Stdout, rows)
-			return nil
-		},
-		"fig3": func() error {
-			rows, err := exp.Figure3(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintFigure3(os.Stdout, rows)
-			return nil
-		},
-		"table3": func() error {
-			rows, err := exp.Table3(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintTable3(os.Stdout, rows)
-			return nil
-		},
-		"fig4": func() error {
-			rows, err := exp.Figure4(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintFigure4(os.Stdout, rows)
-			return nil
-		},
-		"sens-buffers": func() error {
-			rows, err := exp.SensBuffers(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintSens(os.Stdout, rows, "4-entry buffers")
-			return nil
-		},
-		"sens-cache": func() error {
-			rows, err := exp.SensCache(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintSens(os.Stdout, rows, "16-KB SLC")
-			return nil
-		},
-		"dir": func() error {
-			rows, err := exp.DirectoryStudy(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintDirectory(os.Stdout, rows)
-			return nil
-		},
-		"assoc": func() error {
-			rows, err := exp.AssociativityStudy(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintAssoc(os.Stdout, rows)
-			return nil
-		},
-		"cost": func() error {
-			rows, err := exp.CostPerformance(o, "mp3d")
-			if err != nil {
-				return err
-			}
-			exp.FprintCost(os.Stdout, "mp3d", rows)
-			return nil
-		},
-		"scaling": func() error {
-			rows, err := exp.ScalingStudy(o)
-			if err != nil {
-				return err
-			}
-			exp.FprintScaling(os.Stdout, rows)
-			return nil
-		},
-	}
-
-	order := []string{"table1", "fig2", "table2", "fig3", "table3", "fig4", "sens-buffers", "sens-cache", "dir", "assoc", "scaling", "cost"}
 	if *which == "all" {
 		// Where the sweep's host time went: its wall time, the collector
 		// cycles it ran and the heap it allocated.
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
-		for _, name := range order {
+		for _, e := range exp.Experiments {
 			// A failed experiment doesn't stop the sweep: faulted runs render
 			// as FAULT cells and the rest of the tables still print.
-			if runExp(name, experiments[name]) != nil {
+			if runExp(e) != nil {
 				code = 1
 			}
 		}
@@ -316,13 +225,13 @@ func run() (code int) {
 		}
 		return finish(code)
 	}
-	fn, ok := experiments[*which]
-	if !ok {
+	i := slices.IndexFunc(exp.Experiments, func(e exp.Experiment) bool { return e.Name == *which })
+	if i < 0 {
 		logger.Error("unknown experiment", "experiment", *which,
-			"have", strings.Join(append(order, "all"), " "))
+			"have", strings.Join(append(names, "all"), " "))
 		return 2
 	}
-	if runExp(*which, fn) != nil {
+	if runExp(exp.Experiments[i]) != nil {
 		code = 1
 	}
 	if reportFaults(logger, *logJSON, sched) {

@@ -67,25 +67,11 @@ type Options struct {
 	Scale float64 // workload problem-size multiplier (1.0 = default)
 	Procs int     // processors (paper: 16)
 
-	// Jobs bounds the number of simulations run concurrently when an
-	// experiment has to create its own scheduler (Sched == nil); 0 selects
-	// GOMAXPROCS. Worker count never changes results: runs are
-	// deterministic and collected in declaration order.
-	Jobs int
-
 	// Sched, when non-nil, is the shared run scheduler: its cache
 	// deduplicates identical configurations across every experiment using
-	// it, and its MetricsDir (not this struct's) governs metrics output.
-	// When nil, each experiment function builds a private scheduler from
-	// Jobs and MetricsDir.
+	// it, and its metrics directory governs metrics output. When nil, each
+	// experiment function builds a private scheduler, NewScheduler(0, "").
 	Sched *Scheduler
-
-	// MetricsDir, when non-empty, makes every simulation in a sweep write
-	// its full Result as an indented JSON file into this directory (created
-	// on first use). Filenames encode the workload, protocol, network and
-	// any non-default machine parameters, so distinct configurations never
-	// collide.
-	MetricsDir string
 
 	// InjectFault, when non-empty, arms the deliberate panic in every run
 	// whose "workload/protocol" identity matches (ccsim.Config.FaultInject).
@@ -140,7 +126,96 @@ func (o Options) scheduler() *Scheduler {
 	if o.Sched != nil {
 		return o.Sched
 	}
-	return NewScheduler(o.Jobs, o.MetricsDir)
+	return NewScheduler(0, "")
+}
+
+// Experiment is one step of `experiments -exp all`: Run simulates its grid
+// through o's scheduler and renders its table to w.
+type Experiment struct {
+	Name string
+	Run  func(o Options, w io.Writer) error
+}
+
+// Experiments lists every experiment in `-exp all` order.
+var Experiments = []Experiment{
+	{"table1", func(o Options, w io.Writer) error { FprintTable1(w, o.Procs); return nil }},
+	{"fig2", table(Figure2, FprintFigure2)},
+	{"table2", table(Table2, FprintTable2)},
+	{"fig3", table(Figure3, FprintFigure3)},
+	{"table3", table(Table3, FprintTable3)},
+	{"fig4", table(Figure4, FprintFigure4)},
+	{"sens-buffers", table(SensBuffers, func(w io.Writer, r []SensRow) { FprintSens(w, r, "4-entry buffers") })},
+	{"sens-cache", table(SensCache, func(w io.Writer, r []SensRow) { FprintSens(w, r, "16-KB SLC") })},
+	{"dir", table(DirectoryStudy, FprintDirectory)},
+	{"assoc", table(AssociativityStudy, FprintAssoc)},
+	{"scaling", table(ScalingStudy, FprintScaling)},
+	{"cost", table(func(o Options) ([]CostRow, error) { return CostPerformance(o, "mp3d") },
+		func(w io.Writer, r []CostRow) { FprintCost(w, "mp3d", r) })},
+}
+
+// table makes an Experiment's Run from a study and the renderer of its rows.
+func table[R any](study func(Options) ([]R, error), render func(io.Writer, []R)) func(Options, io.Writer) error {
+	return func(o Options, w io.Writer) error {
+		rows, err := study(o)
+		if err != nil {
+			return err
+		}
+		render(w, rows)
+		return nil
+	}
+}
+
+// grid submits every workload's variants, workload by workload and all
+// before any Wait, and returns each workload's pending runs in variant
+// order, workloads in ccsim.Workloads() order. set derives a variant's
+// configuration from its workload's. It takes and returns the Config by
+// value: a pointer passed through a func value would move every cell's
+// Config to the heap.
+func grid[V any](o Options, variants []V, set func(ccsim.Config, V) ccsim.Config) [][]*Pending {
+	s := o.scheduler()
+	wls := ccsim.Workloads()
+	g := make([][]*Pending, len(wls))
+	for i, wl := range wls {
+		g[i] = make([]*Pending, len(variants))
+		for j, v := range variants {
+			g[i][j] = s.Submit(set(o.config(wl), v))
+		}
+	}
+	return g
+}
+
+// withExt is the grid setter of a study whose variants are protocols.
+func withExt(cfg ccsim.Config, c Combo) ccsim.Config {
+	cfg.Extensions = c.Ext
+	return cfg
+}
+
+// pair is one variant of a study that crosses two axes.
+type pair[A, B any] struct {
+	a A
+	b B
+}
+
+// cross lists every pairing of as with bs, as-major: the variants of a
+// study whose rows are the values of as, with one run for each of bs.
+func cross[A, B any](as []A, bs []B) []pair[A, B] {
+	out := make([]pair[A, B], 0, len(as)*len(bs))
+	for _, a := range as {
+		for _, b := range bs {
+			out = append(out, pair[A, B]{a, b})
+		}
+	}
+	return out
+}
+
+// rowName returns wl on a workload's first row and "" on the rows that
+// follow it, so a table names each workload once.
+func rowName(last *string, wl string) string {
+	if wl == *last {
+		return ""
+	}
+	*last = wl
+	return wl
 }
 
 // metricsName builds a collision-safe filename for one run's metrics: every
@@ -204,43 +279,30 @@ type Fig2Row struct {
 // consistency on the contention-free network. The whole grid is submitted
 // to the run scheduler up front and collected in the paper's order.
 func Figure2(o Options) ([]Fig2Row, error) {
-	s := o.scheduler()
-	type cell struct {
-		wl   string
-		c    Combo
-		pend *Pending
-	}
-	var grid []cell
-	for _, wl := range ccsim.Workloads() {
-		for _, c := range Combos() {
-			cfg := o.config(wl)
-			cfg.Extensions = c.Ext
-			grid = append(grid, cell{wl, c, s.Submit(cfg)})
-		}
-	}
+	combos := Combos()
+	g := grid(o, combos, withExt)
 	var rows []Fig2Row
-	var base *ccsim.Result
-	for i, g := range grid {
-		r := g.pend.Cell()
-		if i%len(Combos()) == 0 { // first combo of each workload is the baseline
-			base = r
+	for i, wl := range ccsim.Workloads() {
+		base := g[i][0].Cell() // BASIC
+		for j, c := range combos {
+			r := g[i][j].Cell()
+			row := Fig2Row{
+				Workload: wl,
+				Protocol: c.Name,
+				Relative: relCell(r, base),
+				Busy:     math.NaN(),
+				Read:     math.NaN(),
+				Acquire:  math.NaN(),
+				Result:   r,
+			}
+			if r != nil && base != nil && base.ExecTime != 0 {
+				denom := float64(base.ExecTime) * float64(o.Procs)
+				row.Busy = float64(r.Busy) / denom
+				row.Read = float64(r.ReadStall) / denom
+				row.Acquire = float64(r.AcquireStall) / denom
+			}
+			rows = append(rows, row)
 		}
-		row := Fig2Row{
-			Workload: g.wl,
-			Protocol: g.c.Name,
-			Relative: relCell(r, base),
-			Busy:     math.NaN(),
-			Read:     math.NaN(),
-			Acquire:  math.NaN(),
-			Result:   r,
-		}
-		if r != nil && base != nil && base.ExecTime != 0 {
-			denom := float64(base.ExecTime) * float64(o.Procs)
-			row.Busy = float64(r.Busy) / denom
-			row.Read = float64(r.ReadStall) / denom
-			row.Acquire = float64(r.AcquireStall) / denom
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -251,14 +313,8 @@ func FprintFigure2(w io.Writer, rows []Fig2Row) {
 	fmt.Fprintln(tw, "workload\tprotocol\trelative\tbusy\tread\tacquire")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		} else {
-			last = r.Workload
-		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n",
-			name, r.Protocol, cellf("%.3f", r.Relative), cellf("%.3f", r.Busy),
+			rowName(&last, r.Workload), r.Protocol, cellf("%.3f", r.Relative), cellf("%.3f", r.Busy),
 			cellf("%.3f", r.Read), cellf("%.3f", r.Acquire))
 	}
 	tw.Flush()
@@ -279,24 +335,18 @@ var Table2Protocols = []string{"BASIC", "P", "CW", "P+CW"}
 // protocols are a subset of Figure 2's grid, so under a shared scheduler
 // the whole table comes from the cache.
 func Table2(o Options) ([]Table2Row, error) {
-	s := o.scheduler()
-	combos := map[string]ccsim.Ext{
+	ext := map[string]ccsim.Ext{
 		"BASIC": {}, "P": {P: true}, "CW": {CW: true}, "P+CW": {P: true, CW: true},
 	}
-	grid := make(map[string]map[string]*Pending)
-	for _, wl := range ccsim.Workloads() {
-		grid[wl] = make(map[string]*Pending)
-		for _, name := range Table2Protocols {
-			cfg := o.config(wl)
-			cfg.Extensions = combos[name]
-			grid[wl][name] = s.Submit(cfg)
-		}
-	}
+	g := grid(o, Table2Protocols, func(cfg ccsim.Config, name string) ccsim.Config {
+		cfg.Extensions = ext[name]
+		return cfg
+	})
 	var rows []Table2Row
-	for _, wl := range ccsim.Workloads() {
+	for i, wl := range ccsim.Workloads() {
 		row := Table2Row{Workload: wl, Cold: map[string]float64{}, Coh: map[string]float64{}}
-		for _, name := range Table2Protocols {
-			r := grid[wl][name].Cell()
+		for j, name := range Table2Protocols {
+			r := g[i][j].Cell()
 			if r == nil {
 				row.Cold[name], row.Coh[name] = math.NaN(), math.NaN()
 				continue
@@ -355,34 +405,21 @@ var Figure3Protocols = []Combo{
 // Figure3 reproduces Figure 3: P and M under sequential consistency (CW is
 // not feasible under SC), with BASIC-RC as the reference line.
 func Figure3(o Options) ([]Fig3Row, error) {
-	s := o.scheduler()
-	type group struct {
-		wl    string
-		rc    *Pending
-		cells []*Pending
-	}
-	var grid []group
-	for _, wl := range ccsim.Workloads() {
-		g := group{wl: wl, rc: s.Submit(o.config(wl))}
-		for _, c := range Figure3Protocols {
-			cfg := o.config(wl)
-			cfg.Extensions = c.Ext
-			cfg.SC = true
-			g.cells = append(g.cells, s.Submit(cfg))
-		}
-		grid = append(grid, g)
-	}
+	// Each workload's first run is the reference line, BASIC under RC; the
+	// figure's designs follow it under SC.
+	rc := Combo{"BASIC-RC", ccsim.Ext{}}
+	g := grid(o, append([]Combo{rc}, Figure3Protocols...), func(cfg ccsim.Config, c Combo) ccsim.Config {
+		cfg.Extensions = c.Ext
+		cfg.SC = c != rc
+		return cfg
+	})
 	var rows []Fig3Row
-	for _, g := range grid {
-		basicRC := g.rc.Cell()
-		var base *ccsim.Result
-		for i, c := range Figure3Protocols {
-			r := g.cells[i].Cell()
-			if i == 0 {
-				base = r
-			}
+	for i, wl := range ccsim.Workloads() {
+		basicRC, base := g[i][0].Cell(), g[i][1].Cell()
+		for j, c := range Figure3Protocols {
+			r := g[i][j+1].Cell()
 			row := Fig3Row{
-				Workload:  g.wl,
+				Workload:  wl,
 				Protocol:  c.Name,
 				Relative:  relCell(r, base),
 				Busy:      math.NaN(),
@@ -416,14 +453,8 @@ func FprintFigure3(w io.Writer, rows []Fig3Row) {
 	fmt.Fprintln(tw, "workload\tprotocol\trel(B-SC)\tbusy\tread\twrite\tacquire\trelease\tvs BASIC-RC")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		} else {
-			last = r.Workload
-		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			name, r.Protocol, cellf("%.3f", r.Relative), cellf("%.3f", r.Busy),
+			rowName(&last, r.Workload), r.Protocol, cellf("%.3f", r.Relative), cellf("%.3f", r.Busy),
 			cellf("%.3f", r.Read), cellf("%.3f", r.Write), cellf("%.3f", r.Acquire),
 			cellf("%.3f", r.Release), cellf("%.3f", r.VsBasicRC))
 	}
@@ -446,34 +477,21 @@ var Table3LinkWidths = []int{64, 32, 16}
 // cell and deduplicated by the run cache — the paper's three protocols per
 // width never re-simulate it.
 func Table3(o Options) ([]Table3Row, error) {
-	s := o.scheduler()
-	submit := func(wl string, bits int, e ccsim.Ext) *Pending {
-		cfg := o.config(wl)
-		cfg.Extensions = e
+	exts := []ccsim.Ext{{}, {P: true, CW: true}, {P: true, M: true}}
+	g := grid(o, cross(Table3LinkWidths, exts), func(cfg ccsim.Config, v pair[int, ccsim.Ext]) ccsim.Config {
+		cfg.Extensions = v.b
 		cfg.Net = ccsim.Mesh
-		cfg.LinkBits = bits
-		return s.Submit(cfg)
-	}
-	type cell struct{ base, pcw, pm *Pending }
-	grid := make(map[string]map[int]cell)
-	for _, wl := range ccsim.Workloads() {
-		grid[wl] = make(map[int]cell)
-		for _, bits := range Table3LinkWidths {
-			grid[wl][bits] = cell{
-				base: submit(wl, bits, ccsim.Ext{}),
-				pcw:  submit(wl, bits, ccsim.Ext{P: true, CW: true}),
-				pm:   submit(wl, bits, ccsim.Ext{P: true, M: true}),
-			}
-		}
-	}
+		cfg.LinkBits = v.a
+		return cfg
+	})
 	var rows []Table3Row
-	for _, wl := range ccsim.Workloads() {
+	for i, wl := range ccsim.Workloads() {
 		row := Table3Row{Workload: wl, PCW: map[int]float64{}, PM: map[int]float64{}}
-		for _, bits := range Table3LinkWidths {
-			c := grid[wl][bits]
-			base := c.base.Cell()
-			row.PCW[bits] = relCell(c.pcw.Cell(), base)
-			row.PM[bits] = relCell(c.pm.Cell(), base)
+		for j, bits := range Table3LinkWidths {
+			c := g[i][j*len(exts):]
+			base := c[0].Cell()
+			row.PCW[bits] = relCell(c[1].Cell(), base)
+			row.PM[bits] = relCell(c[2].Cell(), base)
 		}
 		rows = append(rows, row)
 	}
@@ -527,36 +545,22 @@ var Figure4Protocols = []Combo{
 // normalized to BASIC, under RC on the uniform network. Every cell is
 // shared with Figure 2's grid under a shared scheduler.
 func Figure4(o Options) ([]Fig4Row, error) {
-	s := o.scheduler()
-	type cell struct {
-		wl   string
-		c    Combo
-		pend *Pending
-	}
-	var grid []cell
-	for _, wl := range ccsim.Workloads() {
-		for _, c := range Figure4Protocols {
-			cfg := o.config(wl)
-			cfg.Extensions = c.Ext
-			grid = append(grid, cell{wl, c, s.Submit(cfg)})
-		}
-	}
+	g := grid(o, Figure4Protocols, withExt)
 	var rows []Fig4Row
-	var base *ccsim.Result
-	for i, g := range grid {
-		r := g.pend.Cell()
-		if i%len(Figure4Protocols) == 0 {
-			base = r
+	for i, wl := range ccsim.Workloads() {
+		base := g[i][0].Cell() // BASIC
+		for j, c := range Figure4Protocols {
+			r := g[i][j].Cell()
+			traffic := math.NaN()
+			if r != nil && base != nil {
+				traffic = r.TrafficRelativeTo(base)
+			}
+			rows = append(rows, Fig4Row{
+				Workload: wl,
+				Protocol: c.Name,
+				Traffic:  traffic,
+			})
 		}
-		traffic := math.NaN()
-		if r != nil && base != nil {
-			traffic = r.TrafficRelativeTo(base)
-		}
-		rows = append(rows, Fig4Row{
-			Workload: g.wl,
-			Protocol: g.c.Name,
-			Traffic:  traffic,
-		})
 	}
 	return rows, nil
 }
@@ -569,20 +573,12 @@ func FprintFigure4(w io.Writer, rows []Fig4Row) {
 		fmt.Fprintf(tw, "\t%s", c.Name)
 	}
 	fmt.Fprintln(tw)
-	byWl := map[string][]Fig4Row{}
-	var order []string
-	for _, r := range rows {
-		if len(byWl[r.Workload]) == 0 {
-			order = append(order, r.Workload)
+	last := ""
+	for i, r := range rows {
+		fmt.Fprintf(tw, "%s\t%s", rowName(&last, r.Workload), cellf("%.0f%%", 100*r.Traffic))
+		if i+1 == len(rows) || rows[i+1].Workload != r.Workload {
+			fmt.Fprintln(tw)
 		}
-		byWl[r.Workload] = append(byWl[r.Workload], r)
-	}
-	for _, wl := range order {
-		fmt.Fprintf(tw, "%s", wl)
-		for _, r := range byWl[wl] {
-			fmt.Fprintf(tw, "\t%s", cellf("%.0f%%", 100*r.Traffic))
-		}
-		fmt.Fprintln(tw)
 	}
 	tw.Flush()
 }

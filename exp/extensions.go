@@ -37,44 +37,31 @@ var DirPointerSweep = []int{0, 4, 2, 1}
 // relative to the full-map BASIC of the same workload, plus overflow and
 // broadcast counts.
 func DirectoryStudy(o Options) ([]DirRow, error) {
-	s := o.scheduler()
-	type cell struct {
-		wl         string
-		ptrs       int
-		basic, pcw *Pending
-	}
-	var grid []cell
-	for _, wl := range ccsim.Workloads() {
-		for _, ptrs := range DirPointerSweep {
-			submit := func(e ccsim.Ext) *Pending {
-				cfg := o.config(wl)
-				cfg.Extensions = e
-				cfg.DirPointers = ptrs
-				return s.Submit(cfg)
-			}
-			grid = append(grid, cell{wl, ptrs,
-				submit(ccsim.Ext{}), submit(ccsim.Ext{P: true, CW: true})})
-		}
-	}
+	exts := []ccsim.Ext{{}, {P: true, CW: true}}
+	g := grid(o, cross(DirPointerSweep, exts), func(cfg ccsim.Config, v pair[int, ccsim.Ext]) ccsim.Config {
+		cfg.Extensions = v.b
+		cfg.DirPointers = v.a
+		return cfg
+	})
 	var rows []DirRow
-	var fullBasic *ccsim.Result
-	for i, g := range grid {
-		basic, pcw := g.basic.Cell(), g.pcw.Cell()
-		if i%len(DirPointerSweep) == 0 {
-			fullBasic = basic
+	for i, wl := range ccsim.Workloads() {
+		fullBasic := g[i][0].Cell()
+		for j, ptrs := range DirPointerSweep {
+			c := g[i][j*len(exts):]
+			basic, pcw := c[0].Cell(), c[1].Cell()
+			row := DirRow{
+				Workload: wl,
+				Pointers: ptrs,
+				Basic:    relCell(basic, fullBasic),
+				PCW:      relCell(pcw, fullBasic),
+				Faulted:  basic == nil,
+			}
+			if basic != nil {
+				row.Overflows = basic.PointerOverflows
+				row.Broadcasts = basic.BroadcastInvs
+			}
+			rows = append(rows, row)
 		}
-		row := DirRow{
-			Workload: g.wl,
-			Pointers: g.ptrs,
-			Basic:    relCell(basic, fullBasic),
-			PCW:      relCell(pcw, fullBasic),
-			Faulted:  basic == nil,
-		}
-		if basic != nil {
-			row.Overflows = basic.PointerOverflows
-			row.Broadcasts = basic.BroadcastInvs
-		}
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -85,12 +72,6 @@ func FprintDirectory(w io.Writer, rows []DirRow) {
 	fmt.Fprintln(tw, "workload\tdirectory\tBASIC\tP+CW\toverflows\tbroadcasts")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		} else {
-			last = r.Workload
-		}
 		dir := "full map"
 		if r.Pointers > 0 {
 			dir = fmt.Sprintf("Dir%dB", r.Pointers)
@@ -100,7 +81,7 @@ func FprintDirectory(w io.Writer, rows []DirRow) {
 			counts = "FAULT\tFAULT"
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\n",
-			name, dir, cellf("%.3f", r.Basic), cellf("%.3f", r.PCW), counts)
+			rowName(&last, r.Workload), dir, cellf("%.3f", r.Basic), cellf("%.3f", r.PCW), counts)
 	}
 	tw.Flush()
 }
@@ -120,39 +101,25 @@ var AssocWays = []int{1, 2, 4}
 // direct-mapped caches; associativity absorbs the conflict misses that
 // prefetching otherwise hides.
 func AssociativityStudy(o Options) ([]AssocRow, error) {
-	s := o.scheduler()
-	type cell struct {
-		wl       string
-		ways     int
-		basic, p *Pending
-	}
-	var grid []cell
-	for _, wl := range ccsim.Workloads() {
-		for _, ways := range AssocWays {
-			submit := func(e ccsim.Ext) *Pending {
-				cfg := o.config(wl)
-				cfg.Extensions = e
-				cfg.SLCBlocks = 512 // 16 KB
-				cfg.SLCWays = ways
-				return s.Submit(cfg)
-			}
-			grid = append(grid, cell{wl, ways,
-				submit(ccsim.Ext{}), submit(ccsim.Ext{P: true})})
-		}
-	}
+	exts := []ccsim.Ext{{}, {P: true}}
+	g := grid(o, cross(AssocWays, exts), func(cfg ccsim.Config, v pair[int, ccsim.Ext]) ccsim.Config {
+		cfg.Extensions = v.b
+		cfg.SLCBlocks = 512 // 16 KB
+		cfg.SLCWays = v.a
+		return cfg
+	})
 	var rows []AssocRow
-	var base *ccsim.Result
-	for i, g := range grid {
-		basic, p := g.basic.Cell(), g.p.Cell()
-		if i%len(AssocWays) == 0 {
-			base = basic
+	for i, wl := range ccsim.Workloads() {
+		base := g[i][0].Cell()
+		for j, ways := range AssocWays {
+			c := g[i][j*len(exts):]
+			rows = append(rows, AssocRow{
+				Workload: wl,
+				Ways:     ways,
+				Basic:    relCell(c[0].Cell(), base),
+				P:        relCell(c[1].Cell(), base),
+			})
 		}
-		rows = append(rows, AssocRow{
-			Workload: g.wl,
-			Ways:     g.ways,
-			Basic:    relCell(basic, base),
-			P:        relCell(p, base),
-		})
 	}
 	return rows, nil
 }
@@ -163,13 +130,7 @@ func FprintAssoc(w io.Writer, rows []AssocRow) {
 	fmt.Fprintln(tw, "workload\tways\tBASIC\tP")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		} else {
-			last = r.Workload
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", name, r.Ways,
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", rowName(&last, r.Workload), r.Ways,
 			cellf("%.3f", r.Basic), cellf("%.3f", r.P))
 	}
 	tw.Flush()
@@ -193,38 +154,24 @@ var ScaleProcs = []int{4, 8, 16, 32}
 // machine grows — communication grows with sharing, which is exactly what
 // P and CW attack.
 func ScalingStudy(o Options) ([]ScaleRow, error) {
-	s := o.scheduler()
-	type cell struct {
-		wl         string
-		procs      int
-		basic, pcw *Pending
-	}
-	var grid []cell
-	for _, wl := range ccsim.Workloads() {
-		for _, procs := range ScaleProcs {
-			submit := func(e ccsim.Ext) *Pending {
-				cfg := o.config(wl)
-				cfg.Procs = procs
-				cfg.Extensions = e
-				return s.Submit(cfg)
-			}
-			grid = append(grid, cell{wl, procs,
-				submit(ccsim.Ext{}), submit(ccsim.Ext{P: true, CW: true})})
-		}
-	}
+	exts := []ccsim.Ext{{}, {P: true, CW: true}}
+	g := grid(o, cross(ScaleProcs, exts), func(cfg ccsim.Config, v pair[int, ccsim.Ext]) ccsim.Config {
+		cfg.Procs = v.a
+		cfg.Extensions = v.b
+		return cfg
+	})
 	var rows []ScaleRow
-	var base *ccsim.Result
-	for i, g := range grid {
-		basic, pcw := g.basic.Cell(), g.pcw.Cell()
-		if i%len(ScaleProcs) == 0 {
-			base = basic
+	for i, wl := range ccsim.Workloads() {
+		base := g[i][0].Cell()
+		for j, procs := range ScaleProcs {
+			c := g[i][j*len(exts):]
+			rows = append(rows, ScaleRow{
+				Workload: wl,
+				Procs:    procs,
+				Basic:    relCell(c[0].Cell(), base),
+				PCW:      relCell(c[1].Cell(), base),
+			})
 		}
-		rows = append(rows, ScaleRow{
-			Workload: g.wl,
-			Procs:    g.procs,
-			Basic:    relCell(basic, base),
-			PCW:      relCell(pcw, base),
-		})
 	}
 	return rows, nil
 }
@@ -235,13 +182,7 @@ func FprintScaling(w io.Writer, rows []ScaleRow) {
 	fmt.Fprintln(tw, "workload\tprocs\tBASIC\tP+CW")
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		} else {
-			last = r.Workload
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", name, r.Procs,
+		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\n", rowName(&last, r.Workload), r.Procs,
 			cellf("%.3f", r.Basic), cellf("%.3f", r.PCW))
 	}
 	tw.Flush()
@@ -265,23 +206,22 @@ type CostRow struct {
 func CostPerformance(o Options, workloadName string) ([]CostRow, error) {
 	const slcFrames, memBlocks = 512, 1 << 15
 	s := o.scheduler()
-	baseCfg := o.config(workloadName)
-	basePend := s.Submit(baseCfg)
 	type cell struct {
 		c    Combo
 		cfg  ccsim.Config
 		pend *Pending
 	}
-	var grid []cell
+	var cells []cell
 	for _, c := range Combos() {
 		cfg := o.config(workloadName)
 		cfg.Extensions = c.Ext
-		grid = append(grid, cell{c, cfg, s.Submit(cfg)})
+		cells = append(cells, cell{c, cfg, s.Submit(cfg)})
 	}
-	base := basePend.Cell()
-	baseBits := ccsim.ComputeStorage(baseCfg, slcFrames, memBlocks)
+	// The first combination, BASIC, is the baseline of both sides.
+	base := cells[0].pend.Cell()
+	baseBits := ccsim.ComputeStorage(cells[0].cfg, slcFrames, memBlocks)
 	var rows []CostRow
-	for _, g := range grid {
+	for _, g := range cells {
 		r := g.pend.Cell()
 		// The storage side is pure arithmetic: it stays meaningful even
 		// when the run behind the performance side faulted.

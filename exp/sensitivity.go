@@ -22,9 +22,10 @@ type SensRow struct {
 // entries each under RC. The paper finds only BASIC and P suffer (pending
 // writes); CW, M and their combinations are unaffected.
 func SensBuffers(o Options) ([]SensRow, error) {
-	return sensitivity(o, func(cfg *ccsim.Config) {
+	return sensitivity(o, func(cfg ccsim.Config) ccsim.Config {
 		cfg.FLWBEntries = 4
 		cfg.SLWBEntries = 4
+		return cfg
 	})
 }
 
@@ -32,44 +33,36 @@ func SensBuffers(o Options) ([]SensRow, error) {
 // (512 blocks of 32 B). The paper finds the gains persist and P gets even
 // better (replacement misses).
 func SensCache(o Options) ([]SensRow, error) {
-	return sensitivity(o, func(cfg *ccsim.Config) {
+	return sensitivity(o, func(cfg ccsim.Config) ccsim.Config {
 		cfg.SLCBlocks = 512
+		return cfg
 	})
 }
 
-func sensitivity(o Options, constrain func(*ccsim.Config)) ([]SensRow, error) {
-	s := o.scheduler()
-	type cell struct {
-		wl       string
-		c        Combo
-		def, lim *Pending
-	}
-	var grid []cell
-	for _, wl := range ccsim.Workloads() {
-		for _, c := range Combos() {
-			defCfg := o.config(wl)
-			defCfg.Extensions = c.Ext
-			limCfg := o.config(wl)
-			limCfg.Extensions = c.Ext
-			constrain(&limCfg)
-			// The default half of every pair is Figure 2's grid; under a
-			// shared scheduler both sensitivity studies reuse those runs.
-			grid = append(grid, cell{wl, c, s.Submit(defCfg), s.Submit(limCfg)})
+func sensitivity(o Options, constrain func(ccsim.Config) ccsim.Config) ([]SensRow, error) {
+	combos := Combos()
+	// Each combination runs in the default configuration, then the
+	// constrained one. The default half of every pair is Figure 2's grid;
+	// under a shared scheduler both sensitivity studies reuse those runs.
+	g := grid(o, cross(combos, []bool{false, true}), func(cfg ccsim.Config, v pair[Combo, bool]) ccsim.Config {
+		cfg.Extensions = v.a.Ext
+		if v.b {
+			return constrain(cfg)
 		}
-	}
+		return cfg
+	})
 	var rows []SensRow
-	var defBase, limBase *ccsim.Result
-	for i, g := range grid {
-		def, lim := g.def.Cell(), g.lim.Cell()
-		if i%len(Combos()) == 0 {
-			defBase, limBase = def, lim
+	for i, wl := range ccsim.Workloads() {
+		defBase, limBase := g[i][0].Cell(), g[i][1].Cell()
+		for j, combo := range combos {
+			c := g[i][2*j:]
+			rows = append(rows, SensRow{
+				Workload: wl,
+				Protocol: combo.Name,
+				Default:  relCell(c[0].Cell(), defBase),
+				Limited:  relCell(c[1].Cell(), limBase),
+			})
 		}
-		rows = append(rows, SensRow{
-			Workload: g.wl,
-			Protocol: g.c.Name,
-			Default:  relCell(def, defBase),
-			Limited:  relCell(lim, limBase),
-		})
 	}
 	return rows, nil
 }
@@ -80,13 +73,7 @@ func FprintSens(w io.Writer, rows []SensRow, limitedLabel string) {
 	fmt.Fprintf(tw, "workload\tprotocol\tdefault\t%s\n", limitedLabel)
 	last := ""
 	for _, r := range rows {
-		name := r.Workload
-		if name == last {
-			name = ""
-		} else {
-			last = r.Workload
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", name, r.Protocol,
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", rowName(&last, r.Workload), r.Protocol,
 			cellf("%.3f", r.Default), cellf("%.3f", r.Limited))
 	}
 	tw.Flush()
