@@ -103,6 +103,16 @@ type Options struct {
 // DefaultOptions returns the paper's configuration.
 func DefaultOptions() Options { return Options{Scale: 1.0, Procs: 16} }
 
+// checkedCell and analyzedCell mark a cell that asks for the live checker
+// or the sharing analyzer. Fingerprint keeps a marked cell out of the run
+// cache, and Scheduler.exec gives each simulated run a fresh checker and
+// analyzer of its own, so one marker of each kind serves every cell and
+// never runs.
+var (
+	checkedCell  = new(ccsim.Checker)
+	analyzedCell = new(ccsim.SharingAnalytics)
+)
+
 func (o Options) config(wl string) ccsim.Config {
 	cfg := ccsim.DefaultConfig()
 	cfg.Workload = wl
@@ -112,10 +122,10 @@ func (o Options) config(wl string) ccsim.Config {
 	cfg.MaxEvents = o.MaxEvents
 	cfg.Deadline = o.Deadline
 	if o.Check {
-		cfg.Check = ccsim.NewChecker()
+		cfg.Check = checkedCell
 	}
 	if o.Sharing {
-		cfg.Sharing = ccsim.NewSharingAnalytics()
+		cfg.Sharing = analyzedCell
 	}
 	return cfg
 }

@@ -249,19 +249,18 @@ func (c *CacheCtl) closeMSHR(ms *mshr) {
 }
 
 // retireMSHR recycles a closed transaction's record. The caller must be
-// done with it: the next newMSHR may hand it out again.
+// done with it: the next newMSHR may hand it out again. It resets the
+// record field by field, keeping its slices' storage: assigning a whole
+// mshr literal copies it through runtime.duffcopy.
 func (c *CacheCtl) retireMSHR(ms *mshr) {
 	i := ms.idx
 	clear(ms.readers)
 	clear(ms.performed)
 	clear(ms.after)
-	*ms = mshr{
-		readers:   ms.readers[:0],
-		performed: ms.performed[:0],
-		after:     ms.after[:0],
-		obs:       ms.obs[:0],
-		words:     ms.words[:0],
-	}
+	ms.block, ms.kind, ms.prefetchOnly, ms.countsSLWB, ms.idx, ms.txn = 0, 0, false, false, 0, 0
+	ms.timed, ms.missStart = false, 0
+	ms.readers, ms.performed, ms.after = ms.readers[:0], ms.performed[:0], ms.after[:0]
+	ms.nWrites, ms.obs, ms.words, ms.mask = 0, ms.obs[:0], ms.words[:0], 0
 	c.sys.mshrs.put(i)
 }
 

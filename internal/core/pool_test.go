@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+	"unsafe"
+)
 
 // TestPoolIndexesFromOne pins the naming: a fresh pool hands out 1, 2,
 // 3, ..., so 0 is free to mean "no record" in pointer-free state.
@@ -86,5 +90,51 @@ func TestPoolKeepsReleasedRecord(t *testing.T) {
 	}
 	if again.block != 9 || len(again.words) != 2 || again.words[1] != 7 {
 		t.Fatalf("released record came back as block %d, words %v", again.block, again.words)
+	}
+}
+
+// TestRetireMSHRResetsEveryField fills every field of an MSHR, retires it,
+// and requires the record to equal mshr{} once its five slices are set to
+// nil: a field added to mshr without a reset in retireMSHR fails here. The
+// slices must come back empty with their storage, and the three that hold
+// callbacks or obligations cleared, so a retired record keeps nothing alive.
+func TestRetireMSHRResetsEveryField(t *testing.T) {
+	c := &CacheCtl{sys: &System{}}
+	i, ms := c.sys.mshrs.get()
+	v := reflect.ValueOf(ms).Elem()
+	for f := 0; f < v.NumField(); f++ {
+		fv := reflect.NewAt(v.Field(f).Type(), unsafe.Pointer(v.Field(f).UnsafeAddr())).Elem()
+		switch fv.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			fv.SetInt(3)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			fv.SetUint(3)
+		case reflect.Slice:
+			fv.Set(reflect.MakeSlice(fv.Type(), 2, 2))
+		default:
+			t.Fatalf("mshr.%s is a %v: teach this test to fill it", v.Type().Field(f).Name, fv.Kind())
+		}
+	}
+	ms.idx = i
+	ms.readers[1].fn = func() {}
+	ms.performed[1] = func() {}
+	ms.after[1].obs = []int{1}
+	c.retireMSHR(ms)
+	for _, n := range []struct{ len, cap int }{
+		{len(ms.readers), cap(ms.readers)}, {len(ms.performed), cap(ms.performed)},
+		{len(ms.after), cap(ms.after)}, {len(ms.obs), cap(ms.obs)}, {len(ms.words), cap(ms.words)},
+	} {
+		if n.len != 0 || n.cap != 2 {
+			t.Fatalf("a retired MSHR's slice has length %d and capacity %d, want 0 and 2", n.len, n.cap)
+		}
+	}
+	if ms.readers[:2][1].fn != nil || ms.performed[:2][1] != nil || ms.after[:2][1].obs != nil {
+		t.Fatal("a retired MSHR's storage keeps a callback or an obligation list alive")
+	}
+	ms.readers, ms.performed, ms.after, ms.obs, ms.words = nil, nil, nil, nil, nil
+	if !reflect.DeepEqual(*ms, mshr{}) {
+		t.Fatalf("retired MSHR = %+v, want every field zero", *ms)
 	}
 }

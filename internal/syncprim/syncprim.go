@@ -41,7 +41,9 @@ func (l *Lock) Release(p int) (next int, ok bool) {
 		return 0, false
 	}
 	next = l.queue[0]
-	l.queue = l.queue[1:]
+	// Shift the waiters down rather than slicing past the head, so the
+	// queue keeps its storage and Acquire does not grow it again.
+	l.queue = l.queue[:copy(l.queue, l.queue[1:])]
 	l.holder = next
 	return next, true
 }
@@ -64,12 +66,14 @@ type Barrier struct {
 }
 
 // NewBarrier returns a barrier for n parties.
-func NewBarrier(n int) *Barrier { return &Barrier{n: n} }
+func NewBarrier(n int) *Barrier { return &Barrier{n: n, arrived: make([]int, 0, n)} }
 
 // Arrive records processor p's arrival. When p completes the party, the
-// list of all waiting processors (including p) is returned with done=true
-// and the barrier resets for the next episode. Arriving twice in one
-// episode panics: a processor cannot pass a barrier it is blocked on.
+// list of all waiting processors (including p), in arrival order, is
+// returned with done=true and the barrier resets for the next episode. The
+// list is the barrier's own storage, reused by every episode: it stays
+// valid only until the next Arrive. Arriving twice in one episode panics: a
+// processor cannot pass a barrier it is blocked on.
 func (b *Barrier) Arrive(p int) (release []int, done bool) {
 	for _, q := range b.arrived {
 		if q == p {
@@ -81,7 +85,7 @@ func (b *Barrier) Arrive(p int) (release []int, done bool) {
 		return nil, false
 	}
 	release = b.arrived
-	b.arrived = nil
+	b.arrived = b.arrived[:0]
 	return release, true
 }
 

@@ -183,3 +183,60 @@ func TestBarrierCountingProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReusedStorage runs a barrier and a lock through many episodes on the
+// storage they keep: each barrier episode must release its own arrivals in
+// arrival order, the lock must grant its waiters first come, first served
+// while acquires and releases interleave, and once warm neither may
+// allocate.
+func TestReusedStorage(t *testing.T) {
+	const n = 5
+	b := NewBarrier(n)
+	var l Lock
+	var granted []int
+	episode := func(e int) {
+		for i := 0; i < n; i++ {
+			p := (i*3 + e) % n // a different arrival order each episode
+			rel, done := b.Arrive(p)
+			if done != (i == n-1) {
+				t.Fatalf("episode %d: arrival %d reported done=%v", e, i, done)
+			}
+			if done {
+				for j, q := range rel {
+					if want := (j*3 + e) % n; q != want {
+						t.Fatalf("episode %d: released %v, want arrival order", e, rel)
+					}
+				}
+			}
+		}
+		// The lock: 0 holds it; 1 and 2 queue; a release hands it to 1;
+		// 3 queues behind 2; releases hand it to 2, then 3, then free it.
+		granted = granted[:0]
+		l.Acquire(0)
+		l.Acquire(1)
+		l.Acquire(2)
+		holder := 0
+		release := func() {
+			next, ok := l.Release(holder)
+			if ok {
+				granted = append(granted, next)
+				holder = next
+			}
+		}
+		release()
+		l.Acquire(3)
+		release()
+		release()
+		release()
+		if len(granted) != 3 || granted[0] != 1 || granted[1] != 2 || granted[2] != 3 || l.Held() {
+			t.Fatalf("episode %d: lock granted %v, held %v; want [1 2 3] then free", e, granted, l.Held())
+		}
+	}
+	for e := 0; e < 4; e++ {
+		episode(e)
+	}
+	e := 4
+	if allocs := testing.AllocsPerRun(100, func() { episode(e); e++ }); allocs != 0 {
+		t.Fatalf("a warm barrier and lock allocated %.1f times per episode", allocs)
+	}
+}

@@ -22,15 +22,6 @@ type gaugeWatch struct {
 	fn   func() int64
 }
 
-// Sample is one sampler snapshot. Util and Depth are indexed like the
-// collector's watches, Gauges like its gauges.
-type Sample struct {
-	At    int64
-	Util  []float64 // busy fraction of each watched resource over the interval
-	Depth []int     // instantaneous queue depth
-	Gauge []int64
-}
-
 // sampleRec heads one snapshot's values in Collector.values: for each
 // watched resource its utilization's float64 bits and its queue depth, then
 // each gauge.
@@ -109,35 +100,4 @@ func (c *Collector) sample(now sim.Time) {
 	for _, g := range c.gauges {
 		*c.values.add() = g.fn()
 	}
-}
-
-// Samples returns the snapshots taken so far, built on each call.
-func (c *Collector) Samples() []Sample {
-	if c == nil || c.samples.n == 0 {
-		return nil
-	}
-	out := make([]Sample, c.samples.n)
-	v := 0
-	next := func() int64 {
-		v++
-		return *c.values.at(v - 1)
-	}
-	for i := range out {
-		r := c.samples.at(i)
-		s := Sample{
-			At:    r.at,
-			Util:  make([]float64, r.watches),
-			Depth: make([]int, r.watches),
-			Gauge: make([]int64, r.gauges),
-		}
-		for j := range s.Util {
-			s.Util[j] = math.Float64frombits(uint64(next()))
-			s.Depth[j] = int(next())
-		}
-		for j := range s.Gauge {
-			s.Gauge[j] = next()
-		}
-		out[i] = s
-	}
-	return out
 }

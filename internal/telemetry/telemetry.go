@@ -6,13 +6,14 @@
 // identical runs produce identical telemetry byte for byte.
 //
 // The collector keeps each record as a fixed-size value of plain fields: a
-// span with its first eight phase marks inline, a stall or an instant with
-// its kind or name as a small code, a snapshot's sampled values in one flat
-// slab, and the completion order as a list of span indexes. The records
-// sit in append-only chunks of 256 and never move, so growing a list copies
+// span in 64 bytes with its first eight phase marks inline, each as a 32-bit
+// offset from the span's start, a stall or an instant with its kind or name
+// as a small code, a snapshot's sampled values in one flat slab, and the
+// completion order as a list of span indexes. The records sit in
+// append-only chunks of 256 and never move, so growing a list copies
 // nothing, and since they hold no pointers the garbage collector never
-// scans them. Spans, Stalls, Instants and Samples build the exported values
-// only when they are called.
+// scans them. WriteTimeline and PhaseTotals read the records where they
+// lie, and Spans builds its values only when it is called.
 //
 // A nil *Collector is valid everywhere and records nothing: the simulator
 // core calls straight into nil-receiver methods on its hot paths, which keeps
@@ -20,6 +21,8 @@
 package telemetry
 
 import (
+	"math"
+
 	"ccsim/internal/sim"
 )
 
@@ -138,8 +141,11 @@ func durations(start int64, marks []Mark) [NumPhases]int64 {
 
 // Dominant returns the phase holding the largest share of the span's
 // latency.
-func (s *Span) Dominant() Phase {
-	d := s.Durations()
+func (s *Span) Dominant() Phase { return dominant(s.Durations()) }
+
+// dominant returns the phase with the largest duration in d, the earliest
+// of any that tie.
+func dominant(d [NumPhases]int64) Phase {
 	best := Phase(0)
 	for p := Phase(1); p < NumPhases; p++ {
 		if d[p] > d[best] {
@@ -147,22 +153,6 @@ func (s *Span) Dominant() Phase {
 		}
 	}
 	return best
-}
-
-// Stall is one interval a processor spent blocked on the memory system.
-type Stall struct {
-	Node  int
-	Kind  string // read, write, acquire, barrier, release
-	Start int64
-	End   int64
-}
-
-// Instant is a point event on a node's timeline (directory transitions).
-type Instant struct {
-	Node  int
-	Name  string
-	Block uint64
-	At    int64
 }
 
 // Options bounds the collector's memory. Zero values select the defaults.
@@ -209,10 +199,12 @@ func (o Options) withDefaults() Options {
 // inlineMarks the number of marks a span keeps in its own record; any
 // beyond go to a side list. In the five kernels under all eight extension
 // sets at 16 processors and scale 0.25, each of 186,532 spans carried 5, 6
-// or 8 marks, never more.
+// or 8 marks, never more. A span's phases pack into one uint32 at
+// phaseBits each, which holds NumPhases.
 const (
 	chunkLen    = 256
 	inlineMarks = 8
+	phaseBits   = 32 / inlineMarks
 )
 
 // chunks is an append-only list of records kept in chunks of chunkLen. A
@@ -238,18 +230,27 @@ func (l *chunks[T]) add() *T {
 // at returns record i, which must be below the list's length.
 func (l *chunks[T]) at(i int) *T { return &l.c[i/chunkLen][i%chunkLen] }
 
-// spanRec is a span as the collector keeps it. Its ID is its index plus 1,
-// and it ends at its last mark, the fill End records.
+// spanRec is a span as the collector keeps it, in 64 bytes. Its ID is its
+// index plus 1, and it ends at its last mark, the fill End records. A mark
+// more than math.MaxUint32 pclocks after start does not fit inline, so it
+// goes to the side list, and every later mark of the span follows it there
+// to keep the marks in order.
 type spanRec struct {
 	block uint64
 	start int64
-	at    [inlineMarks]int64 // when each inline mark's phase ended
+	at    [inlineMarks]uint32 // pclocks from start to each inline mark
 	node  int32
-	more  int32 // 1 + the side-list index of the span's next mark, or 0
-	phase [inlineMarks]Phase
-	n     uint8 // inline marks used
+	more  int32  // 1 + the side-list index of the span's next mark, or 0
+	phase uint32 // inline mark i's phase in bits [phaseBits*i, phaseBits*(i+1))
+	n     uint8  // inline marks used
 	kind  SpanKind
 	ended bool
+}
+
+// inline returns inline mark i of s.
+func (s *spanRec) inline(i uint8) Mark {
+	ph := Phase(s.phase >> (phaseBits * i) & (1<<phaseBits - 1))
+	return Mark{Phase: ph, At: s.start + int64(s.at[i])}
 }
 
 // markRec is one mark past a span's inline ones, chained from its span.
@@ -338,11 +339,12 @@ func (c *Collector) Mark(id uint64, ph Phase, at int64) {
 	}
 }
 
-// mark appends a mark to span s: in its record while there is room, then
-// at the end of its chain in the side list.
+// mark appends a mark to span s: in its record while there is room and
+// its offset fits, then at the end of its chain in the side list.
 func (c *Collector) mark(s *spanRec, ph Phase, at int64) {
-	if s.n < inlineMarks {
-		s.phase[s.n], s.at[s.n] = ph, at
+	if off := uint64(at - s.start); s.n < inlineMarks && s.more == 0 && off <= math.MaxUint32 {
+		s.at[s.n] = uint32(off)
+		s.phase |= uint32(ph) << (phaseBits * s.n)
 		s.n++
 		return
 	}
@@ -357,7 +359,7 @@ func (c *Collector) mark(s *spanRec, ph Phase, at int64) {
 // appendMarks appends span s's marks to dst in the order they were made.
 func (c *Collector) appendMarks(dst []Mark, s *spanRec) []Mark {
 	for i := uint8(0); i < s.n; i++ {
-		dst = append(dst, Mark{Phase: s.phase[i], At: s.at[i]})
+		dst = append(dst, s.inline(i))
 	}
 	for x := s.more; x != 0; {
 		m := c.marks.at(int(x - 1))
@@ -434,33 +436,6 @@ func (c *Collector) DroppedSpans() uint64 {
 		return 0
 	}
 	return c.dropped
-}
-
-// Stalls returns the recorded processor stall intervals, built on each
-// call.
-func (c *Collector) Stalls() []Stall {
-	if c == nil || c.stalls.n == 0 {
-		return nil
-	}
-	out := make([]Stall, c.stalls.n)
-	for i := range out {
-		s := c.stalls.at(i)
-		out[i] = Stall{Node: int(s.node), Kind: c.names[s.kind], Start: s.start, End: s.end}
-	}
-	return out
-}
-
-// Instants returns the recorded point events, built on each call.
-func (c *Collector) Instants() []Instant {
-	if c == nil || c.instants.n == 0 {
-		return nil
-	}
-	out := make([]Instant, c.instants.n)
-	for i := range out {
-		in := c.instants.at(i)
-		out[i] = Instant{Node: int(in.node), Name: c.names[in.name], Block: in.block, At: in.at}
-	}
-	return out
 }
 
 // PhaseTotals sums the per-phase durations of all completed spans of the

@@ -3,9 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"ccsim/internal/sim"
 )
@@ -203,6 +205,103 @@ func TestRecordsHoldNoPointers(t *testing.T) {
 			t.Errorf("no chunk list of %s in Collector", rec)
 		}
 	}
+}
+
+// TestSpanRecSize pins a span record at 64 bytes: eight 32-bit mark
+// offsets and one word of 4-bit phases, where eight int64 mark times and
+// eight phase bytes made it 104.
+func TestSpanRecSize(t *testing.T) {
+	if got := unsafe.Sizeof(spanRec{}); got != 64 {
+		t.Fatalf("spanRec is %d bytes, want 64", got)
+	}
+	if NumPhases > 1<<phaseBits {
+		t.Fatalf("%d phases do not fit %d bits each", NumPhases, phaseBits)
+	}
+}
+
+// TestSpanMarksRoundTrip records spans whose marks do not all fit in their
+// record, with their marks interleaved: nine and twenty marks, a mark
+// exactly math.MaxUint32 pclocks after the start and one more than that,
+// marks before the start, and marks that would fit again after one that
+// did not. Spans, PhaseTotals and WriteTimeline must give back exactly what
+// was recorded.
+func TestSpanMarksRoundTrip(t *testing.T) {
+	const far = int64(math.MaxUint32)
+	type rec struct {
+		node       int
+		block      uint64
+		kind       SpanKind
+		start, end int64
+		marks      []Mark // before the fill End adds
+	}
+	steps := func(start, step int64, n int) []Mark {
+		var m []Mark
+		for i := 1; i <= n; i++ {
+			m = append(m, Mark{Phase(i % int(PhaseFill)), start + step*int64(i)})
+		}
+		return m
+	}
+	recs := []rec{
+		{0, 1, SpanRead, 10, 19, steps(10, 1, 8)},
+		{1, 2, SpanOwnership, 1 << 50, 1<<50 + 60, steps(1<<50, 3, 19)},
+		{2, 3, SpanRead, 5, 5 + 2*far + 7, []Mark{
+			{PhaseRequest, 5 + far}, {PhaseMemory, 5 + far + 1}, {PhaseReply, 5 + 2*far}}},
+		{3, 4, SpanUpdate, 100, 100 + far + 20, []Mark{
+			{PhaseRequest, 150}, {PhaseForward, 100 + far + 10}, {PhaseOwner, 120}, {PhaseDirWait, 90}}},
+		{2, 5, SpanPrefetch, 1000, 1010, []Mark{{PhaseRequest, 999}, {PhaseMemory, 1005}}},
+		{0, 6, SpanRead, 0, 4, []Mark{{PhaseGather, 3}}},
+	}
+	c := New(Options{})
+	ids := make([]uint64, len(recs))
+	most := 0
+	for i, r := range recs {
+		ids[i] = c.Begin(r.node, r.block, r.kind, r.start)
+		most = max(most, len(r.marks))
+	}
+	for k := 0; k < most; k++ {
+		for i, r := range recs {
+			if k < len(r.marks) {
+				c.Mark(ids[i], r.marks[k].Phase, r.marks[k].At)
+			}
+		}
+	}
+	var want []*Span
+	for i := len(recs) - 1; i >= 0; i-- {
+		r := recs[i]
+		c.End(ids[i], r.end)
+		marks := append(append([]Mark(nil), r.marks...), Mark{PhaseFill, r.end})
+		want = append(want, &Span{ID: ids[i], Node: r.node, Block: r.block, Kind: r.kind,
+			Start: r.start, End: r.end, Marks: marks})
+	}
+	if got := c.Spans(); !reflect.DeepEqual(got, want) {
+		for i := range got {
+			t.Logf("span %d = %+v", i, *got[i])
+		}
+		t.Fatal("Spans did not return the spans as recorded")
+	}
+	for kind := SpanRead; kind <= SpanUpdate; kind++ {
+		var tot map[string]int64
+		for _, s := range want {
+			if s.Kind != kind {
+				continue
+			}
+			if tot == nil {
+				tot = map[string]int64{}
+			}
+			for p, d := range s.Durations() {
+				tot[Phase(p).String()] += d
+			}
+		}
+		for p, d := range tot {
+			if d == 0 {
+				delete(tot, p)
+			}
+		}
+		if got := c.PhaseTotals(kind); !reflect.DeepEqual(got, tot) {
+			t.Errorf("PhaseTotals(%v) = %v, want %v", kind, got, tot)
+		}
+	}
+	requireOracleBytes(t, c, want)
 }
 
 func TestSamplerTerminatesAndMeasures(t *testing.T) {

@@ -82,7 +82,11 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # telemetry's records go back to a heap span with a mark slice each,
 # strings in stalls and instants, or slices per sampler snapshot. A
 # telemetry test keeps every record the collector stores free of pointers,
-# and the timeline golden pins what a small run's telemetry renders. A
+# three more hold a span record at 64 bytes, bring back every span whose
+# marks leave it (past eight, or further than 2^32 pclocks from its
+# start), and hold the streamed timeline to the bytes encoding/json gives
+# the same events, and the timeline golden pins what a small run's
+# telemetry renders. A
 # traced run may allocate only a constant more than the same run untraced,
 # so no trace line allocates.
 # The address-shift test pins the sparse per-block tables, the side
@@ -103,14 +107,23 @@ cmp /tmp/ccsim-analytics.txt /tmp/ccsim-unchecked.txt
 test -s /tmp/ccsim-sharing.txt
 test -s /tmp/ccsim-trace.txt
 go test -count=1 -run 'TestAnalyticsDisabledAddsNoAllocs|TestRunAllocationCeiling|TestObservedRunAllocationCeiling|TestObservedRunHeapBytesCeiling|TestTimelineGolden|TestTracingAddsConstantAllocs|TestRunHeapBytesCeiling|TestSweepRunHeapBytesCeiling|TestAddressShiftInvariance' ccsim
-go test -count=1 -run 'TestRecordsHoldNoPointers' ccsim/internal/telemetry
+go test -count=1 -run 'TestRecordsHoldNoPointers|TestSpanRecSize|TestSpanMarksRoundTrip|TestTimelineMatchesEncodingJSON|TestTimelineEmptyCollector' ccsim/internal/telemetry
 go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations|TestEngineSize|TestEngineMigratedHeadKeepsTail' ccsim/internal/sim
 go test -count=1 -run 'TestDirEntrySize|TestMsgSize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback|TestPool' ccsim/internal/core
 go test -count=1 -run 'TestBlockDataSize' ccsim/internal/memsys
 go test -count=1 -run 'TestKernelOpBuffersNeverGrow' ccsim/internal/workload
+
+# Timeline smoke: the CLI's -timeline file must be non-empty and
+# byte-identical across two runs of the same command. Stdout stays out of
+# the comparison for the reason the side-channel smoke gives.
+/tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -timeline /tmp/ccsim-timeline1.json > /dev/null
+/tmp/ccsim-verify -workload mp3d -scale 0.05 -procs 4 -timeline /tmp/ccsim-timeline2.json > /dev/null
+test -s /tmp/ccsim-timeline1.json
+cmp /tmp/ccsim-timeline1.json /tmp/ccsim-timeline2.json
 rm -f /tmp/ccsim-verify /tmp/ccsim-checked.txt /tmp/ccsim-unchecked.txt \
-    /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt
+    /tmp/ccsim-analytics.txt /tmp/ccsim-sharing.txt /tmp/ccsim-trace.txt \
+    /tmp/ccsim-timeline1.json /tmp/ccsim-timeline2.json
 
 # Bounded checked-random-walk litmus pass: seeded micro-programs across the
 # protocol grid under the live checker (the corpus itself runs in
