@@ -319,7 +319,7 @@ func run() (code int) {
 	// make it loud.
 	if n := cfg.Telemetry.DroppedSpans(); n > 0 {
 		logger.Warn("telemetry span buffer overflowed; timeline and phase totals undercount",
-			"dropped_spans", n, "kept_spans", len(cfg.Telemetry.Spans()))
+			"dropped_spans", n, "kept_spans", cfg.Telemetry.KeptSpans())
 	}
 
 	// The timeline and the sharing report go to their own files (or

@@ -239,27 +239,31 @@ func withFreshSideChannels(cfg ccsim.Config) ccsim.Config {
 }
 
 // TestRunHeapBytesCeiling pins the heap bytes one run allocates, after a
-// warm-up run. Each processor's workload stream is generated one loop
-// iteration at a time into one op buffer sized to the kernel's longest
-// iteration, so a run holds one segment per processor instead of every
-// processor's whole stream; SLC lines and directory entries carry no
-// data-verification words in a run that does not verify; the end-of-run
-// invariant walk builds no list of cached copies; a directory entry keeps
-// 24 bytes of per-block state, its transaction context pooled apart; the
-// event wheel's bucket headers are one word each; every pooled record
-// comes from a chunk of 16 in one pool per run; and the run carries no
-// flight recorder: 926,736 bytes for this run, measured when the ceiling
-// was set, and 920,208-920,472 since a protocol message is 72 bytes rather
-// than 144, against 930,688-930,912 with the recorder's ring, a pending
-// list grown by append and a free list apart from the pools' chunks,
-// 963,920-965,400 with a pool per controller and one heap object per
-// record, 1,120,584 with 136-byte entries and two-word headers, 1,986,664
-// with 256-op buffers, a 40-byte line, per-node latency histograms and the
-// copy list, 3,245,936 with the words in every line and entry, and
-// 11,377,192 when streams were also built whole before the first event.
-// The ceiling is about 1.25x the measured value.
+// warm-up run. Each processor's workload stream is generated one inner
+// loop step at a time (here, one column of an elimination step) into one
+// op buffer sized to the kernel's longest step, so a run holds one short
+// segment per processor instead of every processor's whole stream; the
+// infinite SLC's lines are 16 bytes, with no block number, and they and
+// directory entries carry no data-verification words in a run that does
+// not verify; the end-of-run invariant walk builds no list of cached
+// copies; a directory entry keeps 24 bytes of per-block state, its
+// transaction context pooled apart; the event wheel's bucket headers are
+// one word each; every pooled record comes from a chunk of 16 in one pool
+// per run; and the run carries no flight recorder: 637,352-637,616 bytes
+// for this run, measured when the ceiling was set, against 897,168 with
+// one outer loop iteration per segment (242-op buffers here) and 24-byte
+// lines. The previous ceiling was set at 926,736 bytes; the run took
+// 920,208-920,472 once a protocol message was 72 bytes rather than 144,
+// against 930,688-930,912 with the recorder's ring, a pending list grown
+// by append and a free list apart from the pools' chunks, 963,920-965,400
+// with a pool per controller and one heap object per record, 1,120,584
+// with 136-byte entries and two-word headers, 1,986,664 with 256-op
+// buffers, a 40-byte line, per-node latency histograms and the copy list,
+// 3,245,936 with the words in every line and entry, and 11,377,192 when
+// streams were also built whole before the first event. The ceiling is
+// about 1.25x the measured value.
 func TestRunHeapBytesCeiling(t *testing.T) {
-	const ceiling = 1_159_000
+	const ceiling = 797_000
 	cfg := ccsim.DefaultConfig()
 	cfg.Workload = "lu"
 	cfg.Procs = 16

@@ -31,10 +31,11 @@ func (s LineState) String() string {
 	return "?"
 }
 
-// Line is one SLC line plus the per-line bits each extension adds
-// (paper Table 1). Its counters are 32-bit, so a line takes 24 bytes.
+// Line is one SLC line's state plus the per-line bits each extension adds
+// (paper Table 1). It holds no block number: the infinite cache's index
+// maps each block to its line, and a finite cache keeps each frame's block
+// beside its line. Its counters are 32-bit, so a line takes 16 bytes.
 type Line struct {
-	Block memsys.Block
 	State LineState
 
 	// CW: remaining competitive count; a foreign update when the counter is
@@ -64,9 +65,10 @@ type Line struct {
 	Grant int32
 }
 
-// Victim is a line Insert displaced, with its verification words (zero when
-// the cache keeps none).
+// Victim is a line Insert displaced, with its block and its verification
+// words (zero when the cache keeps none).
 type Victim struct {
+	Block memsys.Block
 	Line
 	Words memsys.BlockData
 }
@@ -84,7 +86,7 @@ type SLC struct {
 	frames int
 	ways   int
 	nsets  int
-	array  []Line   // nsets * ways
+	array  []frame  // nsets * ways
 	age    []uint64 // LRU timestamps, parallel to array; nil when ways == 1
 	tick   uint64
 
@@ -101,6 +103,12 @@ type SLC struct {
 	free  []int32
 }
 
+// frame is one finite-mode frame: the block it holds and its line.
+type frame struct {
+	block memsys.Block
+	line  Line
+}
+
 // slabChunk is the infinite-mode slab's growth step, in lines. Small
 // chunks keep a short run's footprint near its working set.
 const slabChunk = 64
@@ -111,10 +119,6 @@ type chunk struct {
 	lines []Line
 	words []memsys.BlockData
 }
-
-// NewSLC returns a direct-mapped SLC that keeps no words, with the given
-// number of frames, or an infinite one if frames == 0.
-func NewSLC(frames int) *SLC { return NewSLCAssoc(frames, 1, false) }
 
 // NewSLCAssoc returns a ways-associative SLC with the given total frame
 // count (frames must be a multiple of ways), or an infinite one if
@@ -131,7 +135,7 @@ func NewSLCAssoc(frames, ways int, keepWords bool) *SLC {
 		panic("cache: SLC frame count not a multiple of the associativity")
 	}
 	c.nsets = frames / ways
-	c.array = make([]Line, frames)
+	c.array = make([]frame, frames)
 	if ways > 1 {
 		c.age = make([]uint64, frames)
 	}
@@ -140,12 +144,6 @@ func NewSLCAssoc(frames, ways int, keepWords bool) *SLC {
 	}
 	return c
 }
-
-// Sets returns the frame count (0 = infinite).
-func (c *SLC) Sets() int { return c.frames }
-
-// Ways returns the associativity.
-func (c *SLC) Ways() int { return c.ways }
 
 // set returns the index range [lo, hi) of block b's set.
 func (c *SLC) set(b memsys.Block) (lo, hi int) {
@@ -158,7 +156,7 @@ func (c *SLC) set(b memsys.Block) (lo, hi int) {
 func (c *SLC) find(b memsys.Block) int {
 	lo, hi := c.set(b)
 	for i := lo; i < hi; i++ {
-		if l := &c.array[i]; l.State != Invalid && l.Block == b {
+		if f := &c.array[i]; f.line.State != Invalid && f.block == b {
 			return i
 		}
 	}
@@ -214,7 +212,7 @@ func (c *SLC) Lookup(b memsys.Block) *Line {
 		return nil
 	}
 	c.touch(i)
-	return &c.array[i]
+	return &c.array[i].line
 }
 
 // Peek is Lookup without the LRU refresh: a check that reads the cache
@@ -224,7 +222,7 @@ func (c *SLC) Peek(b memsys.Block) *Line {
 		return c.Lookup(b) // infinite mode keeps no ages
 	}
 	if i := c.find(b); i >= 0 {
-		return &c.array[i]
+		return &c.array[i].line
 	}
 	return nil
 }
@@ -245,7 +243,7 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Victim, e
 		}
 		i := *p - 1
 		l := c.slot(i)
-		*l = Line{Block: b, State: st}
+		*l = Line{State: st}
 		if c.keepWords {
 			c.slab[i/slabChunk].words[i%slabChunk] = memsys.BlockData{}
 		}
@@ -254,12 +252,12 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Victim, e
 	lo, hi := c.set(b)
 	slot := -1
 	for i := lo; i < hi; i++ {
-		l := &c.array[i]
-		if l.State != Invalid && l.Block == b {
+		f := &c.array[i]
+		if f.line.State != Invalid && f.block == b {
 			slot = i
 			break
 		}
-		if l.State == Invalid && slot < 0 {
+		if f.line.State == Invalid && slot < 0 {
 			slot = i
 		}
 	}
@@ -271,17 +269,17 @@ func (c *SLC) Insert(b memsys.Block, st LineState) (line *Line, victim Victim, e
 				slot = i
 			}
 		}
-		victim.Line, evicted = c.array[slot], true
+		victim.Block, victim.Line, evicted = c.array[slot].block, c.array[slot].line, true
 		if c.keepWords {
 			victim.Words = c.words[slot]
 		}
 	}
 	c.touch(slot)
-	c.array[slot] = Line{Block: b, State: st}
+	c.array[slot] = frame{block: b, line: Line{State: st}}
 	if c.keepWords {
 		c.words[slot] = memsys.BlockData{}
 	}
-	return &c.array[slot], victim, evicted
+	return &c.array[slot].line, victim, evicted
 }
 
 // Words returns the verification words of block b's line, or nil when b is
@@ -320,27 +318,28 @@ func (c *SLC) Invalidate(b memsys.Block) (old Line, ok bool) {
 		return *c.slot(i), true
 	}
 	if i := c.find(b); i >= 0 {
-		v := c.array[i]
-		c.array[i].State = Invalid
+		v := c.array[i].line
+		c.array[i].line.State = Invalid
 		return v, true
 	}
 	return Line{}, false
 }
 
-// ForEach calls fn for every valid line: in ascending block order in
-// infinite mode, in frame order otherwise. fn must not insert or invalidate.
-func (c *SLC) ForEach(fn func(*Line)) {
+// ForEach calls fn for every valid line and its block: in ascending block
+// order in infinite mode, in frame order otherwise. fn must not insert or
+// invalidate.
+func (c *SLC) ForEach(fn func(memsys.Block, *Line)) {
 	if c.frames == 0 {
-		c.inf.ForEach(func(_ memsys.Block, i *int32) {
+		c.inf.ForEach(func(b memsys.Block, i *int32) {
 			if *i != 0 {
-				fn(c.slot(*i - 1))
+				fn(b, c.slot(*i-1))
 			}
 		})
 		return
 	}
 	for i := range c.array {
-		if c.array[i].State != Invalid {
-			fn(&c.array[i])
+		if f := &c.array[i]; f.line.State != Invalid {
+			fn(f.block, &f.line)
 		}
 	}
 }

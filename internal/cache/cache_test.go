@@ -9,21 +9,33 @@ import (
 	"ccsim/internal/memsys"
 )
 
+// NewSLC returns a direct-mapped SLC that keeps no words, with the given
+// number of frames, or an infinite one if frames == 0.
+func NewSLC(frames int) *SLC { return NewSLCAssoc(frames, 1, false) }
+
+// Sets returns the frame count (0 = infinite).
+func (c *SLC) Sets() int { return c.frames }
+
+// Ways returns the associativity.
+func (c *SLC) Ways() int { return c.ways }
+
 // valid counts c's valid lines.
 func valid(c *SLC) int {
 	n := 0
-	c.ForEach(func(*Line) { n++ })
+	c.ForEach(func(memsys.Block, *Line) { n++ })
 	return n
 }
 
 // TestLineSize pins an SLC line at its state and extension bits: a run
 // holds one Line per cached block, so a field added back to it (the
-// data-verification words, say) grows every run's SLC. 24 bytes is the
-// block number plus a one-byte state, two 32-bit counters and four flags;
-// with an int state and int counters the line took 40.
+// data-verification words, say) grows every run's SLC. 16 bytes is a
+// one-byte state, two 32-bit counters and four flags. The line holds no
+// block number, which the infinite cache's index already maps and a finite
+// cache keeps beside each frame's line: with it the line took 24 bytes,
+// and with an int state and int counters 40.
 func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(Line{}); n != 24 {
-		t.Errorf("Line is %d bytes, want 24", n)
+	if n := unsafe.Sizeof(Line{}); n != 16 {
+		t.Errorf("Line is %d bytes, want 16", n)
 	}
 }
 
@@ -107,12 +119,12 @@ func TestSLCInfiniteSlotsStable(t *testing.T) {
 		t.Fatalf("block 0 moved or changed as the slab grew: %+v", l)
 	}
 	old, ok := c.Invalidate(7)
-	if !ok || old.Block != 7 || c.Lookup(7) != nil {
+	if !ok || old.State != Shared || c.Lookup(7) != nil {
 		t.Fatalf("Invalidate(7) = %+v, %v", old, ok)
 	}
 	grown := len(c.slab)
 	l, _, _ := c.Insert(100000, Shared)
-	if len(c.slab) != grown || l.Block != 100000 || l.CWCount != 0 {
+	if len(c.slab) != grown || c.Lookup(100000) != l || l.CWCount != 0 {
 		t.Fatalf("freed slot not reused as a fresh line: slab %d -> %d chunks, line %+v", grown, len(c.slab), l)
 	}
 	if valid(c) != 10*slabChunk || c.Lookup(6) == nil || c.Lookup(8) == nil {
@@ -128,7 +140,7 @@ func TestSLCFiniteDirectMappedConflict(t *testing.T) {
 	if !evicted || victim.Block != 1 {
 		t.Fatalf("expected victim block 1, got %v", victim)
 	}
-	if line.Block != 5 || line.State != Dirty {
+	if c.Lookup(5) != line || line.State != Dirty {
 		t.Fatalf("inserted line wrong: %+v", line)
 	}
 	if c.Lookup(1) != nil {
@@ -269,10 +281,15 @@ func TestSLCForEach(t *testing.T) {
 		for b := memsys.Block(0); b < 10; b++ {
 			c.Insert(b, Shared)
 		}
-		n := 0
-		c.ForEach(func(l *Line) { n++ })
-		if n != 10 {
-			t.Fatalf("sets=%d: ForEach visited %d, want 10", sets, n)
+		seen := map[memsys.Block]bool{}
+		c.ForEach(func(b memsys.Block, l *Line) {
+			if seen[b] || c.Peek(b) != l {
+				t.Fatalf("sets=%d: ForEach passed block %d with a line that is not its own", sets, b)
+			}
+			seen[b] = true
+		})
+		if len(seen) != 10 {
+			t.Fatalf("sets=%d: ForEach visited %d, want 10", sets, len(seen))
 		}
 	}
 }

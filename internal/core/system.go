@@ -472,8 +472,8 @@ func (s *System) invariantErrors(quiescent bool, max int) []error {
 	// (the lowest bit of a node mask), so it is reported once; only such a
 	// finding looks at other nodes.
 	for _, n := range s.Nodes {
-		n.Cache.slc.ForEach(func(l *cache.Line) {
-			b, dirty := l.Block, l.State == cache.Dirty
+		n.Cache.slc.ForEach(func(b memsys.Block, l *cache.Line) {
+			dirty := l.State == cache.Dirty
 			if inflight[b] {
 				return
 			}

@@ -430,6 +430,15 @@ func (c *Collector) Spans() []*Span {
 	return out
 }
 
+// KeptSpans reports how many completed spans the collector holds: the
+// length of Spans, without building them.
+func (c *Collector) KeptSpans() int {
+	if c == nil {
+		return 0
+	}
+	return c.done.n
+}
+
 // DroppedSpans reports how many spans the MaxSpans cap discarded.
 func (c *Collector) DroppedSpans() uint64 {
 	if c == nil {

@@ -127,6 +127,32 @@ func TestSpanCap(t *testing.T) {
 	}
 }
 
+// TestKeptSpansCountsSpans checks KeptSpans, which the CLI's overflow
+// warning reads instead of building every span, against len(Spans) as a
+// collector fills past its cap with spans completed out of order, some
+// left open; a nil collector keeps none.
+func TestKeptSpansCountsSpans(t *testing.T) {
+	var nilc *Collector
+	if n := nilc.KeptSpans(); n != 0 {
+		t.Fatalf("nil collector keeps %d spans", n)
+	}
+	c := New(Options{MaxSpans: 300})
+	var open []uint64
+	for i := 0; i < 400; i++ {
+		open = append(open, c.Begin(i%16, uint64(i), SpanRead, int64(i)))
+		if i%3 == 2 {
+			c.End(open[1], int64(i+1))
+			open = append(open[:1], open[2:]...)
+		}
+		if got, want := c.KeptSpans(), len(c.Spans()); got != want {
+			t.Fatalf("after %d Begins: KeptSpans = %d, len(Spans) = %d", i+1, got, want)
+		}
+	}
+	if c.DroppedSpans() == 0 || c.KeptSpans() == 0 {
+		t.Fatalf("collector did not overflow: kept %d, dropped %d", c.KeptSpans(), c.DroppedSpans())
+	}
+}
+
 func TestStallIntervals(t *testing.T) {
 	c := New(Options{})
 	c.StallInterval(2, "read", 10, 30)

@@ -22,40 +22,51 @@ func LU(procs int, scale float64) []proc.Stream {
 	colBlock := func(j, b int) memsys.Addr {
 		return dataBase + memsys.Addr(j*blocksPerCol+b)*memsys.BlockSize
 	}
+	// column emits a read, busy and write per block of column j.
+	column := func(s *script, j int) {
+		for b := 0; b < blocksPerCol; b++ {
+			s.read(colBlock(j, b))
+			s.busy(40)
+			s.write(colBlock(j, b))
+		}
+	}
 
-	// One segment per elimination step k: two barriers, a read and a busy
-	// per pivot block, and a read, busy and write per block of each column
-	// of [k, n) the processor owns (the pivot column's factorization
-	// included), of which it owns at most ceil(n/procs).
-	maxSeg := 2 + blocksPerCol*(2+3*ceilDiv(n, procs))
+	// Each elimination step k is 3+owned segments: the pivot column's
+	// factorization (empty unless p owns column k), the first barrier
+	// with the pivot reads, one segment per column right of k that p
+	// owns (empty past n), and the second barrier. A processor owns at
+	// most ceil(n/procs) columns, and the longest segment is one column's
+	// read, busy and write per block.
+	owned := ceilDiv(n, procs)
+	perStep := 3 + owned
+	maxSeg := 3 * blocksPerCol
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
-		streams[p] = newScript(n, maxSeg, func(s *script, k int) {
-			if k%procs == p {
+		streams[p] = newScript(n*perStep, maxSeg, func(s *script, seg int) {
+			k, i := seg/perStep, seg%perStep
+			switch {
+			case i == 0:
 				// Factorize the pivot column.
+				if k%procs == p {
+					column(s, k)
+				}
+			case i == 1:
+				// Read the pivot column.
+				s.barrier(2 * k)
 				for b := 0; b < blocksPerCol; b++ {
 					s.read(colBlock(k, b))
-					s.busy(40)
-					s.write(colBlock(k, b))
+					s.busy(20)
 				}
-			}
-			s.barrier(2 * k)
-			// Read the pivot column and update owned columns right of k.
-			for b := 0; b < blocksPerCol; b++ {
-				s.read(colBlock(k, b))
-				s.busy(20)
-			}
-			for j := k + 1; j < n; j++ {
-				if j%procs != p {
-					continue
+			case i < perStep-1:
+				// Update the (i-2)-th owned column right of k: the first
+				// is the least j > k with j%procs == p.
+				j := k + 1 + (p-(k+1)%procs+procs)%procs + (i-2)*procs
+				if j < n {
+					column(s, j)
 				}
-				for b := 0; b < blocksPerCol; b++ {
-					s.read(colBlock(j, b))
-					s.busy(40)
-					s.write(colBlock(j, b))
-				}
+			default:
+				s.barrier(2*k + 1)
 			}
-			s.barrier(2*k + 1)
 		})
 	}
 	return streams

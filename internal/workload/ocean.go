@@ -27,27 +27,30 @@ func Ocean(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(r*blocksPerRow+b)*memsys.BlockSize
 	}
 
-	// One segment per iteration: up to three reads, a busy and a write per
-	// block of each of at most ceil(g/procs) owned rows, then the barrier.
-	maxSeg := 5*blocksPerRow*ceilDiv(g, procs) + 1
+	// Each iteration is one segment per owned row, up to three reads, a
+	// busy and a write per block, then one for the barrier.
+	maxSeg := 5 * blocksPerRow
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
 		lo, hi := p*g/procs, (p+1)*g/procs
-		streams[p] = newScript(iters, maxSeg, func(s *script, it int) {
-			for r := lo; r < hi; r++ {
-				for b := 0; b < blocksPerRow; b++ {
-					if r > 0 {
-						s.read(rowBlock(r-1, b))
-					}
-					s.read(rowBlock(r, b))
-					if r < g-1 {
-						s.read(rowBlock(r+1, b))
-					}
-					s.busy(14)
-					s.write(rowBlock(r, b))
-				}
+		perIter := hi - lo + 1
+		streams[p] = newScript(iters*perIter, maxSeg, func(s *script, seg int) {
+			it, r := seg/perIter, lo+seg%perIter
+			if r == hi {
+				s.barrier(it)
+				return
 			}
-			s.barrier(it)
+			for b := 0; b < blocksPerRow; b++ {
+				if r > 0 {
+					s.read(rowBlock(r-1, b))
+				}
+				s.read(rowBlock(r, b))
+				if r < g-1 {
+					s.read(rowBlock(r+1, b))
+				}
+				s.busy(14)
+				s.write(rowBlock(r, b))
+			}
 		})
 	}
 	return streams

@@ -36,25 +36,30 @@ func Water(procs int, scale float64) []proc.Stream {
 		return dataBase + memsys.Addr(mols+i*recBlocks)*memsys.BlockSize
 	}
 
-	// A force-phase row deals a processor at most ceil((mols-1)/procs)
-	// pairs of five ops each; the commit phase takes six ops per molecule
-	// touched, and the update phase seven per owned molecule plus the two
-	// barriers.
-	maxSeg := max(5*ceilDiv(mols-1, procs), 6*mols+7*ceilDiv(mols, procs)+2)
+	// Each step is mols segments of force-phase rows, mols of commits (one
+	// per molecule, empty unless the processor touched it), the first
+	// barrier, one segment per owned molecule's update and the second
+	// barrier. A force-phase row deals a processor at most
+	// ceil((mols-1)/procs) pairs of five ops each; a commit takes six ops
+	// and an update seven.
+	maxSeg := max(5*ceilDiv(mols-1, procs), 7)
 	streams := make([]proc.Stream, procs)
 	for p := 0; p < procs; p++ {
-		// Each step is one segment per force-phase row i, then one for
-		// the commit and update phases. The pair counter carries from row
-		// to row; both it and touched restart with each step's row 0.
+		// The pair counter carries from row to row; both it and touched
+		// restart with each step's row 0.
 		pair := 0
 		touched := make([]bool, mols)
-		streams[p] = newScript(steps*(mols+1), maxSeg, func(s *script, seg int) {
-			step, i := seg/(mols+1), seg%(mols+1)
-			if i == 0 {
-				pair = 0
-				clear(touched)
-			}
-			if i < mols {
+		start := p * mols / procs
+		owned := ceilDiv(mols-p, procs)
+		perStep := 2*mols + 2 + owned
+		streams[p] = newScript(steps*perStep, maxSeg, func(s *script, seg int) {
+			step, i := seg/perStep, seg%perStep
+			switch {
+			case i < mols:
+				if i == 0 {
+					pair = 0
+					clear(touched)
+				}
 				// Force phase: pairs (i, j), i < j, dealt round-robin. The
 				// pairwise interaction itself reads both positions (hits
 				// after the first touch per step) and computes privately.
@@ -75,37 +80,37 @@ func Water(procs int, scale float64) []proc.Stream {
 					}
 					pair++
 				}
-				return
-			}
-			// Commit accumulated contributions: one lock-protected
-			// read-modify-write per touched molecule (the classic
-			// migratory critical section). Processors start at different
-			// molecules so the sweeps do not convoy on the same locks.
-			start := p * mols / procs
-			for n := 0; n < mols; n++ {
-				i := (start + n) % mols
-				if !touched[i] {
-					continue
+			case i < 2*mols:
+				// Commit accumulated contributions: one lock-protected
+				// read-modify-write per touched molecule (the classic
+				// migratory critical section). Processors start at
+				// different molecules so the sweeps do not convoy on the
+				// same locks.
+				m := (start + i - mols) % mols
+				if !touched[m] {
+					return
 				}
-				s.acquire(i)
-				s.read(forceBlock(i))
+				s.acquire(m)
+				s.read(forceBlock(m))
 				s.busy(6)
-				s.write(forceBlock(i))
-				s.release(i)
+				s.write(forceBlock(m))
+				s.release(m)
 				s.busy(15)
-			}
-			s.barrier(2 * step)
-			// Update phase: integrate owned molecules; positions written
-			// here are the ones everyone reads next step.
-			for i := p; i < mols; i += procs {
-				s.read(forceBlock(i))
-				s.write(forceBlock(i))
-				s.readBlock(posBlock(i), 2)
-				s.write(posBlock(i))
-				s.write(posBlock(i) + 4)
+			case i == 2*mols:
+				s.barrier(2 * step)
+			case i < perStep-1:
+				// Update phase: integrate owned molecules; positions
+				// written here are the ones everyone reads next step.
+				m := p + (i-2*mols-1)*procs
+				s.read(forceBlock(m))
+				s.write(forceBlock(m))
+				s.readBlock(posBlock(m), 2)
+				s.write(posBlock(m))
+				s.write(posBlock(m) + 4)
 				s.busy(40)
+			default:
+				s.barrier(2*step + 1)
 			}
-			s.barrier(2*step + 1)
 		})
 	}
 	return streams

@@ -32,13 +32,15 @@ func lockAddr(i int) memsys.Addr {
 }
 
 // script is one processor's operation stream, generated on demand one
-// segment at a time: a segment is one iteration of the kernel's loop, and
-// fill(s, i) appends segment i to the stream's op buffer. Next calls fill
-// only once the processor has drained the buffer, so a stream holds one
-// segment instead of its whole history and the kernel's state advances
-// only as the simulated processor completes operations. Segments are
-// generated in order, so a kernel may keep state (a random source, a
-// running counter) from one segment to the next. A segment may be empty.
+// segment at a time: a segment is one inner step of the kernel's loop (a
+// column, a row, a task, one molecule's commit), never a whole outer
+// iteration, and fill(s, i) appends segment i to the stream's op buffer.
+// Next calls fill only once the processor has drained the buffer, so a
+// stream holds one segment instead of its whole history and the kernel's
+// state advances only as the simulated processor completes operations.
+// Segments are generated in order, so a kernel may keep state (a random
+// source, a running counter) from one segment to the next. A segment may
+// be empty.
 type script struct {
 	ops       []proc.Op
 	pos       int // next op of ops to return
@@ -116,7 +118,7 @@ func namesSorted() []string {
 }
 
 // Streams returns the streams for the named kernel. Each generates its
-// operations on demand, one loop iteration at a time, as they are read.
+// operations on demand, one inner loop step at a time, as they are read.
 // scale multiplies the problem size: 1.0 is the default size (seconds of
 // host time per run), smaller values shrink it proportionally for tests
 // and quick sweeps.

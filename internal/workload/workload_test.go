@@ -426,3 +426,35 @@ func TestKernelOpBuffersNeverGrow(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelOpBuffersHoldOneStep drains every kernel at 16 processors and
+// checks that no stream's op buffer ever holds more than 80 ops: each
+// segment is one inner step of its kernel's loop (an lu column, an ocean
+// row, a water force row, commit or update, a cholesky task, an mp3d
+// particle), not a whole outer iteration. At scale 1.0 the buffers are lu
+// 72, ocean 80, water 70, cholesky 61 and mp3d 13 ops; with a segment per
+// outer iteration lu, ocean and water took 914, 641 and 1,444.
+func TestKernelOpBuffersHoldOneStep(t *testing.T) {
+	const limit = 80
+	for _, name := range Names() {
+		for _, scale := range []float64{0.125, 0.5, 1.0} {
+			streams, err := Streams(name, 16, scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, st := range streams {
+				s := st.(*script)
+				for {
+					_, ok := s.Next()
+					if cap(s.ops) > limit {
+						t.Fatalf("%s at scale %g: proc %d's op buffer holds %d ops, limit %d",
+							name, scale, p, cap(s.ops), limit)
+					}
+					if !ok {
+						break
+					}
+				}
+			}
+		}
+	}
+}

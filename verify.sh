@@ -71,32 +71,33 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # "event queue" line's counts.) The disabled path must stay free: the
 # no-allocs tests pin the nil-hook cost to zero, the processor's
 # operations to zero allocations, and a whole run under its allocation
-# and heap-byte ceilings (the second holds workload streams to one loop
-# iteration per processor; a second heap-byte ceiling holds a run shaped
-# like the scale-0.125 sweep's to what it uses, and two named tests hold
-# every kernel's op buffer to its first size and a busy resource's
-# reservation queue to its live reservations). The observed-run ceiling
-# does the same for a run with the checker, sharing analyzer, telemetry
-# and trace attached (it fails if their per-block or per-span state goes
-# back to maps and one heap object each); its heap-byte ceiling fails if
-# telemetry's records go back to a heap span with a mark slice each,
-# strings in stalls and instants, or slices per sampler snapshot. A
+# and heap-byte ceilings (the second holds workload streams to one inner
+# loop step per processor and SLC lines to 16 bytes; a second heap-byte
+# ceiling holds a run shaped like the scale-0.125 sweep's to what it uses,
+# and named tests hold every kernel's op buffer to its first size and to
+# one inner step, every kernel's stream to its pinned hash, and a busy
+# resource's reservation queue to its live reservations). The observed-run
+# ceiling does the same for a run with the checker, sharing analyzer,
+# telemetry and trace attached (it fails if their per-block or per-span
+# state goes back to maps and one heap object each); its heap-byte ceiling
+# fails if telemetry's records go back to a heap span with a mark slice
+# each, strings in stalls and instants, or slices per sampler snapshot. A
 # telemetry test keeps every record the collector stores free of pointers,
 # three more hold a span record at 64 bytes, bring back every span whose
 # marks leave it (past eight, or further than 2^32 pclocks from its
 # start), and hold the streamed timeline to the bytes encoding/json gives
 # the same events, and the timeline golden pins what a small run's
-# telemetry renders. A
-# traced run may allocate only a constant more than the same run untraced,
-# so no trace line allocates.
+# telemetry renders. A traced run may allocate only a constant more than
+# the same run untraced, so no trace line allocates.
 # The address-shift test pins the sparse per-block tables, the side
 # channels' included: a run with every address moved above 2^40 or 2^58
 # bytes must match the unshifted run exactly. Size pins hold a directory
 # entry at 24 pointer-free bytes (its transaction context lives in pooled
-# records), a protocol message at 72 bytes, a block's verification words
-# at 32 and the engine at one word of header per wheel bucket; two
-# named tests run the paths those layouts moved: a request parked behind
-# its owner's writeback, and a migrated event becoming a bucket's head.
+# records), a protocol message at 72 bytes, an SLC line at 16, a block's
+# verification words at 32 and the engine at one word of header per wheel
+# bucket; two named tests run the paths those layouts moved: a request
+# parked behind its owner's writeback, and a migrated event becoming a
+# bucket's head.
 # The record pool's tests (TestPool*) pin what its callers rely on: indexes
 # from 1, addresses that never move, the last released record reused first,
 # no allocation once warm, and a record that comes back as it was released.
@@ -112,7 +113,8 @@ go test -count=1 -run 'TestProcessorZeroAllocs' ccsim/internal/proc
 go test -count=1 -run 'TestResourceQueueHoldsOnlyLiveReservations|TestEngineSize|TestEngineMigratedHeadKeepsTail' ccsim/internal/sim
 go test -count=1 -run 'TestDirEntrySize|TestMsgSize|TestDirEntryHoldsNoPointers|TestOwnerReadParksUntilWriteback|TestPool' ccsim/internal/core
 go test -count=1 -run 'TestBlockDataSize' ccsim/internal/memsys
-go test -count=1 -run 'TestKernelOpBuffersNeverGrow' ccsim/internal/workload
+go test -count=1 -run 'TestLineSize' ccsim/internal/cache
+go test -count=1 -run 'TestKernelOpBuffersNeverGrow|TestKernelStreamHashes|TestKernelOpBuffersHoldOneStep' ccsim/internal/workload
 
 # Timeline smoke: the CLI's -timeline file must be non-empty and
 # byte-identical across two runs of the same command. Stdout stays out of
