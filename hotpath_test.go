@@ -252,7 +252,10 @@ func withFreshSideChannels(cfg ccsim.Config) ccsim.Config {
 // per run; and the run carries no flight recorder: 637,352-637,616 bytes
 // for this run, measured when the ceiling was set, against 897,168 with
 // one outer loop iteration per segment (242-op buffers here) and 24-byte
-// lines. The previous ceiling was set at 926,736 bytes; the run took
+// lines; either alone stays under the ceiling (749,712 with the long
+// segments, 784,808 with the long lines), so the workload package's
+// TestKernelOpBuffersHoldOneStep and the cache package's TestLineSize pin
+// them. The previous ceiling was set at 926,736 bytes; the run took
 // 920,208-920,472 once a protocol message was 72 bytes rather than 144,
 // against 930,688-930,912 with the recorder's ring, a pending list grown
 // by append and a free list apart from the pools' chunks, 963,920-965,400

@@ -118,8 +118,10 @@ func TestSLCInfiniteSlotsStable(t *testing.T) {
 	if l := c.Lookup(0); l != first || l.CWCount != 5 || l.State != Dirty {
 		t.Fatalf("block 0 moved or changed as the slab grew: %+v", l)
 	}
+	// Mark block 7's line apart from its neighbours, so a wrong slot shows.
+	c.Lookup(7).CWCount = 7
 	old, ok := c.Invalidate(7)
-	if !ok || old.State != Shared || c.Lookup(7) != nil {
+	if !ok || old.CWCount != 7 || old.State != Shared || c.Lookup(7) != nil {
 		t.Fatalf("Invalidate(7) = %+v, %v", old, ok)
 	}
 	grown := len(c.slab)

@@ -33,10 +33,10 @@ func LU(procs int, scale float64) []proc.Stream {
 
 	// Each elimination step k is 3+owned segments: the pivot column's
 	// factorization (empty unless p owns column k), the first barrier
-	// with the pivot reads, one segment per column right of k that p
-	// owns (empty past n), and the second barrier. A processor owns at
-	// most ceil(n/procs) columns, and the longest segment is one column's
-	// read, busy and write per block.
+	// with the pivot reads, one segment per column p owns (empty unless
+	// it lies right of k and within n), and the second barrier. A
+	// processor owns at most ceil(n/procs) columns, and the longest
+	// segment is one column's read, busy and write per block.
 	owned := ceilDiv(n, procs)
 	perStep := 3 + owned
 	maxSeg := 3 * blocksPerCol
@@ -58,10 +58,8 @@ func LU(procs int, scale float64) []proc.Stream {
 					s.busy(20)
 				}
 			case i < perStep-1:
-				// Update the (i-2)-th owned column right of k: the first
-				// is the least j > k with j%procs == p.
-				j := k + 1 + (p-(k+1)%procs+procs)%procs + (i-2)*procs
-				if j < n {
+				// Update p's (i-2)-th column if it lies right of k.
+				if j := p + (i-2)*procs; j > k && j < n {
 					column(s, j)
 				}
 			default:

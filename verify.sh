@@ -71,8 +71,8 @@ rm -f /tmp/ccsim-verified.txt /tmp/ccsim-unverified.txt
 # "event queue" line's counts.) The disabled path must stay free: the
 # no-allocs tests pin the nil-hook cost to zero, the processor's
 # operations to zero allocations, and a whole run under its allocation
-# and heap-byte ceilings (the second holds workload streams to one inner
-# loop step per processor and SLC lines to 16 bytes; a second heap-byte
+# and heap-byte ceilings (the second fails if workload streams are built
+# whole again instead of one segment at a time; a second heap-byte
 # ceiling holds a run shaped like the scale-0.125 sweep's to what it uses,
 # and named tests hold every kernel's op buffer to its first size and to
 # one inner step, every kernel's stream to its pinned hash, and a busy
